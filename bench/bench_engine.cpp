@@ -1,13 +1,15 @@
-// Engineering microbenchmarks (google-benchmark): RNG throughput, event
-// queue structures, DES kernel, SPN token game, reachability + solver and
-// the closed-form evaluators.  These back the performance claims in the
+// Engineering microbenchmarks (google-benchmark): RNG throughput, the DES
+// kernel's event set and CPU model, SPN token game, reachability + solver
+// and the closed-form evaluators.  These back the performance claims in the
 // README and catch regressions in the hot paths.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "core/cpu_petri_net.hpp"
 #include "core/models.hpp"
 #include "des/cpu_model.hpp"
-#include "des/event_queue.hpp"
 #include "des/simulator.hpp"
 #include "linalg/iterative.hpp"
 #include "linalg/lu.hpp"
@@ -38,32 +40,60 @@ void BM_RngExponential(benchmark::State& state) {
 }
 BENCHMARK(BM_RngExponential);
 
-void BM_EventQueueHoldModel(benchmark::State& state) {
-  // Classic hold model: steady-state queue of `size` events; each step
-  // pops the minimum and pushes a new event.
-  const auto kind = static_cast<des::QueueKind>(state.range(0));
-  const std::size_t size = static_cast<std::size_t>(state.range(1));
-  auto queue = des::MakeQueue(kind);
+// Classic hold model over the kernel's event set: `pending` events stay
+// scheduled; each step fires the earliest, which reschedules itself.
+struct HoldEvent {
+  des::Simulator* sim;
+  util::Rng* rng;
+  void operator()() const {
+    sim->ScheduleAfter(util::UniformDouble(*rng) * 10.0, *this);
+  }
+};
+
+void BM_SimulatorHoldModel(benchmark::State& state) {
+  des::Simulator sim;
   util::Rng rng(7);
-  des::EventId id = 1;
-  double now = 0.0;
-  for (std::size_t i = 0; i < size; ++i) {
-    queue->Push(util::UniformDouble(rng) * 10.0, id++);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sim.ScheduleAt(util::UniformDouble(rng) * 10.0, HoldEvent{&sim, &rng});
   }
   for (auto _ : state) {
-    const des::QueuedEvent e = queue->PopMin();
-    now = e.time;
-    queue->Push(now + util::UniformDouble(rng) * 10.0, id++);
+    benchmark::DoNotOptimize(sim.Step());
   }
-  state.SetLabel(queue->Name());
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueHoldModel)
-    ->Args({0, 16})
-    ->Args({0, 1024})
-    ->Args({1, 16})
-    ->Args({1, 1024})
-    ->Args({2, 16})
-    ->Args({2, 1024});
+BENCHMARK(BM_SimulatorHoldModel)->Arg(16)->Arg(1024)->Arg(65536);
+
+// The hold model plus netsim's death-timer pattern: every node also owns
+// a far-future timer that each of its firings cancels and reschedules,
+// so half the pending events are timers that never fire.
+struct DrainEvent {
+  des::Simulator* sim;
+  util::Rng* rng;
+  std::vector<des::EventId>* death;
+  std::size_t node;
+  void operator()() const {
+    sim->Cancel((*death)[node]);
+    (*death)[node] =
+        sim->ScheduleAfter(1.0e6 + util::UniformDouble(*rng), [] {});
+    sim->ScheduleAfter(util::UniformDouble(*rng) * 10.0, *this);
+  }
+};
+
+void BM_SimulatorCancelReschedule(benchmark::State& state) {
+  const std::size_t nodes = static_cast<std::size_t>(state.range(0));
+  des::Simulator sim;
+  util::Rng rng(7);
+  std::vector<des::EventId> death(nodes, 0);
+  for (std::size_t i = 0; i < nodes; ++i) {
+    sim.ScheduleAt(util::UniformDouble(rng) * 10.0,
+                   DrainEvent{&sim, &rng, &death, i});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.Step());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimulatorCancelReschedule)->Arg(16)->Arg(1024)->Arg(65536);
 
 void BM_DesCpuModelSecondOfSimulation(benchmark::State& state) {
   des::CpuModelConfig cfg;

@@ -43,7 +43,6 @@ class Engine {
       : config_(config),
         rng_(seed),
         workload_(workload),
-        sim_(config.queue_kind),
         service_(config.service_distribution.value_or(util::Distribution(
             util::Exponential{1.0 / config.mean_service_time}))) {
     Require(config.arrival_rate > 0.0, "arrival rate must be positive");

@@ -41,9 +41,6 @@ struct CpuModelConfig {
   /// Service-time distribution; exponential(mean_service_time) when unset.
   std::optional<util::Distribution> service_distribution;
 
-  /// Workload override; Poisson(arrival_rate) when null.
-  /// Non-null values are consulted per replication via the factory below.
-  QueueKind queue_kind = QueueKind::kBinaryHeap;
   bool record_trace = false;  ///< capture the power-state timeline
 };
 

@@ -8,29 +8,44 @@
 // Event storage is a generation-checked slab: each pending event occupies
 // one slot of a free-list-recycled vector, its callback embedded inline
 // via the small-buffer-optimized InlineAction — so the schedule/fire/cancel
-// cycle performs no per-event heap allocation and no hashing.  An EventId
-// packs (sequence << kEventSlotBits) | slot: the sequence keeps ids
-// strictly monotone (the queues' FIFO tie-break), while the full-id
-// equality check against the slot's current occupant makes Cancel O(1)
-// and generation-safe — a handle from a previous occupant of a reused
-// slot can never cancel (or observe) its successor.
+// cycle performs no per-event heap allocation and no hashing.
+//
+// The pending-event set is one indexed 4-ary min-heap of contiguous
+// (time, id) keys, ordered by time and then by id.  Ids grow with every
+// schedule, so simultaneous events fire in schedule order (FIFO).  Each
+// slab slot records where its key sits in the heap, which makes Cancel an
+// eager O(log n) removal: the heap only ever holds live events.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "des/action.hpp"
-#include "des/event_queue.hpp"
 
 namespace wsn::des {
+
+using EventId = std::uint64_t;
+
+/// EventId bit layout: the low kEventSlotBits address the kernel's
+/// event-record slab slot, the high bits carry a schedule sequence number
+/// that increases on every schedule.  Ids are therefore strictly
+/// increasing in schedule order (the FIFO tie-break is a plain integer
+/// comparison), and a handle whose slot was since reused carries a
+/// different sequence, so it can never cancel the slot's new occupant.
+/// Id 0 is reserved as the "no event" handle and is never live.
+inline constexpr unsigned kEventSlotBits = 24;
+inline constexpr EventId kEventSlotMask = (EventId{1} << kEventSlotBits) - 1;
+
+/// Slab slot addressed by an id.
+constexpr std::size_t EventSlotOf(EventId id) noexcept {
+  return static_cast<std::size_t>(id & kEventSlotMask);
+}
 
 class Simulator {
  public:
   using Action = InlineAction;
-
-  explicit Simulator(QueueKind queue_kind = QueueKind::kBinaryHeap);
 
   /// Current simulation time.
   double Now() const noexcept { return now_; }
@@ -43,27 +58,25 @@ class Simulator {
 
   /// Cancel a pending event.  Returns false if it already fired or was
   /// already cancelled (including when its slot has been reused by a
-  /// later event).
+  /// later event), and for the reserved id 0.
   bool Cancel(EventId id);
 
   /// Fire the next event.  Returns false when no events remain.
   bool Step();
 
-  /// Run until the event queue drains or the next event is later than
+  /// Run until the event set drains or the next event is later than
   /// `until`; Now() is clamped to `until` at exit so time-weighted
   /// statistics can be finalized at the horizon.
   void RunUntil(double until);
 
-  /// Run until the queue drains completely.
+  /// Run until the event set drains completely.
   void RunToCompletion();
 
   /// Number of events fired so far.
   std::uint64_t ProcessedEvents() const noexcept { return processed_; }
 
-  /// Live (pending, uncancelled) events.  Counted by the kernel itself,
-  /// so the number is exact even while a lazy-deletion queue still holds
-  /// cancelled-but-unpopped entries.
-  std::size_t PendingEvents() const noexcept { return live_; }
+  /// Live (pending, uncancelled) events.
+  std::size_t PendingEvents() const noexcept { return heap_.size(); }
 
   /// High-water slot count of the event-record slab (diagnostics: the
   /// peak number of simultaneously pending events this kernel has seen).
@@ -88,25 +101,47 @@ class Simulator {
   }
 
  private:
+  struct HeapKey {
+    double time;
+    EventId id;
+
+    /// Earliest time first, then lowest id (FIFO among simultaneous
+    /// events).  Ids are unique, so this is a strict total order.
+    bool operator<(const HeapKey& other) const noexcept {
+      if (time != other.time) return time < other.time;
+      return id < other.id;
+    }
+  };
+
   struct EventRecord {
     InlineAction action;
-    EventId id = 0;  ///< full id of the occupant; 0 while on the free list
     std::uint32_t next_free = kNoFreeSlot;
   };
 
   static constexpr std::uint32_t kNoFreeSlot =
       std::numeric_limits<std::uint32_t>::max();
+  /// heap_pos_ value of a slot that holds no pending event.
+  static constexpr std::uint32_t kNotQueued =
+      std::numeric_limits<std::uint32_t>::max();
 
   std::uint32_t AcquireSlot();
-  void ReleaseSlot(std::uint32_t slot);
+  void ReleaseSlot(std::size_t slot);
 
-  std::unique_ptr<EventQueue> queue_;
+  /// Write `key` at heap index `pos` and record the position in its slot.
+  void Place(std::size_t pos, const HeapKey& key);
+  void SiftUp(std::size_t pos, HeapKey key);
+  /// Remove the key at heap index `pos`, refilling the hole with the last
+  /// key.
+  void RemoveAt(std::size_t pos);
+
+  std::vector<HeapKey> heap_;
   std::vector<EventRecord> slab_;
+  /// Per slab slot: index of its key in heap_, or kNotQueued when free.
+  std::vector<std::uint32_t> heap_pos_;
   std::uint32_t free_head_ = kNoFreeSlot;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::size_t live_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t slab_reuses_ = 0;
   std::uint64_t live_hwm_ = 0;

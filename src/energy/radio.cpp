@@ -1,7 +1,5 @@
 #include "energy/radio.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace wsn::energy {
@@ -19,21 +17,14 @@ RadioModel::RadioModel(RadioParameters params) : params_(params) {
 
 double RadioModel::TransmitEnergy(std::size_t bits, double distance_m) const {
   Require(distance_m >= 0.0, "distance must be >= 0");
-  const double b = static_cast<double>(bits);
-  const double elec_j = b * params_.elec_nj_per_bit * 1e-9;
-  double amp_j = 0.0;
-  if (distance_m < params_.crossover_m) {
-    amp_j = b * params_.amp_friis_pj_per_bit_m2 * 1e-12 * distance_m *
-            distance_m;
-  } else {
-    amp_j = b * params_.amp_multipath_pj_per_bit_m4 * 1e-12 *
-            std::pow(distance_m, 4.0);
-  }
-  return elec_j + amp_j;
+  return ElectronicsEnergy(bits, params_.elec_nj_per_bit) +
+         AmplifierEnergy(bits, distance_m, params_.amp_friis_pj_per_bit_m2,
+                         params_.amp_multipath_pj_per_bit_m4,
+                         params_.crossover_m);
 }
 
 double RadioModel::ReceiveEnergy(std::size_t bits) const {
-  return static_cast<double>(bits) * params_.elec_nj_per_bit * 1e-9;
+  return ElectronicsEnergy(bits, params_.elec_nj_per_bit);
 }
 
 double RadioModel::ListenEnergy(double seconds) const {

@@ -4,6 +4,7 @@
 // in src/wsn pairs the CPU model with this radio.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 namespace wsn::energy {
@@ -16,6 +17,26 @@ struct RadioParameters {
   double sleep_mw = 0.0001;           ///< radio asleep draw
   double listen_mw = 60.0;            ///< idle listening draw
 };
+
+/// Electronics energy (joules) to send or receive `bits`: the whole RX
+/// cost, and the distance-independent term of the TX cost.
+inline double ElectronicsEnergy(std::size_t bits,
+                                double elec_nj_per_bit) noexcept {
+  return static_cast<double>(bits) * elec_nj_per_bit * 1e-9;
+}
+
+/// Amplifier energy (joules) to send `bits` over `distance_m` meters:
+/// free space below `crossover_m`, two-ray from there on.
+inline double AmplifierEnergy(std::size_t bits, double distance_m,
+                              double friis_pj_per_bit_m2,
+                              double multipath_pj_per_bit_m4,
+                              double crossover_m) noexcept {
+  const double b = static_cast<double>(bits);
+  if (distance_m < crossover_m) {
+    return b * friis_pj_per_bit_m2 * 1e-12 * distance_m * distance_m;
+  }
+  return b * multipath_pj_per_bit_m4 * 1e-12 * std::pow(distance_m, 4.0);
+}
 
 class RadioModel {
  public:

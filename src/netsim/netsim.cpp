@@ -117,7 +117,6 @@ double CpuAveragePowerMw(const NetSimConfig& config,
 NetworkSimulator::NetworkSimulator(NetSimConfig config, double cpu_power_mw,
                                    util::Rng rng)
     : config_(std::move(config)),
-      sim_(config_.queue_kind),
       rng_(rng),
       routing_(EffectiveSinks(config_), config_.network.max_hop_m,
                config_.positions),
@@ -128,13 +127,20 @@ NetworkSimulator::NetworkSimulator(NetSimConfig config, double cpu_power_mw,
   const std::vector<node::NodeConfig> per_node = PerNodeConfigs(config_);
   const std::size_t n = config_.positions.size();
   battery_.reserve(n);
-  radio_.reserve(n);
+  elec_nj_per_bit_.reserve(n);
+  amp_friis_.reserve(n);
+  amp_multipath_.reserve(n);
+  crossover_m_.reserve(n);
   baseline_mw_.reserve(n);
   traffic_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const node::NodeConfig& cfg = per_node[i];
     battery_.emplace_back(cfg.battery_mah, cfg.battery_volts);
-    radio_.emplace_back(cfg.radio);
+    const energy::RadioModel radio(cfg.radio);  // validates the parameters
+    elec_nj_per_bit_.push_back(radio.Parameters().elec_nj_per_bit);
+    amp_friis_.push_back(radio.Parameters().amp_friis_pj_per_bit_m2);
+    amp_multipath_.push_back(radio.Parameters().amp_multipath_pj_per_bit_m4);
+    crossover_m_.push_back(radio.Parameters().crossover_m);
     baseline_mw_.push_back(cpu_power_mw +
                            cfg.listen_duty_cycle * cfg.radio.listen_mw +
                            (1.0 - cfg.listen_duty_cycle) * cfg.radio.sleep_mw);
@@ -422,7 +428,10 @@ void NetworkSimulator::FinishTx(std::size_t i) {
   }
   // The sender pays for the attempt whatever its fate (this drain may
   // deplete the sender; the in-flight packet still completes the hop).
-  DrainDiscrete(i, radio_[i].TransmitEnergy(pkt.bits, HopDistanceOf(i)));
+  DrainDiscrete(i, energy::ElectronicsEnergy(pkt.bits, elec_nj_per_bit_[i]) +
+                      energy::AmplifierEnergy(pkt.bits, HopDistanceOf(i),
+                                              amp_friis_[i], amp_multipath_[i],
+                                              crossover_m_[i]));
   TracePacket("tx", i, pkt);
 
   // A sink inside an outage window accepts nothing: the attempt fails
@@ -450,7 +459,8 @@ void NetworkSimulator::FinishTx(std::size_t i) {
     // In clustered mode every node-to-node hand-off lands at a cluster
     // head, which folds the payload into its aggregation buffer instead
     // of relaying the packet verbatim.
-    DrainDiscrete(receiver, radio_[receiver].ReceiveEnergy(pkt.bits));
+    DrainDiscrete(receiver, energy::ElectronicsEnergy(
+                                pkt.bits, elec_nj_per_bit_[receiver]));
     ++counters_.forwarded;
     ++stats_[receiver].forwarded;
     TracePacket("rx", receiver, pkt);
@@ -460,7 +470,8 @@ void NetworkSimulator::FinishTx(std::size_t i) {
       DropPacket(receiver, DropReason::kNodeDied, pkt.payload);
     }
   } else {
-    DrainDiscrete(receiver, radio_[receiver].ReceiveEnergy(pkt.bits));
+    DrainDiscrete(receiver, energy::ElectronicsEnergy(
+                                pkt.bits, elec_nj_per_bit_[receiver]));
     pkt.retries = 0;
     if (++pkt.hops > battery_.size()) {
       DropPacket(receiver, DropReason::kTtlExceeded, pkt.payload);

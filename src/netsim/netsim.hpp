@@ -129,9 +129,6 @@ struct NetSimConfig {
   /// same FIFO order).
   bool batch_mac_wakeups = true;
 
-  /// Event-queue implementation for the underlying DES kernel.
-  des::QueueKind queue_kind = des::QueueKind::kBinaryHeap;
-
   /// Observability switches (metrics registry, packet trace); both off
   /// by default, which keeps the hot path exactly as fast as before the
   /// obs layer existed (pinned by the disabled-mode tests).
@@ -363,7 +360,13 @@ class NetworkSimulator {
   // The hot sweeps (TimelineTick, election battery refresh, post-
   // election wakeups) read only the 1-2 arrays they need, densely.
   std::vector<energy::Battery> battery_;     ///< capacity + remaining (J)
-  std::vector<energy::RadioModel> radio_;    ///< per-packet TX/RX costs
+  // Per-hop radio cost coefficients (energy::RadioParameters fields), one
+  // flat array each: a hop's RX drain reads 8 bytes of the receiver — a
+  // node whose state is usually cold — instead of a whole radio record.
+  std::vector<double> elec_nj_per_bit_;  ///< TX/RX electronics
+  std::vector<double> amp_friis_;        ///< free-space amp, pJ/bit/m^2
+  std::vector<double> amp_multipath_;    ///< two-ray amp, pJ/bit/m^4
+  std::vector<double> crossover_m_;      ///< free-space/two-ray switch
   std::vector<double> baseline_mw_;  ///< continuous CPU + listen/sleep draw
   std::vector<double> last_update_s_;  ///< last baseline-drain instant
   std::vector<bool> alive_;

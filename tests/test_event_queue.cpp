@@ -1,187 +1,116 @@
-// Pending-event set implementations: ordering, FIFO tie-breaks,
-// cancellation, and cross-implementation equivalence on random workloads.
+// The DES kernel's pending-event set — the indexed heap inside
+// des::Simulator: fire order against an ordered-set reference model under
+// randomized schedule/cancel/step traffic, and cancellation of ids that
+// are not pending.  Time order, FIFO ties, null and double cancels and
+// slot reuse are pinned in test_simulator.cpp.
 #include <gtest/gtest.h>
 
-#include <limits>
-#include <memory>
-#include <string>
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <set>
+#include <utility>
 #include <vector>
 
-#include "des/event_queue.hpp"
-#include "util/error.hpp"
+#include "des/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace wsn::des {
 namespace {
 
-using Factory = std::unique_ptr<EventQueue> (*)();
+TEST(EventSet, FireOrderMatchesOrderedSetReference) {
+  // 120k mixed operations.  Times come from a coarse grid, so many events
+  // tie (zero-delay ones at Now() included), and cancels hit the heap
+  // root (the earliest event), the last heap entry (a just-scheduled
+  // latest event, which never sifts up) and interior entries.  The
+  // reference orders (time, id) exactly as the kernel must.
+  Simulator sim;
+  util::Rng rng(2024);
+  std::set<std::pair<double, EventId>> ref;
+  std::vector<EventId> id_of_tag;  // tag -> id, filled after scheduling
+  std::vector<EventId> fired;      // ids in fire order
+  std::vector<EventId> gone;       // fired or cancelled ids
+  std::size_t peak = 0;
 
-std::unique_ptr<EventQueue> Heap() { return MakeBinaryHeapQueue(); }
-std::unique_ptr<EventQueue> List() { return MakeSortedListQueue(); }
-std::unique_ptr<EventQueue> Calendar() { return MakeCalendarQueue(); }
+  const auto schedule = [&](double t) {
+    const std::size_t tag = id_of_tag.size();
+    const EventId id = sim.ScheduleAt(
+        t, [&id_of_tag, &fired, tag] { fired.push_back(id_of_tag[tag]); });
+    id_of_tag.push_back(id);
+    ref.insert({t, id});
+    peak = std::max(peak, ref.size());
+    return id;
+  };
+  const auto cancel = [&](EventId id, double t) {
+    ASSERT_TRUE(sim.Cancel(id));
+    ASSERT_FALSE(sim.Cancel(id)) << "double cancel must fail";
+    ref.erase({t, id});
+    gone.push_back(id);
+  };
 
-class EventQueueContract : public ::testing::TestWithParam<Factory> {};
-
-TEST_P(EventQueueContract, PopsInTimeOrder) {
-  auto q = GetParam()();
-  q->Push(3.0, 1);
-  q->Push(1.0, 2);
-  q->Push(2.0, 3);
-  EXPECT_EQ(q->PopMin().id, 2u);
-  EXPECT_EQ(q->PopMin().id, 3u);
-  EXPECT_EQ(q->PopMin().id, 1u);
-  EXPECT_TRUE(q->Empty());
-}
-
-TEST_P(EventQueueContract, FifoTieBreakByInsertionId) {
-  auto q = GetParam()();
-  q->Push(5.0, 10);
-  q->Push(5.0, 11);
-  q->Push(5.0, 12);
-  EXPECT_EQ(q->PopMin().id, 10u);
-  EXPECT_EQ(q->PopMin().id, 11u);
-  EXPECT_EQ(q->PopMin().id, 12u);
-}
-
-TEST_P(EventQueueContract, PeekDoesNotRemove) {
-  auto q = GetParam()();
-  q->Push(1.0, 1);
-  EXPECT_EQ(q->PeekMin().id, 1u);
-  EXPECT_EQ(q->Size(), 1u);
-  EXPECT_EQ(q->PopMin().id, 1u);
-}
-
-TEST_P(EventQueueContract, CancelRemovesEvent) {
-  auto q = GetParam()();
-  q->Push(1.0, 1);
-  q->Push(2.0, 2);
-  EXPECT_TRUE(q->Cancel(1));
-  EXPECT_EQ(q->Size(), 1u);
-  EXPECT_EQ(q->PopMin().id, 2u);
-}
-
-TEST_P(EventQueueContract, CancelUnknownReturnsFalse) {
-  auto q = GetParam()();
-  q->Push(1.0, 1);
-  EXPECT_FALSE(q->Cancel(99));
-  EXPECT_EQ(q->Size(), 1u);
-}
-
-TEST_P(EventQueueContract, CancelReservedNullIdReturnsFalse) {
-  auto q = GetParam()();
-  q->Push(1.0, 1);
-  EXPECT_FALSE(q->Cancel(0));
-  EXPECT_EQ(q->Size(), 1u);
-  EXPECT_EQ(q->PopMin().id, 1u);
-  EXPECT_FALSE(q->Cancel(0));  // nor after the slot's occupant is gone
-}
-
-TEST_P(EventQueueContract, DoubleCancelReturnsFalse) {
-  auto q = GetParam()();
-  q->Push(1.0, 1);
-  EXPECT_TRUE(q->Cancel(1));
-  EXPECT_FALSE(q->Cancel(1));
-  EXPECT_TRUE(q->Empty());
-}
-
-TEST_P(EventQueueContract, PopOnEmptyThrows) {
-  auto q = GetParam()();
-  EXPECT_THROW(q->PopMin(), util::InvalidArgument);
-  EXPECT_THROW(q->PeekMin(), util::InvalidArgument);
-}
-
-TEST_P(EventQueueContract, LargeRandomWorkloadStaysSorted) {
-  auto q = GetParam()();
-  util::Rng rng(31);
-  EventId next_id = 1;
-  for (int i = 0; i < 5000; ++i) {
-    q->Push(util::UniformDouble(rng) * 1000.0, next_id++);
-  }
-  double last = -1.0;
-  while (!q->Empty()) {
-    const QueuedEvent e = q->PopMin();
-    ASSERT_GE(e.time, last);
-    last = e.time;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllImplementations, EventQueueContract,
-                         ::testing::Values(&Heap, &List, &Calendar),
-                         [](const auto& info) {
-                           switch (info.index) {
-                             case 0: return std::string("BinaryHeap");
-                             case 1: return std::string("SortedList");
-                             default: return std::string("Calendar");
-                           }
-                         });
-
-TEST(EventQueueEquivalence, AllImplementationsAgreeOnMixedOps) {
-  auto a = MakeBinaryHeapQueue();
-  auto b = MakeSortedListQueue();
-  auto c = MakeCalendarQueue();
-  util::Rng rng(17);
-  EventId next_id = 1;
-  std::vector<EventId> live;
-
-  for (int step = 0; step < 20000; ++step) {
-    const double op = util::UniformDouble(rng);
-    if (op < 0.55 || live.empty()) {
-      const double t = util::UniformDouble(rng) * 100.0;
-      const EventId id = next_id++;
-      a->Push(t, id);
-      b->Push(t, id);
-      c->Push(t, id);
-      live.push_back(id);
-    } else if (op < 0.8) {
-      if (a->Empty()) continue;
-      const QueuedEvent ea = a->PopMin();
-      const QueuedEvent eb = b->PopMin();
-      const QueuedEvent ec = c->PopMin();
-      ASSERT_EQ(ea.id, eb.id);
-      ASSERT_EQ(ea.id, ec.id);
-      ASSERT_DOUBLE_EQ(ea.time, eb.time);
-      std::erase(live, ea.id);
-    } else {
-      const std::size_t pick = util::UniformBelow(rng, live.size());
-      const EventId id = live[pick];
-      ASSERT_EQ(a->Cancel(id), b->Cancel(id));
-      ASSERT_TRUE(c->Cancel(id));
-      std::erase(live, id);
+  for (int op = 0; op < 120000; ++op) {
+    // Alternate growing and shrinking phases so the heap runs several
+    // levels deep and also drains to empty now and then.
+    const bool growing = (op / 5000) % 2 == 0;
+    const double u = util::UniformDouble(rng);
+    if (ref.empty() || u < (growing ? 0.55 : 0.3)) {
+      schedule(sim.Now() + 0.25 * static_cast<double>(
+                                       util::UniformBelow(rng, 8)));
+    } else if (u < 0.75) {
+      const auto [t, id] = *ref.begin();
+      const std::size_t before = fired.size();
+      ASSERT_TRUE(sim.Step());
+      ASSERT_EQ(fired.size(), before + 1);
+      ASSERT_EQ(fired.back(), id);
+      ASSERT_EQ(sim.Now(), t);
+      ref.erase(ref.begin());
+      gone.push_back(id);
+    } else if (u < 0.8) {
+      const auto [t, id] = *ref.begin();
+      cancel(id, t);  // the root
+    } else if (u < 0.85) {
+      const double t = std::prev(ref.end())->first;
+      cancel(schedule(t), t);  // the last entry: the latest key, a tie
+    } else if (u < 0.95) {
+      const double probe = sim.Now() + 2.0 * util::UniformDouble(rng);
+      auto it = ref.lower_bound({probe, 0});
+      if (it == ref.end()) it = std::prev(ref.end());
+      const auto [t, id] = *it;
+      cancel(id, t);  // an interior entry (or a leaf)
+    } else if (!gone.empty()) {
+      const EventId stale = gone[util::UniformBelow(rng, gone.size())];
+      ASSERT_FALSE(sim.Cancel(stale)) << "stale handle cancelled an event";
     }
-    ASSERT_EQ(a->Size(), b->Size());
-    ASSERT_EQ(a->Size(), c->Size());
+    ASSERT_EQ(sim.PendingEvents(), ref.size());
   }
+
+  const std::size_t before = fired.size();
+  sim.RunToCompletion();
+  ASSERT_EQ(fired.size() - before, ref.size());
+  auto expected = ref.begin();
+  for (std::size_t k = before; k < fired.size(); ++k, ++expected) {
+    ASSERT_EQ(fired[k], expected->second);
+  }
+
+  const Simulator::KernelStats stats = sim.Stats();
+  EXPECT_EQ(stats.fired, fired.size());
+  EXPECT_EQ(stats.fired + stats.cancelled, stats.scheduled);
+  EXPECT_EQ(stats.live_hwm, peak);
+  EXPECT_EQ(sim.SlabSlots(), peak) << "slab grows only past the live peak";
+  EXPECT_GT(peak, 1000u) << "the heap never ran deep";
 }
 
-TEST(CalendarQueueValidation, RejectsInvalidConstruction) {
-  EXPECT_THROW(MakeCalendarQueue(0, 0.1), util::InvalidArgument);
-  EXPECT_THROW(MakeCalendarQueue(64, 0.0), util::InvalidArgument);
-  EXPECT_THROW(MakeCalendarQueue(64, -1.0), util::InvalidArgument);
-  EXPECT_THROW(
-      MakeCalendarQueue(64, std::numeric_limits<double>::infinity()),
-      util::InvalidArgument);
-  EXPECT_NO_THROW(MakeCalendarQueue(1, 0.5));
-}
-
-TEST(CalendarQueueValidation, ErrorsNameTheOffendingParameter) {
-  try {
-    MakeCalendarQueue(0, 0.1);
-    FAIL() << "expected InvalidArgument";
-  } catch (const util::InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("bucket"), std::string::npos);
-  }
-  try {
-    MakeCalendarQueue(64, 0.0);
-    FAIL() << "expected InvalidArgument";
-  } catch (const util::InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("bucket_width"), std::string::npos);
-  }
-}
-
-TEST(QueueFactory, MakeQueueByKind) {
-  EXPECT_EQ(MakeQueue(QueueKind::kBinaryHeap)->Name(), "binary-heap");
-  EXPECT_EQ(MakeQueue(QueueKind::kSortedList)->Name(), "sorted-list");
-  EXPECT_EQ(MakeQueue(QueueKind::kCalendar)->Name(), "calendar");
+TEST(EventSet, CancelOfIdsNeverHandedOutReturnsFalse) {
+  Simulator sim;
+  bool fired = false;
+  const EventId live = sim.ScheduleAt(1.0, [&] { fired = true; });
+  // Same slot, a sequence not yet handed out.
+  EXPECT_FALSE(sim.Cancel(live + (EventId{1} << kEventSlotBits)));
+  // A slot past the end of the slab.
+  EXPECT_FALSE(sim.Cancel(live + 1));
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  sim.RunToCompletion();
+  EXPECT_TRUE(fired);
 }
 
 }  // namespace
