@@ -72,6 +72,61 @@ ClusterAssignment AssignToNearestHeadAllPairs(const ClusterView& view,
   return out;
 }
 
+namespace {
+
+/// Sites of `heads` in head order.
+std::vector<node::Position> HeadSites(
+    const std::vector<std::size_t>& heads,
+    const std::vector<node::Position>& positions) {
+  std::vector<node::Position> sites;
+  sites.reserve(heads.size());
+  for (std::size_t h : heads) sites.push_back(positions[h]);
+  return sites;
+}
+
+/// Grid cell side for ~1 site per cell: extent / sqrt(sites).  Degenerate
+/// extents (all sites colocated) fall back to a unit cell — the grid
+/// collapses to one cell and the query degrades to all-pairs, still
+/// correct.
+double HeadCellSize(const std::vector<node::Position>& sites) {
+  double min_x = std::numeric_limits<double>::infinity();
+  double min_y = std::numeric_limits<double>::infinity();
+  double max_x = -std::numeric_limits<double>::infinity();
+  double max_y = -std::numeric_limits<double>::infinity();
+  for (const node::Position& p : sites) {
+    min_x = std::min(min_x, p.x);
+    min_y = std::min(min_y, p.y);
+    max_x = std::max(max_x, p.x);
+    max_y = std::max(max_y, p.y);
+  }
+  const double extent = std::max(max_x - min_x, max_y - min_y);
+  const double side = std::ceil(std::sqrt(static_cast<double>(sites.size())));
+  const double cell = extent > 0.0 ? extent / side : 1.0;
+  return cell > 0.0 ? cell : 1.0;
+}
+
+}  // namespace
+
+HeadIndex::HeadIndex(const std::vector<std::size_t>& heads,
+                     const std::vector<node::Position>& positions)
+    : heads_(heads),
+      pos_(HeadSites(heads, positions)),
+      grid_(pos_, HeadCellSize(pos_)) {}
+
+void HeadIndex::Erase(std::size_t head) {
+  const auto it = std::lower_bound(heads_.begin(), heads_.end(), head);
+  if (it != heads_.end() && *it == head) {
+    const std::size_t j = static_cast<std::size_t>(it - heads_.begin());
+    grid_.Erase(j, pos_[j]);
+  }
+}
+
+HeadIndex& ClusterAssignment::EnsureIndex(
+    const std::vector<node::Position>& positions) {
+  if (!index || index->Size() != heads.size()) index.emplace(heads, positions);
+  return *index;
+}
+
 ClusterAssignment AssignToNearestHeadGrid(const ClusterView& view,
                                           std::vector<std::size_t> heads) {
   const std::size_t n = view.Size();
@@ -83,41 +138,13 @@ ClusterAssignment AssignToNearestHeadGrid(const ClusterView& view,
   for (std::size_t h : out.heads) out.head_of[h] = h;
   if (out.heads.empty()) return out;
 
-  // Index the (few) heads, not the (many) nodes: compacted head
-  // positions keep the grid tiny and the compacted index order equals
-  // head-index order (heads are sorted), so NearestWhere's lowest-index
-  // tie break is exactly the all-pairs lowest-head-index tie break.
-  const std::size_t k = out.heads.size();
-  std::vector<node::Position> head_pos;
-  head_pos.reserve(k);
-  double min_x = std::numeric_limits<double>::infinity();
-  double min_y = std::numeric_limits<double>::infinity();
-  double max_x = -std::numeric_limits<double>::infinity();
-  double max_y = -std::numeric_limits<double>::infinity();
-  for (std::size_t h : out.heads) {
-    const node::Position& p = (*view.positions)[h];
-    head_pos.push_back(p);
-    min_x = std::min(min_x, p.x);
-    min_y = std::min(min_y, p.y);
-    max_x = std::max(max_x, p.x);
-    max_y = std::max(max_y, p.y);
-  }
-  // Aim for ~1 head per cell: cell = extent / sqrt(k).  Degenerate
-  // extents (all heads colocated) fall back to a unit cell — the grid
-  // collapses to one cell and the query degrades to all-pairs, still
-  // correct.
-  const double extent = std::max(max_x - min_x, max_y - min_y);
-  const double side = std::ceil(std::sqrt(static_cast<double>(k)));
-  double cell = extent > 0.0 ? extent / side : 1.0;
-  if (!(cell > 0.0)) cell = 1.0;
-  const SpatialGrid grid(head_pos, cell);
-
+  // Index the (few) heads, not the (many) nodes.  The fresh index's grid
+  // index of a head is its slot in out.heads.
+  const HeadIndex& index = out.EnsureIndex(*view.positions);
   for (std::size_t i = 0; i < n; ++i) {
     if (!(*view.alive)[i] || out.head_of[i] == i) continue;
-    const node::Position& p = (*view.positions)[i];
-    const std::size_t j = grid.NearestWhere(
-        p, [&](std::size_t c) { return node::Distance2(p, head_pos[c]); });
-    // j != kNone: heads is non-empty and no candidate is excluded.
+    const std::size_t j = index.Nearest((*view.positions)[i]);
+    // j != kNone: heads is non-empty.
     out.head_of[i] = out.heads[j];
     out.members[j].push_back(static_cast<std::uint32_t>(i));
   }
@@ -168,24 +195,6 @@ std::size_t MostChargedAlive(const ClusterView& view) {
 
 }  // namespace
 
-/// Cached spatial grid over a head set, reused across the many repairs
-/// between elections.  `heads` is the (sorted) head set at build time; it
-/// may contain heads that have since died — queries exclude them through
-/// the alive mask, which preserves the compacted-index (== lowest-head-id)
-/// tie break over the survivors.
-struct ClusteringProtocol::RepairCache {
-  std::vector<std::size_t> heads;   ///< head set at build time, sorted
-  std::vector<node::Position> pos;  ///< positions parallel to `heads`
-  SpatialGrid grid;
-
-  RepairCache(std::vector<std::size_t> h, std::vector<node::Position> p,
-              double cell_m)
-      : heads(std::move(h)), pos(std::move(p)), grid(pos, cell_m) {}
-};
-
-ClusteringProtocol::ClusteringProtocol() = default;
-ClusteringProtocol::~ClusteringProtocol() = default;
-
 ClusterAssignment ClusteringProtocol::Repair(const ClusterAssignment& current,
                                              std::size_t round,
                                              const ClusterView& view,
@@ -213,67 +222,53 @@ bool ClusteringProtocol::RepairInPlace(ClusterAssignment& cluster,
   const std::vector<bool>& alive = *view.alive;
   const std::vector<node::Position>& positions = *view.positions;
 
-  std::vector<std::uint32_t> orphans = std::move(cluster.members[slot]);
+  HeadIndex& index = cluster.EnsureIndex(positions);
+  index.Erase(dead_head);
+  const std::vector<std::uint32_t> orphans = std::move(cluster.members[slot]);
   cluster.heads.erase(slot_it);
   cluster.members.erase(cluster.members.begin() +
                         static_cast<std::ptrdiff_t>(slot));
   cluster.head_of[dead_head] = ClusterAssignment::kUnclustered;
 
-  // The cache survives a chain of head deaths (dead entries are masked
-  // out per query) and self-invalidates across elections: it is usable
-  // exactly when its alive subset is the head set being repaired.  It is
-  // additionally refreshed once survivors fall below 2/3 of the cached
-  // set — long death cascades otherwise leave the grid mostly dead
-  // entries and every ring query degenerates toward a full scan.  A
-  // rebuild never changes results (the query is an argmin over the same
-  // alive subset, in the same ascending-head order); amortized it costs
-  // O(heads · log(heads)) per cascade.
-  if (!repair_cache_ ||
-      3 * cluster.heads.size() <= 2 * repair_cache_->heads.size() ||
-      AliveHeads(repair_cache_->heads, alive) != cluster.heads) {
-    std::vector<node::Position> head_pos;
-    head_pos.reserve(cluster.heads.size());
-    double min_x = std::numeric_limits<double>::infinity();
-    double min_y = std::numeric_limits<double>::infinity();
-    double max_x = -std::numeric_limits<double>::infinity();
-    double max_y = -std::numeric_limits<double>::infinity();
-    for (std::size_t h : cluster.heads) {
-      const node::Position& p = positions[h];
-      head_pos.push_back(p);
-      min_x = std::min(min_x, p.x);
-      min_y = std::min(min_y, p.y);
-      max_x = std::max(max_x, p.x);
-      max_y = std::max(max_y, p.y);
-    }
-    // Same ~1-head-per-cell sizing as AssignToNearestHeadGrid.
-    const double extent = std::max(max_x - min_x, max_y - min_y);
-    const double side =
-        std::ceil(std::sqrt(static_cast<double>(cluster.heads.size())));
-    double cell = extent > 0.0 ? extent / side : 1.0;
-    if (!(cell > 0.0)) cell = 1.0;
-    repair_cache_ = std::make_unique<RepairCache>(cluster.heads,
-                                                  std::move(head_pos), cell);
-  }
-  const RepairCache& cache = *repair_cache_;
-
   // Only the dead head's orphans re-pick: members of surviving heads keep
   // their argmin (repair never adds heads, and removing non-argmin
-  // candidates cannot change one).  Dead or previously re-attached
-  // entries in the stale-tolerant member list are skipped.
+  // candidates cannot change one).  Dead entries and entries that have
+  // since moved to another head are skipped; clearing each accepted
+  // orphan's row makes a duplicate entry fail the same test.  Keying by
+  // (cell, node) groups the orphans by the cell their search starts in.
+  const SpatialGrid& grid = index.Grid();
+  orphan_keys_.clear();
   for (std::uint32_t m : orphans) {
     if (!alive[m] || cluster.head_of[m] != dead_head) continue;
-    const node::Position& p = positions[m];
-    const std::size_t j = cache.grid.NearestWhere(p, [&](std::size_t c) {
-      return alive[cache.heads[c]]
-                 ? node::Distance2(p, cache.pos[c])
-                 : std::numeric_limits<double>::infinity();
-    });
-    // j != kNone: at least one surviving head remains and is alive.
-    const std::size_t new_head = cache.heads[j];
-    const std::size_t new_slot = static_cast<std::size_t>(
-        std::lower_bound(cluster.heads.begin(), cluster.heads.end(),
-                         new_head) -
-        cluster.heads.begin());
+    cluster.head_of[m] = ClusterAssignment::kUnclustered;
+    orphan_keys_.push_back(
+        static_cast<std::uint64_t>(grid.CellOf(positions[m])) << 32 | m);
+  }
+  std::sort(orphan_keys_.begin(), orphan_keys_.end());
+
+  // The orphans of one cell share one ring search: each walks the
+  // frontier with NearestWhere's stop rule, so it finds NearestWhere's
+  // answer while every ring is gathered from the grid once per cell.
+  // Neighbouring orphans mostly pick the same head, so the slot lookup
+  // is cached for the last head picked.
+  std::size_t cell = SpatialGrid::kNone;
+  std::size_t new_head = SpatialGrid::kNone;
+  std::size_t new_slot = 0;
+  for (std::uint64_t key : orphan_keys_) {
+    const std::uint32_t m = static_cast<std::uint32_t>(key);
+    if (key >> 32 != cell) {
+      cell = static_cast<std::size_t>(key >> 32);
+      frontier_.Reset(grid, cell, index.Positions());
+    }
+    // The index holds the surviving heads, at least one of them.
+    const std::size_t head = index.Head(frontier_.Nearest(positions[m]));
+    if (head != new_head) {
+      new_head = head;
+      new_slot = static_cast<std::size_t>(
+          std::lower_bound(cluster.heads.begin(), cluster.heads.end(),
+                           new_head) -
+          cluster.heads.begin());
+    }
     cluster.head_of[m] = new_head;
     cluster.members[new_slot].push_back(m);
     reattached.push_back(m);

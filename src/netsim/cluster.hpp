@@ -28,10 +28,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "energy/radio.hpp"
+#include "netsim/spatial.hpp"
 #include "util/rng.hpp"
 #include "wsn/network.hpp"
 
@@ -100,10 +102,10 @@ struct ClusterView {
     if (refresh_energy) refresh_energy();
   }
 
-  /// When set, AssignToNearestHead accumulates its wall-clock cost here
-  /// (the ROADMAP's suspected O(N·heads) straggler — see
-  /// docs/observability.md, metric netsim.cluster.assign_wall_s).  Null
-  /// keeps the call untimed.
+  /// When set, AssignToNearestHead and the re-attachment step of
+  /// ClusteringProtocol::RepairInPlace accumulate their wall-clock cost
+  /// here (see docs/observability.md, metric
+  /// netsim.cluster.assign_wall_s).  Null keeps the calls untimed.
   obs::Stopwatch* assign_stopwatch = nullptr;
 
   /// Nearest-head search strategy AssignToNearestHead dispatches to.
@@ -112,6 +114,49 @@ struct ClusterView {
 
   /// Number of nodes in the deployment.
   std::size_t Size() const noexcept { return positions->size(); }
+};
+
+/// Spatial index over a set of cluster heads for nearest-head queries.
+///
+/// A SpatialGrid over the head positions sized for about one head per
+/// cell, compacted in ascending head order: grid index order is head
+/// index order, so the grid's lowest-index tie break is the all-pairs
+/// lowest-head-index tie break.
+class HeadIndex {
+ public:
+  /// Index `heads` (sorted, non-empty) at their sites in `positions`.
+  HeadIndex(const std::vector<std::size_t>& heads,
+            const std::vector<node::Position>& positions);
+
+  /// Number of heads still indexed.
+  std::size_t Size() const noexcept { return grid_.Size(); }
+
+  /// Stop indexing `head`; a no-op when it is not indexed.
+  void Erase(std::size_t head);
+
+  /// Grid index of the indexed head nearest to `p` (ties to the lowest
+  /// head index), or SpatialGrid::kNone when none is left.  Before any
+  /// Erase, the grid index of a head is its slot in the head list the
+  /// index was built from.
+  std::size_t Nearest(const node::Position& p) const {
+    return grid_.NearestWhere(
+        p, [&](std::size_t j) { return node::Distance2(p, pos_[j]); });
+  }
+
+  /// Head at grid index `j`.
+  std::size_t Head(std::size_t j) const { return heads_[j]; }
+
+  /// Head sites by grid index.
+  const std::vector<node::Position>& Positions() const noexcept {
+    return pos_;
+  }
+
+  const SpatialGrid& Grid() const noexcept { return grid_; }
+
+ private:
+  std::vector<std::size_t> heads_;   ///< indexed heads at build, sorted
+  std::vector<node::Position> pos_;  ///< their sites, parallel to heads_
+  SpatialGrid grid_;
 };
 
 /// Result of one election: every node's cluster head.
@@ -132,18 +177,30 @@ struct ClusterAssignment {
   std::vector<std::size_t> heads;
 
   /// members[s] lists the nodes attached to heads[s] (parallel to
-  /// `heads`): filled in node-index order by the assignment helpers,
-  /// appended to by in-place repairs.  Entries are never removed on
-  /// member death — treat them as candidates and filter with an alive /
-  /// head_of check.  An assignment without lists (e.g. built by an
-  /// out-of-tree protocol) simply disables the in-place repair fast
-  /// path.
+  /// `heads`): filled by the assignment helpers, appended to by in-place
+  /// repairs and readmissions, in no particular order.  Entries are
+  /// never removed on member death, and a node that crashed and
+  /// recovered may be listed twice — treat them as candidates and filter
+  /// with an alive / head_of check.  An assignment without lists (e.g.
+  /// built by an out-of-tree protocol) simply disables the in-place
+  /// repair fast path.
   std::vector<std::vector<std::uint32_t>> members;
+
+  /// Spatial index over exactly `heads`, or empty.  AssignToNearestHeadGrid
+  /// keeps the index it searched; EnsureIndex builds one on first use;
+  /// RepairInPlace erases each dead head from it.  Code that edits
+  /// `heads` any other way must reset it.
+  std::optional<HeadIndex> index;
 
   /// True when node i is one of the elected heads.
   bool IsHead(std::size_t i) const noexcept {
     return i < head_of.size() && head_of[i] == i;
   }
+
+  /// `index`, first built over `heads` (non-empty) at their sites in
+  /// `positions` when it is missing or does not hold as many heads as
+  /// `heads` lists.
+  HeadIndex& EnsureIndex(const std::vector<node::Position>& positions);
 };
 
 /// Strategy interface: how cluster heads are chosen and when they rotate.
@@ -155,8 +212,7 @@ struct ClusterAssignment {
 /// round.  Both must be deterministic functions of (view, rng state).
 class ClusteringProtocol {
  public:
-  ClusteringProtocol();
-  virtual ~ClusteringProtocol();
+  virtual ~ClusteringProtocol() = default;
 
   /// Protocol name for reports ("leach", "static").
   virtual const char* Name() const noexcept = 0;
@@ -178,16 +234,20 @@ class ClusteringProtocol {
                                    util::Rng& rng);
 
   /// Repair `cluster` after the death of head `dead_head` *in place*,
-  /// touching only the nodes the death can affect: the dead head's slot
-  /// is erased and its orphaned members re-pick the nearest surviving
-  /// head via a cached spatial grid of the heads.  Members of surviving
-  /// heads keep their assignment — repair never adds heads, and removing
-  /// non-argmin candidates cannot change an argmin — so the result is
-  /// identical to `Repair` over the heads and every alive node (dead
-  /// members' head_of rows stay stale, see ClusterAssignment::head_of)
-  /// at O(members + heads) cost instead of O(n).  Appends each re-attached node (the dead head's
-  /// alive former members — a surviving head always exists for them to
-  /// join) to `reattached`, in no particular order.
+  /// touching only the nodes the death can affect.  The dead head leaves
+  /// `heads`, `members` and the head index (built here when the
+  /// assignment arrived without one).  Its live orphans are
+  /// deduplicated, grouped by index cell, and re-attached to the nearest
+  /// surviving head through one shared ring-search frontier per cell.
+  /// Members of surviving heads keep their assignment — repair never
+  /// adds heads, and removing non-argmin candidates cannot change an
+  /// argmin — so when every other listed head is alive (the simulator
+  /// repairs each head death as it happens) the result is identical to
+  /// `Repair` over the heads and every alive node (dead members'
+  /// head_of rows stay stale, see ClusterAssignment::head_of), at
+  /// O(orphans + cells searched) cost instead of O(n).  Appends each
+  /// re-attached node (the dead head's alive former members) to
+  /// `reattached`, in no particular order.
   ///
   /// Returns false — leaving `cluster` and `reattached` untouched — when
   /// the fast path does not apply: `dead_head` is not a current head, no
@@ -199,12 +259,11 @@ class ClusteringProtocol {
                              std::vector<std::uint32_t>& reattached);
 
  private:
-  /// Lazily built spatial grid over the current heads, reused across the
-  /// (often many) repairs between elections.  Self-validating: a repair
-  /// rebuilds it whenever the cached head set no longer matches the
-  /// assignment being repaired.
-  struct RepairCache;
-  std::unique_ptr<RepairCache> repair_cache_;
+  /// RepairInPlace scratch, reused across repairs (capacity only): the
+  /// orphans being re-attached keyed (cell << 32 | node), and the ring
+  /// frontier of the cell being served.
+  std::vector<std::uint64_t> orphan_keys_;
+  SpatialGrid::Frontier frontier_;
 };
 
 /// Attach every alive non-head node in `view` to the nearest alive head
@@ -221,10 +280,10 @@ ClusterAssignment AssignToNearestHead(const ClusterView& view,
 ClusterAssignment AssignToNearestHeadAllPairs(const ClusterView& view,
                                               std::vector<std::size_t> heads);
 
-/// Grid-accelerated search: indexes the heads in a SpatialGrid sized so
-/// cells hold O(1) heads and answers each member with a ring-expanding
-/// nearest query — O(1) expected per node for evenly spread heads,
-/// O(n + heads) per election overall.
+/// Grid-accelerated search: indexes the heads in a HeadIndex (kept as
+/// the assignment's `index`) and answers each member with a
+/// ring-expanding nearest query — O(1) expected per node for evenly
+/// spread heads, O(n + heads) per election overall.
 ClusterAssignment AssignToNearestHeadGrid(const ClusterView& view,
                                           std::vector<std::size_t> heads);
 

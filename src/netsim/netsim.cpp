@@ -690,17 +690,26 @@ void NetworkSimulator::OnRecover(std::size_t i) {
 void NetworkSimulator::ReadmitRevived(std::size_t i) {
   // The revived node rejoins as a member of its nearest live head; a
   // former head gets its next shot at the following round election.
-  // Linear scan over the (small) head list; strict < keeps the lowest
-  // head index among equals, matching AssignToNearestHead's tie-break.
+  // Grid mode asks the assignment's head index; all-pairs mode keeps the
+  // linear scan as the oracle.  Both break ties toward the lowest head
+  // index, matching AssignToNearestHead.
+  const node::Position& p = config_.positions[i];
   std::size_t best = ClusterAssignment::kUnclustered;
-  double best2 = std::numeric_limits<double>::infinity();
-  for (std::size_t h : cluster_.heads) {
-    if (!alive_[h]) continue;
-    const double d2 = node::Distance2(config_.positions[i],
-                                      config_.positions[h]);
-    if (d2 < best2) {
-      best2 = d2;
-      best = h;
+  if (config_.cluster.assign == HeadAssignMode::kGrid) {
+    // Every listed head is alive: each head death is repaired at once.
+    if (!cluster_.heads.empty()) {
+      const HeadIndex& index = cluster_.EnsureIndex(config_.positions);
+      best = index.Head(index.Nearest(p));
+    }
+  } else {
+    double best2 = std::numeric_limits<double>::infinity();
+    for (std::size_t h : cluster_.heads) {
+      if (!alive_[h]) continue;
+      const double d2 = node::Distance2(p, config_.positions[h]);
+      if (d2 < best2) {
+        best2 = d2;
+        best = h;
+      }
     }
   }
   if (best == ClusterAssignment::kUnclustered) {
@@ -714,19 +723,18 @@ void NetworkSimulator::ReadmitRevived(std::size_t i) {
   }
   if (i < cluster_.head_of.size()) cluster_.head_of[i] = best;
   if (cluster_.members.size() == cluster_.heads.size()) {
-    for (std::size_t slot = 0; slot < cluster_.heads.size(); ++slot) {
-      if (cluster_.heads[slot] == best) {
-        // A stale duplicate from an earlier crash is benign: member
-        // lists are stale-tolerant (RepairInPlace filters by alive and
-        // head_of), exactly like rows orphaned by past repairs.
-        cluster_.members[slot].push_back(static_cast<std::uint32_t>(i));
-        break;
-      }
+    // A stale duplicate from an earlier crash is benign: member lists
+    // are stale-tolerant (RepairInPlace filters by alive and head_of and
+    // drops duplicates), exactly like rows orphaned by past repairs.
+    const auto slot =
+        std::lower_bound(cluster_.heads.begin(), cluster_.heads.end(), best);
+    if (slot != cluster_.heads.end() && *slot == best) {
+      cluster_.members[static_cast<std::size_t>(slot - cluster_.heads.begin())]
+          .push_back(static_cast<std::uint32_t>(i));
     }
   }
   cluster_next_[i] = best;
-  cluster_dist_[i] =
-      node::Distance(config_.positions[i], config_.positions[best]);
+  cluster_dist_[i] = node::Distance(p, config_.positions[best]);
 }
 
 bool NetworkSimulator::AttemptLost(std::size_t i) {
@@ -958,13 +966,6 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
   // All-pairs mode stays on the historical full-rebuild path: it is the
   // pinned oracle the netsim-scale clustered-allpairs rows measure.
   if (config_.cluster.assign != HeadAssignMode::kGrid) return false;
-  // Pre-check RepairInPlace's decline conditions so a declined repair
-  // never opens the election stopwatch (keeping its call count equal to
-  // the one ElectClusters will record on the fallback path).
-  if (cluster_.heads.size() <= 1 ||
-      cluster_.members.size() != cluster_.heads.size()) {
-    return false;
-  }
   ClusterView view;
   view.positions = &config_.positions;
   view.sinks = &routing_.Sinks();
@@ -977,6 +978,9 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
   repair_reattached_.clear();
   obs::PhaseTimer election_timer(&election_sw_);
   if (!protocol_->RepairInPlace(cluster_, dead, view, repair_reattached_)) {
+    // A declined attempt is not an election: the ElectClusters fallback
+    // records the one that happens.
+    election_timer.Discard();
     return false;
   }
   ++elections_;

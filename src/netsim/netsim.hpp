@@ -220,9 +220,9 @@ struct NetSimReport {
   /// rebuild; 0 in flat mode).  Machine-dependent, like
   /// routing_repair_s.
   double election_s = 0.0;
-  /// Wall-clock seconds inside AssignToNearestHead (a sub-span of
-  /// election_s — the cost the grid-accelerated head assignment
-  /// attacks).
+  /// Wall-clock seconds assigning members to heads: AssignToNearestHead
+  /// in elections and full repairs, plus the orphan re-attachment of
+  /// in-place repairs (a sub-span of election_s).
   double assign_s = 0.0;
 
   /// Fault-injection outcome (all 0 / +infinity without faults).
@@ -312,7 +312,9 @@ class NetworkSimulator {
   void OnRecover(std::size_t i);
   /// Clustered-mode re-admission of a revived node: it rejoins as a
   /// member of the nearest live head (a former head gets its next shot
-  /// at the following round election).
+  /// at the following round election), found through the assignment's
+  /// head index in grid mode and by a scan of every head in all-pairs
+  /// mode.
   void ReadmitRevived(std::size_t i);
   /// Per-attempt loss draw for sender i: the MAC's base p_loss combined
   /// (as independent events) with any active jam window covering the
@@ -332,12 +334,13 @@ class NetworkSimulator {
   std::size_t Receiver(std::size_t i) const;
   double HopDistanceOf(std::size_t i) const;
   void ElectClusters(bool repair);
-  /// O(members + heads) head-death repair: drives
-  /// ClusteringProtocol::RepairInPlace on cluster_, patches only the
-  /// affected route rows and wakes only the re-attached members.  Returns
-  /// false — having changed nothing — when the fast path does not apply
-  /// (all-pairs mode, no surviving head, or no member lists); the caller
-  /// then falls back to ElectClusters(/*repair=*/true).
+  /// Head-death repair that touches only the dead head's orphans:
+  /// drives ClusteringProtocol::RepairInPlace on cluster_, patches only
+  /// the affected route rows and wakes only the re-attached members.
+  /// Returns false — having changed nothing, the election stopwatch
+  /// included — when the fast path does not apply (all-pairs mode, no
+  /// surviving head, no member lists, or the protocol declines); the
+  /// caller then falls back to ElectClusters(/*repair=*/true).
   bool TryInPlaceClusterRepair(std::size_t dead);
   /// Recomputes cluster_next_/cluster_dist_ from cluster_.  With
   /// `prev_head_of` (a repair's pre-election assignment) only rows whose
@@ -427,7 +430,8 @@ class NetworkSimulator {
   // with observability off; the registry snapshots them additionally.
   obs::Stopwatch repair_sw_;    ///< death-triggered route updates
   obs::Stopwatch election_sw_;  ///< protocol Elect/Repair + route rebuild
-  obs::Stopwatch assign_sw_;    ///< AssignToNearestHead (via ClusterView)
+  obs::Stopwatch assign_sw_;    ///< head assignment and in-place
+                                ///< re-attachment (via ClusterView)
 
   // Opt-in observability state (null when disabled).
   std::unique_ptr<obs::MetricsRegistry> metrics_;

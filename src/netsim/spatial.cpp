@@ -51,24 +51,36 @@ SpatialGrid::SpatialGrid(const std::vector<node::Position>& positions,
   ny_ = static_cast<std::size_t>(cells_along(height, cell_m_));
   inv_cell_ = 1.0 / cell_m_;
 
-  // Counting sort into CSR: one pass to size the cells, one to fill.
-  // Filling in ascending node index keeps each cell's slice sorted.
+  // Counting sort into cells: one pass to size the cells, one to fill.
+  // Filling in ascending node index keeps each cell's slice sorted, and
+  // each fill cursor stops at its cell's end.
   std::vector<std::uint32_t> cell_of(size_);
   cell_start_.assign(nx_ * ny_ + 1, 0);
   for (std::size_t i = 0; i < size_; ++i) {
-    const std::size_t cx = CellCoord(positions[i].x, min_x_, nx_);
-    const std::size_t cy = CellCoord(positions[i].y, min_y_, ny_);
-    cell_of[i] = static_cast<std::uint32_t>(cy * nx_ + cx);
+    cell_of[i] = static_cast<std::uint32_t>(CellOf(positions[i]));
     ++cell_start_[cell_of[i] + 1];
   }
   for (std::size_t c = 1; c < cell_start_.size(); ++c) {
     cell_start_[c] += cell_start_[c - 1];
   }
+  cell_start_.pop_back();
   items_.resize(size_);
-  std::vector<std::uint32_t> fill(cell_start_.begin(), cell_start_.end() - 1);
+  cell_end_ = cell_start_;
   for (std::size_t i = 0; i < size_; ++i) {
-    items_[fill[cell_of[i]]++] = static_cast<std::uint32_t>(i);
+    items_[cell_end_[cell_of[i]]++] = static_cast<std::uint32_t>(i);
   }
+}
+
+bool SpatialGrid::Erase(std::size_t j, const node::Position& p) {
+  const std::size_t cell = CellOf(p);
+  const auto first = items_.begin() + cell_start_[cell];
+  const auto last = items_.begin() + cell_end_[cell];
+  const auto it = std::lower_bound(first, last, j);
+  if (it == last || *it != j) return false;
+  std::copy(it + 1, last, it);
+  --cell_end_[cell];
+  --size_;
+  return true;
 }
 
 }  // namespace wsn::netsim

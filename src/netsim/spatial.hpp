@@ -9,12 +9,14 @@
 /// cells around it, shrinking a candidate scan from N to the local
 /// density (O(1) for bounded-density deployments such as grids).
 ///
-/// The index is immutable after construction — node *positions* never
-/// change during a replication, only liveness does, and liveness is the
-/// caller's problem (the routing table filters candidates through its
-/// alive mask).  Query positions outside the bounding box (e.g. a sink
-/// placed off the deployment) clamp to the nearest boundary cell, so
-/// they still see every in-range node.
+/// Node *positions* never change during a replication, so the cell
+/// geometry is fixed at construction.  The indexed *set* may shrink:
+/// Erase drops a node from its cell and keeps the rest of the cell in
+/// order, which lets an index over cluster heads follow head deaths.
+/// Liveness is otherwise the caller's problem (the routing table
+/// filters candidates through its alive mask).  Query positions outside
+/// the bounding box (e.g. a sink placed off the deployment) clamp to
+/// the nearest boundary cell, so they still see every in-range node.
 ///
 /// Cell-size tradeoff: cells of exactly the hop range give the smallest
 /// 3x3 superset that is still complete.  Larger cells scan more
@@ -34,7 +36,7 @@
 
 namespace wsn::netsim {
 
-/// Immutable bucket index of node positions on a uniform square grid.
+/// Bucket index of node positions on a uniform square grid.
 class SpatialGrid {
  public:
   /// NearestWhere() sentinel: no candidate matched (empty grid or every
@@ -45,7 +47,7 @@ class SpatialGrid {
   /// when needed to keep the cell table O(positions.size()).
   SpatialGrid(const std::vector<node::Position>& positions, double cell_m);
 
-  /// Number of indexed nodes.
+  /// Number of indexed nodes (construction size minus erasures).
   std::size_t Size() const noexcept { return size_; }
 
   /// Cells along x / y; their product is the cell-table size.
@@ -54,6 +56,18 @@ class SpatialGrid {
 
   /// The cell side actually used (>= the requested cell_m).
   double CellSize() const noexcept { return cell_m_; }
+
+  /// Row-major id of the (clamped) cell holding `p` — the cell every
+  /// query from `p` centres on.
+  std::size_t CellOf(const node::Position& p) const {
+    return CellCoord(p.y, min_y_, ny_) * nx_ + CellCoord(p.x, min_x_, nx_);
+  }
+
+  /// Drop node j, indexed at position `p`, from the index.  The rest of
+  /// its cell keeps ascending node order, so every query answers as if j
+  /// had never been indexed.  Returns false (and changes nothing) when j
+  /// is not indexed at `p`.
+  bool Erase(std::size_t j, const node::Position& p);
 
   /// Invoke `fn(j)` for every node j in the 3x3 cell block around `p`.
   /// This is a superset of the nodes within CellSize() of `p`; callers
@@ -69,13 +83,7 @@ class SpatialGrid {
     const std::size_t y0 = cy > 0 ? cy - 1 : 0;
     const std::size_t y1 = cy + 1 < ny_ ? cy + 1 : ny_ - 1;
     for (std::size_t y = y0; y <= y1; ++y) {
-      for (std::size_t x = x0; x <= x1; ++x) {
-        const std::size_t cell = y * nx_ + x;
-        for (std::uint32_t k = cell_start_[cell]; k < cell_start_[cell + 1];
-             ++k) {
-          fn(static_cast<std::size_t>(items_[k]));
-        }
-      }
+      for (std::size_t x = x0; x <= x1; ++x) ScanCell(y * nx_ + x, fn);
     }
   }
 
@@ -117,40 +125,114 @@ class SpatialGrid {
     const std::size_t last_ring = MaxRing(cx, cy);
     double best2 = std::numeric_limits<double>::infinity();
     std::size_t best = kNone;
-    for (std::size_t r = 0; r <= last_ring; ++r) {
-      if (best != kNone && r >= 2) {
-        // Every cell at ring r is at least (r-1) cells away in x or y.
-        const double reach = static_cast<double>(r - 1) * cell_m_;
-        if (reach * reach > best2) break;
-      }
+    for (std::size_t r = 0; r <= last_ring && !Beyond(r, best2); ++r) {
       ForEachInRing(cx, cy, r, [&](std::size_t j) {
-        const double d2 = dist2(j);
-        if (d2 == std::numeric_limits<double>::infinity()) return;
-        if (d2 < best2 || (d2 == best2 && j < best)) {
-          best2 = d2;
-          best = j;
-        }
+        Consider(dist2(j), j, best2, best);
       });
     }
     return best;
   }
 
+  /// One ring search shared by a batch of nearest queries from the same
+  /// cell.
+  ///
+  /// Queries from one cell walk the same rings, so the walk need not be
+  /// repeated per query: the frontier copies each ring's nodes — index
+  /// and position, contiguously — the first time a query reaches that
+  /// ring, and later queries only read the copy.  For a query point in
+  /// the frontier's cell, Nearest() returns exactly what NearestWhere
+  /// returns with dist2(j) = Distance2(p, positions[j]): the same rings,
+  /// the same stop rule, the same lowest-index tie break.  The grid must
+  /// not change while the frontier is in use.
+  class Frontier {
+   public:
+    /// Centre on cell `cell` (a CellOf value) of `grid`, whose node j
+    /// sits at `positions[j]`.  Drops the previous cell's rings but keeps
+    /// their capacity.  Both references must outlive the queries.
+    void Reset(const SpatialGrid& grid, std::size_t cell,
+               const std::vector<node::Position>& positions) {
+      grid_ = &grid;
+      positions_ = &positions;
+      cx_ = cell % grid.nx_;
+      cy_ = cell / grid.nx_;
+      last_ring_ = grid.MaxRing(cx_, cy_);
+      ring_end_.clear();
+      ids_.clear();
+      pos_.clear();
+    }
+
+    /// Nearest node to `p`, which must lie in the frontier's cell; kNone
+    /// on an empty grid.
+    std::size_t Nearest(const node::Position& p) {
+      double best2 = std::numeric_limits<double>::infinity();
+      std::size_t best = kNone;
+      std::size_t k = 0;
+      for (std::size_t r = 0; r <= last_ring_ && !grid_->Beyond(r, best2);
+           ++r) {
+        if (r == ring_end_.size()) {
+          grid_->ForEachInRing(cx_, cy_, r, [&](std::size_t j) {
+            ids_.push_back(static_cast<std::uint32_t>(j));
+            pos_.push_back((*positions_)[j]);
+          });
+          ring_end_.push_back(static_cast<std::uint32_t>(ids_.size()));
+        }
+        for (const std::size_t end = ring_end_[r]; k < end; ++k) {
+          Consider(node::Distance2(p, pos_[k]), ids_[k], best2, best);
+        }
+      }
+      return best;
+    }
+
+   private:
+    const SpatialGrid* grid_ = nullptr;
+    const std::vector<node::Position>* positions_ = nullptr;
+    std::size_t cx_ = 0;
+    std::size_t cy_ = 0;
+    std::size_t last_ring_ = 0;
+    /// Ring r's nodes are ids_/pos_[ring_end_[r-1] .. ring_end_[r]).
+    std::vector<std::uint32_t> ring_end_;
+    std::vector<std::uint32_t> ids_;
+    std::vector<node::Position> pos_;
+  };
+
  private:
+  /// The nearest-query stop rule: true when no cell at ring `r` or beyond
+  /// can hold a candidate closer than `best2` (every such cell is at
+  /// least r-1 cells away in x or y).
+  bool Beyond(std::size_t r, double best2) const noexcept {
+    if (r < 2) return false;
+    const double reach = static_cast<double>(r - 1) * cell_m_;
+    return reach * reach > best2;
+  }
+
+  /// The nearest-query candidate rule: j at cost `d2` replaces the best
+  /// so far when strictly closer, or as close with a lower index;
+  /// +infinity excludes j.
+  static void Consider(double d2, std::size_t j, double& best2,
+                       std::size_t& best) noexcept {
+    if (d2 == std::numeric_limits<double>::infinity()) return;
+    if (d2 < best2 || (d2 == best2 && j < best)) {
+      best2 = d2;
+      best = j;
+    }
+  }
+
+  /// Invoke `fn(j)` for every node j in `cell`, in ascending node index.
+  template <typename Fn>
+  void ScanCell(std::size_t cell, Fn& fn) const {
+    for (std::uint32_t k = cell_start_[cell]; k < cell_end_[cell]; ++k) {
+      fn(static_cast<std::size_t>(items_[k]));
+    }
+  }
+
   /// Invoke `fn(j)` for every node j in a cell at Chebyshev distance
   /// exactly `r` from cell (cx, cy), skipping cells outside the grid.
   /// Row-major over the ring; ascending node index within each cell.
   template <typename Fn>
   void ForEachInRing(std::size_t cx, std::size_t cy, std::size_t r,
                      Fn&& fn) const {
-    const auto scan_cell = [&](std::size_t x, std::size_t y) {
-      const std::size_t cell = y * nx_ + x;
-      for (std::uint32_t k = cell_start_[cell]; k < cell_start_[cell + 1];
-           ++k) {
-        fn(static_cast<std::size_t>(items_[k]));
-      }
-    };
     if (r == 0) {
-      scan_cell(cx, cy);
+      ScanCell(cy * nx_ + cx, fn);
       return;
     }
     const std::size_t x0 = cx >= r ? cx - r : 0;
@@ -160,10 +242,10 @@ class SpatialGrid {
     for (std::size_t y = y0; y <= y1; ++y) {
       const bool edge_row = (cy >= r && y == cy - r) || y == cy + r;
       if (edge_row) {
-        for (std::size_t x = x0; x <= x1; ++x) scan_cell(x, y);
+        for (std::size_t x = x0; x <= x1; ++x) ScanCell(y * nx_ + x, fn);
       } else {
-        if (cx >= r) scan_cell(cx - r, y);
-        if (cx + r < nx_) scan_cell(cx + r, y);
+        if (cx >= r) ScanCell(y * nx_ + cx - r, fn);
+        if (cx + r < nx_) ScanCell(y * nx_ + cx + r, fn);
       }
     }
   }
@@ -189,9 +271,11 @@ class SpatialGrid {
   double min_y_ = 0.0;
   std::size_t nx_ = 1;
   std::size_t ny_ = 1;
-  /// CSR layout: nodes of cell c are items_[cell_start_[c] ..
-  /// cell_start_[c+1]), grouped by cell, ascending node index per cell.
+  /// Bucketed layout: the nodes of cell c are items_[cell_start_[c] ..
+  /// cell_end_[c]), ascending node index.  Erase shifts a cell's tail
+  /// left and pulls its end in; slots past the end are dead.
   std::vector<std::uint32_t> cell_start_;
+  std::vector<std::uint32_t> cell_end_;
   std::vector<std::uint32_t> items_;
 };
 

@@ -85,6 +85,10 @@ class PhaseTimer {
     return elapsed;
   }
 
+  /// Close the scope without recording anything: for an attempt that
+  /// turned out not to count.
+  void Discard() noexcept { stopwatch_ = nullptr; }
+
  private:
   Stopwatch* stopwatch_;
   std::chrono::steady_clock::time_point start_;

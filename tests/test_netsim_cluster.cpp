@@ -5,8 +5,11 @@
 // first-node-death in the documented configuration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
 #include <set>
 
 #include "core/models.hpp"
@@ -336,7 +339,7 @@ TEST(HeadAssignment, IncrementalRepairMatchesFullReassignAcrossChainedDeaths) {
   // stale entries in the current assignment (and its member lists) until
   // the next repair — and each repair's output feeds the next (induction
   // through the chain).  Run two protocol instances in lockstep: the
-  // grid instance repairs in place (RepairInPlace, cached head grid),
+  // grid instance repairs in place (RepairInPlace over the head index),
   // the all-pairs instance does the faithful full re-assignment.  They
   // must agree exactly after every election and every repair.
   util::Rng rng(7072008);
@@ -412,6 +415,91 @@ TEST(HeadAssignment, IncrementalRepairMatchesFullReassignAcrossChainedDeaths) {
         ExpectAssignmentsEquivalent(cur_g, cur_o, alive, "chained repair");
       }
     }
+  }
+
+  // One cascade-sized input: 2,400 lattice nodes (exact distance ties
+  // everywhere) with 5% heads, killed in order of distance from the far
+  // corner.  Each dead head's orphans join the next casualty, so late
+  // repairs re-attach hundreds of orphans that share index cells.  Just
+  // before each head death, a few of its members crash and recover; the
+  // revived ones are appended to its member list a second time, as the
+  // simulator's readmission does.  Run once from a grid election (index
+  // kept) and once from an all-pairs one (index built by the repair).
+  const std::size_t cols = 60;
+  const std::size_t rows = 40;
+  const std::vector<node::Position> positions =
+      node::MakeGrid(cols, rows, 10.0);
+  const std::size_t n = positions.size();
+  const node::Position corner{10.0 * cols, 10.0 * rows};
+  std::vector<std::size_t> heads;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng() % 20 == 0) heads.push_back(i);
+  }
+  std::vector<std::size_t> kill_order = heads;
+  std::stable_sort(kill_order.begin(), kill_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return node::Distance2(positions[a], corner) <
+                            node::Distance2(positions[b], corner);
+                   });
+  const std::vector<node::Position> sinks = {{0.0, 0.0}};
+  const std::vector<double> energy(n, 1.0);
+  for (const bool from_grid : {true, false}) {
+    std::vector<bool> alive(n, true);
+    const ClusterView view = MakeView(positions, sinks, alive, energy);
+    ClusterView oracle_view = view;
+    oracle_view.assign_mode = HeadAssignMode::kAllPairs;
+    LeachClustering proto(0.05);
+    util::Rng unused(1);
+    ClusterAssignment cur = from_grid
+                                ? AssignToNearestHeadGrid(view, heads)
+                                : AssignToNearestHeadAllPairs(view, heads);
+    ASSERT_EQ(cur.index.has_value(), from_grid);
+    ClusterAssignment oracle = AssignToNearestHeadAllPairs(view, heads);
+    std::size_t most_sharing = 0;
+    std::size_t duplicates = 0;
+    for (std::size_t k = 0; k + 2 < kill_order.size(); ++k) {
+      const std::size_t victim = kill_order[k];
+      const std::size_t slot = static_cast<std::size_t>(
+          std::lower_bound(cur.heads.begin(), cur.heads.end(), victim) -
+          cur.heads.begin());
+      ASSERT_EQ(cur.heads[slot], victim);
+      // The first three live listed members crash and recover.  No
+      // head changes in between, so each keeps its head; what remains is
+      // the second list entry readmission appends.
+      const std::vector<std::uint32_t> listed = cur.members[slot];
+      std::size_t revived = 0;
+      for (std::uint32_t m : listed) {
+        if (revived == 3) break;
+        if (!alive[m] || cur.head_of[m] != victim) continue;
+        cur.members[slot].push_back(m);
+        ++revived;
+      }
+      duplicates += revived;
+      alive[victim] = false;
+      std::vector<std::uint32_t> reattached;
+      ASSERT_TRUE(proto.RepairInPlace(cur, victim, view, reattached));
+      oracle = proto.Repair(oracle, 0, oracle_view, unused);
+      ExpectAssignmentsEquivalent(cur, oracle, alive, "cascade repair");
+      ASSERT_TRUE(cur.index.has_value());
+      EXPECT_EQ(cur.index->Size(), cur.heads.size());
+
+      std::sort(reattached.begin(), reattached.end());
+      EXPECT_EQ(std::adjacent_find(reattached.begin(), reattached.end()),
+                reattached.end())
+          << "a revived member was re-attached twice";
+      std::map<std::size_t, std::size_t> per_cell;
+      for (std::uint32_t m : reattached) {
+        ++per_cell[cur.index->Grid().CellOf(positions[m])];
+      }
+      std::size_t sharing = 0;
+      for (const auto& [cell, count] : per_cell) {
+        if (count > 1) sharing += count;
+      }
+      most_sharing = std::max(most_sharing, sharing);
+    }
+    EXPECT_GT(duplicates, 0u);
+    EXPECT_GE(most_sharing, 100u)
+        << "the cascade must re-attach 100+ orphans that share cells";
   }
 }
 
@@ -517,6 +605,47 @@ TEST(ClusteredSim, HeadDeathTriggersReelectionAndDeliveryContinues) {
       << "the repair election must seat a different node as head";
   EXPECT_GT(delivered_by_late_sources, 0u)
       << "nodes surviving the first head must keep delivering";
+}
+
+/// LEACH that declines every in-place repair, so each head death takes
+/// the full-rebuild fallback.
+class NoInPlaceLeach final : public ClusteringProtocol {
+ public:
+  const char* Name() const noexcept override { return "leach"; }
+  ClusterAssignment Elect(std::size_t round, const ClusterView& view,
+                          util::Rng& rng) override {
+    return inner_.Elect(round, view, rng);
+  }
+  bool RepairInPlace(ClusterAssignment&, std::size_t, const ClusterView&,
+                     std::vector<std::uint32_t>&) override {
+    return false;
+  }
+
+ private:
+  LeachClustering inner_{0.2};
+};
+
+TEST(ClusteredSim, DeclinedInPlaceRepairIsTimedOnce) {
+  // Every mid-round head death is declined in place and then elected by
+  // the fallback: the election stopwatch must count that one election,
+  // not the declined attempt too.
+  NetSimConfig cfg = LeachConfig(5, 4, 0.01, /*round_s=*/1.0e9);
+  cfg.network.node.cpu.arrival_rate = 10.0;
+  cfg.network.node.cpu.service_rate = 100.0;
+  cfg.horizon_s = 400.0;
+  cfg.cluster.factory = [] { return std::make_unique<NoInPlaceLeach>(); };
+  cfg.obs.metrics = true;
+
+  const core::MarkovCpuModel model;
+  NetworkSimulator sim(cfg, CpuAveragePowerMw(cfg, model), util::Rng(17));
+  const NetSimReport report = sim.Run();
+
+  ASSERT_GT(report.elections, report.rounds + 1)
+      << "the test needs mid-round head deaths";
+  const obs::MetricsSnapshot& m = report.metrics;
+  EXPECT_EQ(m.timings.at("netsim.cluster.election_wall_s").calls,
+            m.counters.at("netsim.cluster.elections"));
+  EXPECT_EQ(m.counters.at("netsim.cluster.elections"), report.elections);
 }
 
 TEST(ClusteredSim, AggregationFoldsMemberSamples) {

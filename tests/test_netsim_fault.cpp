@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/models.hpp"
+#include "netsim/cluster.hpp"
 #include "netsim/fault.hpp"
 #include "netsim/mac.hpp"
 #include "netsim/netsim.hpp"
@@ -157,7 +158,9 @@ TEST(FaultPlan, DeterministicPerSeedAndSorted) {
     EXPECT_EQ(a.events[k].t, b.events[k].t);
     EXPECT_EQ(a.events[k].kind, b.events[k].kind);
     EXPECT_EQ(a.events[k].node, b.events[k].node);
-    if (k > 0) EXPECT_LE(a.events[k - 1].t, a.events[k].t);
+    if (k > 0) {
+      EXPECT_LE(a.events[k - 1].t, a.events[k].t);
+    }
   }
   ASSERT_EQ(a.jams.size(), 3u);
   ASSERT_EQ(a.sink_outages.size(), 2u);
@@ -344,6 +347,52 @@ TEST(FaultSimulator, ClusteredChurnIdenticalAcrossAssignModes) {
   cfg.cluster.assign = HeadAssignMode::kAllPairs;
   const NetSimReport allpairs = RunOne(cfg, 654);
   ExpectReportsEqual(grid, allpairs);
+
+  // Static heads on a larger grid, where crashed heads recover and the
+  // next round re-elects the same alive head set.  The head index must
+  // follow the assignment it serves: an index that lost a crashed head
+  // is wrong for a later round that seats that head again, even though
+  // the alive subset of the heads it was built from matches that round.
+  // Only scripted crashes, so random churn cannot mask the sequence.
+  NetSimConfig st = ChurnConfig(15, 13);
+  st.faults.crash_rate_hz = 0.0;
+  st.cluster.protocol = ClusterProtocolKind::kStatic;
+  st.cluster.static_heads = 12;
+  st.cluster.round_s = 200.0;
+  st.cluster.aggregation = 4;
+  const std::vector<node::Position> sinks = {st.network.sink};
+  const std::vector<bool> all_alive(st.positions.size(), true);
+  const std::vector<double> energy(st.positions.size(), 1.0);
+  ClusterView view;
+  view.positions = &st.positions;
+  view.sinks = &sinks;
+  view.alive = &all_alive;
+  view.energy_fraction = &energy;
+  util::Rng unused(1);
+  std::vector<std::uint32_t> heads;
+  for (std::size_t h : StaticClustering(12).Elect(0, view, unused).heads) {
+    heads.push_back(static_cast<std::uint32_t>(h));
+  }
+  ASSERT_EQ(heads.size(), 12u);
+  // Head 0 crashes and recovers inside round 0; round 1 re-seats it and
+  // then loses its neighbour, head 1, whose orphans may join head 0.
+  // Round 2 repeats the pattern with both of them.
+  st.faults.scripted = {{50.0, FaultEventKind::kCrash, heads[0]},
+                        {120.0, FaultEventKind::kRecover, heads[0]},
+                        {250.0, FaultEventKind::kCrash, heads[1]},
+                        {300.0, FaultEventKind::kCrash, heads[0]},
+                        {350.0, FaultEventKind::kRecover, heads[1]},
+                        {380.0, FaultEventKind::kRecover, heads[0]},
+                        {450.0, FaultEventKind::kCrash, heads[0]},
+                        {460.0, FaultEventKind::kCrash, heads[5]}};
+  st.cluster.assign = HeadAssignMode::kGrid;
+  const NetSimReport st_grid = RunOne(st, 987);
+  EXPECT_GE(st_grid.crashes, 5u);
+  EXPECT_GE(st_grid.recoveries, 2u);
+  EXPECT_GT(st_grid.elections, st_grid.rounds) << "heads must die mid-round";
+  EXPECT_TRUE(st_grid.Conserved());
+  st.cluster.assign = HeadAssignMode::kAllPairs;
+  ExpectReportsEqual(st_grid, RunOne(st, 987));
 }
 
 TEST(FaultSimulator, FaultFreeConfigBuildsNoFaultMachinery) {

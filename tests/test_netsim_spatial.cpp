@@ -6,6 +6,7 @@
 // simulator including clustered mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -226,6 +227,114 @@ TEST(SpatialGridRings, NearestOnSingleOccupantAndAllExcludedGrids) {
                                return std::numeric_limits<double>::infinity();
                              }),
             SpatialGrid::kNone);
+}
+
+// ---------------------------------------------------------------------
+// Erasable cells and the shared ring-search frontier.
+
+/// Random cloud; every other one is snapped to a coarse lattice so exact
+/// distance ties (and coincident nodes) actually occur.
+std::vector<node::Position> TieProneCloud(util::Rng& rng, std::size_t n,
+                                          double extent, bool snap) {
+  std::vector<node::Position> pos;
+  for (std::size_t i = 0; i < n; ++i) {
+    double x = util::UniformDouble(rng) * extent;
+    double y = util::UniformDouble(rng) * extent;
+    if (snap) {
+      x = std::floor(x / 25.0) * 25.0;
+      y = std::floor(y / 25.0) * 25.0;
+    }
+    pos.push_back({x, y});
+  }
+  return pos;
+}
+
+TEST(SpatialGridErase, QueriesAnswerAsIfErasedNodesWereNeverIndexed) {
+  util::Rng rng(1306);
+  for (int rep = 0; rep < 30; ++rep) {
+    const std::size_t n = 2 + (rng() % 80);
+    const std::vector<node::Position> pos =
+        TieProneCloud(rng, n, 400.0, rep % 2 == 0);
+    SpatialGrid grid(pos, 10.0 + util::UniformDouble(rng) * 50.0);
+    std::vector<bool> indexed(n, true);
+    std::size_t left = n;
+    while (left > 0) {
+      const std::size_t victim = rng() % n;
+      EXPECT_EQ(grid.Erase(victim, pos[victim]), indexed[victim])
+          << "rep " << rep;
+      if (indexed[victim]) --left;
+      indexed[victim] = false;
+      ASSERT_EQ(grid.Size(), left);
+      for (int q = 0; q < 5; ++q) {
+        const node::Position p{util::UniformDouble(rng) * 500.0 - 50.0,
+                               util::UniformDouble(rng) * 500.0 - 50.0};
+        const std::size_t got = grid.NearestWhere(
+            p, [&](std::size_t j) { return node::Distance2(p, pos[j]); });
+        EXPECT_EQ(got, BruteNearest(pos, indexed, p)) << "rep " << rep;
+        // Every survivor is visited once, ascending within its cell.
+        std::vector<std::size_t> seen;
+        grid.ForEachInRadius(p, 1.0e9, [&](std::size_t j) {
+          EXPECT_TRUE(indexed[j]) << "erased node " << j << " visited";
+          if (!seen.empty() &&
+              grid.CellOf(pos[seen.back()]) == grid.CellOf(pos[j])) {
+            EXPECT_LT(seen.back(), j) << "cell order broken";
+          }
+          seen.push_back(j);
+        });
+        EXPECT_EQ(seen.size(), left);
+      }
+    }
+    EXPECT_FALSE(grid.Erase(n, pos[0])) << "never indexed";
+  }
+}
+
+TEST(SpatialGridFrontier, MatchesNearestWhereForEveryQueryInTheCell) {
+  // Batches of queries per cell, as the in-place cluster repair issues
+  // them: one frontier per cell, many queries in it (node sites, points
+  // on cell corners, off-grid points that clamp into boundary cells),
+  // over grids thinned by erasure until they are nearly empty.
+  util::Rng rng(2026);
+  for (int rep = 0; rep < 30; ++rep) {
+    const std::size_t n = 1 + (rng() % 120);
+    const std::vector<node::Position> pos =
+        TieProneCloud(rng, n, 300.0, rep % 2 == 0);
+    SpatialGrid grid(pos, 5.0 + util::UniformDouble(rng) * 40.0);
+    std::vector<node::Position> queries = pos;
+    for (int q = 0; q < 200; ++q) {
+      double x = util::UniformDouble(rng) * 500.0 - 100.0;
+      double y = util::UniformDouble(rng) * 500.0 - 100.0;
+      if (q % 3 == 0) {
+        x = std::floor(x / grid.CellSize()) * grid.CellSize();
+        y = std::floor(y / grid.CellSize()) * grid.CellSize();
+      }
+      queries.push_back({x, y});
+    }
+    std::stable_sort(queries.begin(), queries.end(),
+                     [&](const node::Position& a, const node::Position& b) {
+                       return grid.CellOf(a) < grid.CellOf(b);
+                     });
+    SpatialGrid::Frontier frontier;
+    for (int round = 0; round < 4; ++round) {
+      std::size_t cell = SpatialGrid::kNone;
+      for (const node::Position& p : queries) {
+        if (grid.CellOf(p) != cell) {
+          cell = grid.CellOf(p);
+          frontier.Reset(grid, cell, pos);
+        }
+        EXPECT_EQ(frontier.Nearest(p),
+                  grid.NearestWhere(p, [&](std::size_t j) {
+                    return node::Distance2(p, pos[j]);
+                  }))
+            << "rep " << rep << " round " << round;
+      }
+      // Thin the grid (to empty in the last round) before the next pass.
+      for (std::size_t j = 0; j < n; ++j) {
+        if (round == 3 || rng() % 2 == 0) grid.Erase(j, pos[j]);
+      }
+    }
+    frontier.Reset(grid, 0, pos);
+    EXPECT_EQ(frontier.Nearest(pos[0]), SpatialGrid::kNone);
+  }
 }
 
 TEST(Distance2, MatchesSquaredDistance) {
