@@ -237,31 +237,33 @@ bool ClusteringProtocol::RepairInPlace(ClusterAssignment& cluster,
   // orphan's row makes a duplicate entry fail the same test.  Keying by
   // (cell, node) groups the orphans by the cell their search starts in.
   const SpatialGrid& grid = index.Grid();
-  orphan_keys_.clear();
+  std::vector<std::uint64_t> keys;
+  keys.reserve(orphans.size());
   for (std::uint32_t m : orphans) {
     if (!alive[m] || cluster.head_of[m] != dead_head) continue;
     cluster.head_of[m] = ClusterAssignment::kUnclustered;
-    orphan_keys_.push_back(
-        static_cast<std::uint64_t>(grid.CellOf(positions[m])) << 32 | m);
+    const std::uint64_t orphan_cell = grid.CellOf(positions[m]);
+    keys.push_back(orphan_cell << 32 | m);
   }
-  std::sort(orphan_keys_.begin(), orphan_keys_.end());
+  std::sort(keys.begin(), keys.end());
 
   // The orphans of one cell share one ring search: each walks the
   // frontier with NearestWhere's stop rule, so it finds NearestWhere's
   // answer while every ring is gathered from the grid once per cell.
   // Neighbouring orphans mostly pick the same head, so the slot lookup
   // is cached for the last head picked.
+  SpatialGrid::Frontier frontier;
   std::size_t cell = SpatialGrid::kNone;
   std::size_t new_head = SpatialGrid::kNone;
   std::size_t new_slot = 0;
-  for (std::uint64_t key : orphan_keys_) {
+  for (std::uint64_t key : keys) {
     const std::uint32_t m = static_cast<std::uint32_t>(key);
     if (key >> 32 != cell) {
       cell = static_cast<std::size_t>(key >> 32);
-      frontier_.Reset(grid, cell, index.Positions());
+      frontier.Reset(grid, cell, index.Positions());
     }
     // The index holds the surviving heads, at least one of them.
-    const std::size_t head = index.Head(frontier_.Nearest(positions[m]));
+    const std::size_t head = index.Head(frontier.Nearest(positions[m]));
     if (head != new_head) {
       new_head = head;
       new_slot = static_cast<std::size_t>(

@@ -257,13 +257,6 @@ class ClusteringProtocol {
   virtual bool RepairInPlace(ClusterAssignment& cluster, std::size_t dead_head,
                              const ClusterView& view,
                              std::vector<std::uint32_t>& reattached);
-
- private:
-  /// RepairInPlace scratch, reused across repairs (capacity only): the
-  /// orphans being re-attached keyed (cell << 32 | node), and the ring
-  /// frontier of the cell being served.
-  std::vector<std::uint64_t> orphan_keys_;
-  SpatialGrid::Frontier frontier_;
 };
 
 /// Attach every alive non-head node in `view` to the nearest alive head

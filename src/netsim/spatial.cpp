@@ -51,34 +51,35 @@ SpatialGrid::SpatialGrid(const std::vector<node::Position>& positions,
   ny_ = static_cast<std::size_t>(cells_along(height, cell_m_));
   inv_cell_ = 1.0 / cell_m_;
 
-  // Counting sort into cells: one pass to size the cells, one to fill.
+  // Counting sort into cells: one pass to count each cell, one to fill.
   // Filling in ascending node index keeps each cell's slice sorted, and
   // each fill cursor stops at its cell's end.
   std::vector<std::uint32_t> cell_of(size_);
-  cell_start_.assign(nx_ * ny_ + 1, 0);
+  cells_.assign(nx_ * ny_, Cell{});
   for (std::size_t i = 0; i < size_; ++i) {
     cell_of[i] = static_cast<std::uint32_t>(CellOf(positions[i]));
-    ++cell_start_[cell_of[i] + 1];
+    ++cells_[cell_of[i]].end;
   }
-  for (std::size_t c = 1; c < cell_start_.size(); ++c) {
-    cell_start_[c] += cell_start_[c - 1];
+  std::uint32_t start = 0;
+  for (Cell& c : cells_) {
+    const std::uint32_t count = c.end;
+    c.start = c.end = start;
+    start += count;
   }
-  cell_start_.pop_back();
   items_.resize(size_);
-  cell_end_ = cell_start_;
   for (std::size_t i = 0; i < size_; ++i) {
-    items_[cell_end_[cell_of[i]]++] = static_cast<std::uint32_t>(i);
+    items_[cells_[cell_of[i]].end++] = static_cast<std::uint32_t>(i);
   }
 }
 
 bool SpatialGrid::Erase(std::size_t j, const node::Position& p) {
   const std::size_t cell = CellOf(p);
-  const auto first = items_.begin() + cell_start_[cell];
-  const auto last = items_.begin() + cell_end_[cell];
+  const auto first = items_.begin() + cells_[cell].start;
+  const auto last = items_.begin() + cells_[cell].end;
   const auto it = std::lower_bound(first, last, j);
   if (it == last || *it != j) return false;
   std::copy(it + 1, last, it);
-  --cell_end_[cell];
+  --cells_[cell].end;
   --size_;
   return true;
 }

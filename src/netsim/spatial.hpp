@@ -220,7 +220,7 @@ class SpatialGrid {
   /// Invoke `fn(j)` for every node j in `cell`, in ascending node index.
   template <typename Fn>
   void ScanCell(std::size_t cell, Fn& fn) const {
-    for (std::uint32_t k = cell_start_[cell]; k < cell_end_[cell]; ++k) {
+    for (std::uint32_t k = cells_[cell].start; k < cells_[cell].end; ++k) {
       fn(static_cast<std::size_t>(items_[k]));
     }
   }
@@ -271,11 +271,14 @@ class SpatialGrid {
   double min_y_ = 0.0;
   std::size_t nx_ = 1;
   std::size_t ny_ = 1;
-  /// Bucketed layout: the nodes of cell c are items_[cell_start_[c] ..
-  /// cell_end_[c]), ascending node index.  Erase shifts a cell's tail
-  /// left and pulls its end in; slots past the end are dead.
-  std::vector<std::uint32_t> cell_start_;
-  std::vector<std::uint32_t> cell_end_;
+  /// The nodes of one cell are items_[start .. end), ascending node
+  /// index.  Erase shifts a cell's tail left and pulls its end in; slots
+  /// past the end are dead.
+  struct Cell {
+    std::uint32_t start = 0;
+    std::uint32_t end = 0;
+  };
+  std::vector<Cell> cells_;
   std::vector<std::uint32_t> items_;
 };
 
