@@ -1,10 +1,15 @@
 // EDSPN token-game simulator: agreement with closed forms (ping-pong,
 // M/M/1/K), exact deterministic cycles, enabling-memory semantics,
-// vanishing-chain handling, deadlock detection, warm-up and ensembles.
+// vanishing-chain handling, deadlock detection, warm-up, ensembles, and
+// bit-exact pins of whole runs at a fixed seed.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "core/cpu_petri_net.hpp"
 #include "markov/mm1.hpp"
 #include "petri/simulation.hpp"
 #include "petri/standard_nets.hpp"
@@ -216,6 +221,120 @@ TEST(SpnSimulation, ConfigValidation) {
   SimulationConfig cfg2;
   cfg2.warmup = cfg2.horizon + 1.0;
   EXPECT_THROW(SimulateSpn(net, cfg2), util::InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact pins.  Each expectation below was captured from the token game
+// before its hot loop was restructured; any change to the RNG draw order
+// (delays sampled in ascending transition id, a weight drawn only for a
+// conflict of two or more), to the enabling rule, to the timer policy or to
+// the order in which token time is accumulated moves these bits.
+
+struct PinnedRun {
+  std::uint64_t total_firings;
+  std::vector<std::uint64_t> firings;
+  std::vector<std::uint64_t> mean_token_bits;
+};
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+SimulationConfig PinConfig() {
+  SimulationConfig cfg;
+  cfg.horizon = 500.0;
+  cfg.warmup = 50.0;
+  cfg.seed = 2008;
+  return cfg;
+}
+
+void ExpectPinned(const PetriNet& net, const PinnedRun& want) {
+  const SimulationResult r = SimulateSpn(net, PinConfig());
+  EXPECT_EQ(r.total_firings, want.total_firings);
+  EXPECT_EQ(r.firings, want.firings);
+  EXPECT_EQ(Bits(r.mean_tokens), want.mean_token_bits);
+}
+
+PetriNet CpuNet(double power_down_threshold, double power_up_delay) {
+  core::CpuParams params;
+  params.arrival_rate = 1.0;
+  params.service_rate = 10.0;
+  params.power_down_threshold = power_down_threshold;
+  params.power_up_delay = power_up_delay;
+  return core::BuildCpuPetriNet(params);
+}
+
+TEST(SpnSimulationPin, CpuNetWithDeterministicPowerTransitions) {
+  ExpectPinned(CpuNet(0.1, 0.3),
+               {2968,
+                {430, 430, 269, 270, 161, 431, 431, 270},
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x3fcf6bd735e2dd90ULL, 0x3fca997ce8142397ULL,
+                 0x3fe5009fe3d02081ULL, 0x3fc704e26bb8c496ULL,
+                 0x3fc4f89e0506b969ULL, 0x3fecc7fe163deb9cULL,
+                 0x3fb9c00f4e10a320ULL}});
+}
+
+TEST(SpnSimulationPin, CpuNetWithImmediatePowerTransitions) {
+  // T = D = 0 turns PUT and PDT into priority-0 immediates.
+  ExpectPinned(CpuNet(0.0, 0.0),
+               {3151,
+                {417, 417, 372, 372, 45, 417, 417, 372},
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x3f8322205e8f28ffULL, 0x0000000000000000ULL,
+                 0x3fecf4b4c6277017ULL, 0x0000000000000000ULL,
+                 0x3fb85a59cec47f4dULL, 0x3fecf4b4c6277017ULL,
+                 0x3fb85a59cec47f4dULL}});
+}
+
+TEST(SpnSimulationPin, WeightedConflictsDrawWeights) {
+  // Equal-priority acquire_* transitions compete for one resource token.
+  ExpectPinned(MakeSharedResourceNet(3, 1.0, 2.0),
+               {1420,
+                {126, 126, 126, 155, 155, 155, 151, 151, 152},
+                {0x3f91abcbf6f63ddeULL, 0x3fe1cb303a53ccfbULL,
+                 0x3fd31ac49a68bed1ULL, 0x3fc29db5e1df4e72ULL,
+                 0x3fe03ddd43e3c0a7ULL, 0x3fd58f41649f3fbfULL,
+                 0x3fc3ea0827327de5ULL, 0x3fdd55780392726eULL,
+                 0x3fd63b3d41889d92ULL, 0x3fc8de9575c9e000ULL}});
+}
+
+TEST(SpnSimulationPin, GenericDelayDistributions) {
+  // Erlang and Uniform delays go through the generic sampler.
+  PetriNet net;
+  const PlaceId a = net.AddPlace("a", 1);
+  const PlaceId b = net.AddPlace("b", 0);
+  const TransitionId ab = net.AddTimedTransition("ab", util::Erlang{3, 2.0});
+  const TransitionId ba =
+      net.AddTimedTransition("ba", util::Uniform{0.5, 1.5});
+  net.AddInputArc(ab, a);
+  net.AddOutputArc(ab, b);
+  net.AddInputArc(ba, b);
+  net.AddOutputArc(ba, a);
+  ExpectPinned(net, {399,
+                     {182, 182},
+                     {0x3fe39d0e4458ab3dULL, 0x3fd8c5e3774ea985ULL}});
+}
+
+TEST(SpnSimulationPin, EnsembleIdenticalAcrossThreadCounts) {
+  const PetriNet net = CpuNet(0.1, 0.3);
+  SimulationConfig cfg;
+  cfg.horizon = 200.0;
+  cfg.seed = 2008;
+  const std::vector<std::uint64_t> want = {
+      0x3ff0000000000000ULL, 0x0000000000000000ULL, 0x3fcea8f36b7f3c30ULL,
+      0x3fca7b80e3f111e7ULL, 0x3fe52dce7766d50dULL, 0x3fc71904fa845f22ULL,
+      0x3fc42fc127e04cacULL, 0x3fecf7a4d0f6690aULL, 0x3fb842d9784cb7aeULL};
+  for (const std::size_t threads : {1u, 4u}) {
+    const EnsembleResult agg = SimulateSpnEnsemble(net, cfg, 6, threads);
+    std::vector<double> means;
+    for (const util::RunningStats& s : agg.mean_tokens) {
+      means.push_back(s.Mean());
+    }
+    EXPECT_EQ(Bits(means), want) << "threads=" << threads;
+  }
 }
 
 }  // namespace
