@@ -6,34 +6,6 @@ namespace wsn::petri {
 
 using util::Require;
 
-bool IsEnabled(const PetriNet& net, TransitionId t, const Marking& m) {
-  const Transition& tr = net.GetTransition(t);
-  for (const Arc& a : tr.arcs) {
-    switch (a.kind) {
-      case ArcKind::kInput:
-        if (m[a.place] < a.multiplicity) return false;
-        break;
-      case ArcKind::kInhibitor:
-        if (m[a.place] >= a.multiplicity) return false;
-        break;
-      case ArcKind::kOutput:
-        break;
-    }
-  }
-  return true;
-}
-
-void FireInPlace(const PetriNet& net, TransitionId t, Marking& m) {
-  Require(IsEnabled(net, t, m), "firing a disabled transition");
-  const Transition& tr = net.GetTransition(t);
-  for (const Arc& a : tr.arcs) {
-    if (a.kind == ArcKind::kInput) m[a.place] -= a.multiplicity;
-  }
-  for (const Arc& a : tr.arcs) {
-    if (a.kind == ArcKind::kOutput) m[a.place] += a.multiplicity;
-  }
-}
-
 Marking Fire(const PetriNet& net, TransitionId t, const Marking& m) {
   Marking out = m;
   FireInPlace(net, t, out);
@@ -52,6 +24,13 @@ std::vector<TransitionId> EnabledTransitions(const PetriNet& net,
 std::vector<TransitionId> EnabledImmediateConflictSet(const PetriNet& net,
                                                       const Marking& m) {
   std::vector<TransitionId> out;
+  EnabledImmediateConflictSet(net, m, out);
+  return out;
+}
+
+void EnabledImmediateConflictSet(const PetriNet& net, const Marking& m,
+                                 std::vector<TransitionId>& out) {
+  out.clear();
   int best_priority = 0;
   for (TransitionId t = 0; t < net.TransitionCount(); ++t) {
     const Transition& tr = net.GetTransition(t);
@@ -64,7 +43,6 @@ std::vector<TransitionId> EnabledImmediateConflictSet(const PetriNet& net,
       out.push_back(t);
     }
   }
-  return out;
 }
 
 std::vector<TransitionId> EnabledTimedTransitions(const PetriNet& net,

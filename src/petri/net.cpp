@@ -80,9 +80,8 @@ const Place& PetriNet::GetPlace(PlaceId p) const {
   return places_[p];
 }
 
-const Transition& PetriNet::GetTransition(TransitionId t) const {
-  Require(t < transitions_.size(), "transition id out of range");
-  return transitions_[t];
+void PetriNet::ThrowTransitionOutOfRange() {
+  throw InvalidArgument("transition id out of range");
 }
 
 PlaceId PetriNet::PlaceByName(const std::string& name) const {

@@ -88,7 +88,13 @@ class PetriNet {
   std::size_t TransitionCount() const noexcept { return transitions_.size(); }
 
   const Place& GetPlace(PlaceId p) const;
-  const Transition& GetTransition(TransitionId t) const;
+
+  /// Inline: every enabling test goes through it.  Throws InvalidArgument
+  /// when `t` is out of range.
+  const Transition& GetTransition(TransitionId t) const {
+    if (t >= transitions_.size()) ThrowTransitionOutOfRange();
+    return transitions_[t];
+  }
 
   /// Lookup by name; throws InvalidArgument when absent.
   PlaceId PlaceByName(const std::string& name) const;
@@ -114,6 +120,7 @@ class PetriNet {
 
  private:
   void CheckIds(TransitionId t, PlaceId p) const;
+  [[noreturn, gnu::cold]] static void ThrowTransitionOutOfRange();
 
   std::vector<Place> places_;
   std::vector<Transition> transitions_;

@@ -18,22 +18,34 @@ namespace {
 
 constexpr double kUnscheduled = std::numeric_limits<double>::infinity();
 
+/// Per-net work done once per run or ensemble: checks the config and the
+/// net and returns the net's timed transitions in ascending id, which
+/// every replication then reads without changing.
+std::vector<TransitionId> PrepareRun(const PetriNet& net,
+                                     const SimulationConfig& config) {
+  Require(config.horizon > 0.0, "horizon must be positive");
+  Require(config.warmup >= 0.0 && config.warmup < config.horizon,
+          "warmup must lie inside the horizon");
+  net.Validate();
+  std::vector<TransitionId> timed;
+  for (TransitionId t = 0; t < net.TransitionCount(); ++t) {
+    if (!net.GetTransition(t).IsImmediate()) timed.push_back(t);
+  }
+  return timed;
+}
+
+/// One replication: owns its marking, timers, RNG and conflict buffer.
 class TokenGame {
  public:
-  TokenGame(const PetriNet& net, const SimulationConfig& config)
-      : net_(net), config_(config), rng_(config.seed) {
-    Require(config.horizon > 0.0, "horizon must be positive");
-    Require(config.warmup >= 0.0 && config.warmup < config.horizon,
-            "warmup must lie inside the horizon");
-    net_.Validate();
-  }
+  TokenGame(const PetriNet& net, const std::vector<TransitionId>& timed,
+            const SimulationConfig& config)
+      : net_(net), timed_(timed), config_(config), rng_(config.seed) {}
 
   SimulationResult Run() {
     const std::size_t np = net_.PlaceCount();
     const std::size_t nt = net_.TransitionCount();
     SimulationResult result;
     result.mean_tokens.assign(np, 0.0);
-    result.mean_tokens_sq.assign(np, 0.0);
     result.firings.assign(nt, 0);
     result.observed_time = config_.horizon - config_.warmup;
 
@@ -41,9 +53,9 @@ class TokenGame {
     double now = 0.0;
     ResolveVanishing(m, now, result);
 
-    // Absolute fire times per timed transition; infinity = not scheduled.
-    std::vector<double> fire_at(nt, kUnscheduled);
-    RefreshSchedule(m, now, fire_at, /*fired=*/nt);
+    // Absolute fire time per entry of timed_; infinity = not scheduled.
+    std::vector<double> fire_at(timed_.size(), kUnscheduled);
+    RefreshSchedule(m, now, fire_at);
 
     for (;;) {
       if (config_.max_firings != 0 &&
@@ -51,16 +63,16 @@ class TokenGame {
         break;
       }
       // Earliest scheduled timed transition; ties break by lowest id for
-      // determinism.
-      std::size_t next_t = nt;
+      // determinism (timed_ is ascending).
+      std::size_t next = timed_.size();
       double next_time = kUnscheduled;
-      for (std::size_t t = 0; t < nt; ++t) {
-        if (fire_at[t] < next_time) {
-          next_time = fire_at[t];
-          next_t = t;
+      for (std::size_t k = 0; k < timed_.size(); ++k) {
+        if (fire_at[k] < next_time) {
+          next_time = fire_at[k];
+          next = k;
         }
       }
-      if (next_t == nt) {
+      if (next == timed_.size()) {
         // Dead tangible marking: nothing can ever fire again.
         result.deadlocked = true;
         AccumulateTokens(m, now, config_.horizon, result);
@@ -75,17 +87,18 @@ class TokenGame {
 
       AccumulateTokens(m, now, next_time, result);
       now = next_time;
-      FireInPlace(net_, next_t, m);
-      CountFiring(next_t, now, result);
-      fire_at[next_t] = kUnscheduled;
+      const TransitionId t = timed_[next];
+      FireInPlace(net_, t, m);
+      CountFiring(t, now, result);
+      // The fired transition resamples if it is enabled again.
+      fire_at[next] = kUnscheduled;
       ResolveVanishing(m, now, result);
-      RefreshSchedule(m, now, fire_at, next_t);
+      RefreshSchedule(m, now, fire_at);
     }
 
     const double window = result.observed_time;
     for (std::size_t p = 0; p < np; ++p) {
       result.mean_tokens[p] /= window;
-      result.mean_tokens_sq[p] /= window;
     }
     result.throughput.assign(nt, 0.0);
     for (std::size_t t = 0; t < nt; ++t) {
@@ -111,9 +124,7 @@ class TokenGame {
     if (hi <= lo) return;
     const double dt = hi - lo;
     for (std::size_t p = 0; p < m.size(); ++p) {
-      const double tokens = static_cast<double>(m[p]);
-      result.mean_tokens[p] += tokens * dt;
-      result.mean_tokens_sq[p] += tokens * tokens * dt;
+      result.mean_tokens[p] += static_cast<double>(m[p]) * dt;
     }
   }
 
@@ -122,52 +133,50 @@ class TokenGame {
   void ResolveVanishing(Marking& m, double now, SimulationResult& result) {
     std::uint64_t chain = 0;
     for (;;) {
-      const std::vector<TransitionId> conflict =
-          EnabledImmediateConflictSet(net_, m);
-      if (conflict.empty()) return;
+      EnabledImmediateConflictSet(net_, m, conflict_);
+      if (conflict_.empty()) return;
       if (++chain > config_.max_vanishing_chain) {
         throw ModelError(
             "immediate-transition livelock: vanishing chain exceeded " +
             std::to_string(config_.max_vanishing_chain) + " firings");
       }
-      const TransitionId t = SampleByWeight(net_, conflict, rng_);
+      const TransitionId t = SampleByWeight(net_, conflict_, rng_);
       FireInPlace(net_, t, m);
       CountFiring(t, now, result);
     }
   }
 
-  /// Enabling-memory schedule maintenance at a tangible marking:
+  /// Enabling-memory schedule maintenance at a tangible marking, in
+  /// ascending transition id so delay draws keep their order:
   ///   - newly enabled (or just-fired and re-enabled) transitions sample a
   ///     fresh delay;
   ///   - transitions that stay enabled keep their timers;
   ///   - disabled transitions are descheduled.
   void RefreshSchedule(const Marking& m, double now,
-                       std::vector<double>& fire_at, std::size_t fired) {
-    for (std::size_t t = 0; t < net_.TransitionCount(); ++t) {
-      const Transition& tr = net_.GetTransition(t);
-      if (tr.kind != TransitionKind::kTimed) continue;
-      const bool enabled = IsEnabled(net_, t, m);
-      if (!enabled) {
-        fire_at[t] = kUnscheduled;  // enabling memory: timer discarded
-        continue;
-      }
-      if (fire_at[t] == kUnscheduled || t == fired) {
-        fire_at[t] = now + tr.delay->Sample(rng_);
+                       std::vector<double>& fire_at) {
+    for (std::size_t k = 0; k < timed_.size(); ++k) {
+      const TransitionId t = timed_[k];
+      if (!IsEnabled(net_, t, m)) {
+        fire_at[k] = kUnscheduled;  // enabling memory: timer discarded
+      } else if (fire_at[k] == kUnscheduled) {
+        fire_at[k] = now + net_.GetTransition(t).delay->Sample(rng_);
       }
     }
   }
 
   const PetriNet& net_;
+  const std::vector<TransitionId>& timed_;
   const SimulationConfig& config_;
   util::Rng rng_;
+  std::vector<TransitionId> conflict_;
 };
 
 }  // namespace
 
 SimulationResult SimulateSpn(const PetriNet& net,
                              const SimulationConfig& config) {
-  TokenGame game(net, config);
-  return game.Run();
+  const std::vector<TransitionId> timed = PrepareRun(net, config);
+  return TokenGame(net, timed, config).Run();
 }
 
 EnsembleResult SimulateSpnEnsemble(const PetriNet& net,
@@ -175,6 +184,7 @@ EnsembleResult SimulateSpnEnsemble(const PetriNet& net,
                                    std::size_t replications,
                                    std::size_t threads) {
   Require(replications >= 1, "need at least one replication");
+  const std::vector<TransitionId> timed = PrepareRun(net, config);
   std::vector<SimulationResult> results(replications);
   util::Rng base(config.seed);
   std::vector<std::uint64_t> seeds(replications);
@@ -185,7 +195,7 @@ EnsembleResult SimulateSpnEnsemble(const PetriNet& net,
       [&](std::size_t r) {
         SimulationConfig local = config;
         local.seed = seeds[r];
-        results[r] = SimulateSpn(net, local);
+        results[r] = TokenGame(net, timed, local).Run();
       },
       threads);
 

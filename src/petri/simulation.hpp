@@ -39,8 +39,6 @@ struct SimulationConfig {
 struct SimulationResult {
   /// Time-averaged token count per place over [warmup, horizon].
   std::vector<double> mean_tokens;
-  /// Time-averaged squared token count (for variance estimates).
-  std::vector<double> mean_tokens_sq;
   /// Firing counts per transition within the observation window.
   std::vector<std::uint64_t> firings;
   /// firings / (horizon - warmup).

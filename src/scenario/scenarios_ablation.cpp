@@ -135,7 +135,8 @@ ResultSet RunAblationSteady(const ScenarioContext& ctx) {
     double mean;
     double half_width;
   };
-  // Each effort point is an independent token-game ensemble.
+  // Each effort point is an independent token-game ensemble; parallelism
+  // lives in the scenario's executor, so each ensemble runs on one thread.
   const std::vector<CaseRow> rows =
       ctx.Executor().Map(cases.size(), [&](std::size_t i) {
         const EffortCase& c = cases[i];
@@ -144,7 +145,7 @@ ResultSet RunAblationSteady(const ScenarioContext& ctx) {
         cfg.warmup = c.horizon * c.warmup_frac;
         cfg.seed = 77;
         const petri::EnsembleResult agg =
-            petri::SimulateSpnEnsemble(net, cfg, c.reps);
+            petri::SimulateSpnEnsemble(net, cfg, c.reps, /*threads=*/1);
         // idle = E[#CPU_ON] - E[#Active]; Active is nearly constant, so
         // approximate the idle spread by the CPU_ON spread.
         const double mean = agg.mean_tokens[layout.cpu_on].Mean() -

@@ -65,13 +65,26 @@ void ParallelFor(ThreadPool& pool, std::size_t n,
 
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
                  std::size_t threads) {
-  if (n == 0) return;
-  if (n == 1) {
-    fn(0);
+  if (threads == 0) {
+    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
+  threads = std::min(threads, n);
+  if (threads > 1) {
+    ThreadPool pool(threads);
+    ParallelFor(pool, n, fn);
     return;
   }
-  ThreadPool pool(threads == 0 ? 0 : std::min(threads, n));
-  ParallelFor(pool, n, fn);
+  // One worker: run on the calling thread with the pool's contract (every
+  // index runs; the lowest failing index rethrows).
+  std::exception_ptr first_error;
+  for (std::size_t i = 0; i < n; ++i) {
+    try {
+      fn(i);
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace wsn::util

@@ -66,6 +66,8 @@ void ParallelFor(ThreadPool& pool, std::size_t n,
 
 /// Convenience for callers that don't manage a pool: run `fn(i)` for
 /// i in [0, n) on up to `threads` threads (0 = hardware concurrency).
+/// With one thread (or one item) it runs on the calling thread and spawns
+/// nothing.
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
                  std::size_t threads = 0);
 

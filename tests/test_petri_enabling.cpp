@@ -119,6 +119,54 @@ TEST(ConflictSet, WeightedSamplingMatchesProportions) {
   EXPECT_NEAR(static_cast<double>(picked_b) / n, 0.75, 0.01);
 }
 
+TEST(Enabling, OutOfRangeTransitionThrows) {
+  PetriNet net;
+  const PlaceId p = net.AddPlace("p", 1);
+  const TransitionId t = net.AddExponentialTransition("t", 1.0);
+  net.AddInputArc(t, p);
+  EXPECT_THROW(net.GetTransition(net.TransitionCount()),
+               util::InvalidArgument);
+  EXPECT_THROW(IsEnabled(net, t + 1, {1}), util::InvalidArgument);
+}
+
+TEST(ConflictSet, BufferFormClearsAndMatchesReturningForm) {
+  // The nets of the ConflictSet cases above, at enabling and disabling
+  // markings; the buffer arrives holding stale ids each time.
+  PetriNet priorities;
+  {
+    const PlaceId p = priorities.AddPlace("p", 1);
+    const TransitionId low = priorities.AddImmediateTransition("low", 1);
+    const TransitionId high = priorities.AddImmediateTransition("high", 5);
+    const TransitionId timed =
+        priorities.AddExponentialTransition("timed", 1.0);
+    priorities.AddInputArc(low, p);
+    priorities.AddInputArc(high, p);
+    priorities.AddInputArc(timed, p);
+  }
+  PetriNet groups;
+  {
+    const PlaceId p = groups.AddPlace("p", 1);
+    const TransitionId a = groups.AddImmediateTransition("a", 2, 1.0);
+    const TransitionId b = groups.AddImmediateTransition("b", 2, 3.0);
+    const TransitionId c = groups.AddImmediateTransition("c", 1, 1.0);
+    groups.AddInputArc(a, p);
+    groups.AddInputArc(b, p);
+    groups.AddInputArc(c, p);
+  }
+  for (const PetriNet* net : {&priorities, &groups}) {
+    for (const Marking& m : {Marking{0}, Marking{1}}) {
+      std::vector<TransitionId> buffer{7, 7, 7};
+      EnabledImmediateConflictSet(*net, m, buffer);
+      EXPECT_EQ(buffer, EnabledImmediateConflictSet(*net, m));
+    }
+  }
+  std::vector<TransitionId> buffer{7, 7, 7};
+  EnabledImmediateConflictSet(groups, {1}, buffer);
+  EXPECT_EQ(buffer, (std::vector<TransitionId>{0, 1}));
+  EnabledImmediateConflictSet(groups, {0}, buffer);
+  EXPECT_TRUE(buffer.empty());
+}
+
 TEST(EnabledLists, TimedVsImmediate) {
   PetriNet net;
   const PlaceId p = net.AddPlace("p", 1);

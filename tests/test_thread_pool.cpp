@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/executor.hpp"
@@ -83,6 +84,31 @@ TEST(ParallelFor, PropagatesFirstException) {
         if (i == 37) throw std::logic_error("fail at 37");
       }, 4),
       std::logic_error);
+}
+
+TEST(ParallelFor, OneThreadRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> seen(8);
+  ParallelFor(seen.size(), [&](std::size_t i) {
+    seen[i] = std::this_thread::get_id();
+  }, 1);
+  for (const std::thread::id& id : seen) EXPECT_EQ(id, caller);
+}
+
+TEST(ParallelFor, OneThreadRunsEveryIndexAndRethrowsTheLowestFailure) {
+  std::vector<int> visits(10, 0);
+  try {
+    ParallelFor(visits.size(), [&](std::size_t i) {
+      ++visits[i];
+      if (i == 3 || i == 6) {
+        throw std::runtime_error("failed at " + std::to_string(i));
+      }
+    }, 1);
+    FAIL() << "expected the failure to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "failed at 3");
+  }
+  for (int v : visits) EXPECT_EQ(v, 1);
 }
 
 TEST(ParallelFor, ReusablePool) {
