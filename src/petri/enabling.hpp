@@ -31,8 +31,11 @@ inline bool IsEnabled(const PetriNet& net, TransitionId t, const Marking& m) {
   return true;
 }
 
-/// Fire `t` in `m` in place (must be enabled): consume input arcs, produce
-/// output arcs.  Inhibitor arcs move no tokens.
+/// Fire `t` in `m` (must be enabled): consume input arcs, produce output
+/// arcs.  Inhibitor arcs move no tokens.
+Marking Fire(const PetriNet& net, TransitionId t, const Marking& m);
+
+/// In-place variant.
 inline void FireInPlace(const PetriNet& net, TransitionId t, Marking& m) {
   util::Require(IsEnabled(net, t, m), "firing a disabled transition");
   const Transition& tr = net.GetTransition(t);
@@ -43,9 +46,6 @@ inline void FireInPlace(const PetriNet& net, TransitionId t, Marking& m) {
     if (a.kind == ArcKind::kOutput) m[a.place] += a.multiplicity;
   }
 }
-
-/// Copying variant of FireInPlace.
-Marking Fire(const PetriNet& net, TransitionId t, const Marking& m);
 
 /// All enabled transitions (any kind) in `m`, ascending id.
 std::vector<TransitionId> EnabledTransitions(const PetriNet& net,

@@ -68,6 +68,14 @@ TEST(Enabling, SelfLoopKeepsToken) {
   EXPECT_EQ(next[out], 1u);
 }
 
+// The buffer form must clear a buffer that arrives holding stale ids and
+// then agree with the returning form.
+void ExpectBufferFormAgrees(const PetriNet& net, const Marking& m) {
+  std::vector<TransitionId> buffer{7, 7, 7};
+  EnabledImmediateConflictSet(net, m, buffer);
+  EXPECT_EQ(buffer, EnabledImmediateConflictSet(net, m));
+}
+
 TEST(ConflictSet, HighestPriorityWins) {
   PetriNet net;
   const PlaceId p = net.AddPlace("p", 1);
@@ -83,6 +91,8 @@ TEST(ConflictSet, HighestPriorityWins) {
   EXPECT_EQ(conflict[0], high);
   EXPECT_FALSE(IsTangible(net, {1}));
   EXPECT_TRUE(IsTangible(net, {0}));
+  ExpectBufferFormAgrees(net, {1});
+  ExpectBufferFormAgrees(net, {0});
 }
 
 TEST(ConflictSet, EqualPriorityGroups) {
@@ -99,6 +109,8 @@ TEST(ConflictSet, EqualPriorityGroups) {
   ASSERT_EQ(conflict.size(), 2u);
   EXPECT_EQ(conflict[0], a);
   EXPECT_EQ(conflict[1], b);
+  ExpectBufferFormAgrees(net, {1});
+  ExpectBufferFormAgrees(net, {0});
 }
 
 TEST(ConflictSet, WeightedSamplingMatchesProportions) {
@@ -127,44 +139,6 @@ TEST(Enabling, OutOfRangeTransitionThrows) {
   EXPECT_THROW(net.GetTransition(net.TransitionCount()),
                util::InvalidArgument);
   EXPECT_THROW(IsEnabled(net, t + 1, {1}), util::InvalidArgument);
-}
-
-TEST(ConflictSet, BufferFormClearsAndMatchesReturningForm) {
-  // The nets of the ConflictSet cases above, at enabling and disabling
-  // markings; the buffer arrives holding stale ids each time.
-  PetriNet priorities;
-  {
-    const PlaceId p = priorities.AddPlace("p", 1);
-    const TransitionId low = priorities.AddImmediateTransition("low", 1);
-    const TransitionId high = priorities.AddImmediateTransition("high", 5);
-    const TransitionId timed =
-        priorities.AddExponentialTransition("timed", 1.0);
-    priorities.AddInputArc(low, p);
-    priorities.AddInputArc(high, p);
-    priorities.AddInputArc(timed, p);
-  }
-  PetriNet groups;
-  {
-    const PlaceId p = groups.AddPlace("p", 1);
-    const TransitionId a = groups.AddImmediateTransition("a", 2, 1.0);
-    const TransitionId b = groups.AddImmediateTransition("b", 2, 3.0);
-    const TransitionId c = groups.AddImmediateTransition("c", 1, 1.0);
-    groups.AddInputArc(a, p);
-    groups.AddInputArc(b, p);
-    groups.AddInputArc(c, p);
-  }
-  for (const PetriNet* net : {&priorities, &groups}) {
-    for (const Marking& m : {Marking{0}, Marking{1}}) {
-      std::vector<TransitionId> buffer{7, 7, 7};
-      EnabledImmediateConflictSet(*net, m, buffer);
-      EXPECT_EQ(buffer, EnabledImmediateConflictSet(*net, m));
-    }
-  }
-  std::vector<TransitionId> buffer{7, 7, 7};
-  EnabledImmediateConflictSet(groups, {1}, buffer);
-  EXPECT_EQ(buffer, (std::vector<TransitionId>{0, 1}));
-  EnabledImmediateConflictSet(groups, {0}, buffer);
-  EXPECT_TRUE(buffer.empty());
 }
 
 TEST(EnabledLists, TimedVsImmediate) {
