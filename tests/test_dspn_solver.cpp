@@ -1,10 +1,15 @@
 // Exact DSPN solver (embedded Markov chain + subordinated CTMCs):
 // closed-form fixtures, agreement with the token-game simulator and the
-// Erlang stage expansion, precondition checks, and the paper's CPU net.
+// Erlang stage expansion, precondition checks, the paper's CPU net, and
+// bit-exact pins of both exact solvers on that net.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "core/cpu_petri_net.hpp"
 #include "core/models.hpp"
 #include "petri/ctmc_solver.hpp"
 #include "petri/dspn_solver.hpp"
@@ -229,6 +234,139 @@ TEST(DspnExact, CpuNetBeatsSupplementaryVariablesAtLargePud) {
                             std::abs(em.shares.idle - es.shares.idle);
   EXPECT_LT(exact_err, 0.03);
   EXPECT_GT(markov_err, 10.0 * exact_err);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact pins of the exact DSPN solver and the Erlang stage expansion on
+// the Fig. 3 net at PUD = 10 s, PDT = 0.5 s (lambda = 1, mu = 10).  Both
+// solvers are RNG-free; these bits move only if the arithmetic, its order,
+// or the order in which tangible markings and their successors are visited
+// changes.  At both caps below some mass is truncated, both in plain CTMC
+// steps and inside PUT windows, and PDT windows have exits, so every branch
+// of the embedded-chain construction is covered.
+
+struct PinnedSteadyState {
+  std::size_t tangible_states;
+  std::size_t expanded_states;
+  std::vector<std::uint64_t> mean_token_bits;
+  std::vector<std::uint64_t> prob_nonempty_bits;
+  std::vector<std::uint64_t> throughput_bits;
+};
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+void ExpectPinned(const SpnSteadyState& ss, const PinnedSteadyState& want) {
+  EXPECT_EQ(ss.tangible_states, want.tangible_states);
+  EXPECT_EQ(ss.expanded_states, want.expanded_states);
+  EXPECT_EQ(Bits(ss.mean_tokens), want.mean_token_bits);
+  EXPECT_EQ(Bits(ss.prob_nonempty), want.prob_nonempty_bits);
+  EXPECT_EQ(Bits(ss.throughput), want.throughput_bits);
+}
+
+PetriNet PinCpuNet() {
+  core::CpuParams params;
+  params.arrival_rate = 1.0;
+  params.service_rate = 10.0;
+  params.power_up_delay = 10.0;
+  params.power_down_threshold = 0.5;
+  return core::BuildCpuPetriNet(params);
+}
+
+SpnSteadyState PinDspn(std::uint32_t truncate_tokens) {
+  DspnOptions opts;
+  opts.truncate_tokens = truncate_tokens;
+  return SolveDspnExact(PinCpuNet(), opts);
+}
+
+SpnSteadyState PinStages(std::uint32_t truncate_tokens) {
+  SolverOptions opts;
+  opts.det_stages = 4;
+  opts.truncate_tokens = truncate_tokens;
+  return SolveSteadyState(PinCpuNet(), opts);
+}
+
+TEST(ExactSolverPin, DspnCpuNetAtModelCap) {
+  ExpectPinned(PinDspn(70),
+               {143,
+                143,
+                {0x3ff0000000000005ULL, 0x0000000000000000ULL,
+                 0x4014a5c6c568a140ULL, 0x40128af5743a5887ULL,
+                 0x3fb3c76c37b5b7bdULL, 0x3fe8b94745a324e6ULL,
+                 0x3fc3372ccd98909bULL, 0x3fecccccccccd09cULL,
+                 0x3fb9999999997b64ULL},
+                {0x3ff0000000000005ULL, 0x0000000000000000ULL,
+                 0x3feb842051b88fcfULL, 0x3fe8b94745a324e6ULL,
+                 0x3fb3c76c37b5b7bdULL, 0x3fe8b94745a324e6ULL,
+                 0x3fc3372ccd98909bULL, 0x3fecccccccccd09cULL,
+                 0x3fb9999999997b64ULL},
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x0000000000000000ULL, 0x3fb3c76c37b5b7bdULL,
+                 0x0000000000000000ULL, 0x0000000000000000ULL,
+                 0x3fefffffffffda35ULL, 0x3fb3c76c37b5c43bULL}});
+}
+
+TEST(ExactSolverPin, DspnCpuNetAtSmallCap) {
+  ExpectPinned(PinDspn(6),
+               {15,
+                15,
+                {0x3ff0000000000001ULL, 0x0000000000000000ULL,
+                 0x400e39801beeb9fdULL, 0x400d1d5cf66c9ce6ULL,
+                 0x3fb4ad0ee030aed0ULL, 0x3fe9d852983cd9b6ULL,
+                 0x3fbc905c5de8838bULL, 0x3fee1b2b79703b1eULL,
+                 0x3fae4d4868fc4e41ULL},
+                {0x3ff0000000000001ULL, 0x0000000000000000ULL,
+                 0x3feb50116eade1ceULL, 0x3fe9d852983cd9b6ULL,
+                 0x3fb4ad0ee030aed0ULL, 0x3fe9d852983cd9b6ULL,
+                 0x3fbc905c5de8838bULL, 0x3fee1b2b79703b1eULL,
+                 0x3fae4d4868fc4e41ULL},
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x0000000000000000ULL, 0x3fb4ad0ee030aecfULL,
+                 0x0000000000000000ULL, 0x0000000000000000ULL,
+                 0x3fe2f04d419db0e8ULL, 0x3fb4ad0ee030a33aULL}});
+}
+
+TEST(ExactSolverPin, StageExpansionCpuNetAtModelCap) {
+  ExpectPinned(PinStages(70),
+               {143,
+                356,
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x40190a61803aada6ULL, 0x40167f1a5d1eab49ULL,
+                 0x3fb3dbe5db7d01b6ULL, 0x3fe8d2df525c4223ULL,
+                 0x3fc2c68fc8d0769fULL, 0x3fecccccce58bfb3ULL,
+                 0x3fb999998d3a026cULL},
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x3feba04791370f7aULL, 0x3fe8d2df525c4223ULL,
+                 0x3fb3dbe5db7d01b6ULL, 0x3fe8d2df525c4223ULL,
+                 0x3fc2c68fc8d0769fULL, 0x3fecccccce58bfb3ULL,
+                 0x3fb999998d3a026cULL},
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x0000000000000000ULL, 0x3fb3dbe5db7d01b8ULL,
+                 0x0000000000000000ULL, 0x0000000000000000ULL,
+                 0x3feffffff0888308ULL, 0x3fb3dbe5db7d01b6ULL}});
+}
+
+TEST(ExactSolverPin, StageExpansionCpuNetAtSmallCap) {
+  ExpectPinned(PinStages(6),
+               {15,
+                36,
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x400ec2bc5ca08a3fULL, 0x400dbd87f1209f5fULL,
+                 0x3fb4d30c0be01bfaULL, 0x3fea07cf0ed822faULL,
+                 0x3fbaee7b7d5ecc27ULL, 0x3fee3338de50d856ULL,
+                 0x3faccc721af27aa5ULL},
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x3feb69d86894d21eULL, 0x3fea07cf0ed822faULL,
+                 0x3fb4d30c0be01bfaULL, 0x3fea07cf0ed822faULL,
+                 0x3fbaee7b7d5ecc27ULL, 0x3fee3338de50d856ULL,
+                 0x3faccc721af27aa5ULL},
+                {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                 0x0000000000000000ULL, 0x3fb4d30c0be01bfeULL,
+                 0x0000000000000000ULL, 0x0000000000000000ULL,
+                 0x3fe1ffc750d78ca8ULL, 0x3fb4d30c0be01bfaULL}});
 }
 
 }  // namespace

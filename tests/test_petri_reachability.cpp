@@ -1,7 +1,11 @@
 // Reachability: state counts on known nets, tangible/vanishing
 // classification, dead markings, unboundedness guards and vanishing
-// resolution distributions.
+// resolution distributions, and a bit-exact pin of a tangible graph.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "petri/reachability.hpp"
 #include "petri/standard_nets.hpp"
@@ -182,6 +186,58 @@ TEST(TangibleGraph, RejectsDeterministicNets) {
   net.AddInputArc(t, a);
   net.AddOutputArc(t, a);
   EXPECT_THROW(BuildTangibleGraph(net), util::InvalidArgument);
+}
+
+TEST(TangibleGraph, PinnedOnWeightedConflicts) {
+  // Equal-priority acquire_* immediates with weights 1, 2, 3 give
+  // multi-target vanishing distributions.  Every edge (from, via, to,
+  // rate bits) is pinned in emission order, together with the initial
+  // distribution: these move if tangible markings are interned in another
+  // order or a firing's targets are visited in another order.
+  struct PinnedEdge {
+    std::size_t from;
+    TransitionId via;
+    std::size_t to;
+    std::uint64_t rate_bits;
+  };
+  const std::vector<PinnedEdge> want = {
+      {0, 7, 3, 0x3fe5555555555555ULL},  {0, 7, 4, 0x3fd5555555555555ULL},
+      {1, 4, 5, 0x3fe8000000000000ULL},  {1, 4, 6, 0x3fd0000000000000ULL},
+      {2, 1, 7, 0x3fe3333333333333ULL},  {2, 1, 8, 0x3fd999999999999aULL},
+      {3, 4, 9, 0x3ff0000000000000ULL},  {3, 8, 1, 0x4000000000000000ULL},
+      {4, 1, 10, 0x3ff0000000000000ULL}, {4, 8, 2, 0x4000000000000000ULL},
+      {5, 5, 0, 0x4000000000000000ULL},  {5, 7, 9, 0x3ff0000000000000ULL},
+      {6, 1, 11, 0x3ff0000000000000ULL}, {6, 5, 2, 0x4000000000000000ULL},
+      {7, 2, 0, 0x4000000000000000ULL},  {7, 7, 10, 0x3ff0000000000000ULL},
+      {8, 2, 1, 0x4000000000000000ULL},  {8, 4, 11, 0x3ff0000000000000ULL},
+      {9, 1, 12, 0x3ff0000000000000ULL}, {9, 5, 4, 0x4000000000000000ULL},
+      {9, 8, 6, 0x4000000000000000ULL},  {10, 2, 3, 0x4000000000000000ULL},
+      {10, 4, 12, 0x3ff0000000000000ULL}, {10, 8, 8, 0x4000000000000000ULL},
+      {11, 2, 5, 0x4000000000000000ULL}, {11, 5, 7, 0x4000000000000000ULL},
+      {11, 7, 12, 0x3ff0000000000000ULL}, {12, 2, 9, 0x4000000000000000ULL},
+      {12, 5, 10, 0x4000000000000000ULL}, {12, 8, 11, 0x4000000000000000ULL},
+  };
+  const TangibleGraph g =
+      BuildTangibleGraph(MakeSharedResourceNet(3, 1.0, 2.0));
+  EXPECT_EQ(g.markings.size(), 13u);
+  ASSERT_EQ(g.edges.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const TangibleEdge& e = g.edges[i];
+    EXPECT_EQ(e.from, want[i].from) << "edge " << i;
+    EXPECT_EQ(e.via, want[i].via) << "edge " << i;
+    EXPECT_EQ(e.to, want[i].to) << "edge " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(e.rate), want[i].rate_bits)
+        << "edge " << i;
+  }
+  std::vector<std::uint64_t> init_bits;
+  for (double p : g.initial_distribution) {
+    init_bits.push_back(std::bit_cast<std::uint64_t>(p));
+  }
+  std::vector<std::uint64_t> want_init(13, 0);
+  want_init[0] = 0x3fe0000000000000ULL;
+  want_init[1] = 0x3fd5555555555555ULL;
+  want_init[2] = 0x3fc5555555555555ULL;
+  EXPECT_EQ(init_bits, want_init);
 }
 
 }  // namespace
