@@ -87,10 +87,11 @@ struct StageInfo {
   std::size_t stages = 1;    ///< k
   double phase_rate = 0.0;   ///< nu (rate of each phase)
   double exp_rate = 0.0;     ///< for exponential transitions
+  std::size_t general = 0;   ///< index into the general transitions
 };
 
 struct ExpandedState {
-  std::size_t marking;             ///< index into interned tangible markings
+  std::size_t marking;             ///< index into the tangible space
   std::vector<std::uint32_t> phases;  ///< per general transition
 
   bool operator==(const ExpandedState& other) const noexcept {
@@ -111,7 +112,9 @@ struct ExpandedStateHash {
 class StageExpansionSolver {
  public:
   StageExpansionSolver(const PetriNet& net, const SolverOptions& opts)
-      : net_(net), opts_(opts), resolver_options_(opts.reach) {
+      : net_(net),
+        opts_(opts),
+        space_(net, opts.truncate_tokens, opts.reach) {
     Require(opts.det_stages >= 1,
             "det_stages must be >= 1 for deterministic nets");
     BuildStageInfo();
@@ -130,7 +133,7 @@ class StageExpansionSolver {
     const std::size_t nt = net_.TransitionCount();
     std::vector<double> completion(n * nt, 0.0);
     for (std::size_t s = 0; s < n; ++s) {
-      const Marking& m = markings_[states_[s].marking];
+      const Marking& m = space_.Markings()[states_[s].marking];
       std::size_t g_idx = 0;
       for (TransitionId t = 0; t < nt; ++t) {
         const Transition& tr = net_.GetTransition(t);
@@ -153,8 +156,8 @@ class StageExpansionSolver {
 
     std::vector<std::size_t> state_marking(n);
     for (std::size_t s = 0; s < n; ++s) state_marking[s] = states_[s].marking;
-    return StatsFromDistribution(net_, markings_, state_marking, pi,
-                                 completion, markings_.size());
+    return StatsFromDistribution(net_, space_.Markings(), state_marking, pi,
+                                 completion, space_.Size());
   }
 
  private:
@@ -174,11 +177,13 @@ class StageExpansionSolver {
         info.is_general = true;
         info.stages = opts_.det_stages;
         info.phase_rate = static_cast<double>(opts_.det_stages) / d->value;
+        info.general = general_transitions_.size();
         general_transitions_.push_back(t);
       } else if (const auto* er = std::get_if<util::Erlang>(&v)) {
         info.is_general = true;
         info.stages = static_cast<std::size_t>(er->k);
         info.phase_rate = er->rate;
+        info.general = general_transitions_.size();
         general_transitions_.push_back(t);
       } else {
         throw ModelError(
@@ -187,12 +192,6 @@ class StageExpansionSolver {
             tr.delay->Describe());
       }
     }
-  }
-
-  std::size_t InternMarking(const Marking& m) {
-    auto [it, inserted] = marking_index_.emplace(m, markings_.size());
-    if (inserted) markings_.push_back(m);
-    return it->second;
   }
 
   std::size_t InternState(ExpandedState s, std::deque<std::size_t>& frontier) {
@@ -223,15 +222,11 @@ class StageExpansionSolver {
   }
 
   void Explore() {
-    const auto init_dist =
-        ResolveVanishingDistribution(net_, net_.InitialMarking(),
-                                     resolver_options_);
     std::deque<std::size_t> frontier;
-    for (const auto& [m, p] : init_dist) {
+    for (const auto& [marking, p] : space_.Initial()) {
       (void)p;
-      ExpandedState s{InternMarking(m),
-                      std::vector<std::uint32_t>(
-                          general_transitions_.size(), 0)};
+      ExpandedState s{marking, std::vector<std::uint32_t>(
+                                   general_transitions_.size(), 0)};
       InternState(std::move(s), frontier);
     }
 
@@ -240,73 +235,48 @@ class StageExpansionSolver {
       const std::size_t cur = frontier.front();
       frontier.pop_front();
       const ExpandedState state = states_[cur];  // copy (vector reallocs)
-      const Marking m = markings_[state.marking];
 
-      std::size_t g_idx = 0;
-      for (TransitionId t = 0; t < net_.TransitionCount(); ++t) {
-        const Transition& tr = net_.GetTransition(t);
-        if (tr.kind != TransitionKind::kTimed) continue;
-        const StageInfo& info = stage_info_[t];
-        const bool enabled = IsEnabled(net_, t, m);
-        if (!enabled) {
-          if (info.is_general) ++g_idx;
-          continue;
-        }
-
+      for (const TangibleSpace::Firing& f : space_.Firings(state.marking)) {
+        const StageInfo& info = stage_info_[f.t];
         if (!info.is_general) {
           // Exponential firing.
-          EmitFiring(cur, state, m, t, info.exp_rate, kNone, frontier);
+          EmitFiring(cur, state, f, info.exp_rate, kNone, frontier);
+        } else if (state.phases[info.general] + 1 < info.stages) {
+          // Phase advance.
+          ExpandedState next = state;
+          ++next.phases[info.general];
+          const std::size_t to = InternState(std::move(next), frontier);
+          edges_.emplace_back(cur, to, info.phase_rate);
         } else {
-          const std::uint32_t phase = state.phases[g_idx];
-          if (phase + 1 < info.stages) {
-            // Phase advance.
-            ExpandedState next = state;
-            ++next.phases[g_idx];
-            const std::size_t to = InternState(std::move(next), frontier);
-            edges_.emplace_back(cur, to, info.phase_rate);
-          } else {
-            // Last phase completes: the transition fires.
-            EmitFiring(cur, state, m, t, info.phase_rate, g_idx, frontier);
-          }
-          ++g_idx;
+          // Last phase completes: the transition fires.
+          EmitFiring(cur, state, f, info.phase_rate, info.general, frontier);
         }
       }
     }
   }
 
-  bool ExceedsTruncation(const Marking& m) const {
-    if (opts_.truncate_tokens == 0) return false;
-    for (std::uint32_t v : m) {
-      if (v > opts_.truncate_tokens) return true;
-    }
-    return false;
-  }
-
+  /// Edges for `firing` completing at `rate` from expanded state `cur`.
+  /// Truncated targets get no edge (loss truncation).
   void EmitFiring(std::size_t cur, const ExpandedState& state,
-                  const Marking& m, TransitionId t, double rate,
+                  const TangibleSpace::Firing& firing, double rate,
                   std::size_t fired_general,
                   std::deque<std::size_t>& frontier) {
-    Marking fired = Fire(net_, t, m);
-    const auto dist =
-        ResolveVanishingDistribution(net_, fired, resolver_options_);
-    for (const auto& [tm, tp] : dist) {
-      if (ExceedsTruncation(tm)) continue;  // blocked (loss truncation)
-      ExpandedState next{InternMarking(tm),
-                         SuccessorPhases(state.phases, tm, fired_general)};
+    for (const auto& [marking, p] : firing.targets) {
+      ExpandedState next{
+          marking, SuccessorPhases(state.phases, space_.Markings()[marking],
+                                   fired_general)};
       const std::size_t to = InternState(std::move(next), frontier);
-      edges_.emplace_back(cur, to, rate * tp);
+      edges_.emplace_back(cur, to, rate * p);
     }
   }
 
   const PetriNet& net_;
   const SolverOptions& opts_;
-  ReachabilityOptions resolver_options_;
 
   std::vector<StageInfo> stage_info_;
   std::vector<TransitionId> general_transitions_;
 
-  std::vector<Marking> markings_;
-  std::unordered_map<Marking, std::size_t, MarkingHash> marking_index_;
+  TangibleSpace space_;
   std::vector<ExpandedState> states_;
   std::unordered_map<ExpandedState, std::size_t, ExpandedStateHash>
       state_index_;

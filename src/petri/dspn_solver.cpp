@@ -1,12 +1,12 @@
 #include "petri/dspn_solver.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <unordered_map>
 
 #include "linalg/iterative.hpp"
 #include "linalg/sparse.hpp"
-#include "petri/enabling.hpp"
 #include "util/error.hpp"
 
 namespace wsn::petri {
@@ -46,10 +46,12 @@ struct TransitionInfo {
   double delay = 0.0;  ///< deterministic delay
 };
 
+using Firing = TangibleSpace::Firing;
+
 class DspnSolver {
  public:
   DspnSolver(const PetriNet& net, const DspnOptions& opts)
-      : net_(net), opts_(opts) {
+      : net_(net), opts_(opts), space_(net, opts.truncate_tokens, opts.reach) {
     net_.Validate();
     ClassifyTransitions();
   }
@@ -84,92 +86,39 @@ class DspnSolver {
     }
   }
 
-  bool ExceedsTruncation(const Marking& m) const {
-    if (opts_.truncate_tokens == 0) return false;
-    for (std::uint32_t v : m) {
-      if (v > opts_.truncate_tokens) return true;
-    }
-    return false;
-  }
-
-  std::size_t Intern(const Marking& m, std::deque<std::size_t>& frontier) {
-    auto [it, inserted] = index_.emplace(m, markings_.size());
-    if (inserted) {
-      if (markings_.size() >= opts_.reach.max_markings) {
-        throw ModelError("DSPN tangible space exceeds marking cap");
-      }
-      markings_.push_back(m);
-      frontier.push_back(it->second);
-    }
-    return it->second;
-  }
-
-  /// Distribution over *interned, truncation-respecting* tangible states
-  /// after firing `t` in `m`; dropped (truncated) mass is returned so
-  /// callers can convert it into self-loop probability.
-  std::vector<std::pair<std::size_t, double>> FireToStates(
-      TransitionId t, const Marking& m, double* dropped,
-      std::deque<std::size_t>& frontier) {
-    std::vector<std::pair<std::size_t, double>> out;
-    *dropped = 0.0;
-    const Marking fired = Fire(net_, t, m);
-    const auto dist = ResolveVanishingDistribution(net_, fired, opts_.reach);
-    for (const auto& [tm, tp] : dist) {
-      if (ExceedsTruncation(tm)) {
-        *dropped += tp;
-        continue;
-      }
-      out.emplace_back(Intern(tm, frontier), tp);
-    }
-    return out;
-  }
-
+  /// Walk the tangible space in index order, which interns each marking's
+  /// successors behind those already listed (breadth-first), and classify
+  /// every marking against the DSPN solvability condition.
   void ExploreTangibleSpace() {
-    std::deque<std::size_t> frontier;
-    const auto init =
-        ResolveVanishingDistribution(net_, net_.InitialMarking(), opts_.reach);
-    for (const auto& [m, p] : init) {
-      (void)p;
-      Require(!ExceedsTruncation(m), "initial marking exceeds truncation");
-      Intern(m, frontier);
-    }
-    while (!frontier.empty()) {
-      const std::size_t cur = frontier.front();
-      frontier.pop_front();
-      const Marking m = markings_[cur];  // copy: vector may grow
-      for (TransitionId t = 0; t < net_.TransitionCount(); ++t) {
-        if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-        if (!IsEnabled(net_, t, m)) continue;
-        double dropped = 0.0;
-        (void)FireToStates(t, m, &dropped, frontier);
-      }
-    }
-
-    // Classify states and check the DSPN solvability condition.
-    det_of_state_.assign(markings_.size(), kNone);
-    for (std::size_t s = 0; s < markings_.size(); ++s) {
-      std::size_t det_count = 0;
-      bool any_timed = false;
-      for (TransitionId t = 0; t < net_.TransitionCount(); ++t) {
-        if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-        if (!IsEnabled(net_, t, markings_[s])) continue;
-        any_timed = true;
-        if (info_[t].is_det) {
-          det_of_state_[s] = t;
-          ++det_count;
-        }
-      }
-      if (det_count > 1) {
-        throw ModelError(
-            "DSPN solvability violated: more than one deterministic "
-            "transition enabled in a reachable tangible marking");
-      }
-      if (!any_timed) {
+    space_.Initial();
+    for (std::size_t s = 0; s < space_.Size(); ++s) {
+      const std::vector<Firing>& firings = space_.Firings(s);
+      if (firings.empty()) {
         throw ModelError(
             "DSPN solver: reachable dead tangible marking (the embedded "
             "chain would absorb); steady state is degenerate");
       }
+      TransitionId det = kNone;
+      for (const Firing& f : firings) {
+        if (!info_[f.t].is_det) continue;
+        if (det != kNone) {
+          throw ModelError(
+              "DSPN solvability violated: more than one deterministic "
+              "transition enabled in a reachable tangible marking");
+        }
+        det = f.t;
+      }
+      det_of_state_.push_back(det);
     }
+  }
+
+  /// The firing of `t` from marking `s`; `t` must be enabled there.
+  const Firing& FiringOf(std::size_t s, TransitionId t) {
+    const std::vector<Firing>& firings = space_.Firings(s);
+    const auto it = std::find_if(firings.begin(), firings.end(),
+                                 [t](const Firing& f) { return f.t == t; });
+    Require(it != firings.end(), "internal: transition not enabled");
+    return *it;
   }
 
   /// Subordinated-CTMC transient analysis for a deterministic window.
@@ -202,8 +151,6 @@ class DspnSolver {
     };
     std::vector<Edge> edges;
 
-    std::deque<std::size_t> grow;  // Intern frontier; stays empty (the
-                                   // tangible space is already closed)
     std::deque<std::size_t> work;
     live_id(source);
     work.push_back(source);
@@ -213,18 +160,14 @@ class DspnSolver {
       const std::size_t g = work.front();
       work.pop_front();
       const std::size_t li = live_id(g);
-      const Marking m = markings_[g];
-      for (TransitionId t = 0; t < net_.TransitionCount(); ++t) {
-        if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-        if (info_[t].is_det || !IsEnabled(net_, t, m)) continue;
-        double dropped = 0.0;
-        const auto targets = FireToStates(t, m, &dropped, grow);
+      for (const Firing& f : space_.Firings(g)) {
+        if (info_[f.t].is_det) continue;
         // Truncation-dropped mass = blocked firing: treat as the firing
         // not happening (rate reduced); approximate by scaling the edge.
-        for (const auto& [gz, p] : targets) {
+        for (const auto& [gz, p] : f.targets) {
           Edge e;
           e.from = li;
-          e.rate = info_[t].rate * p;
+          e.rate = info_[f.t].rate * p;
           if (det_of_state_[gz] == det) {
             e.to = live_id(gz);
             if (!visited[gz]) {
@@ -326,38 +269,30 @@ class DspnSolver {
   }
 
   void BuildEmbeddedChain() {
-    const std::size_t n = markings_.size();
+    const std::size_t n = space_.Size();
     const std::size_t nt = net_.TransitionCount();
     emc_rows_.assign(n, {});
     sojourn_.assign(n, {});
     duration_.assign(n, 0.0);
-    firings_.assign(n * nt, 0.0);
-    std::deque<std::size_t> grow;  // space is closed; Intern won't grow it
+    expected_firings_.assign(n * nt, 0.0);
 
     for (std::size_t s = 0; s < n; ++s) {
-      const Marking m = markings_[s];
+      const std::vector<Firing>& firings = space_.Firings(s);
       const TransitionId det = det_of_state_[s];
       if (det == kNone) {
         // Plain CTMC step.
         double total = 0.0;
-        for (TransitionId t = 0; t < nt; ++t) {
-          if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-          if (!IsEnabled(net_, t, m)) continue;
-          total += info_[t].rate;
-        }
+        for (const Firing& f : firings) total += info_[f.t].rate;
         duration_[s] = 1.0 / total;
         sojourn_[s].emplace_back(s, 1.0 / total);
         double self_mass = 0.0;
-        for (TransitionId t = 0; t < nt; ++t) {
-          if (net_.GetTransition(t).kind != TransitionKind::kTimed) continue;
-          if (!IsEnabled(net_, t, m)) continue;
-          const double p_fire = info_[t].rate / total;
-          firings_[s * nt + t] += p_fire;
-          double dropped = 0.0;
-          for (const auto& [z, pz] : FireToStates(t, m, &dropped, grow)) {
+        for (const Firing& f : firings) {
+          const double p_fire = info_[f.t].rate / total;
+          expected_firings_[s * nt + f.t] += p_fire;
+          for (const auto& [z, pz] : f.targets) {
             emc_rows_[s].emplace_back(z, p_fire * pz);
           }
-          self_mass += p_fire * dropped;
+          self_mass += p_fire * f.dropped;
         }
         if (self_mass > 0.0) emc_rows_[s].emplace_back(s, self_mass);
       } else {
@@ -370,14 +305,9 @@ class DspnSolver {
           step_time += lx;
           sojourn_[s].emplace_back(sub.live[x], lx);
           // Expected exponential firings while dwelling in live state x.
-          const Marking& mx = markings_[sub.live[x]];
-          for (TransitionId t = 0; t < nt; ++t) {
-            if (net_.GetTransition(t).kind != TransitionKind::kTimed ||
-                info_[t].is_det) {
-              continue;
-            }
-            if (IsEnabled(net_, t, mx)) {
-              firings_[s * nt + t] += info_[t].rate * lx;
+          for (const Firing& f : space_.Firings(sub.live[x])) {
+            if (!info_[f.t].is_det) {
+              expected_firings_[s * nt + f.t] += info_[f.t].rate * lx;
             }
           }
         }
@@ -388,13 +318,12 @@ class DspnSolver {
         for (std::size_t x = 0; x < sub.live.size(); ++x) {
           const double fx = sub.at_tau[x];
           if (fx <= 0.0) continue;
-          firings_[s * nt + det] += fx;
-          double dropped = 0.0;
-          for (const auto& [z, pz] :
-               FireToStates(det, markings_[sub.live[x]], &dropped, grow)) {
+          expected_firings_[s * nt + det] += fx;
+          const Firing& fd = FiringOf(sub.live[x], det);
+          for (const auto& [z, pz] : fd.targets) {
             emc_rows_[s].emplace_back(z, fx * pz);
           }
-          self_mass += fx * dropped;
+          self_mass += fx * fd.dropped;
         }
         // Pre-empted: the embedded chain resumes at the exit marking.
         for (const auto& [z, pz] : sub.exits) {
@@ -403,11 +332,10 @@ class DspnSolver {
         if (self_mass > 0.0) emc_rows_[s].emplace_back(s, self_mass);
       }
     }
-    Require(grow.empty(), "internal: tangible space was not closed");
   }
 
   SpnSteadyState Combine() {
-    const std::size_t n = markings_.size();
+    const std::size_t n = space_.Size();
     const std::size_t nt = net_.TransitionCount();
 
     // Stationary vector of the embedded DTMC via pi (P - I) = 0.
@@ -452,15 +380,16 @@ class DspnSolver {
     out.expanded_states = n;
     for (std::size_t x = 0; x < n; ++x) {
       const double p = time_weight[x] / total_time;
+      const Marking& m = space_.Markings()[x];
       for (std::size_t pl = 0; pl < net_.PlaceCount(); ++pl) {
-        out.mean_tokens[pl] += p * static_cast<double>(markings_[x][pl]);
-        if (markings_[x][pl] > 0) out.prob_nonempty[pl] += p;
+        out.mean_tokens[pl] += p * static_cast<double>(m[pl]);
+        if (m[pl] > 0) out.prob_nonempty[pl] += p;
       }
     }
     for (TransitionId t = 0; t < nt; ++t) {
       double expected_firings = 0.0;
       for (std::size_t s = 0; s < n; ++s) {
-        expected_firings += pi[s] * firings_[s * nt + t];
+        expected_firings += pi[s] * expected_firings_[s * nt + t];
       }
       out.throughput[t] = expected_firings / total_time;
     }
@@ -471,14 +400,13 @@ class DspnSolver {
   const DspnOptions& opts_;
   std::vector<TransitionInfo> info_;
 
-  std::vector<Marking> markings_;
-  std::unordered_map<Marking, std::size_t, MarkingHash> index_;
+  TangibleSpace space_;
   std::vector<std::size_t> det_of_state_;
 
   std::vector<std::vector<std::pair<std::size_t, double>>> emc_rows_;
   std::vector<std::vector<std::pair<std::size_t, double>>> sojourn_;
   std::vector<double> duration_;
-  std::vector<double> firings_;
+  std::vector<double> expected_firings_;  ///< per (state, transition)
 };
 
 }  // namespace

@@ -23,6 +23,9 @@
 //     resumes there immediately).
 // The embedded DTMC's stationary vector, weighted by the expected sojourn
 // times (conversion factors), yields exact time-stationary probabilities.
+// Every step reads its successor distributions from one TangibleSpace, so
+// each timed transition is fired (and its vanishing chain resolved) once
+// per tangible marking, however many windows that marking is live in.
 //
 // Unlike the Erlang stage expansion in ctmc_solver.hpp this introduces no
 // distribution-shape approximation; accuracy is limited only by the

@@ -1,6 +1,7 @@
 #include "petri/reachability.hpp"
 
 #include <deque>
+#include <string>
 #include <unordered_set>
 
 #include "petri/enabling.hpp"
@@ -97,8 +98,10 @@ ReachabilityGraph ExploreReachability(const PetriNet& net,
 }
 
 namespace {
-
 using Distribution = std::unordered_map<Marking, double, MarkingHash>;
+}  // namespace
+
+namespace detail {
 
 /// Depth-first vanishing resolution with memoization and cycle detection.
 class VanishingResolver {
@@ -151,13 +154,94 @@ class VanishingResolver {
   std::unordered_set<Marking, MarkingHash> on_stack_;
 };
 
-}  // namespace
+}  // namespace detail
 
 Distribution ResolveVanishingDistribution(const PetriNet& net,
                                           const Marking& m,
                                           const ReachabilityOptions& opts) {
-  VanishingResolver resolver(net, opts);
+  detail::VanishingResolver resolver(net, opts);
   return resolver.Resolve(m);
+}
+
+TangibleSpace::TangibleSpace(const PetriNet& net,
+                             std::uint32_t truncate_tokens,
+                             const ReachabilityOptions& reach)
+    : net_(net),
+      truncate_tokens_(truncate_tokens),
+      reach_(reach),
+      resolver_(std::make_unique<detail::VanishingResolver>(net, reach_)) {
+  for (TransitionId t = 0; t < net.TransitionCount(); ++t) {
+    if (net.GetTransition(t).kind == TransitionKind::kTimed) {
+      timed_.push_back(t);
+    }
+  }
+}
+
+TangibleSpace::~TangibleSpace() = default;
+
+bool TangibleSpace::Truncated(const Marking& m) const noexcept {
+  if (truncate_tokens_ == 0) return false;
+  for (std::uint32_t v : m) {
+    if (v > truncate_tokens_) return true;
+  }
+  return false;
+}
+
+std::vector<std::pair<std::size_t, double>> TangibleSpace::Initial() {
+  std::vector<std::pair<std::size_t, double>> out;
+  for (const auto& [m, p] : resolver_->Resolve(net_.InitialMarking())) {
+    Require(!Truncated(m), "initial marking exceeds truncation");
+    out.emplace_back(Intern(m), p);
+  }
+  return out;
+}
+
+std::size_t TangibleSpace::Intern(const Marking& m) {
+  const auto [it, inserted] = index_.emplace(m, markings_.size());
+  if (inserted) {
+    if (markings_.size() >= reach_.max_markings) {
+      index_.erase(it);
+      throw ModelError("tangible reachability exceeds the marking cap of " +
+                       std::to_string(reach_.max_markings));
+    }
+    markings_.push_back(m);
+    firings_.emplace_back();
+    computed_.push_back(false);
+  }
+  return it->second;
+}
+
+void TangibleSpace::AddTarget(Firing& f, const Marking& m, double p) {
+  if (Truncated(m)) {
+    f.dropped += p;
+  } else {
+    f.targets.emplace_back(Intern(m), p);
+  }
+}
+
+const std::vector<TangibleSpace::Firing>& TangibleSpace::Firings(
+    std::size_t i) {
+  if (computed_[i]) return firings_[i];
+  source_ = markings_[i];  // copy: Intern below may grow markings_
+  std::vector<Firing> out;
+  for (TransitionId t : timed_) {
+    if (!IsEnabled(net_, t, source_)) continue;
+    Firing& f = out.emplace_back(Firing{t, {}, 0.0});
+    fired_ = source_;
+    FireInPlace(net_, t, fired_);
+    CheckBound(fired_, reach_.max_tokens_per_place);
+    if (IsTangible(net_, fired_)) {
+      // The resolver would return {fired_: 1}; skip its memo.
+      AddTarget(f, fired_, 1.0);
+      continue;
+    }
+    for (const auto& [tm, tp] : resolver_->Resolve(fired_)) {
+      AddTarget(f, tm, tp);
+    }
+  }
+  firings_[i] = std::move(out);
+  computed_[i] = true;
+  return firings_[i];
 }
 
 TangibleGraph BuildTangibleGraph(const PetriNet& net,
@@ -167,53 +251,24 @@ TangibleGraph BuildTangibleGraph(const PetriNet& net,
           "tangible graph requires all timed transitions exponential; "
           "use the stage-expansion solver for deterministic transitions");
 
+  TangibleSpace space(net, /*truncate_tokens=*/0, opts);
+  const std::vector<std::pair<std::size_t, double>> init = space.Initial();
   TangibleGraph graph;
-  std::unordered_map<Marking, std::size_t, MarkingHash> index;
-  VanishingResolver resolver(net, opts);
-
-  auto intern = [&](const Marking& m, std::deque<std::size_t>& frontier) {
-    auto [it, inserted] = index.emplace(m, graph.markings.size());
-    if (inserted) {
-      if (graph.markings.size() >= opts.max_markings) {
-        throw ModelError("tangible reachability exceeds marking cap");
-      }
-      graph.markings.push_back(m);
-      frontier.push_back(it->second);
-    }
-    return it->second;
-  };
-
-  std::deque<std::size_t> frontier;
-  const Distribution init = resolver.Resolve(net.InitialMarking());
-  std::vector<std::pair<std::size_t, double>> init_entries;
-  for (const auto& [m, p] : init) {
-    init_entries.emplace_back(intern(m, frontier), p);
-  }
-
-  while (!frontier.empty()) {
-    const std::size_t cur = frontier.front();
-    frontier.pop_front();
-    const Marking m = graph.markings[cur];  // copy: vector may reallocate
-    for (TransitionId t = 0; t < net.TransitionCount(); ++t) {
-      const Transition& tr = net.GetTransition(t);
-      if (tr.kind != TransitionKind::kTimed || !IsEnabled(net, t, m)) {
-        continue;
-      }
+  // Index order is breadth-first order: Firings(i) appends the markings it
+  // discovers behind those already interned.
+  for (std::size_t i = 0; i < space.Size(); ++i) {
+    for (const TangibleSpace::Firing& f : space.Firings(i)) {
       const double rate = std::get<util::Exponential>(
-                              tr.delay->AsVariant())
+                              net.GetTransition(f.t).delay->AsVariant())
                               .rate;
-      Marking fired = Fire(net, t, m);
-      CheckBound(fired, opts.max_tokens_per_place);
-      const Distribution& dist = resolver.Resolve(fired);
-      for (const auto& [tm, tp] : dist) {
-        const std::size_t to = intern(tm, frontier);
-        graph.edges.push_back({cur, t, to, rate * tp});
+      for (const auto& [to, p] : f.targets) {
+        graph.edges.push_back({i, f.t, to, rate * p});
       }
     }
   }
-
-  graph.initial_distribution.assign(graph.markings.size(), 0.0);
-  for (const auto& [idx, p] : init_entries) {
+  graph.markings = space.Markings();
+  graph.initial_distribution.assign(space.Size(), 0.0);
+  for (const auto& [idx, p] : init) {
     graph.initial_distribution[idx] += p;
   }
   return graph;

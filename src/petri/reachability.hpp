@@ -1,11 +1,15 @@
 // Reachability analysis: full state-space exploration for structural
 // questions (boundedness, deadlock detection) and tangible reachability
 // with vanishing-marking elimination — the front half of the numerical
-// SPN solver.
+// SPN solvers.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "petri/net.hpp"
@@ -57,6 +61,76 @@ ReachabilityGraph ExploreReachability(const PetriNet& net,
 std::unordered_map<Marking, double, MarkingHash> ResolveVanishingDistribution(
     const PetriNet& net, const Marking& m,
     const ReachabilityOptions& opts = {});
+
+namespace detail {
+class VanishingResolver;
+}  // namespace detail
+
+/// Tangible markings of a net, interned in discovery order, with every
+/// enabled timed transition fired from each of them exactly once.  A
+/// firing folds in its vanishing chain, leaves out target markings beyond
+/// the truncation cap and reports the probability it left out.  The exact
+/// DSPN, stage-expansion and tangible-graph solvers all read their
+/// successor distributions from this one table.
+class TangibleSpace {
+ public:
+  /// One timed transition fired from one tangible marking.
+  struct Firing {
+    TransitionId t;  ///< the timed transition fired
+    /// (marking index, probability) per tangible target, in the vanishing
+    /// resolver's order; truncated targets are left out.
+    std::vector<std::pair<std::size_t, double>> targets;
+    double dropped = 0.0;  ///< total probability of the truncated targets
+  };
+
+  /// `truncate_tokens` removes every target marking holding more tokens
+  /// than this in some place (0 = no truncation).  `reach` supplies the
+  /// marking cap, the per-place token bound and the vanishing depth
+  /// guard.  `net` must be valid and outlive the space.
+  TangibleSpace(const PetriNet& net, std::uint32_t truncate_tokens,
+                const ReachabilityOptions& reach = {});
+  ~TangibleSpace();
+  TangibleSpace(const TangibleSpace&) = delete;
+  TangibleSpace& operator=(const TangibleSpace&) = delete;
+
+  /// Resolve the initial marking into tangible markings, intern them and
+  /// return (index, probability) pairs in the resolver's order.  Throws
+  /// InvalidArgument if one of them exceeds the truncation cap.
+  std::vector<std::pair<std::size_t, double>> Initial();
+
+  /// Index of tangible marking `m`, interning it if it is new.  Throws
+  /// ModelError when that would exceed `reach.max_markings`.
+  std::size_t Intern(const Marking& m);
+
+  /// Interned markings, by index.
+  const std::vector<Marking>& Markings() const noexcept { return markings_; }
+
+  /// Number of interned markings.
+  std::size_t Size() const noexcept { return markings_.size(); }
+
+  /// Firings of the timed transitions enabled in marking `i`, in
+  /// ascending transition id.  Computed on the first call for `i`, which
+  /// interns any new target markings, and kept for the life of the space;
+  /// the reference stays valid as the space grows.
+  const std::vector<Firing>& Firings(std::size_t i);
+
+ private:
+  bool Truncated(const Marking& m) const noexcept;
+  /// Append tangible marking `m` with probability `p` to `f`'s targets,
+  /// or to its dropped mass if `m` is truncated.
+  void AddTarget(Firing& f, const Marking& m, double p);
+
+  const PetriNet& net_;
+  std::uint32_t truncate_tokens_;
+  ReachabilityOptions reach_;
+  std::unique_ptr<detail::VanishingResolver> resolver_;
+  std::vector<TransitionId> timed_;  ///< timed transitions, ascending id
+  std::vector<Marking> markings_;
+  std::unordered_map<Marking, std::size_t, MarkingHash> index_;
+  std::deque<std::vector<Firing>> firings_;  ///< deque: stable references
+  std::vector<bool> computed_;  ///< whether firings_[i] has been computed
+  Marking source_, fired_;      ///< scratch for Firings()
+};
 
 /// Tangible reachability graph: states are tangible markings; edges carry
 /// exponential rates with vanishing chains already folded in.  Only valid

@@ -1,12 +1,16 @@
 // Reachability: state counts on known nets, tangible/vanishing
-// classification, dead markings, unboundedness guards and vanishing
-// resolution distributions, and a bit-exact pin of a tangible graph.
+// classification, dead markings, unboundedness guards, vanishing
+// resolution distributions, the tangible firing table, and a bit-exact pin
+// of a tangible graph.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "core/cpu_petri_net.hpp"
+#include "petri/enabling.hpp"
 #include "petri/reachability.hpp"
 #include "petri/standard_nets.hpp"
 #include "util/error.hpp"
@@ -186,6 +190,96 @@ TEST(TangibleGraph, RejectsDeterministicNets) {
   net.AddInputArc(t, a);
   net.AddOutputArc(t, a);
   EXPECT_THROW(BuildTangibleGraph(net), util::InvalidArgument);
+}
+
+// The Fig. 3 net at PUD = 10 s, PDT = 0.5 s, truncated at `cap` tokens:
+// every list holds exactly the enabled timed transitions, each firing's
+// kept and dropped mass sums to 1, and mass is dropped both inside PUT
+// windows and in plain CTMC steps.
+void ExpectCpuNetSpace(std::uint32_t cap, std::size_t want_size) {
+  SCOPED_TRACE("cap " + std::to_string(cap));
+  core::CpuParams params;
+  params.power_up_delay = 10.0;
+  params.power_down_threshold = 0.5;
+  core::CpuNetLayout layout;
+  const PetriNet net = core::BuildCpuPetriNet(params, &layout);
+  TangibleSpace space(net, cap);
+  const auto init = space.Initial();
+  ASSERT_EQ(init.size(), 1u);
+  EXPECT_EQ(init[0].second, 1.0);
+
+  bool dropped_in_put_window = false;
+  bool dropped_in_plain_step = false;
+  for (std::size_t i = 0; i < space.Size(); ++i) {
+    const std::vector<TangibleSpace::Firing>& firings = space.Firings(i);
+    EXPECT_EQ(&firings, &space.Firings(i)) << "a list is computed once";
+    const Marking& m = space.Markings()[i];
+    EXPECT_TRUE(IsTangible(net, m));
+    std::vector<TransitionId> fired;
+    bool put = false;
+    bool pdt = false;
+    double dropped = 0.0;
+    for (const TangibleSpace::Firing& f : firings) {
+      fired.push_back(f.t);
+      put = put || f.t == layout.put;
+      pdt = pdt || f.t == layout.pdt;
+      dropped += f.dropped;
+      double total = f.dropped;
+      for (const auto& [to, p] : f.targets) {
+        EXPECT_LT(to, space.Size());
+        total += p;
+      }
+      EXPECT_NEAR(total, 1.0, 1e-12);
+    }
+    EXPECT_EQ(fired, EnabledTimedTransitions(net, m));
+    for (std::uint32_t v : m) EXPECT_LE(v, cap);
+    if (dropped > 0.0 && put) dropped_in_put_window = true;
+    if (dropped > 0.0 && !put && !pdt) dropped_in_plain_step = true;
+  }
+  EXPECT_EQ(space.Size(), want_size);
+  EXPECT_TRUE(dropped_in_put_window);
+  EXPECT_TRUE(dropped_in_plain_step);
+}
+
+TEST(TangibleSpace, FiresEachEnabledTimedTransitionOnce) {
+  // The state counts the exact solvers report for this net and cap.
+  ExpectCpuNetSpace(6, 15);
+  ExpectCpuNetSpace(70, 143);
+}
+
+PetriNet GrowingNet(std::uint32_t initial_tokens) {
+  PetriNet net;
+  const PlaceId p = net.AddPlace("p", initial_tokens);
+  const TransitionId t = net.AddExponentialTransition("t", 1.0);
+  net.AddOutputArc(t, p);  // p grows forever
+  return net;
+}
+
+TEST(TangibleSpace, TruncationBoundsAnOpenNet) {
+  const PetriNet net = GrowingNet(0);
+  TangibleSpace space(net, 5);
+  space.Initial();
+  for (std::size_t i = 0; i < space.Size(); ++i) space.Firings(i);
+  ASSERT_EQ(space.Size(), 6u);
+  const TangibleSpace::Firing& last = space.Firings(5).front();
+  EXPECT_TRUE(last.targets.empty());
+  EXPECT_EQ(last.dropped, 1.0);
+
+  const PetriNet over = GrowingNet(3);
+  EXPECT_THROW(TangibleSpace(over, 2).Initial(), util::InvalidArgument);
+}
+
+TEST(TangibleSpace, MarkingCapTriggersGuard) {
+  const PetriNet net = MakeMm1kNet(1.0, 2.0, 100);
+  ReachabilityOptions opts;
+  opts.max_markings = 10;
+  TangibleSpace space(net, 0, opts);
+  space.Initial();
+  EXPECT_THROW(
+      {
+        for (std::size_t i = 0; i < space.Size(); ++i) space.Firings(i);
+      },
+      util::ModelError);
 }
 
 TEST(TangibleGraph, PinnedOnWeightedConflicts) {
