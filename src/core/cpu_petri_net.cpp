@@ -1,5 +1,8 @@
 #include "core/cpu_petri_net.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace wsn::core {
@@ -96,6 +99,13 @@ PetriNet BuildCpuPetriNet(const CpuParams& params, CpuNetLayout* layout) {
   net.Validate();
   if (layout != nullptr) *layout = l;
   return net;
+}
+
+std::uint32_t CpuNetTruncateTokens(const CpuParams& params) {
+  const double ld = params.arrival_rate * params.power_up_delay;
+  return static_cast<std::uint32_t>(std::clamp(
+      std::ceil(ld + 8.0 * std::sqrt(ld + 1.0) + 30.0 / (1.0 - params.Rho())),
+      40.0, 2000.0));
 }
 
 }  // namespace wsn::core

@@ -20,6 +20,8 @@
 // CPU_ON, and StandBy + PowerUp + CPU_ON is a P-invariant of value 1).
 #pragma once
 
+#include <cstdint>
+
 #include "core/params.hpp"
 #include "petri/net.hpp"
 
@@ -39,5 +41,12 @@ struct CpuNetLayout {
 /// preserving firing order.
 petri::PetriNet BuildCpuPetriNet(const CpuParams& params,
                                  CpuNetLayout* layout = nullptr);
+
+/// Token cap at which the numerical solvers truncate the open Fig. 3 net
+/// (its job buffer is unbounded): generous relative to the power-up
+/// pile-up (lambda * D) and to the queue's busy periods, so the truncated
+/// probability mass stays far below solver tolerance.  Clamped to
+/// [40, 2000].
+std::uint32_t CpuNetTruncateTokens(const CpuParams& params);
 
 }  // namespace wsn::core

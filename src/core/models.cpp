@@ -1,7 +1,6 @@
 #include "core/models.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "des/cpu_model.hpp"
 #include "markov/stages.hpp"
@@ -124,14 +123,7 @@ ModelEvaluation PetriSolverCpuModel::Evaluate(const CpuParams& params) const {
 
   petri::SolverOptions opts;
   opts.det_stages = stages_;
-  // The Fig. 3 net is open (the buffer is unbounded); truncate generously
-  // relative to the power-up pile-up and the queue's busy periods so the
-  // lost probability mass is far below solver tolerance.
-  const double rho = params.Rho();
-  const double ld = params.arrival_rate * params.power_up_delay;
-  opts.truncate_tokens = static_cast<std::uint32_t>(std::clamp(
-      std::ceil(ld + 8.0 * std::sqrt(ld + 1.0) + 30.0 / (1.0 - rho)),
-      40.0, 2000.0));
+  opts.truncate_tokens = CpuNetTruncateTokens(params);
   const petri::SpnSteadyState ss = petri::SolveSteadyState(net, opts);
 
   ModelEvaluation out;
@@ -149,11 +141,7 @@ ModelEvaluation DspnExactCpuModel::Evaluate(const CpuParams& params) const {
   const petri::PetriNet net = BuildCpuPetriNet(params, &layout);
 
   petri::DspnOptions opts;
-  const double rho = params.Rho();
-  const double ld = params.arrival_rate * params.power_up_delay;
-  opts.truncate_tokens = static_cast<std::uint32_t>(std::clamp(
-      std::ceil(ld + 8.0 * std::sqrt(ld + 1.0) + 30.0 / (1.0 - rho)),
-      40.0, 2000.0));
+  opts.truncate_tokens = CpuNetTruncateTokens(params);
   const petri::SpnSteadyState ss = petri::SolveDspnExact(net, opts);
 
   ModelEvaluation out;

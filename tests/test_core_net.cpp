@@ -198,5 +198,23 @@ TEST(CpuNet, RejectsBadParams) {
   EXPECT_THROW(BuildCpuPetriNet(q), util::InvalidArgument);
 }
 
+TEST(CpuNet, TruncationCapTracksPowerUpPileUpAndLoad) {
+  CpuParams p = Defaults();  // lambda = 1, mu = 10, PUD = 0.001
+  EXPECT_EQ(CpuNetTruncateTokens(p), 42u);
+  p.power_up_delay = 0.3;
+  EXPECT_EQ(CpuNetTruncateTokens(p), 43u);
+  p.power_up_delay = 10.0;
+  EXPECT_EQ(CpuNetTruncateTokens(p), 70u);
+
+  CpuParams light = Defaults();  // lower clamp
+  light.arrival_rate = 0.01;
+  EXPECT_EQ(CpuNetTruncateTokens(light), 40u);
+
+  CpuParams heavy = Defaults();  // upper clamp: rho = 0.999
+  heavy.arrival_rate = 9.99;
+  heavy.power_up_delay = 0.3;
+  EXPECT_EQ(CpuNetTruncateTokens(heavy), 2000u);
+}
+
 }  // namespace
 }  // namespace wsn::core
