@@ -89,11 +89,10 @@ ResultSet RunAblationStages(const ScenarioContext& ctx) {
 
   ResultTable& table = results.AddTable(
       "stage-expansion", {"k (stages)", "stages-CTMC max|err| (pp)",
-                          "PN-solver max|err| (pp)", "PN states"});
+                          "PN-solver max|err| (pp)"});
   for (const KRow& row : rows) {
     table.AddRow({std::to_string(row.k), util::FormatFixed(row.stages_err, 3),
-                  util::FormatFixed(row.solver_err, 3),
-                  std::to_string(row.k)});
+                  util::FormatFixed(row.solver_err, 3)});
   }
   results.AddNote(
       "Expected: error decreases toward the simulation CI as k grows; "
