@@ -16,6 +16,7 @@
 #include "markov/stages.hpp"
 #include "markov/supplementary.hpp"
 #include "petri/ctmc_solver.hpp"
+#include "petri/dspn_solver.hpp"
 #include "petri/simulation.hpp"
 #include "petri/standard_nets.hpp"
 #include "util/rng.hpp"
@@ -156,6 +157,20 @@ void BM_SpnSolverStageExpansion(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpnSolverStageExpansion)->Arg(2)->Arg(8)->Arg(20);
+
+void BM_DspnExactCpuNet(benchmark::State& state) {
+  // PUD = 10 s: long PUT windows, the exact solver's expensive regime.
+  core::CpuParams params;
+  params.power_down_threshold = 0.5;
+  params.power_up_delay = 10.0;
+  const petri::PetriNet net = core::BuildCpuPetriNet(params);
+  petri::DspnOptions opts;
+  opts.truncate_tokens = core::CpuNetTruncateTokens(params);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(petri::SolveDspnExact(net, opts).tangible_states);
+  }
+}
+BENCHMARK(BM_DspnExactCpuNet);
 
 void BM_SupplementaryClosedForm(benchmark::State& state) {
   for (auto _ : state) {
