@@ -133,23 +133,13 @@ class StageExpansionSolver {
     const std::size_t nt = net_.TransitionCount();
     std::vector<double> completion(n * nt, 0.0);
     for (std::size_t s = 0; s < n; ++s) {
-      const Marking& m = space_.Markings()[states_[s].marking];
-      std::size_t g_idx = 0;
-      for (TransitionId t = 0; t < nt; ++t) {
-        const Transition& tr = net_.GetTransition(t);
-        if (tr.kind != TransitionKind::kTimed) continue;
-        const StageInfo& info = stage_info_[t];
-        if (!IsEnabled(net_, t, m)) {
-          if (info.is_general) ++g_idx;
-          continue;
-        }
-        if (info.is_general) {
-          if (states_[s].phases[g_idx] + 1 == info.stages) {
-            completion[s * nt + t] = info.phase_rate;
-          }
-          ++g_idx;
-        } else {
-          completion[s * nt + t] = info.exp_rate;
+      for (const TangibleSpace::Firing& f :
+           space_.Firings(states_[s].marking)) {
+        const StageInfo& info = stage_info_[f.t];
+        if (!info.is_general) {
+          completion[s * nt + f.t] = info.exp_rate;
+        } else if (states_[s].phases[info.general] + 1 == info.stages) {
+          completion[s * nt + f.t] = info.phase_rate;
         }
       }
     }

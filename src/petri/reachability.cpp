@@ -206,7 +206,6 @@ std::size_t TangibleSpace::Intern(const Marking& m) {
     }
     markings_.push_back(m);
     firings_.emplace_back();
-    computed_.push_back(false);
   }
   return it->second;
 }
@@ -221,27 +220,26 @@ void TangibleSpace::AddTarget(Firing& f, const Marking& m, double p) {
 
 const std::vector<TangibleSpace::Firing>& TangibleSpace::Firings(
     std::size_t i) {
-  if (computed_[i]) return firings_[i];
-  source_ = markings_[i];  // copy: Intern below may grow markings_
+  if (firings_[i]) return *firings_[i];
+  const Marking m = markings_[i];  // copy: Intern below may grow markings_
   std::vector<Firing> out;
   for (TransitionId t : timed_) {
-    if (!IsEnabled(net_, t, source_)) continue;
+    if (!IsEnabled(net_, t, m)) continue;
     Firing& f = out.emplace_back(Firing{t, {}, 0.0});
-    fired_ = source_;
-    FireInPlace(net_, t, fired_);
-    CheckBound(fired_, reach_.max_tokens_per_place);
-    if (IsTangible(net_, fired_)) {
-      // The resolver would return {fired_: 1}; skip its memo.
-      AddTarget(f, fired_, 1.0);
+    const Marking next = Fire(net_, t, m);
+    CheckBound(next, reach_.max_tokens_per_place);
+    if (IsTangible(net_, next)) {
+      // The resolver would return {next: 1}; skipping its memo keeps
+      // nets without immediate transitions as fast as before the table.
+      AddTarget(f, next, 1.0);
       continue;
     }
-    for (const auto& [tm, tp] : resolver_->Resolve(fired_)) {
+    for (const auto& [tm, tp] : resolver_->Resolve(next)) {
       AddTarget(f, tm, tp);
     }
   }
   firings_[i] = std::move(out);
-  computed_[i] = true;
-  return firings_[i];
+  return *firings_[i];
 }
 
 TangibleGraph BuildTangibleGraph(const PetriNet& net,

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -90,6 +91,7 @@ class TangibleSpace {
   TangibleSpace(const PetriNet& net, std::uint32_t truncate_tokens,
                 const ReachabilityOptions& reach = {});
   ~TangibleSpace();
+  // Neither copyable nor movable: the resolver refers to reach_.
   TangibleSpace(const TangibleSpace&) = delete;
   TangibleSpace& operator=(const TangibleSpace&) = delete;
 
@@ -97,10 +99,6 @@ class TangibleSpace {
   /// return (index, probability) pairs in the resolver's order.  Throws
   /// InvalidArgument if one of them exceeds the truncation cap.
   std::vector<std::pair<std::size_t, double>> Initial();
-
-  /// Index of tangible marking `m`, interning it if it is new.  Throws
-  /// ModelError when that would exceed `reach.max_markings`.
-  std::size_t Intern(const Marking& m);
 
   /// Interned markings, by index.
   const std::vector<Marking>& Markings() const noexcept { return markings_; }
@@ -110,11 +108,13 @@ class TangibleSpace {
 
   /// Firings of the timed transitions enabled in marking `i`, in
   /// ascending transition id.  Computed on the first call for `i`, which
-  /// interns any new target markings, and kept for the life of the space;
-  /// the reference stays valid as the space grows.
+  /// interns any new target markings (throwing ModelError beyond
+  /// `reach.max_markings`), and kept for the life of the space; the
+  /// reference stays valid as the space grows.
   const std::vector<Firing>& Firings(std::size_t i);
 
  private:
+  std::size_t Intern(const Marking& m);
   bool Truncated(const Marking& m) const noexcept;
   /// Append tangible marking `m` with probability `p` to `f`'s targets,
   /// or to its dropped mass if `m` is truncated.
@@ -127,9 +127,8 @@ class TangibleSpace {
   std::vector<TransitionId> timed_;  ///< timed transitions, ascending id
   std::vector<Marking> markings_;
   std::unordered_map<Marking, std::size_t, MarkingHash> index_;
-  std::deque<std::vector<Firing>> firings_;  ///< deque: stable references
-  std::vector<bool> computed_;  ///< whether firings_[i] has been computed
-  Marking source_, fired_;      ///< scratch for Firings()
+  /// Per marking, empty until computed; a deque keeps references stable.
+  std::deque<std::optional<std::vector<Firing>>> firings_;
 };
 
 /// Tangible reachability graph: states are tangible markings; edges carry
