@@ -220,6 +220,7 @@ void TangibleSpace::AddTarget(Firing& f, const Marking& m, double p) {
 
 const std::vector<TangibleSpace::Firing>& TangibleSpace::Firings(
     std::size_t i) {
+  Require(i < firings_.size(), "tangible marking index out of range");
   if (firings_[i]) return *firings_[i];
   const Marking m = markings_[i];  // copy: Intern below may grow markings_
   std::vector<Firing> out;
@@ -250,7 +251,7 @@ TangibleGraph BuildTangibleGraph(const PetriNet& net,
           "use the stage-expansion solver for deterministic transitions");
 
   TangibleSpace space(net, /*truncate_tokens=*/0, opts);
-  const std::vector<std::pair<std::size_t, double>> init = space.Initial();
+  const auto init = space.Initial();
   TangibleGraph graph;
   // Index order is breadth-first order: Firings(i) appends the markings it
   // discovers behind those already interned.

@@ -264,6 +264,7 @@ TEST(TangibleSpace, TruncationBoundsAnOpenNet) {
   const TangibleSpace::Firing& last = space.Firings(5).front();
   EXPECT_TRUE(last.targets.empty());
   EXPECT_EQ(last.dropped, 1.0);
+  EXPECT_THROW(space.Firings(6), util::InvalidArgument);
 
   const PetriNet over = GrowingNet(3);
   EXPECT_THROW(TangibleSpace(over, 2).Initial(), util::InvalidArgument);
