@@ -1,6 +1,7 @@
 #include "netsim/netsim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <unordered_map>
 
@@ -105,6 +106,75 @@ std::vector<node::NodeConfig> PerNodeConfigs(const NetSimConfig& config) {
     out.push_back(cfg);
   }
   return out;
+}
+
+namespace {
+
+bool SameBits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// First field in which two per-node outcomes differ, or nullptr.
+const char* FirstNodeDifference(const NodeSimStats& a, const NodeSimStats& b) {
+  if (a.generated != b.generated) return "generated";
+  if (a.forwarded != b.forwarded) return "forwarded";
+  if (a.delivered != b.delivered) return "delivered";
+  if (a.dropped != b.dropped) return "dropped";
+  if (a.aggregated != b.aggregated) return "aggregated";
+  if (a.head_elections != b.head_elections) return "head_elections";
+  if (a.alive != b.alive) return "alive";
+  if (!SameBits(a.energy_used_j, b.energy_used_j)) return "energy_used_j";
+  if (!SameBits(a.remaining_j, b.remaining_j)) return "remaining_j";
+  if (!SameBits(a.death_s, b.death_s)) return "death_s";
+  if (a.timeline.size() != b.timeline.size()) return "timeline";
+  for (std::size_t k = 0; k < a.timeline.size(); ++k) {
+    if (!SameBits(a.timeline[k].time_s, b.timeline[k].time_s) ||
+        !SameBits(a.timeline[k].remaining_j, b.timeline[k].remaining_j)) {
+      return "timeline";
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::string FirstReportDifference(const NetSimReport& a,
+                                  const NetSimReport& b) {
+  if (a.events != b.events) return "events";
+  if (a.packets.generated != b.packets.generated) return "generated";
+  if (a.packets.delivered != b.packets.delivered) return "delivered";
+  if (a.packets.forwarded != b.packets.forwarded) return "forwarded";
+  if (a.packets.retransmissions != b.packets.retransmissions) {
+    return "retransmissions";
+  }
+  for (std::size_t r = 0; r < kDropReasonCount; ++r) {
+    if (a.packets.dropped[r] != b.packets.dropped[r]) {
+      return std::string("dropped.") +
+             DropReasonName(static_cast<DropReason>(r));
+    }
+  }
+  if (a.in_flight != b.in_flight) return "in_flight";
+  if (a.crashes != b.crashes) return "crashes";
+  if (a.recoveries != b.recoveries) return "recoveries";
+  if (a.jam_windows != b.jam_windows) return "jam_windows";
+  if (a.sink_outage_windows != b.sink_outage_windows) {
+    return "sink_outage_windows";
+  }
+  if (a.routing_repairs != b.routing_repairs) return "routing_repairs";
+  if (a.rounds != b.rounds) return "rounds";
+  if (a.elections != b.elections) return "elections";
+  if (!SameBits(a.first_death_s, b.first_death_s)) return "first_death_s";
+  if (a.first_dead_node != b.first_dead_node) return "first_dead_node";
+  if (!SameBits(a.partition_s, b.partition_s)) return "partition_s";
+  if (!SameBits(a.heal_s, b.heal_s)) return "heal_s";
+  if (!SameBits(a.end_s, b.end_s)) return "end_s";
+  if (a.nodes.size() != b.nodes.size()) return "nodes";
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    if (const char* field = FirstNodeDifference(a.nodes[i], b.nodes[i])) {
+      return "nodes[" + std::to_string(i) + "]." + field;
+    }
+  }
+  return {};
 }
 
 double CpuAveragePowerMw(const NetSimConfig& config,

@@ -48,6 +48,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -256,6 +257,17 @@ struct NetSimReport {
   /// Payloads delivered / packets generated (1.0 when none generated).
   double DeliveryRatio() const noexcept { return packets.DeliveryRatio(); }
 };
+
+/// Name of the first field in which two reports of one (seed,
+/// replication) differ, e.g. "elections" or "nodes[17].remaining_j";
+/// empty when they agree.  Compares every deterministic output: each
+/// scalar (packet counters and drops by reason included) and every
+/// NodeSimStats field, doubles by bit pattern.  The wall-clock fields
+/// (routing_repair_s, election_s, assign_s), `metrics` and `trace` are
+/// skipped: they measure the run, and oracle twins run with
+/// observability off.
+std::string FirstReportDifference(const NetSimReport& a,
+                                  const NetSimReport& b);
 
 /// Average CPU power (mW) of the template node under `model` — evaluated
 /// once and shared by every node/replication so the (possibly expensive)

@@ -97,10 +97,12 @@ struct ScaleRun {
   std::uint64_t deaths = 0;
   obs::MetricsSnapshot metrics;  ///< merged over reps (obs enabled only)
   std::string trace;             ///< concatenated (obs enabled only)
+  /// Every replication's report, kept only for an oracle comparison.
+  std::vector<netsim::NetSimReport> reports;
 };
 
 ScaleRun TimeRun(netsim::NetSimConfig cfg, double cpu_mw, std::uint64_t seed,
-                 std::size_t replications) {
+                 std::size_t replications, bool keep_reports) {
   const util::Rng master(seed);
   ScaleRun out;
   obs::Stopwatch wall;
@@ -116,6 +118,7 @@ ScaleRun TimeRun(netsim::NetSimConfig cfg, double cpu_mw, std::uint64_t seed,
     }
     out.metrics.MergeFrom(report.metrics);
     out.trace += report.trace;
+    if (keep_reports) out.reports.push_back(report);
     if (r == 0) {
       out.report = std::move(report);
     } else {
@@ -131,6 +134,21 @@ ScaleRun TimeRun(netsim::NetSimConfig cfg, double cpu_mw, std::uint64_t seed,
   }
   out.wall_s = wall.seconds;
   return out;
+}
+
+/// Throws unless `run` and its oracle twin agree in every deterministic
+/// field of every replication (netsim::FirstReportDifference).
+void RequireOracleAgrees(const ScaleRun& run, const ScaleRun& oracle,
+                         const std::string& what, std::size_t n) {
+  for (std::size_t r = 0; r < run.reports.size(); ++r) {
+    const std::string field =
+        netsim::FirstReportDifference(run.reports[r], oracle.reports[r]);
+    if (!field.empty()) {
+      throw util::Error("netsim-scale: " + what + " diverged at N=" +
+                        std::to_string(n) + ", replication " +
+                        std::to_string(r) + " (" + field + ")");
+    }
+  }
 }
 
 ResultSet RunNetsimScale(const ScenarioContext& ctx) {
@@ -228,22 +246,18 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
     ApplyObs(ctx, cfg);
 
     // --- flat: incremental (production) vs legacy (baseline) ---------
+    const bool oracles = n <= legacy_max;
     cfg.routing_update = netsim::RoutingUpdateMode::kIncremental;
-    const ScaleRun inc = TimeRun(cfg, cpu_mw, seed, replications);
+    const ScaleRun inc = TimeRun(cfg, cpu_mw, seed, replications, oracles);
 
     bool ran_legacy = false;
     ScaleRun legacy;
-    if (n <= legacy_max) {
+    if (oracles) {
       cfg.routing_update = netsim::RoutingUpdateMode::kLegacy;
-      legacy = TimeRun(cfg, cpu_mw, seed, replications);
+      legacy = TimeRun(cfg, cpu_mw, seed, replications, true);
       ran_legacy = true;
-      if (legacy.report.events != inc.report.events ||
-          legacy.report.packets.delivered != inc.report.packets.delivered ||
-          legacy.deaths != inc.deaths) {
-        throw util::Error(
-            "netsim-scale: legacy and incremental routing paths diverged "
-            "at N=" + std::to_string(n));
-      }
+      RequireOracleAgrees(inc, legacy, "legacy and incremental routing paths",
+                          n);
     }
 
     // --- clustered (LEACH): grid assignment (production) vs the
@@ -255,22 +269,17 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
     ccfg.cluster.round_s = round_s;
     ccfg.cluster.aggregation = 4;
     ccfg.cluster.assign = netsim::HeadAssignMode::kGrid;
-    const ScaleRun clustered = TimeRun(ccfg, cpu_mw, seed, replications);
+    const ScaleRun clustered =
+        TimeRun(ccfg, cpu_mw, seed, replications, oracles);
 
     bool ran_allpairs = false;
     ScaleRun allpairs;
-    if (n <= legacy_max) {
+    if (oracles) {
       ccfg.cluster.assign = netsim::HeadAssignMode::kAllPairs;
-      allpairs = TimeRun(ccfg, cpu_mw, seed, replications);
+      allpairs = TimeRun(ccfg, cpu_mw, seed, replications, true);
       ran_allpairs = true;
-      if (allpairs.report.events != clustered.report.events ||
-          allpairs.report.packets.delivered !=
-              clustered.report.packets.delivered ||
-          allpairs.deaths != clustered.deaths) {
-        throw util::Error(
-            "netsim-scale: grid and all-pairs head assignment diverged "
-            "at N=" + std::to_string(n));
-      }
+      RequireOracleAgrees(clustered, allpairs,
+                          "grid and all-pairs head assignment", n);
     }
 
     const auto add_row = [&](const std::string& mode, const ScaleRun& run,

@@ -109,25 +109,10 @@ void AddLifetimeRows(ResultTable& table, const std::string& label,
 void RequireEqualReports(const netsim::NetSimReport& a,
                          const netsim::NetSimReport& b,
                          const std::string& where, std::size_t rep) {
-  const auto fail = [&](const char* what) {
-    throw util::Error(where + " diverged from its oracle at replication " +
-                      std::to_string(rep) + " (" + what + ")");
-  };
-  if (a.events != b.events) fail("DES events");
-  if (a.packets.generated != b.packets.generated) fail("generated");
-  if (a.packets.delivered != b.packets.delivered) fail("delivered");
-  if (a.packets.forwarded != b.packets.forwarded) fail("forwarded");
-  if (a.packets.retransmissions != b.packets.retransmissions) {
-    fail("retransmissions");
-  }
-  if (a.packets.dropped != b.packets.dropped) fail("drops by reason");
-  if (a.crashes != b.crashes) fail("crashes");
-  if (a.recoveries != b.recoveries) fail("recoveries");
-  if (a.first_death_s != b.first_death_s) fail("first death");
-  if (a.partition_s != b.partition_s) fail("partition instant");
-  if (a.heal_s != b.heal_s) fail("heal instant");
-  if (a.in_flight != b.in_flight) fail("in-flight payloads");
-  if (a.end_s != b.end_s) fail("end instant");
+  const std::string field = netsim::FirstReportDifference(a, b);
+  if (field.empty()) return;
+  throw util::Error(where + " diverged from its oracle at replication " +
+                    std::to_string(rep) + " (" + field + ")");
 }
 
 void RequireConserved(const netsim::NetSimReport& report,

@@ -81,8 +81,8 @@ double MeanOverReports(const netsim::ReplicationSummary& summary, Fn&& fn) {
 }
 
 /// Field-for-field comparison of one replication against its oracle
-/// twin.  Every quantity compared is deterministic per (seed,
-/// replication), so any mismatch is a real divergence between the
+/// twin (netsim::FirstReportDifference: every deterministic output,
+/// per node included).  Any mismatch is a real divergence between the
 /// incremental repair paths and their full-recompute oracle.  Throws
 /// util::Error "`where` diverged from its oracle at replication N
 /// (field)" on mismatch.

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/models.hpp"
+#include "energy/power_state.hpp"
 #include "netsim/cluster.hpp"
 #include "netsim/fault.hpp"
 #include "netsim/mac.hpp"
@@ -295,24 +296,29 @@ NetSimReport RunOne(const NetSimConfig& cfg, std::uint64_t seed) {
   return sim.Run();
 }
 
-void ExpectReportsEqual(const NetSimReport& a, const NetSimReport& b) {
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.packets.generated, b.packets.generated);
-  EXPECT_EQ(a.packets.delivered, b.packets.delivered);
-  EXPECT_EQ(a.packets.forwarded, b.packets.forwarded);
-  EXPECT_EQ(a.packets.dropped, b.packets.dropped);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.in_flight, b.in_flight);
-  EXPECT_DOUBLE_EQ(a.first_death_s, b.first_death_s);
-  EXPECT_DOUBLE_EQ(a.partition_s, b.partition_s);
-  EXPECT_DOUBLE_EQ(a.heal_s, b.heal_s);
-  ASSERT_EQ(a.nodes.size(), b.nodes.size());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.nodes[i].remaining_j, b.nodes[i].remaining_j) << i;
-    EXPECT_EQ(a.nodes[i].alive, b.nodes[i].alive) << i;
-    EXPECT_EQ(a.nodes[i].delivered, b.nodes[i].delivered) << i;
-  }
+/// A LEACH death cascade with crash churn on the netsim-scale node: 400
+/// nodes 150 m apart, so heads uplink over kilometres, drain within a
+/// round and hand their clusters on, one head death after another.
+NetSimConfig CascadeConfig(double wakeup_interval_s) {
+  NetSimConfig cfg;
+  cfg.network.node.cpu.arrival_rate = 0.01;
+  cfg.network.node.cpu.service_rate = 1.0;
+  cfg.network.node.cpu_power = energy::Msp430();
+  cfg.network.node.sample_bits = 1024;
+  cfg.network.node.listen_duty_cycle = 0.01;
+  cfg.network.node.battery_mah = 50.0;
+  cfg.network.sink = {0.0, 0.0};
+  cfg.network.max_hop_m = 40.0;
+  cfg.positions = node::MakeGrid(20, 20, 150.0);
+  cfg.horizon_s = 2000.0;
+  cfg.mac.wakeup_interval_s = wakeup_interval_s;
+  cfg.faults.crash_rate_hz = 2e-4;
+  cfg.faults.mean_outage_s = 150.0;
+  cfg.cluster.protocol = ClusterProtocolKind::kLeach;
+  cfg.cluster.head_fraction = 0.05;
+  cfg.cluster.round_s = 100.0;
+  cfg.cluster.aggregation = 4;
+  return cfg;
 }
 
 TEST(FaultSimulator, ChurnIdenticalAcrossRoutingUpdateModes) {
@@ -327,8 +333,8 @@ TEST(FaultSimulator, ChurnIdenticalAcrossRoutingUpdateModes) {
   const NetSimReport full = RunOne(cfg, 321);
   cfg.routing_update = RoutingUpdateMode::kLegacy;
   const NetSimReport legacy = RunOne(cfg, 321);
-  ExpectReportsEqual(inc, full);
-  ExpectReportsEqual(inc, legacy);
+  EXPECT_EQ(FirstReportDifference(inc, full), "");
+  EXPECT_EQ(FirstReportDifference(inc, legacy), "");
 }
 
 TEST(FaultSimulator, ClusteredChurnIdenticalAcrossAssignModes) {
@@ -346,7 +352,25 @@ TEST(FaultSimulator, ClusteredChurnIdenticalAcrossAssignModes) {
 
   cfg.cluster.assign = HeadAssignMode::kAllPairs;
   const NetSimReport allpairs = RunOne(cfg, 654);
-  ExpectReportsEqual(grid, allpairs);
+  EXPECT_EQ(FirstReportDifference(grid, allpairs), "");
+
+  // A death cascade, with and without low-power listening: under LPL the
+  // receiver a transmission starts toward sets its timing, so a member
+  // payload reaching the wrong head shows in every later field.
+  for (const double wakeup : {0.0, 0.5}) {
+    for (const std::uint64_t seed : {1, 2, 3}) {
+      NetSimConfig cascade = CascadeConfig(wakeup);
+      cascade.cluster.assign = HeadAssignMode::kGrid;
+      const NetSimReport g = RunOne(cascade, seed);
+      EXPECT_EQ(g.rounds, 21u);
+      EXPECT_GE(g.elections, 90u) << "the cascade must kill heads mid-round";
+      EXPECT_GT(g.crashes, 0u);
+      EXPECT_TRUE(g.Conserved());
+      cascade.cluster.assign = HeadAssignMode::kAllPairs;
+      EXPECT_EQ(FirstReportDifference(g, RunOne(cascade, seed)), "")
+          << "LPL " << wakeup << " s, seed " << seed;
+    }
+  }
 
   // Static heads on a larger grid, where crashed heads recover and the
   // next round re-elects the same alive head set.  The head index must
@@ -392,7 +416,7 @@ TEST(FaultSimulator, ClusteredChurnIdenticalAcrossAssignModes) {
   EXPECT_GT(st_grid.elections, st_grid.rounds) << "heads must die mid-round";
   EXPECT_TRUE(st_grid.Conserved());
   st.cluster.assign = HeadAssignMode::kAllPairs;
-  ExpectReportsEqual(st_grid, RunOne(st, 987));
+  EXPECT_EQ(FirstReportDifference(st_grid, RunOne(st, 987)), "");
 }
 
 TEST(FaultSimulator, FaultFreeConfigBuildsNoFaultMachinery) {
@@ -690,7 +714,8 @@ TEST(FaultReplication, ThreadCountInvariantWithFaults) {
   ASSERT_EQ(serial.reports.size(), parallel.reports.size());
   std::uint64_t total_crashes = 0;
   for (std::size_t r = 0; r < serial.reports.size(); ++r) {
-    ExpectReportsEqual(serial.reports[r], parallel.reports[r]);
+    EXPECT_EQ(FirstReportDifference(serial.reports[r], parallel.reports[r]),
+              "");
     EXPECT_TRUE(serial.reports[r].Conserved()) << "replication " << r;
     total_crashes += serial.reports[r].crashes;
   }
