@@ -15,14 +15,19 @@ using util::Require;
 
 namespace {
 
+// The checks below run once per node or class when a simulator is
+// built, so each formats its message only when it fails.
+
 /// Map class name -> index into config.classes; validates uniqueness.
 std::unordered_map<std::string, std::size_t> ClassIndex(
     const std::vector<NodeClass>& classes) {
   std::unordered_map<std::string, std::size_t> index;
   index.reserve(classes.size());
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    const bool inserted = index.emplace(classes[c].name, c).second;
-    Require(inserted, "duplicate node class name '" + classes[c].name + "'");
+    if (!index.emplace(classes[c].name, c).second) {
+      throw util::InvalidArgument("duplicate node class name '" +
+                                  classes[c].name + "'");
+    }
   }
   return index;
 }
@@ -33,9 +38,21 @@ std::size_t ClassOf(const NetSimConfig& config,
                     std::size_t i) {
   if (config.node_class.empty()) return static_cast<std::size_t>(-1);
   const auto it = index.find(config.node_class[i]);
-  Require(it != index.end(),
-          "unknown node class '" + config.node_class[i] + "'");
+  if (it == index.end()) {
+    throw util::InvalidArgument("unknown node class '" +
+                                config.node_class[i] + "'");
+  }
   return it->second;
+}
+
+/// Throws unless the battery override is empty or one entry per node.
+void CheckOverrideArity(const NetSimConfig& config) {
+  const std::size_t entries = config.battery_mah_override.size();
+  if (entries == 0 || entries == config.positions.size()) return;
+  throw util::InvalidArgument(
+      "NetSimConfig::battery_mah_override has " + std::to_string(entries) +
+      " entries for " + std::to_string(config.positions.size()) +
+      " nodes (must be empty or one per node)");
 }
 
 }  // namespace
@@ -44,17 +61,14 @@ void NetSimConfig::Validate() const {
   Require(!positions.empty(), "netsim needs at least one node");
   Require(horizon_s > 0.0, "horizon must be positive");
   Require(timeline_interval_s >= 0.0, "timeline interval must be >= 0");
-  Require(battery_mah_override.empty() ||
-              battery_mah_override.size() == positions.size(),
-          "NetSimConfig::battery_mah_override has " +
-              std::to_string(battery_mah_override.size()) + " entries for " +
-              std::to_string(positions.size()) +
-              " nodes (must be empty or one per node)");
+  CheckOverrideArity(*this);
   for (std::size_t i = 0; i < battery_mah_override.size(); ++i) {
-    Require(battery_mah_override[i] > 0.0,
-            "NetSimConfig::battery_mah_override[" + std::to_string(i) +
-                "] = " + std::to_string(battery_mah_override[i]) +
-                " (capacities must be positive)");
+    if (!(battery_mah_override[i] > 0.0)) {
+      throw util::InvalidArgument(
+          "NetSimConfig::battery_mah_override[" + std::to_string(i) +
+          "] = " + std::to_string(battery_mah_override[i]) +
+          " (capacities must be positive)");
+    }
   }
   for (const NodeClass& cls : classes) cls.Validate();
   const auto index = ClassIndex(classes);
@@ -81,12 +95,7 @@ std::vector<node::Position> EffectiveSinks(const NetSimConfig& config) {
 }
 
 std::vector<node::NodeConfig> PerNodeConfigs(const NetSimConfig& config) {
-  Require(config.battery_mah_override.empty() ||
-              config.battery_mah_override.size() == config.positions.size(),
-          "NetSimConfig::battery_mah_override has " +
-              std::to_string(config.battery_mah_override.size()) +
-              " entries for " + std::to_string(config.positions.size()) +
-              " nodes (must be empty or one per node)");
+  CheckOverrideArity(config);
   const auto index = ClassIndex(config.classes);
   std::vector<node::NodeConfig> out;
   out.reserve(config.positions.size());

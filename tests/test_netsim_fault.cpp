@@ -695,6 +695,29 @@ TEST(NetSimValidation, BatteryOverrideNegativeEntryNamesTheIndex) {
   }
 }
 
+TEST(NetSimValidation, BatteryOverrideNanEntryIsRejected) {
+  NetSimConfig cfg = ChainConfig();
+  cfg.battery_mah_override = {50.0, 50.0,
+                              std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW(cfg.Validate(), util::InvalidArgument);
+}
+
+TEST(NetSimValidation, UnknownClassErrorNamesTheClass) {
+  NetSimConfig cfg = ChainConfig();
+  NodeClass standard;
+  standard.name = "standard";
+  cfg.classes = {standard};
+  cfg.node_class = {"standard", "advanced", "standard"};
+  try {
+    cfg.Validate();
+    FAIL() << "expected InvalidArgument";
+  } catch (const util::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown node class 'advanced'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------
 // Replication-level determinism with faults enabled.
 
