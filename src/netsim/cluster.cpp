@@ -48,7 +48,6 @@ ClusterAssignment AssignToNearestHeadAllPairs(const ClusterView& view,
   ClusterAssignment out;
   out.head_of.assign(n, ClusterAssignment::kUnclustered);
   out.heads = std::move(heads);
-  out.members.assign(out.heads.size(), {});
   for (std::size_t h : out.heads) out.head_of[h] = h;
   if (out.heads.empty()) return out;
   for (std::size_t i = 0; i < n; ++i) {
@@ -67,7 +66,6 @@ ClusterAssignment AssignToNearestHeadAllPairs(const ClusterView& view,
       }
     }
     out.head_of[i] = out.heads[best_slot];
-    out.members[best_slot].push_back(static_cast<std::uint32_t>(i));
   }
   return out;
 }
@@ -127,6 +125,15 @@ HeadIndex& ClusterAssignment::EnsureIndex(
   return *index;
 }
 
+std::size_t ClusterAssignment::ResolveHead(
+    std::size_t i, const std::vector<node::Position>& positions) {
+  const std::size_t h = head_of[i];
+  if (h == kUnclustered || head_of[h] == h) return h;
+  const HeadIndex& live = EnsureIndex(positions);
+  head_of[i] = live.Head(live.Nearest(positions[i]));
+  return head_of[i];
+}
+
 ClusterAssignment AssignToNearestHeadGrid(const ClusterView& view,
                                           std::vector<std::size_t> heads) {
   const std::size_t n = view.Size();
@@ -134,7 +141,6 @@ ClusterAssignment AssignToNearestHeadGrid(const ClusterView& view,
   ClusterAssignment out;
   out.head_of.assign(n, ClusterAssignment::kUnclustered);
   out.heads = std::move(heads);
-  out.members.assign(out.heads.size(), {});
   for (std::size_t h : out.heads) out.head_of[h] = h;
   if (out.heads.empty()) return out;
 
@@ -146,7 +152,6 @@ ClusterAssignment AssignToNearestHeadGrid(const ClusterView& view,
     const std::size_t j = index.Nearest((*view.positions)[i]);
     // j != kNone: heads is non-empty.
     out.head_of[i] = out.heads[j];
-    out.members[j].push_back(static_cast<std::uint32_t>(i));
   }
   return out;
 }
@@ -207,74 +212,16 @@ ClusterAssignment ClusteringProtocol::Repair(const ClusterAssignment& current,
 bool ClusteringProtocol::RepairInPlace(ClusterAssignment& cluster,
                                        std::size_t dead_head,
                                        const ClusterView& view,
-                                       std::vector<std::uint32_t>& reattached) {
-  // Decline when the last head died (the protocol's no-survivor policy —
-  // a fresh Elect — must run) or the assignment carries no member lists.
+                                       std::vector<std::uint32_t>& /*unused*/) {
+  // Decline when the last head died: the protocol's no-survivor policy —
+  // a fresh Elect — must run.
   if (cluster.heads.size() <= 1) return false;
-  if (cluster.members.size() != cluster.heads.size()) return false;
-  const auto slot_it =
+  const auto it =
       std::lower_bound(cluster.heads.begin(), cluster.heads.end(), dead_head);
-  if (slot_it == cluster.heads.end() || *slot_it != dead_head) return false;
-  const std::size_t slot =
-      static_cast<std::size_t>(slot_it - cluster.heads.begin());
-
-  obs::PhaseTimer timer(view.assign_stopwatch);
-  const std::vector<bool>& alive = *view.alive;
-  const std::vector<node::Position>& positions = *view.positions;
-
-  HeadIndex& index = cluster.EnsureIndex(positions);
-  index.Erase(dead_head);
-  const std::vector<std::uint32_t> orphans = std::move(cluster.members[slot]);
-  cluster.heads.erase(slot_it);
-  cluster.members.erase(cluster.members.begin() +
-                        static_cast<std::ptrdiff_t>(slot));
+  if (it == cluster.heads.end() || *it != dead_head) return false;
+  cluster.EnsureIndex(*view.positions).Erase(dead_head);
+  cluster.heads.erase(it);
   cluster.head_of[dead_head] = ClusterAssignment::kUnclustered;
-
-  // Only the dead head's orphans re-pick: members of surviving heads keep
-  // their argmin (repair never adds heads, and removing non-argmin
-  // candidates cannot change one).  Dead entries and entries that have
-  // since moved to another head are skipped; clearing each accepted
-  // orphan's row makes a duplicate entry fail the same test.  Keying by
-  // (cell, node) groups the orphans by the cell their search starts in.
-  const SpatialGrid& grid = index.Grid();
-  std::vector<std::uint64_t> keys;
-  keys.reserve(orphans.size());
-  for (std::uint32_t m : orphans) {
-    if (!alive[m] || cluster.head_of[m] != dead_head) continue;
-    cluster.head_of[m] = ClusterAssignment::kUnclustered;
-    const std::uint64_t orphan_cell = grid.CellOf(positions[m]);
-    keys.push_back(orphan_cell << 32 | m);
-  }
-  std::sort(keys.begin(), keys.end());
-
-  // The orphans of one cell share one ring search: each walks the
-  // frontier with NearestWhere's stop rule, so it finds NearestWhere's
-  // answer while every ring is gathered from the grid once per cell.
-  // Neighbouring orphans mostly pick the same head, so the slot lookup
-  // is cached for the last head picked.
-  SpatialGrid::Frontier frontier;
-  std::size_t cell = SpatialGrid::kNone;
-  std::size_t new_head = SpatialGrid::kNone;
-  std::size_t new_slot = 0;
-  for (std::uint64_t key : keys) {
-    const std::uint32_t m = static_cast<std::uint32_t>(key);
-    if (key >> 32 != cell) {
-      cell = static_cast<std::size_t>(key >> 32);
-      frontier.Reset(grid, cell, index.Positions());
-    }
-    // The index holds the surviving heads, at least one of them.
-    const std::size_t head = index.Head(frontier.Nearest(positions[m]));
-    if (head != new_head) {
-      new_head = head;
-      new_slot = static_cast<std::size_t>(
-          std::lower_bound(cluster.heads.begin(), cluster.heads.end(),
-                           new_head) -
-          cluster.heads.begin());
-    }
-    cluster.head_of[m] = new_head;
-    cluster.members[new_slot].push_back(m);
-    reattached.push_back(m);
-  }
   return true;
 }
 

@@ -102,10 +102,11 @@ struct ClusterView {
     if (refresh_energy) refresh_energy();
   }
 
-  /// When set, AssignToNearestHead and the re-attachment step of
-  /// ClusteringProtocol::RepairInPlace accumulate their wall-clock cost
-  /// here (see docs/observability.md, metric
-  /// netsim.cluster.assign_wall_s).  Null keeps the calls untimed.
+  /// When set, AssignToNearestHead accumulates its wall-clock cost here
+  /// (see docs/observability.md, metric netsim.cluster.assign_wall_s).
+  /// Null keeps the calls untimed.  In-place repairs and the lazy
+  /// re-attachment of ClusterAssignment::ResolveHead are never timed:
+  /// the latter runs on the packet path, which reads no clock.
   obs::Stopwatch* assign_stopwatch = nullptr;
 
   /// Nearest-head search strategy AssignToNearestHead dispatches to.
@@ -146,13 +147,6 @@ class HeadIndex {
   /// Head at grid index `j`.
   std::size_t Head(std::size_t j) const { return heads_[j]; }
 
-  /// Head sites by grid index.
-  const std::vector<node::Position>& Positions() const noexcept {
-    return pos_;
-  }
-
-  const SpatialGrid& Grid() const noexcept { return grid_; }
-
  private:
   std::vector<std::size_t> heads_;   ///< indexed heads at build, sorted
   std::vector<node::Position> pos_;  ///< their sites, parallel to heads_
@@ -165,26 +159,18 @@ struct ClusterAssignment {
   /// cannot report until a later election repairs the cluster).
   static constexpr std::size_t kUnclustered = static_cast<std::size_t>(-1);
 
-  /// head_of[i] is the cluster head serving node i: i itself when node i
-  /// is a head, kUnclustered when no live head exists.  A full election
-  /// or repair resets dead nodes to kUnclustered; RepairInPlace only
-  /// clears the dead *head's* row, so dead members keep their last
-  /// assignment — readers must filter through the alive mask (the
-  /// simulator already does: no path reads a dead node's row).
+  /// head_of[i] is the cluster head recorded for node i: i itself when
+  /// node i is a head, kUnclustered when no live head exists.  A full
+  /// election or repair writes every row and resets dead nodes to
+  /// kUnclustered.  RepairInPlace clears only the dead *head's* row, so
+  /// a member's row may still name a node that is no longer a head;
+  /// ResolveHead re-attaches such a row when it is read.  Dead members
+  /// keep their last row too — readers must filter through the alive
+  /// mask (the simulator does: no path reads a dead node's row).
   std::vector<std::size_t> head_of;
 
   /// Sorted indices of the elected heads (alive by construction).
   std::vector<std::size_t> heads;
-
-  /// members[s] lists the nodes attached to heads[s] (parallel to
-  /// `heads`): filled by the assignment helpers, appended to by in-place
-  /// repairs and readmissions, in no particular order.  Entries are
-  /// never removed on member death, and a node that crashed and
-  /// recovered may be listed twice — treat them as candidates and filter
-  /// with an alive / head_of check.  An assignment without lists (e.g.
-  /// built by an out-of-tree protocol) simply disables the in-place
-  /// repair fast path.
-  std::vector<std::vector<std::uint32_t>> members;
 
   /// Spatial index over exactly `heads`, or empty.  AssignToNearestHeadGrid
   /// keeps the index it searched; EnsureIndex builds one on first use;
@@ -201,6 +187,20 @@ struct ClusterAssignment {
   /// `positions` when it is missing or does not hold as many heads as
   /// `heads` lists.
   HeadIndex& EnsureIndex(const std::vector<node::Position>& positions);
+
+  /// Node i's head, re-attaching a stale row first: when head_of[i]
+  /// names a node that is no longer a head (RepairInPlace dropped it),
+  /// the row is rewritten to the nearest current head, ties to the
+  /// lowest index.  Any other row is returned as it is.
+  ///
+  /// This is the head an eager repair would hold now.  Within a round
+  /// the head set only shrinks (see ClusteringProtocol::Repair), so a
+  /// row's head stays the nearest one for as long as it remains a head,
+  /// and a row needs recomputing only once its head is gone.  A stale
+  /// row implies a surviving head, since RepairInPlace declines the
+  /// death of the last one.
+  std::size_t ResolveHead(std::size_t i,
+                          const std::vector<node::Position>& positions);
 };
 
 /// Strategy interface: how cluster heads are chosen and when they rotate.
@@ -224,36 +224,32 @@ class ClusteringProtocol {
                                   util::Rng& rng) = 0;
 
   /// React to a mid-round cluster-head death.  The default keeps the
-  /// surviving heads of `current` (no protocol ever seats a replacement
-  /// mid-round) and re-attaches every member to the nearest one; when no
-  /// head survives it falls back to a fresh Elect for the same round.
-  /// This full O(n) rebuild is the oracle RepairInPlace is pinned
-  /// against, and the fallback when RepairInPlace declines.
+  /// surviving heads of `current` and re-attaches every member to the
+  /// nearest one; when no head survives it falls back to a fresh Elect
+  /// for the same round.  No protocol seats a head mid-round — deaths
+  /// and crashes remove heads and a recovered node rejoins as a member
+  /// — so within a round the head set only shrinks, which is what makes
+  /// ClusterAssignment::ResolveHead exact.  This full O(n) rebuild is
+  /// the oracle RepairInPlace is pinned against, and the fallback when
+  /// RepairInPlace declines.
   virtual ClusterAssignment Repair(const ClusterAssignment& current,
                                    std::size_t round, const ClusterView& view,
                                    util::Rng& rng);
 
-  /// Repair `cluster` after the death of head `dead_head` *in place*,
-  /// touching only the nodes the death can affect.  The dead head leaves
-  /// `heads`, `members` and the head index (built here when the
-  /// assignment arrived without one).  Its live orphans are
-  /// deduplicated, grouped by index cell, and re-attached to the nearest
-  /// surviving head through one shared ring-search frontier per cell.
-  /// Members of surviving heads keep their assignment — repair never
-  /// adds heads, and removing non-argmin candidates cannot change an
-  /// argmin — so when every other listed head is alive (the simulator
-  /// repairs each head death as it happens) the result is identical to
-  /// `Repair` over the heads and every alive node (dead members'
-  /// head_of rows stay stale, see ClusterAssignment::head_of), at
-  /// O(orphans + cells searched) cost instead of O(n).  Appends each
-  /// re-attached node (the dead head's alive former members) to
-  /// `reattached`, in no particular order.
+  /// Repair `cluster` after the death of head `dead_head` *in place*:
+  /// the dead head leaves `heads` and the head index (built here when
+  /// the assignment arrived without one) and its own head_of row becomes
+  /// kUnclustered.  Nothing else changes.  Its members' rows still name
+  /// it and are re-attached lazily, by ClusterAssignment::ResolveHead,
+  /// when next read; members of surviving heads keep their (still
+  /// nearest) head.  O(heads) per death, for the erase from `heads`.
+  /// `reattached` is unused and left untouched; it stays in the
+  /// signature for overriding protocols.
   ///
-  /// Returns false — leaving `cluster` and `reattached` untouched — when
-  /// the fast path does not apply: `dead_head` is not a current head, no
-  /// other head survives (callers must fall back to Repair/Elect so the
-  /// protocol can run its no-survivor policy), or `cluster.members` was
-  /// not populated by the assignment helpers.
+  /// Returns false — leaving `cluster` untouched — when the fast path
+  /// does not apply: `dead_head` is not a current head, or no other head
+  /// survives (callers must fall back to Repair/Elect so the protocol
+  /// can run its no-survivor policy).
   virtual bool RepairInPlace(ClusterAssignment& cluster, std::size_t dead_head,
                              const ClusterView& view,
                              std::vector<std::uint32_t>& reattached);

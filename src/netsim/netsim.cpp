@@ -801,17 +801,6 @@ void NetworkSimulator::ReadmitRevived(std::size_t i) {
     return;
   }
   if (i < cluster_.head_of.size()) cluster_.head_of[i] = best;
-  if (cluster_.members.size() == cluster_.heads.size()) {
-    // A stale duplicate from an earlier crash is benign: member lists
-    // are stale-tolerant (RepairInPlace filters by alive and head_of and
-    // drops duplicates), exactly like rows orphaned by past repairs.
-    const auto slot =
-        std::lower_bound(cluster_.heads.begin(), cluster_.heads.end(), best);
-    if (slot != cluster_.heads.end() && *slot == best) {
-      cluster_.members[static_cast<std::size_t>(slot - cluster_.heads.begin())]
-          .push_back(static_cast<std::uint32_t>(i));
-    }
-  }
   cluster_next_[i] = best;
   cluster_dist_[i] = node::Distance(p, config_.positions[best]);
 }
@@ -840,8 +829,8 @@ void NetworkSimulator::CheckPartition() {
   }
   bool partitioned = false;
   if (Clustered()) {
-    // RebuildClusterRoutes runs after every head death, so alive rows
-    // never point at dead nodes and the maintained counter is exact.
+    // Every head death is repaired at once; a row still naming a dead
+    // head is routed, since a surviving head exists to re-attach it.
     partitioned = cluster_unrouted_ > 0;
   } else if (config_.rerouting) {
     // The table is repaired after every death, so it is consistent with
@@ -938,6 +927,7 @@ void NetworkSimulator::CollectMetrics(NetSimReport& report) {
   *reg.Counter("netsim.routing.repairs") += repair_sw_.calls;
   *reg.Counter("netsim.cluster.rounds") += rounds_;
   *reg.Counter("netsim.cluster.elections") += elections_;
+  *reg.Counter("netsim.cluster.reattachments") += reattachments_;
   *reg.Counter("netsim.mac.lpl_waits") += mac_.Lpl().waits;
   *reg.Sum("netsim.mac.lpl_wait_s") += mac_.Lpl().wait_s;
   *reg.Counter("netsim.mac.wakeup_batches") += wakeup_batches_;
@@ -976,8 +966,26 @@ void NetworkSimulator::Stop() {
   stop_time_s_ = sim_.Now();
 }
 
-std::size_t NetworkSimulator::Receiver(std::size_t i) const {
-  return Clustered() ? cluster_next_[i] : routing_.NextHop(i);
+std::size_t NetworkSimulator::Receiver(std::size_t i) {
+  if (!Clustered()) return routing_.NextHop(i);
+  // A row names a head, kSink (i is a head) or kNoRoute; a named node
+  // that is no longer a head died or crashed in this round.  head_of,
+  // not alive_, decides: a head that crashed and recovered is alive but
+  // now a member.
+  const std::size_t next = cluster_next_[i];
+  if (next < cluster_.head_of.size() && cluster_.head_of[next] != next) {
+    return ReattachMember(i);
+  }
+  return next;
+}
+
+std::size_t NetworkSimulator::ReattachMember(std::size_t i) {
+  ++reattachments_;
+  const std::size_t head = cluster_.ResolveHead(i, config_.positions);
+  cluster_next_[i] = head;
+  cluster_dist_[i] =
+      node::Distance(config_.positions[i], config_.positions[head]);
+  return head;
 }
 
 double NetworkSimulator::HopDistanceOf(std::size_t i) const {
@@ -1054,9 +1062,9 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
   view.assign_stopwatch = &assign_sw_;
   view.assign_mode = config_.cluster.assign;
 
-  repair_reattached_.clear();
+  std::vector<std::uint32_t> unused;
   obs::PhaseTimer election_timer(&election_sw_);
-  if (!protocol_->RepairInPlace(cluster_, dead, view, repair_reattached_)) {
+  if (!protocol_->RepairInPlace(cluster_, dead, view, unused)) {
     // A declined attempt is not an election: the ElectClusters fallback
     // records the one that happens.
     election_timer.Discard();
@@ -1066,29 +1074,17 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
   // Every surviving head "wins" the repair election, exactly as on the
   // full-rebuild path — head_elections is an output-visible stat.
   for (std::size_t h : cluster_.heads) ++stats_[h].head_elections;
-  // Patch only the affected route rows: the dead head forgets its sink
-  // uplink; re-attached members point at their new head.  Ascending node
-  // order replays the full rebuild's sweep order.
-  std::sort(repair_reattached_.begin(), repair_reattached_.end());
+  // The dead head forgets its sink uplink.  Its members' rows keep
+  // naming it until Receiver re-attaches them, and cluster_unrouted_ is
+  // untouched: the dead head left the alive set, not the routed set.
+  // No queue needs a wake-up: an alive, idle node holds no backlog while
+  // it has a route, because StartNext either starts a transmission or
+  // sheds the whole backlog.  The one exception is a sender inside its
+  // own FinishTx whose receiving head the RX drain just killed; that
+  // FinishTx restarts it before anything draws a random number or
+  // schedules an event.
   cluster_next_[dead] = RoutingTable::kNoRoute;
   cluster_dist_[dead] = 0.0;
-  for (std::uint32_t m : repair_reattached_) {
-    const std::size_t head = cluster_.head_of[m];
-    cluster_next_[m] = head;
-    cluster_dist_[m] =
-        node::Distance(config_.positions[m], config_.positions[head]);
-  }
-  // cluster_unrouted_ is untouched: every orphan re-attached (a surviving
-  // head exists) and the dead head left the alive set, not the routed set.
-  election_timer.Stop();
-  // Wake only the re-attached members — every other alive node kept its
-  // route, so the full post-election sweep would no-op on it (busy, or
-  // idle with an empty queue; idle-with-backlog cannot survive StartNext
-  // while a route exists, and clustered nodes always have one while any
-  // head lives).
-  for (std::uint32_t m : repair_reattached_) {
-    if (!queues_.Empty(m)) StartNext(m);
-  }
   return true;
 }
 

@@ -222,8 +222,9 @@ struct NetSimReport {
   /// routing_repair_s.
   double election_s = 0.0;
   /// Wall-clock seconds assigning members to heads: AssignToNearestHead
-  /// in elections and full repairs, plus the orphan re-attachment of
-  /// in-place repairs (a sub-span of election_s).
+  /// in elections and full repairs (a sub-span of election_s).  The lazy
+  /// re-attachment after in-place repairs is counted, not timed (metric
+  /// netsim.cluster.reattachments).
   double assign_s = 0.0;
 
   /// Fault-injection outcome (all 0 / +infinity without faults).
@@ -343,16 +344,21 @@ class NetworkSimulator {
 
   // Clustered-mode machinery (no-ops in flat mode).
   bool Clustered() const noexcept { return protocol_ != nullptr; }
-  std::size_t Receiver(std::size_t i) const;
+  /// Node i's next hop.  In clustered mode a row naming a node that is
+  /// no longer a head is re-attached first (ReattachMember).
+  std::size_t Receiver(std::size_t i);
+  /// Re-attach member i, whose route row names a node that is no longer
+  /// a head, to the nearest surviving head and rewrite its row.
+  [[gnu::cold]] std::size_t ReattachMember(std::size_t i);
   double HopDistanceOf(std::size_t i) const;
   void ElectClusters(bool repair);
-  /// Head-death repair that touches only the dead head's orphans:
-  /// drives ClusteringProtocol::RepairInPlace on cluster_, patches only
-  /// the affected route rows and wakes only the re-attached members.
-  /// Returns false — having changed nothing, the election stopwatch
-  /// included — when the fast path does not apply (all-pairs mode, no
-  /// surviving head, no member lists, or the protocol declines); the
-  /// caller then falls back to ElectClusters(/*repair=*/true).
+  /// Head-death repair that drops only the dead head: drives
+  /// ClusteringProtocol::RepairInPlace on cluster_ and clears the dead
+  /// head's route row; its members re-attach when they next transmit
+  /// (Receiver).  Returns false — having changed nothing, the election
+  /// stopwatch included — when the fast path does not apply (all-pairs
+  /// mode, no surviving head, or the protocol declines); the caller then
+  /// falls back to ElectClusters(/*repair=*/true).
   bool TryInPlaceClusterRepair(std::size_t dead);
   /// Recomputes cluster_next_/cluster_dist_ from cluster_.  With
   /// `prev_head_of` (a repair's pre-election assignment) only rows whose
@@ -442,8 +448,7 @@ class NetworkSimulator {
   // with observability off; the registry snapshots them additionally.
   obs::Stopwatch repair_sw_;    ///< death-triggered route updates
   obs::Stopwatch election_sw_;  ///< protocol Elect/Repair + route rebuild
-  obs::Stopwatch assign_sw_;    ///< head assignment and in-place
-                                ///< re-attachment (via ClusterView)
+  obs::Stopwatch assign_sw_;    ///< head assignment (via ClusterView)
 
   // Opt-in observability state (null when disabled).
   std::unique_ptr<obs::MetricsRegistry> metrics_;
@@ -456,23 +461,23 @@ class NetworkSimulator {
   // Clustered-mode state.
   std::unique_ptr<ClusteringProtocol> protocol_;  ///< null in flat mode
   ClusterAssignment cluster_;
-  std::vector<std::size_t> cluster_next_;  ///< per-node receiver sentinel
+  /// Per-node receiver: a head index, kSink or kNoRoute.  After an
+  /// in-place repair a member's row may name its dead (or since revived,
+  /// no longer head) former head until Receiver re-attaches it.
+  std::vector<std::size_t> cluster_next_;
   std::vector<double> cluster_dist_;       ///< per-node hop distance (m)
-  /// Alive nodes with cluster_next_ == kNoRoute.  RebuildClusterRoutes
-  /// runs after every head death (rerouting on or off), so an alive row
-  /// never points at a dead node and this counter alone answers the
+  /// Alive nodes with cluster_next_ == kNoRoute, which alone answers the
   /// partition check in O(1) — the clustered analogue of
-  /// RoutingTable::UnroutedAlive().
+  /// RoutingTable::UnroutedAlive().  It stays exact while stale rows
+  /// wait for re-attachment: a stale row implies a surviving head, so it
+  /// is routed.
   std::size_t cluster_unrouted_ = 0;
   std::vector<double> energy_fraction_;    ///< election-time scratch
-  /// In-place-repair scratch: the members RepairInPlace re-attached,
-  /// sorted ascending before route patching so the post-repair queue
-  /// kicks replay the full sweep's node-index order.
-  std::vector<std::uint32_t> repair_reattached_;
   std::size_t round_ = 0;                  ///< current round index
   std::size_t aggregate_bits_ = 0;         ///< resolved upstream bits
   std::uint64_t rounds_ = 0;
   std::uint64_t elections_ = 0;
+  std::uint64_t reattachments_ = 0;  ///< lazy member re-attachments
 };
 
 }  // namespace wsn::netsim

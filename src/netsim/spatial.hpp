@@ -133,68 +133,6 @@ class SpatialGrid {
     return best;
   }
 
-  /// One ring search shared by a batch of nearest queries from the same
-  /// cell.
-  ///
-  /// Queries from one cell walk the same rings, so the walk need not be
-  /// repeated per query: the frontier copies each ring's nodes — index
-  /// and position, contiguously — the first time a query reaches that
-  /// ring, and later queries only read the copy.  For a query point in
-  /// the frontier's cell, Nearest() returns exactly what NearestWhere
-  /// returns with dist2(j) = Distance2(p, positions[j]): the same rings,
-  /// the same stop rule, the same lowest-index tie break.  The grid must
-  /// not change while the frontier is in use.
-  class Frontier {
-   public:
-    /// Centre on cell `cell` (a CellOf value) of `grid`, whose node j
-    /// sits at `positions[j]`.  Drops the previous cell's rings but keeps
-    /// their capacity.  Both references must outlive the queries.
-    void Reset(const SpatialGrid& grid, std::size_t cell,
-               const std::vector<node::Position>& positions) {
-      grid_ = &grid;
-      positions_ = &positions;
-      cx_ = cell % grid.nx_;
-      cy_ = cell / grid.nx_;
-      last_ring_ = grid.MaxRing(cx_, cy_);
-      ring_end_.clear();
-      ids_.clear();
-      pos_.clear();
-    }
-
-    /// Nearest node to `p`, which must lie in the frontier's cell; kNone
-    /// on an empty grid.
-    std::size_t Nearest(const node::Position& p) {
-      double best2 = std::numeric_limits<double>::infinity();
-      std::size_t best = kNone;
-      std::size_t k = 0;
-      for (std::size_t r = 0; r <= last_ring_ && !grid_->Beyond(r, best2);
-           ++r) {
-        if (r == ring_end_.size()) {
-          grid_->ForEachInRing(cx_, cy_, r, [&](std::size_t j) {
-            ids_.push_back(static_cast<std::uint32_t>(j));
-            pos_.push_back((*positions_)[j]);
-          });
-          ring_end_.push_back(static_cast<std::uint32_t>(ids_.size()));
-        }
-        for (const std::size_t end = ring_end_[r]; k < end; ++k) {
-          Consider(node::Distance2(p, pos_[k]), ids_[k], best2, best);
-        }
-      }
-      return best;
-    }
-
-   private:
-    const SpatialGrid* grid_ = nullptr;
-    const std::vector<node::Position>* positions_ = nullptr;
-    std::size_t cx_ = 0;
-    std::size_t cy_ = 0;
-    std::size_t last_ring_ = 0;
-    /// Ring r's nodes are ids_/pos_[ring_end_[r-1] .. ring_end_[r]).
-    std::vector<std::uint32_t> ring_end_;
-    std::vector<std::uint32_t> ids_;
-    std::vector<node::Position> pos_;
-  };
-
  private:
   /// The nearest-query stop rule: true when no cell at ring `r` or beyond
   /// can hold a candidate closer than `best2` (every such cell is at

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/models.hpp"
@@ -417,6 +418,30 @@ TEST(FaultSimulator, ClusteredChurnIdenticalAcrossAssignModes) {
   EXPECT_TRUE(st_grid.Conserved());
   st.cluster.assign = HeadAssignMode::kAllPairs;
   EXPECT_EQ(FirstReportDifference(st_grid, RunOne(st, 987)), "");
+}
+
+TEST(FaultSimulator, CascadeReattachmentCountIsPinned) {
+  // Members of a dead head re-attach when they next transmit; the count
+  // of those re-attachments on the cascade input is pinned, so a change
+  // to the repair algorithm fails here deterministically.  Replications
+  // run on their own streams, so the count ignores the thread count.
+  const core::MarkovCpuModel model;
+  ReplicationConfig rep;
+  rep.replications = 3;
+  rep.seed = 2008;
+  for (const auto& [wakeup, pinned] :
+       {std::pair{0.0, std::uint64_t{1664}},
+        std::pair{0.5, std::uint64_t{1541}}}) {
+    NetSimConfig cfg = CascadeConfig(wakeup);
+    cfg.obs.metrics = true;
+    for (const std::size_t threads : {1, 3}) {
+      rep.threads = threads;
+      const ReplicationSummary summary = RunReplications(cfg, model, rep);
+      EXPECT_EQ(summary.metrics.counters.at("netsim.cluster.reattachments"),
+                pinned)
+          << "LPL " << wakeup << " s, " << threads << " threads";
+    }
+  }
 }
 
 TEST(FaultSimulator, FaultFreeConfigBuildsNoFaultMachinery) {

@@ -288,55 +288,6 @@ TEST(SpatialGridErase, QueriesAnswerAsIfErasedNodesWereNeverIndexed) {
   }
 }
 
-TEST(SpatialGridFrontier, MatchesNearestWhereForEveryQueryInTheCell) {
-  // Batches of queries per cell, as the in-place cluster repair issues
-  // them: one frontier per cell, many queries in it (node sites, points
-  // on cell corners, off-grid points that clamp into boundary cells),
-  // over grids thinned by erasure until they are nearly empty.
-  util::Rng rng(2026);
-  for (int rep = 0; rep < 30; ++rep) {
-    const std::size_t n = 1 + (rng() % 120);
-    const std::vector<node::Position> pos =
-        TieProneCloud(rng, n, 300.0, rep % 2 == 0);
-    SpatialGrid grid(pos, 5.0 + util::UniformDouble(rng) * 40.0);
-    std::vector<node::Position> queries = pos;
-    for (int q = 0; q < 200; ++q) {
-      double x = util::UniformDouble(rng) * 500.0 - 100.0;
-      double y = util::UniformDouble(rng) * 500.0 - 100.0;
-      if (q % 3 == 0) {
-        x = std::floor(x / grid.CellSize()) * grid.CellSize();
-        y = std::floor(y / grid.CellSize()) * grid.CellSize();
-      }
-      queries.push_back({x, y});
-    }
-    std::stable_sort(queries.begin(), queries.end(),
-                     [&](const node::Position& a, const node::Position& b) {
-                       return grid.CellOf(a) < grid.CellOf(b);
-                     });
-    SpatialGrid::Frontier frontier;
-    for (int round = 0; round < 4; ++round) {
-      std::size_t cell = SpatialGrid::kNone;
-      for (const node::Position& p : queries) {
-        if (grid.CellOf(p) != cell) {
-          cell = grid.CellOf(p);
-          frontier.Reset(grid, cell, pos);
-        }
-        EXPECT_EQ(frontier.Nearest(p),
-                  grid.NearestWhere(p, [&](std::size_t j) {
-                    return node::Distance2(p, pos[j]);
-                  }))
-            << "rep " << rep << " round " << round;
-      }
-      // Thin the grid (to empty in the last round) before the next pass.
-      for (std::size_t j = 0; j < n; ++j) {
-        if (round == 3 || rng() % 2 == 0) grid.Erase(j, pos[j]);
-      }
-    }
-    frontier.Reset(grid, 0, pos);
-    EXPECT_EQ(frontier.Nearest(pos[0]), SpatialGrid::kNone);
-  }
-}
-
 TEST(Distance2, MatchesSquaredDistance) {
   const node::Position a{3.0, 4.0};
   const node::Position b{0.0, 0.0};
