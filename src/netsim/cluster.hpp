@@ -191,13 +191,9 @@ struct ClusterAssignment {
   /// Node i's head, re-attaching a stale row first: when head_of[i]
   /// names a node that is no longer a head (RepairInPlace dropped it),
   /// the row is rewritten to the nearest current head, ties to the
-  /// lowest index.  Any other row is returned as it is.
-  ///
-  /// This is the head an eager repair would hold now.  Within a round
-  /// the head set only shrinks (see ClusteringProtocol::Repair), so a
-  /// row's head stays the nearest one for as long as it remains a head,
-  /// and a row needs recomputing only once its head is gone.  A stale
-  /// row implies a surviving head, since RepairInPlace declines the
+  /// lowest index — the head an eager repair would hold now (see
+  /// ClusteringProtocol::Repair).  Any other row is returned as it is.
+  /// A stale row implies a surviving head: RepairInPlace declines the
   /// death of the last one.
   std::size_t ResolveHead(std::size_t i,
                           const std::vector<node::Position>& positions);

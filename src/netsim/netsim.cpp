@@ -639,9 +639,10 @@ void NetworkSimulator::RepairAfterLoss(std::size_t i) {
     if (cluster_.IsHead(i)) {
       if (config_.rerouting) {
         // Losing a head strands its members: repair the cluster now.
-        // The in-place path touches only the dead head's own members;
-        // ElectClusters is the full-rebuild fallback (all-pairs oracle
-        // mode, last head standing, or a protocol without member lists).
+        // The in-place path drops only the dead head (its members
+        // re-attach when they next transmit); ElectClusters is the
+        // full-rebuild fallback (all-pairs oracle mode, last head
+        // standing, or a protocol that declines).
         if (!TryInPlaceClusterRepair(i)) {
           ElectClusters(/*repair=*/true);
         }

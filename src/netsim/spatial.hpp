@@ -125,35 +125,25 @@ class SpatialGrid {
     const std::size_t last_ring = MaxRing(cx, cy);
     double best2 = std::numeric_limits<double>::infinity();
     std::size_t best = kNone;
-    for (std::size_t r = 0; r <= last_ring && !Beyond(r, best2); ++r) {
+    for (std::size_t r = 0; r <= last_ring; ++r) {
+      if (best != kNone && r >= 2) {
+        // Every cell at ring r is at least (r-1) cells away in x or y.
+        const double reach = static_cast<double>(r - 1) * cell_m_;
+        if (reach * reach > best2) break;
+      }
       ForEachInRing(cx, cy, r, [&](std::size_t j) {
-        Consider(dist2(j), j, best2, best);
+        const double d2 = dist2(j);
+        if (d2 == std::numeric_limits<double>::infinity()) return;
+        if (d2 < best2 || (d2 == best2 && j < best)) {
+          best2 = d2;
+          best = j;
+        }
       });
     }
     return best;
   }
 
  private:
-  /// The nearest-query stop rule: true when no cell at ring `r` or beyond
-  /// can hold a candidate closer than `best2` (every such cell is at
-  /// least r-1 cells away in x or y).
-  bool Beyond(std::size_t r, double best2) const noexcept {
-    if (r < 2) return false;
-    const double reach = static_cast<double>(r - 1) * cell_m_;
-    return reach * reach > best2;
-  }
-
-  /// The nearest-query candidate rule: j at cost `d2` replaces the best
-  /// so far when strictly closer, or as close with a lower index;
-  /// +infinity excludes j.
-  static void Consider(double d2, std::size_t j, double& best2,
-                       std::size_t& best) noexcept {
-    if (d2 == std::numeric_limits<double>::infinity()) return;
-    if (d2 < best2 || (d2 == best2 && j < best)) {
-      best2 = d2;
-      best = j;
-    }
-  }
 
   /// Invoke `fn(j)` for every node j in `cell`, in ascending node index.
   template <typename Fn>
