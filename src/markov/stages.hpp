@@ -9,7 +9,7 @@
 // true process — at the cost of a k-fold state-space blow-up.
 //
 // k = 1 is the naive "pretend the constant delay is exponential" model;
-// the stage-count ablation (bench_ablation_stages) sweeps k to show the
+// the stage-count ablation (`wsnctl run ablation-stages`) sweeps k to show the
 // convergence the paper's discussion implies.
 #pragma once
 

@@ -12,23 +12,6 @@ namespace wsn::netsim {
 
 using util::Require;
 
-const char* HeadAssignModeName(HeadAssignMode mode) noexcept {
-  switch (mode) {
-    case HeadAssignMode::kGrid:
-      return "grid";
-    case HeadAssignMode::kAllPairs:
-      return "all-pairs";
-  }
-  return "?";
-}
-
-HeadAssignMode ParseHeadAssignMode(const std::string& name) {
-  if (name == "grid") return HeadAssignMode::kGrid;
-  if (name == "all-pairs") return HeadAssignMode::kAllPairs;
-  throw util::InvalidArgument("unknown head-assignment mode '" + name +
-                              "' (expected grid or all-pairs)");
-}
-
 void NodeClass::Validate() const {
   Require(!name.empty(), "node class name must be non-empty");
   Require(battery_mah > 0.0,
@@ -162,7 +145,7 @@ ClusterAssignment AssignToNearestHead(const ClusterView& view,
   // Below a handful of heads the grid build costs more than it saves
   // and the all-pairs scan is already O(n); the result is identical
   // either way, so this is a pure perf dispatch.
-  if (view.assign_mode == HeadAssignMode::kAllPairs || heads.size() <= 4) {
+  if (view.all_pairs || heads.size() <= 4) {
     return AssignToNearestHeadAllPairs(view, std::move(heads));
   }
   return AssignToNearestHeadGrid(view, std::move(heads));

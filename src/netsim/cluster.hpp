@@ -43,23 +43,6 @@ struct Stopwatch;
 
 namespace wsn::netsim {
 
-/// How AssignToNearestHead finds each member's nearest head.
-///
-/// Mirrors the routing layer's RoutingUpdateMode pattern: the grid path
-/// is the default, the all-pairs path is the slow pinned oracle the grid
-/// path must match bit for bit (same argmin, same lowest-head-index tie
-/// break), kept selectable for equivalence tests and benchmarks.
-enum class HeadAssignMode {
-  kGrid,      ///< ring-search over a spatial grid of the heads, O(k)/node
-  kAllPairs,  ///< scan every head per node, O(heads)/node (oracle)
-};
-
-/// Name of a head-assignment mode ("grid", "all-pairs").
-const char* HeadAssignModeName(HeadAssignMode mode) noexcept;
-
-/// Parse "grid" / "all-pairs"; throws util::InvalidArgument otherwise.
-HeadAssignMode ParseHeadAssignMode(const std::string& name);
-
 /// A named hardware profile a node can be instantiated from.
 ///
 /// The simulator's template node (NetSimConfig::network.node) supplies
@@ -109,9 +92,11 @@ struct ClusterView {
   /// the latter runs on the packet path, which reads no clock.
   obs::Stopwatch* assign_stopwatch = nullptr;
 
-  /// Nearest-head search strategy AssignToNearestHead dispatches to.
-  /// Both modes produce identical assignments; kGrid is O(k) per node.
-  HeadAssignMode assign_mode = HeadAssignMode::kGrid;
+  /// When true, AssignToNearestHead always runs the all-pairs oracle
+  /// (AssignToNearestHeadAllPairs) instead of the grid search; the
+  /// simulator sets it from NetSimConfig::oracle.  Both produce identical
+  /// assignments.
+  bool all_pairs = false;
 
   /// Number of nodes in the deployment.
   std::size_t Size() const noexcept { return positions->size(); }
@@ -254,14 +239,14 @@ class ClusteringProtocol {
 /// Attach every alive non-head node in `view` to the nearest alive head
 /// in `heads` (Euclidean; ties break toward the lowest head index).
 /// Nodes stay kUnclustered when `heads` is empty.  Shared by the in-tree
-/// protocols and available to out-of-tree ones.  Dispatches on
-/// `view.assign_mode`; both strategies return identical assignments.
+/// protocols and available to out-of-tree ones.  Runs the grid search,
+/// or the all-pairs scan when `view.all_pairs` is set or there are at
+/// most four heads; both return identical assignments.
 ClusterAssignment AssignToNearestHead(const ClusterView& view,
                                       std::vector<std::size_t> heads);
 
 /// The all-pairs oracle: every alive non-head node scans every head.
-/// O(n * heads) — the pre-grid implementation, kept verbatim as the
-/// equivalence baseline (the routing layer's RecomputeLegacy pattern).
+/// O(n * heads) — the reference the grid search is pinned against.
 ClusterAssignment AssignToNearestHeadAllPairs(const ClusterView& view,
                                               std::vector<std::size_t> heads);
 
@@ -358,10 +343,6 @@ struct ClusterConfig {
   /// Bits of an aggregated upstream packet; 0 = the template node's
   /// sample_bits (i.e. perfect compression to one sample).
   std::size_t aggregate_bits = 0;
-
-  /// Nearest-head search strategy for elections and repairs.  kAllPairs
-  /// selects the slow oracle — useful only for equivalence checks.
-  HeadAssignMode assign = HeadAssignMode::kGrid;
 
   /// Custom protocol constructor, invoked once per replication (possibly
   /// from worker threads — pure construction only).  Overrides

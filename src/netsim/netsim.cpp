@@ -278,7 +278,7 @@ NetworkSimulator::NetworkSimulator(NetSimConfig config, double cpu_power_mw,
   if (config_.obs.metrics) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
     // Pre-resolved so OnDeath records through a raw pointer; the range
-    // covers incremental repairs (~us) up to legacy full recomputes.
+    // covers incremental repairs (~us) up to full recomputes.
     repair_hist_ = metrics_->TimingHist("netsim.routing.repair_latency_s",
                                         0.0, 0.05, 25);
     if (faults_ != nullptr) {
@@ -641,8 +641,8 @@ void NetworkSimulator::RepairAfterLoss(std::size_t i) {
         // Losing a head strands its members: repair the cluster now.
         // The in-place path drops only the dead head (its members
         // re-attach when they next transmit); ElectClusters is the
-        // full-rebuild fallback (all-pairs oracle mode, last head
-        // standing, or a protocol that declines).
+        // full-rebuild fallback (oracle runs, last head standing, or a
+        // protocol that declines).
         if (!TryInPlaceClusterRepair(i)) {
           ElectClusters(/*repair=*/true);
         }
@@ -660,16 +660,10 @@ void NetworkSimulator::RepairAfterLoss(std::size_t i) {
       cluster_dist_[i] = 0.0;
     }
   } else if (config_.rerouting) {
-    switch (config_.routing_update) {
-      case RoutingUpdateMode::kIncremental:
-        routing_.RepairAfterDeath(i, alive_);
-        break;
-      case RoutingUpdateMode::kFull:
-        routing_.Recompute(alive_);
-        break;
-      case RoutingUpdateMode::kLegacy:
-        routing_.RecomputeLegacy(alive_);
-        break;
+    if (config_.oracle) {
+      routing_.Recompute(alive_);
+    } else {
+      routing_.RepairAfterDeath(i, alive_);
     }
   }
   const double repair_elapsed = repair_timer.Stop();
@@ -749,16 +743,10 @@ void NetworkSimulator::OnRecover(std::size_t i) {
       RebuildClusterRoutes();
     }
   } else if (config_.rerouting) {
-    switch (config_.routing_update) {
-      case RoutingUpdateMode::kIncremental:
-        routing_.RepairAfterRecovery(i, alive_);
-        break;
-      case RoutingUpdateMode::kFull:
-        routing_.Recompute(alive_);
-        break;
-      case RoutingUpdateMode::kLegacy:
-        routing_.RecomputeLegacy(alive_);
-        break;
+    if (config_.oracle) {
+      routing_.Recompute(alive_);
+    } else {
+      routing_.RepairAfterRecovery(i, alive_);
     }
   }
   const double repair_elapsed = repair_timer.Stop();
@@ -770,12 +758,12 @@ void NetworkSimulator::OnRecover(std::size_t i) {
 void NetworkSimulator::ReadmitRevived(std::size_t i) {
   // The revived node rejoins as a member of its nearest live head; a
   // former head gets its next shot at the following round election.
-  // Grid mode asks the assignment's head index; all-pairs mode keeps the
-  // linear scan as the oracle.  Both break ties toward the lowest head
-  // index, matching AssignToNearestHead.
+  // The assignment's head index answers; oracle runs keep the linear
+  // scan.  Both break ties toward the lowest head index, matching
+  // AssignToNearestHead.
   const node::Position& p = config_.positions[i];
   std::size_t best = ClusterAssignment::kUnclustered;
-  if (config_.cluster.assign == HeadAssignMode::kGrid) {
+  if (!config_.oracle) {
     // Every listed head is alive: each head death is repaired at once.
     if (!cluster_.heads.empty()) {
       const HeadIndex& index = cluster_.EnsureIndex(config_.positions);
@@ -1002,7 +990,7 @@ void NetworkSimulator::ElectClusters(bool repair) {
     // actually reads energies refreshes them below — which regroups the
     // floating-point drain sums and therefore shifts clustered
     // trajectories by ULPs relative to the eager-sweep implementation
-    // (identically in both assignment modes).
+    // (identically with and without `oracle`).
     for (std::size_t i = 0; i < alive_.size(); ++i) {
       if (alive_[i]) Touch(i, now);  // batteries current at the election
     }
@@ -1028,7 +1016,7 @@ void NetworkSimulator::ElectClusters(bool repair) {
     }
   };
   view.assign_stopwatch = &assign_sw_;
-  view.assign_mode = config_.cluster.assign;
+  view.all_pairs = config_.oracle;
 
   // Election cost = protocol decision + member assignment + route
   // rebuild; the post-election queue wakeups below are ordinary TX work,
@@ -1051,9 +1039,9 @@ void NetworkSimulator::ElectClusters(bool repair) {
 }
 
 bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
-  // All-pairs mode stays on the historical full-rebuild path: it is the
-  // pinned oracle the netsim-scale clustered-allpairs rows measure.
-  if (config_.cluster.assign != HeadAssignMode::kGrid) return false;
+  // Oracle runs take the full-rebuild path, the reference this one is
+  // pinned against.
+  if (config_.oracle) return false;
   ClusterView view;
   view.positions = &config_.positions;
   view.sinks = &routing_.Sinks();
@@ -1061,7 +1049,6 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
   view.energy_fraction = &energy_fraction_;  // never read: repairs with a
                                              // surviving head skip energies
   view.assign_stopwatch = &assign_sw_;
-  view.assign_mode = config_.cluster.assign;
 
   std::vector<std::uint32_t> unused;
   obs::PhaseTimer election_timer(&election_sw_);

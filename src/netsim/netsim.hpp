@@ -85,11 +85,14 @@ struct NetSimConfig {
   /// Recompute routes when a node dies (flat mode); in clustered mode
   /// this gates the repair election after a cluster-head death.
   bool rerouting = true;
-  /// How a flat-mode death updates the routing table: incremental repair
-  /// (default), grid-accelerated full recompute (correctness oracle) or
-  /// the faithful pre-grid all-pairs recompute (benchmark baseline).
-  /// All three produce identical routes; only the cost differs.
-  RoutingUpdateMode routing_update = RoutingUpdateMode::kIncremental;
+  /// Run the reference path of every fast path, for oracle twins: a full
+  /// RoutingTable::Recompute after each flat death and recovery instead
+  /// of the incremental repairs; in clustered mode all-pairs head
+  /// assignment, a full ClusteringProtocol::Repair on every head death
+  /// instead of the in-place one, and a scan of every head to re-admit a
+  /// revived node.  Reports are identical either way; only the cost
+  /// differs.
+  bool oracle = false;
   bool stop_at_first_death = false;  ///< end the run at the first death
   bool stop_at_partition = false;    ///< end the run when partitioned
 
@@ -319,15 +322,14 @@ class NetworkSimulator {
   /// during the outage).
   void OnCrash(std::size_t i);
   /// Recovery: the node rejoins with its remaining charge; routes are
-  /// re-offered (RoutingTable::RepairAfterRecovery in incremental mode,
-  /// the full recomputes as oracles), clusters re-admit it, traffic and
-  /// the death timer restart, and a healed partition is detected.
+  /// re-offered (RoutingTable::RepairAfterRecovery, or a full Recompute
+  /// under `oracle`), clusters re-admit it, traffic and the death timer
+  /// restart, and a healed partition is detected.
   void OnRecover(std::size_t i);
   /// Clustered-mode re-admission of a revived node: it rejoins as a
   /// member of the nearest live head (a former head gets its next shot
   /// at the following round election), found through the assignment's
-  /// head index in grid mode and by a scan of every head in all-pairs
-  /// mode.
+  /// head index, or by a scan of every head under `oracle`.
   void ReadmitRevived(std::size_t i);
   /// Per-attempt loss draw for sender i: the MAC's base p_loss combined
   /// (as independent events) with any active jam window covering the
@@ -356,8 +358,8 @@ class NetworkSimulator {
   /// ClusteringProtocol::RepairInPlace on cluster_ and clears the dead
   /// head's route row; its members re-attach when they next transmit
   /// (Receiver).  Returns false — having changed nothing, the election
-  /// stopwatch included — when the fast path does not apply (all-pairs
-  /// mode, no surviving head, or the protocol declines); the caller then
+  /// stopwatch included — when the fast path does not apply (`oracle`
+  /// set, no surviving head, or the protocol declines); the caller then
   /// falls back to ElectClusters(/*repair=*/true).
   bool TryInPlaceClusterRepair(std::size_t dead);
   /// Recomputes cluster_next_/cluster_dist_ from cluster_.  With

@@ -5,24 +5,12 @@
 #include <limits>
 #include <utility>
 
+#include "netsim/spatial.hpp"
 #include "util/error.hpp"
 
 namespace wsn::netsim {
 
 using util::Require;
-
-namespace {
-
-/// Pre-grid validation: SpatialGrid is a member, so the table's own
-/// input checks must run before its construction.
-const std::vector<node::Position>& Validated(
-    const std::vector<node::Position>& positions, double max_hop_m) {
-  Require(!positions.empty(), "routing table needs at least one node");
-  Require(max_hop_m > 0.0, "hop range must be positive");
-  return positions;
-}
-
-}  // namespace
 
 RoutingTable::RoutingTable(node::Position sink, double max_hop_m,
                            std::vector<node::Position> positions)
@@ -33,8 +21,9 @@ RoutingTable::RoutingTable(std::vector<node::Position> sinks, double max_hop_m,
                            std::vector<node::Position> positions)
     : sinks_(std::move(sinks)),
       max_hop_m_(max_hop_m),
-      positions_(std::move(positions)),
-      grid_(Validated(positions_, max_hop_m_), max_hop_m_) {
+      positions_(std::move(positions)) {
+  Require(!positions_.empty(), "routing table needs at least one node");
+  Require(max_hop_m_ > 0.0, "hop range must be positive");
   Require(!sinks_.empty(), "routing table needs at least one sink");
   const std::size_t n = positions_.size();
   const double hop2 = max_hop_m_ * max_hop_m_;
@@ -60,15 +49,16 @@ RoutingTable::RoutingTable(std::vector<node::Position> sinks, double max_hop_m,
 
   // Per-node in-range neighbour lists, gathered from the 3x3 grid block
   // and sorted ascending — the greedy tie-break (lowest index wins on
-  // equal remaining distance) scans each list in index order, exactly
-  // like the historical all-pairs loop did.
+  // equal remaining distance) scans each list in index order, as
+  // Network::NextHop scans every node.
+  const SpatialGrid grid(positions_, max_hop_m_);
   std::vector<std::pair<std::uint32_t, double>> candidates;
   nbr_start_.assign(n + 1, 0);
   nbr_.clear();
   nbr_d2_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     candidates.clear();
-    grid_.ForEachCandidate(positions_[i], [&](std::size_t j) {
+    grid.ForEachCandidate(positions_[i], [&](std::size_t j) {
       if (j == i) return;
       const double d2 = node::Distance2(positions_[i], positions_[j]);
       if (d2 <= hop2) {
@@ -146,39 +136,6 @@ void RoutingTable::Recompute(const std::vector<bool>& alive) {
     }
     Choose(i, alive);
     if (next_[i] == kNoRoute) ++unrouted_alive_;
-  }
-}
-
-void RoutingTable::RecomputeLegacy(const std::vector<bool>& alive) {
-  const std::size_t n = positions_.size();
-  Require(alive.size() == n, "alive mask size mismatch");
-  unrouted_alive_ = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!alive[i]) {
-      next_[i] = kNoRoute;
-      hop_distance_[i] = 0.0;
-      continue;
-    }
-    if (to_sink_[i] <= max_hop_m_) {
-      next_[i] = kSink;
-      hop_distance_[i] = to_sink_[i];
-      continue;
-    }
-    std::size_t best = kNoRoute;
-    double best_remaining = to_sink_[i];
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i || !alive[j]) continue;
-      if (node::Distance(positions_[i], positions_[j]) > max_hop_m_) continue;
-      if (to_sink_[j] < best_remaining) {
-        best_remaining = to_sink_[j];
-        best = j;
-      }
-    }
-    next_[i] = best;
-    hop_distance_[i] =
-        (best == kNoRoute) ? 0.0
-                           : node::Distance(positions_[i], positions_[best]);
-    if (best == kNoRoute) ++unrouted_alive_;
   }
 }
 

@@ -14,40 +14,24 @@
 /// toward its *nearest* sink (distance-to-sink is the minimum over the
 /// sink set), and delivery at any sink counts.
 ///
-/// Scaling (ISSUE 5): construction buckets nodes into a SpatialGrid with
-/// cells of the hop range and precomputes, once, each node's in-range
-/// neighbour list with squared distances — so candidate scans touch the
-/// local density, not all N nodes, and comparisons run in distance^2
-/// with a single sqrt when a hop is actually chosen.  A node death is
-/// then repaired *incrementally* (RepairAfterDeath): only the nodes
-/// whose next hop was the dead node re-choose, via a worklist.  The full
-/// recompute survives in two forms — Recompute (grid-accelerated, the
-/// default oracle) and RecomputeLegacy (the faithful pre-grid all-pairs
-/// scan, kept recompilable so equivalence tests and benchmarks measure
-/// the real former implementation, not a remembered number).
+/// Construction buckets nodes into a SpatialGrid with cells of the hop
+/// range and precomputes, once, each node's in-range neighbour list with
+/// squared distances, so candidate scans touch the local density, not all
+/// N nodes, and comparisons run in distance^2 with a single sqrt when a
+/// hop is actually chosen.  A node death is then repaired incrementally
+/// (RepairAfterDeath): only the nodes whose next hop was the dead node
+/// re-choose, via a worklist.  Recompute, the full rebuild over the same
+/// neighbour lists, is the oracle the incremental paths are pinned
+/// against (NetSimConfig::oracle runs it after every death and recovery).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "netsim/spatial.hpp"
 #include "wsn/network.hpp"
 
 namespace wsn::netsim {
-
-/// How the simulator updates the routing table when a node dies.
-enum class RoutingUpdateMode {
-  /// Re-route only the nodes whose next hop was the dead node (default;
-  /// equivalent to a full recompute for greedy geographic routing).
-  kIncremental,
-  /// Grid-accelerated full recompute of every node — the correctness
-  /// oracle the incremental path is pinned against.
-  kFull,
-  /// Faithful pre-grid all-pairs recompute (O(N^2) with a sqrt per
-  /// pair) — the benchmark baseline for the scaling work.
-  kLegacy,
-};
 
 /// Greedy next-hop table over the alive subset of a deployment, with
 /// single- or multi-sink geometry fixed at construction.
@@ -73,11 +57,6 @@ class RoutingTable {
   /// Rebuild every next hop considering only `alive[j]` nodes as relays,
   /// scanning each node's precomputed neighbour list.
   void Recompute(const std::vector<bool>& alive);
-
-  /// The pre-grid implementation of Recompute, verbatim: all-pairs with
-  /// a sqrt per pair.  Bit-identical results; kept as the correctness
-  /// oracle and as the honest benchmark baseline.
-  void RecomputeLegacy(const std::vector<bool>& alive);
 
   /// Incremental repair after the death of node `dead` (already false in
   /// `alive`): clears the dead node's route and re-chooses the next hop
@@ -142,9 +121,6 @@ class RoutingTable {
   /// case).
   const std::vector<node::Position>& Sinks() const noexcept { return sinks_; }
 
-  /// The spatial index the neighbour lists were built from.
-  const SpatialGrid& Grid() const noexcept { return grid_; }
-
  private:
   /// Re-choose node i's next hop from its neighbour list under `alive`.
   void Choose(std::size_t i, const std::vector<bool>& alive);
@@ -152,7 +128,6 @@ class RoutingTable {
   std::vector<node::Position> sinks_;
   double max_hop_m_;
   std::vector<node::Position> positions_;
-  SpatialGrid grid_;
   std::vector<double> to_sink_;
   std::vector<std::uint32_t> nearest_sink_;  ///< argmin index behind to_sink_
   std::vector<std::size_t> next_;

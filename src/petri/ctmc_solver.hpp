@@ -10,7 +10,7 @@
 // the state as a per-transition phase counter.  Enabling memory falls out
 // naturally: when the transition is disabled its phase resets to zero.
 // As k grows the solution converges to the true DSPN steady state; the
-// convergence is an explicit ablation (bench_ablation_stages).
+// convergence is an explicit ablation (`wsnctl run ablation-stages`).
 #pragma once
 
 #include <cstddef>

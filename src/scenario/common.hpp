@@ -23,9 +23,9 @@ core::CpuParams PaperParams();
 /// The paper evaluates energy over the 1000 s simulated horizon.
 inline constexpr double kEnergyHorizonSeconds = 1000.0;
 
-/// Simulation effort knobs (--sim-time, --replications, --seed), with
-/// the validation the old bench_common lacked: replications >= 1 and a
-/// non-negative seed, rejected before any unsigned cast.  Model-internal
+/// Simulation effort knobs (--sim-time, --replications, --seed),
+/// validated: replications >= 1 and a non-negative seed, rejected before
+/// any unsigned cast.  Model-internal
 /// replication threading is pinned to 1: scenario parallelism happens at
 /// the sweep-grid level, through the scenario's ParallelExecutor.
 core::EvalConfig EvalConfigFromArgs(const util::CliArgs& args);

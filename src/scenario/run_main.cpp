@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -255,21 +256,18 @@ std::string ScenarioHelp(const Scenario& scenario) {
       AllFlags(scenario));
 }
 
-/// Validate, execute and print one scenario.  Shared by `wsnctl run`
-/// and the thin artifact shims.  `expected_positional` is the number of
-/// non-flag tokens the invocation legitimately carries (subcommand +
-/// scenario name for wsnctl, none for a shim); anything beyond that is
-/// a flag typed without its dashes and must fail as loudly as an
+/// Validate, execute and print one scenario (`wsnctl run <name>`).
+/// Positional tokens beyond the subcommand and the scenario name are
+/// flags typed without their dashes and must fail as loudly as an
 /// unknown flag would.
-int RunOne(const Scenario& scenario, const util::CliArgs& args,
-           std::size_t expected_positional) {
+int RunOne(const Scenario& scenario, const util::CliArgs& args) {
   if (args.GetBool("help")) {
     std::cout << ScenarioHelp(scenario);
     return 0;
   }
-  if (args.Positional().size() > expected_positional) {
+  if (args.Positional().size() > 2) {
     throw util::InvalidArgument(
-        "unexpected argument '" + args.Positional()[expected_positional] +
+        "unexpected argument '" + args.Positional()[2] +
         "' (flags are written --name=value; run with --help)");
   }
   util::RequireKnownFlags(args, AllFlags(scenario));
@@ -375,25 +373,10 @@ int WsnctlMain(int argc, const char* const* argv) {
       if (positional.size() < 2) return Usage(std::cerr, 2);
       const Scenario* s = FindOrComplain(positional[1]);
       if (s == nullptr) return 2;
-      return RunOne(*s, args, 2);
+      return RunOne(*s, args);
     }
     (util::LogError() << "unknown command").Kv("command", command);
     return Usage(std::cerr, 2);
-  } catch (const std::exception& e) {
-    util::LogError() << e.what();
-    return 1;
-  }
-}
-
-int RunScenarioMain(const std::string& name, int argc,
-                    const char* const* argv) {
-  try {
-    const Scenario* s = ScenarioRegistry::Instance().Find(name);
-    if (s == nullptr) {
-      (util::LogError() << "scenario is not registered").Kv("scenario", name);
-      return 2;
-    }
-    return RunOne(*s, util::CliArgs(argc, argv), 0);
   } catch (const std::exception& e) {
     util::LogError() << e.what();
     return 1;

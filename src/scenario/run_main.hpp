@@ -1,6 +1,5 @@
 /// \file
-/// Shared driver plumbing: the wsnctl subcommands and the thin mains the
-/// bench_*/example artifact binaries reduce to.
+/// The wsnctl driver: its subcommands and their shared plumbing.
 ///
 ///   wsnctl list                         all registered scenarios
 ///   wsnctl help <name>                  flags of one scenario
@@ -10,16 +9,9 @@
 /// (unknown flags are a hard error) and honors --help.
 #pragma once
 
-#include <string>
-
 namespace wsn::scenario {
 
 /// Entry point for `wsnctl`.
 int WsnctlMain(int argc, const char* const* argv);
-
-/// Entry point for a thin artifact shim: run the named scenario with the
-/// binary's own argv (no subcommand).  Returns a process exit code.
-int RunScenarioMain(const std::string& name, int argc,
-                    const char* const* argv);
 
 }  // namespace wsn::scenario

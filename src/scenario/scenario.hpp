@@ -5,9 +5,8 @@
 /// A scenario declares its flag vocabulary (FlagSpec drives both unknown-
 /// flag rejection and auto-generated --help), consumes a parsed CliArgs,
 /// fans its sweep/replication grid across the ParallelExecutor it is
-/// handed, and returns a structured ResultSet.  Everything above — the
-/// wsnctl driver, the thin bench_*/example shims, the smoke tests — is
-/// shared plumbing in run_main.{hpp,cpp}.
+/// handed, and returns a structured ResultSet.  The wsnctl driver above
+/// it lives in run_main.{hpp,cpp}.
 ///
 /// Registration is self-contained: each scenarios_*.cpp translation unit
 /// defines file-scope ScenarioRegistrar objects whose constructors insert

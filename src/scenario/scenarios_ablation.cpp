@@ -1,5 +1,4 @@
-// Registered ablation scenarios (DESIGN.md abl1/abl2), ported from the
-// hand-rolled bench_ablation_* mains.
+// Registered ablation scenarios (DESIGN.md abl1/abl2).
 #include <cmath>
 #include <string>
 #include <vector>

@@ -1,33 +1,22 @@
 // Registered hot-path benchmark scenario: the BENCH_hotpath.json
-// producer that starts the repo's performance trajectory (ISSUE 3).
+// producer that starts the repo's performance trajectory.
 //
 // Three sections, each a table in the ResultSet:
-//   * kernel    — DES event throughput of the slab/InlineAction kernel
-//                 vs an in-file "legacy" reference that reproduces the
-//                 pre-PR path (std::function actions in an unordered_map
-//                 over a hash-set lazy-deletion heap), on an identical
-//                 deterministic schedule/fire/cancel workload;
+//   * kernel    — DES event throughput of the slab/InlineAction kernel on
+//                 a deterministic schedule/fire/cancel workload;
 //   * netsim    — packet-level replication rate on a node grid;
 //   * transient — 200-point transient-trajectory latency, incremental
 //                 TransientSolver vs per-point single-shot recompute.
 //
-// The legacy kernel lives here, not in src/des/: it exists only so the
-// speedup is measured against the real former implementation instead of
-// a remembered number, and so future kernel changes keep an honest,
-// recompilable baseline.  tools/bench_compare.py diffs two JSON outputs.
+// The kernel itself is pinned by the randomized differential against a
+// std::set reference in tests/test_event_queue.cpp.
+// tools/bench_compare.py diffs two JSON outputs.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
-#include <queue>
 #include <string>
-#include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "core/models.hpp"
@@ -56,104 +45,18 @@ double Seconds(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// ------------------------------------------------------------- legacy DES
-// Faithful reproduction of the pre-slab kernel: type-erased std::function
-// actions in an unordered_map, the binary heap's old unordered_set
-// live/cancelled bookkeeping, and the std::string-building Require calls
-// the old hot path executed per event (forced through the std::string
-// overload, as every call site resolved before the const char* overload
-// existed).
-class LegacySimulator {
- public:
-  using Action = std::function<void()>;
-
-  double Now() const noexcept { return now_; }
-
-  des::EventId ScheduleAt(double time, Action action) {
-    util::Require(time >= now_, std::string("cannot schedule into the past"));
-    util::Require(static_cast<bool>(action),
-                  std::string("event action must be callable"));
-    const des::EventId id = next_id_++;
-    heap_.push({time, id});
-    live_.insert(id);
-    actions_.emplace(id, std::move(action));
-    return id;
-  }
-
-  des::EventId ScheduleAfter(double delay, Action action) {
-    util::Require(delay >= 0.0, std::string("delay must be >= 0"));
-    return ScheduleAt(now_ + delay, std::move(action));
-  }
-
-  bool Cancel(des::EventId id) {
-    if (live_.erase(id) == 0) return false;
-    cancelled_.insert(id);
-    actions_.erase(id);
-    return true;
-  }
-
-  bool Step() {
-    SkipCancelled();
-    if (heap_.empty()) return false;
-    const Entry e = heap_.top();
-    heap_.pop();
-    live_.erase(e.id);
-    now_ = e.time;
-    const auto it = actions_.find(e.id);
-    util::Require(it != actions_.end(),
-                  std::string("internal: event without action"));
-    Action action = std::move(it->second);
-    actions_.erase(it);
-    ++processed_;
-    action();
-    return true;
-  }
-
-  std::uint64_t ProcessedEvents() const noexcept { return processed_; }
-
- private:
-  struct Entry {
-    double time;
-    des::EventId id;
-    bool operator>(const Entry& other) const noexcept {
-      if (time != other.time) return time > other.time;
-      return id > other.id;
-    }
-  };
-
-  void SkipCancelled() {
-    while (!heap_.empty()) {
-      const auto it = cancelled_.find(heap_.top().id);
-      if (it == cancelled_.end()) return;
-      cancelled_.erase(it);
-      heap_.pop();
-    }
-  }
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::unordered_set<des::EventId> live_;
-  std::unordered_set<des::EventId> cancelled_;
-  std::unordered_map<des::EventId, Action> actions_;
-  double now_ = 0.0;
-  des::EventId next_id_ = 1;
-  std::uint64_t processed_ = 0;
-};
-
 // Deterministic netsim-shaped kernel workload: `chains` self-rescheduling
 // event chains (a packet TX cycle), each refreshing a far-future shadow
 // timer (a death timer: cancel + reschedule) every `cancel_every` fires.
-// Identical for both kernels; returns a checksum so the scenario can
-// assert behavioral equivalence before quoting a speedup.
-template <typename Sim>
 struct KernelWorkload {
-  Sim& sim;
+  des::Simulator& sim;
   std::size_t cancel_every;
   std::vector<des::EventId> shadow;
   std::vector<std::uint64_t> fires;
   std::uint64_t lcg;
 
-  KernelWorkload(Sim& s, std::size_t chains, std::size_t cancel_each,
-                 std::uint64_t seed)
+  KernelWorkload(des::Simulator& s, std::size_t chains,
+                 std::size_t cancel_each, std::uint64_t seed)
       : sim(s), cancel_every(cancel_each), shadow(chains, 0),
         fires(chains, 0), lcg(seed * 2862933555777941757ULL + 3037000493ULL) {
     for (std::size_t i = 0; i < chains; ++i) {
@@ -174,40 +77,25 @@ struct KernelWorkload {
       shadow[i] = sim.ScheduleAfter(1.0e9, [] {});
     }
   }
-
-  std::uint64_t Checksum() const {
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < fires.size(); ++i) {
-      sum += fires[i] * (i + 1);
-    }
-    return sum;
-  }
 };
 
 struct KernelRun {
   double wall_s = 0.0;
   std::uint64_t events = 0;
-  std::uint64_t checksum = 0;
-  des::Simulator::KernelStats stats{};  // slab kernel only
-  bool has_stats = false;
+  des::Simulator::KernelStats stats{};
 };
 
-template <typename Sim>
 KernelRun TimeKernel(std::uint64_t target_events, std::size_t chains,
                      std::size_t cancel_every, std::uint64_t seed) {
-  Sim sim;
-  KernelWorkload<Sim> load(sim, chains, cancel_every, seed);
+  des::Simulator sim;
+  KernelWorkload load(sim, chains, cancel_every, seed);
   const auto start = std::chrono::steady_clock::now();
   while (sim.ProcessedEvents() < target_events && sim.Step()) {
   }
   KernelRun run;
   run.wall_s = Seconds(start);
   run.events = sim.ProcessedEvents();
-  run.checksum = load.Checksum();
-  if constexpr (std::is_same_v<Sim, des::Simulator>) {
-    run.stats = sim.Stats();
-    run.has_stats = true;
-  }
+  run.stats = sim.Stats();
   return run;
 }
 
@@ -231,34 +119,20 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
   results.SetMeta("seed", std::to_string(seed));
 
   // --- kernel event throughput --------------------------------------
-  const KernelRun slab =
-      TimeKernel<des::Simulator>(events, chains, cancel_every, seed);
-  const KernelRun legacy =
-      TimeKernel<LegacySimulator>(events, chains, cancel_every, seed);
-  if (slab.checksum != legacy.checksum || slab.events != legacy.events) {
-    throw util::Error("kernel benchmark: slab and legacy paths diverged");
-  }
-
-  ResultTable& kernel = results.AddTable(
-      "kernel", {"path", "events", "wall (s)", "events/s", "speedup"});
-  kernel.AddRow({"legacy (std::function + unordered_map)",
-                 std::to_string(legacy.events),
-                 util::FormatFixed(legacy.wall_s, 4),
-                 util::FormatFixed(static_cast<double>(legacy.events) /
-                                       legacy.wall_s, 0),
-                 "1.00"});
+  const KernelRun slab = TimeKernel(events, chains, cancel_every, seed);
+  ResultTable& kernel =
+      results.AddTable("kernel", {"path", "events", "wall (s)", "events/s"});
   kernel.AddRow({"slab (InlineAction event records)",
                  std::to_string(slab.events),
                  util::FormatFixed(slab.wall_s, 4),
                  util::FormatFixed(static_cast<double>(slab.events) /
-                                       slab.wall_s, 0),
-                 util::FormatFixed(legacy.wall_s / slab.wall_s, 2)});
+                                       slab.wall_s, 0)});
 
   // With an obs session active, fold the slab kernel's deterministic
   // counters into the bench JSON (keyed rows for bench_compare.py) and
   // into the --metrics registry.  Gated so the default output — and the
   // committed BENCH baselines — stay byte-identical.
-  if (ctx.obs != nullptr && ctx.obs->MetricsEnabled() && slab.has_stats) {
+  if (ctx.obs != nullptr && ctx.obs->MetricsEnabled()) {
     ResultTable& kmetrics =
         results.AddTable("kernel-metrics", {"key", "value"});
     const auto krow = [&](const std::string& name, std::uint64_t v) {
@@ -367,9 +241,7 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
        util::FormatFixed(static_cast<double>(traj_points) / inc_wall, 1),
        util::FormatFixed(shot_wall / inc_wall, 2)});
 
-  results.AddNote("kernel checksum " + std::to_string(slab.checksum) +
-                  " identical across paths; transient max |diff| " +
-                  FormatExp(max_diff) +
+  results.AddNote("transient max |diff| " + FormatExp(max_diff) +
                   "; timings are wall-clock and machine-dependent — "
                   "compare two runs with tools/bench_compare.py");
   return results;
@@ -420,8 +292,8 @@ ResultSet RunTransientTrajectory(const ScenarioContext& ctx) {
 
 const ScenarioRegistrar reg_bench_hotpath(MakeScenario(
     "bench-hotpath",
-    "hot-path throughput: DES kernel vs legacy, netsim rate, transient "
-    "trajectory latency",
+    "hot-path throughput: DES kernel, netsim rate, transient trajectory "
+    "latency",
     "extension (engineering benchmark, BENCH_hotpath.json)",
     {
         {"events", "N", "2000000", "kernel events to fire (>= 1000)"},

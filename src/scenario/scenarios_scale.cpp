@@ -1,29 +1,27 @@
-// Registered netsim scaling benchmark (ISSUE 5, extended for ISSUE 7):
-// end-to-end packet simulation at N up to 100k nodes, flat vs
-// clustered, with the death-triggered routing-update and election costs
-// made visible.
+// Registered netsim scaling benchmark: end-to-end packet simulation at N
+// up to 100k nodes, flat and clustered, with the death-triggered
+// routing-update and election costs made visible.
 //
-// Each size runs the same deployment four ways:
+// Each size runs the same deployment up to four ways:
 //   * flat-incremental — spatial-grid neighbour index + incremental
 //     repair (the production path);
-//   * flat-legacy      — the faithful pre-grid all-pairs recompute per
-//     death (RoutingTable::RecomputeLegacy), run in-bench so the quoted
-//     speedup is measured against the real former implementation (only
-//     up to --legacy-max nodes: O(deaths * N^2) is the point; above the
-//     cutoff the row stays in the table, marked "skipped");
+//   * flat-oracle      — the same run with NetSimConfig::oracle set: a
+//     full RoutingTable::Recompute after every death;
 //   * clustered        — LEACH-style rotation on the same topology with
-//     grid-accelerated head assignment (the production path);
-//   * clustered-allpairs — the same run with the O(N * heads) all-pairs
-//     head-assignment oracle (HeadAssignMode::kAllPairs), gated on
-//     --legacy-max like flat-legacy and hard-checked for equivalence.
+//     grid-accelerated head assignment and in-place repair (the
+//     production path);
+//   * clustered-oracle — the same run with all-pairs head assignment and
+//     a full repair on every head death.
+// The two oracle rows run only up to --oracle-max nodes (above it they
+// stay in the table, marked "skipped").
 //
 // Deaths are staged deterministically: a strided subset of nodes gets a
 // battery sized to empty at a chosen instant inside the horizon, so
 // every size exercises a comparable number of routing repairs without
-// waiting for the whole deployment to drain.  The flat runs share one
-// RNG stream and must produce identical reports — the benchmark
-// hard-fails if the legacy and incremental paths diverge, making every
-// bench run an equivalence check too.
+// waiting for the whole deployment to drain.  Each oracle twin shares
+// its production run's RNG streams and must produce identical reports —
+// the benchmark hard-fails on any difference, making every bench run an
+// equivalence check too.
 //
 // `wsnctl run netsim-scale --format=json > BENCH_netsim_scale.json`
 // produces the committed scaling record (see docs/performance.md);
@@ -162,7 +160,7 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
   const double death_fraction = args.GetDouble("death-fraction", 0.08);
   util::Require(death_fraction > 0.0 && death_fraction <= 0.8,
                 "flag --death-fraction must be in (0, 0.8]");
-  const std::size_t legacy_max = args.GetCount("legacy-max", 5000);
+  const std::size_t oracle_max = args.GetCount("oracle-max", 5000);
   const std::size_t replications = args.GetCount("replications", 1, 1);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.GetCount("seed", 2008));
@@ -170,7 +168,7 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
 
   ResultSet results(
       "netsim at scale: spatial-grid routing repair and head assignment "
-      "vs their all-pairs baselines, flat and clustered");
+      "vs their oracles, flat and clustered");
   results.SetMeta("sizes",
                   args.GetString("sizes", "100,1000,5000,10000,100000"));
   results.SetMeta("spacing", util::FormatFixed(spacing, 0) + " m");
@@ -178,7 +176,7 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
   results.SetMeta("rate", util::FormatFixed(rate, 3) + " /s per node");
   results.SetMeta("horizon", util::FormatFixed(horizon, 0) + " s");
   results.SetMeta("death-fraction", util::FormatFixed(death_fraction, 3));
-  results.SetMeta("legacy-max", std::to_string(legacy_max));
+  results.SetMeta("oracle-max", std::to_string(oracle_max));
   results.SetMeta("replications", std::to_string(replications));
   results.SetMeta("seed", std::to_string(seed));
 
@@ -189,7 +187,7 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
   ResultTable& table = results.AddTable(
       "scale", {"config", "nodes", "deaths", "route updates", "events",
                 "wall (s)", "events/s", "repair (s)", "repair %",
-                "speedup vs legacy", "elections", "assign (s)"});
+                "speedup vs oracle", "elections", "assign (s)"});
 
   // With --metrics active the internal obs timings (routing repair,
   // election, head assignment) join the bench JSON as their own table,
@@ -245,41 +243,31 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
 
     ApplyObs(ctx, cfg);
 
-    // --- flat: incremental (production) vs legacy (baseline) ---------
-    const bool oracles = n <= legacy_max;
-    cfg.routing_update = netsim::RoutingUpdateMode::kIncremental;
-    const ScaleRun inc = TimeRun(cfg, cpu_mw, seed, replications, oracles);
-
-    bool ran_legacy = false;
-    ScaleRun legacy;
+    // --- flat and clustered (LEACH) production runs, each against its
+    // oracle twin up to --oracle-max -----------------------------------
+    const bool oracles = n <= oracle_max;
+    const ScaleRun flat = TimeRun(cfg, cpu_mw, seed, replications, oracles);
+    ScaleRun flat_oracle;
     if (oracles) {
-      cfg.routing_update = netsim::RoutingUpdateMode::kLegacy;
-      legacy = TimeRun(cfg, cpu_mw, seed, replications, true);
-      ran_legacy = true;
-      RequireOracleAgrees(inc, legacy, "legacy and incremental routing paths",
-                          n);
+      netsim::NetSimConfig twin = cfg;
+      twin.oracle = true;
+      flat_oracle = TimeRun(twin, cpu_mw, seed, replications, true);
+      RequireOracleAgrees(flat, flat_oracle, "incremental routing repair", n);
     }
 
-    // --- clustered (LEACH): grid assignment (production) vs the
-    // all-pairs oracle, mirroring the flat legacy gating ---------------
     netsim::NetSimConfig ccfg = cfg;
-    ccfg.routing_update = netsim::RoutingUpdateMode::kIncremental;
     ccfg.cluster.protocol = netsim::ClusterProtocolKind::kLeach;
     ccfg.cluster.head_fraction = 0.05;
     ccfg.cluster.round_s = round_s;
     ccfg.cluster.aggregation = 4;
-    ccfg.cluster.assign = netsim::HeadAssignMode::kGrid;
     const ScaleRun clustered =
         TimeRun(ccfg, cpu_mw, seed, replications, oracles);
-
-    bool ran_allpairs = false;
-    ScaleRun allpairs;
+    ScaleRun clustered_oracle;
     if (oracles) {
-      ccfg.cluster.assign = netsim::HeadAssignMode::kAllPairs;
-      allpairs = TimeRun(ccfg, cpu_mw, seed, replications, true);
-      ran_allpairs = true;
-      RequireOracleAgrees(clustered, allpairs,
-                          "grid and all-pairs head assignment", n);
+      ccfg.oracle = true;
+      clustered_oracle = TimeRun(ccfg, cpu_mw, seed, replications, true);
+      RequireOracleAgrees(clustered, clustered_oracle,
+                          "grid head assignment and in-place repair", n);
     }
 
     const auto add_row = [&](const std::string& mode, const ScaleRun& run,
@@ -298,14 +286,14 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
            speedup, std::to_string(run.report.elections),
            util::FormatFixed(run.report.assign_s, 3)});
     };
-    // A baseline gated out by --legacy-max keeps its row, explicitly
+    // An oracle gated out by --oracle-max keeps its row, explicitly
     // marked, so consumers (and bench_compare.py) see "skipped" instead
     // of a silently missing key.
     const auto add_skipped = [&](const std::string& mode) {
       table.AddRow({"N=" + std::to_string(n) + " " + mode,
                     std::to_string(n), "skipped", "skipped", "skipped",
                     "skipped", "skipped", "skipped", "skipped",
-                    "skipped (N > legacy-max)", "skipped", "skipped"});
+                    "skipped (N > oracle-max)", "skipped", "skipped"});
     };
     const auto add_obs = [&](const std::string& mode, const ScaleRun& run) {
       if (ctx.obs != nullptr) ctx.obs->Contribute(run.metrics, run.trace);
@@ -318,26 +306,21 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
                                std::to_string(sw.calls)});
       }
     };
-    if (ran_legacy) {
-      add_row("flat-legacy", legacy, "1.00");
-      add_row("flat-incremental", inc,
-              util::FormatFixed(legacy.wall_s / inc.wall_s, 2));
-      add_obs("flat-legacy", legacy);
-    } else {
-      add_skipped("flat-legacy");
-      add_row("flat-incremental", inc, "n/a (legacy skipped)");
-    }
-    add_obs("flat-incremental", inc);
-    if (ran_allpairs) {
-      add_row("clustered-allpairs", allpairs, "1.00");
-      add_row("clustered", clustered,
-              util::FormatFixed(allpairs.wall_s / clustered.wall_s, 2));
-      add_obs("clustered-allpairs", allpairs);
-    } else {
-      add_skipped("clustered-allpairs");
-      add_row("clustered", clustered, "n/a (all-pairs skipped)");
-    }
-    add_obs("clustered", clustered);
+    const auto add_pair = [&](const std::string& mode, const ScaleRun& run,
+                              const std::string& oracle_mode,
+                              const ScaleRun& oracle) {
+      if (oracles) {
+        add_row(oracle_mode, oracle, "1.00");
+        add_row(mode, run, util::FormatFixed(oracle.wall_s / run.wall_s, 2));
+        add_obs(oracle_mode, oracle);
+      } else {
+        add_skipped(oracle_mode);
+        add_row(mode, run, "n/a (oracle skipped)");
+      }
+      add_obs(mode, run);
+    };
+    add_pair("flat-incremental", flat, "flat-oracle", flat_oracle);
+    add_pair("clustered", clustered, "clustered-oracle", clustered_oracle);
   }
 
   if (want_metrics) {
@@ -348,14 +331,14 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
   }
 
   results.AddNote(
-      "flat-legacy re-routes a death with the pre-grid all-pairs scan "
-      "(O(N^2), one sqrt per pair); flat-incremental repairs only the "
-      "routes through the dead node over the spatial-grid neighbour "
-      "index.  clustered-allpairs assigns members to heads with the "
-      "O(N * heads) scan; clustered uses the ring-expanding grid "
-      "search.  Paired paths must produce identical reports — the run "
-      "aborts on divergence; their speedup columns compare against "
-      "their own oracle (flat-legacy / clustered-allpairs = 1.00).  "
+      "flat-incremental repairs only the routes through a dead node over "
+      "the spatial-grid neighbour index; flat-oracle recomputes every "
+      "route after each death.  clustered assigns members to heads with "
+      "the ring-expanding grid search and repairs a head death in place; "
+      "clustered-oracle scans every head (O(N * heads)) and re-assigns "
+      "every member on each head death.  Each oracle must produce "
+      "identical reports — the run aborts on divergence; the speedup "
+      "column compares each production row against its oracle (= 1.00).  "
       "Timings are wall-clock and machine-dependent; diff two JSON "
       "outputs with tools/bench_compare.py.");
   return results;
@@ -364,8 +347,8 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
 const ScenarioRegistrar reg_netsim_scale(MakeScenario(
     "netsim-scale",
     "scaling benchmark: grid-indexed incremental routing repair and "
-    "grid-accelerated head assignment vs their all-pairs baselines at N "
-    "up to 100k, flat and clustered",
+    "grid-accelerated head assignment vs their oracles at N up to 100k, "
+    "flat and clustered",
     "extension (engineering benchmark, BENCH_netsim_scale.json)",
     {
         {"sizes", "CSV", "100,1000,5000,10000,100000",
@@ -376,8 +359,8 @@ const ScenarioRegistrar reg_netsim_scale(MakeScenario(
         {"horizon", "S", "2000", "simulation horizon (s)"},
         {"death-fraction", "F", "0.08",
          "fraction of nodes staged to die inside the horizon"},
-        {"legacy-max", "N", "5000",
-         "largest N that also runs the O(N^2) legacy baseline"},
+        {"oracle-max", "N", "5000",
+         "largest N that also runs the flat and clustered oracle twins"},
         {"replications", "R", "1", "replications per configuration (>= 1)"},
         {"seed", "N", "2008", "master RNG seed (non-negative)"},
         {"round", "S", "", "cluster round length (s); default horizon/20"},

@@ -655,20 +655,13 @@ GenericSpec ParseGeneric(const ObjView& root) {
     g.max_queue = m->Count("max_queue", g.max_queue, 1);
   }
   if (const auto r = Section(root, "routing")) {
-    r->RequireKeys({"rerouting", "update"});
-    const std::string update = r->Choice(
-        "update", "incremental", {"full", "incremental", "legacy"});
-    g.routing_update = update == "incremental"
-                           ? netsim::RoutingUpdateMode::kIncremental
-                           : update == "full"
-                                 ? netsim::RoutingUpdateMode::kFull
-                                 : netsim::RoutingUpdateMode::kLegacy;
+    r->RequireKeys({"rerouting"});
     g.rerouting = r->Bool("rerouting", g.rerouting);
   }
   if (const auto c = Section(root, "cluster")) {
     g.clustered = true;
-    c->RequireKeys({"aggregation", "assign", "head_fraction", "protocol",
-                    "round_s", "static_heads"});
+    c->RequireKeys({"aggregation", "head_fraction", "protocol", "round_s",
+                    "static_heads"});
     ClusterKnobs knobs = g.cluster;
     knobs.protocol = netsim::ParseClusterProtocolKind(
         c->Choice("protocol", "leach", {"leach", "static"}));
@@ -678,9 +671,6 @@ GenericSpec ParseGeneric(const ObjView& root) {
     knobs.round_s = c->Positive("round_s", knobs.round_s);
     knobs.aggregation = c->Count("aggregation", knobs.aggregation, 1);
     g.cluster = knobs;
-    g.assign = c->Choice("assign", "grid", {"all-pairs", "grid"}) == "grid"
-                   ? netsim::HeadAssignMode::kGrid
-                   : netsim::HeadAssignMode::kAllPairs;
   }
   if (const auto c = Section(root, "classes")) {
     c->RequireKeys({"advanced_fraction", "battery_factor", "placement"});
@@ -817,15 +807,11 @@ netsim::NetSimConfig BuildGenericConfig(const GenericSpec& g) {
   cfg.mac.max_retries = g.max_retries;
   cfg.mac.max_queue = g.max_queue;
 
-  cfg.routing_update = g.routing_update;
   cfg.rerouting = g.rerouting;
   cfg.stop_at_first_death = g.stop_at == "first_death";
   cfg.stop_at_partition = g.stop_at == "partition";
 
-  if (g.clustered) {
-    ApplyClusterKnobs(cfg, g.cluster);
-    cfg.cluster.assign = g.assign;
-  }
+  if (g.clustered) ApplyClusterKnobs(cfg, g.cluster);
 
   if (g.bursty) {
     // Same quiet/storm MMPP shape as the lifetime study: 20% of the
@@ -973,15 +959,11 @@ ResultSet RunGenericStudy(const ScenarioContext& ctx, const GenericSpec& g) {
       // Oracle twin on identical streams: full routing recompute (flat)
       // or all-pairs head assignment (clustered).  Contributes no
       // observability output — it exists only to be compared against.
-      netsim::NetSimConfig oracle = cfg;
-      oracle.obs = obs::ObsConfig{};
-      if (oracle.cluster.protocol == netsim::ClusterProtocolKind::kNone) {
-        oracle.routing_update = netsim::RoutingUpdateMode::kFull;
-      } else {
-        oracle.cluster.assign = netsim::HeadAssignMode::kAllPairs;
-      }
+      netsim::NetSimConfig twin = cfg;
+      twin.obs = obs::ObsConfig{};
+      twin.oracle = true;
       const netsim::ReplicationSummary shadow =
-          RunReplications(oracle, model, rep, cctx.Executor());
+          RunReplications(twin, model, rep, cctx.Executor());
       for (std::size_t r = 0; r < summary.reports.size(); ++r) {
         RequireEqualReports(summary.reports[r], shadow.reports[r], where, r);
       }

@@ -17,15 +17,14 @@
 ///   * "lifetime" / "throughput" / "clustered" / "heterogeneous" /
 ///     "faults" re-express the registered scenarios — only the knobs
 ///     those scenarios expose are accepted;
-///   * "generic" opens the full knob surface (MAC loss/LPL, routing
-///     update mode, stop conditions, scalar faults, node classes, up to
-///     three sweep axes, selectable output columns) plus the `verify`
-///     switches: `oracle` runs every replication twice (production
-///     incremental paths vs full-recompute oracle) and hard-fails on
-///     any field divergence; `analytic` cross-checks the simulated
-///     first death against the closed-form estimator.  Packet
-///     conservation is asserted on every generic replication
-///     unconditionally.
+///   * "generic" opens the full knob surface (MAC loss/LPL, rerouting,
+///     stop conditions, scalar faults, node classes, up to three sweep
+///     axes, selectable output columns) plus the `verify` switches:
+///     `oracle` runs every replication twice (production incremental
+///     paths vs NetSimConfig::oracle) and hard-fails on any field
+///     divergence; `analytic` cross-checks the simulated first death
+///     against the closed-form estimator.  Packet conservation is
+///     asserted on every generic replication unconditionally.
 ///
 /// Validation is strict and named: unknown keys, wrong types,
 /// out-of-range values and conflicting knobs are rejected with the full
@@ -76,14 +75,11 @@ struct GenericSpec {
   std::size_t max_queue = 1024;
 
   // routing (flat mode)
-  netsim::RoutingUpdateMode routing_update =
-      netsim::RoutingUpdateMode::kIncremental;
   bool rerouting = true;
 
   // cluster — enabled by the presence of the `cluster` section.
   bool clustered = false;
   ClusterKnobs cluster;
-  netsim::HeadAssignMode assign = netsim::HeadAssignMode::kGrid;
 
   // classes — two-class deployment when advanced_fraction > 0.
   double advanced_fraction = 0.0;

@@ -588,15 +588,11 @@ ResultSet RunFaultStudy(const ScenarioContext& ctx,
     // Oracle twin: identical streams, full recompute after every fault
     // event.  The oracle batch contributes no observability output —
     // it exists only to be compared against.
-    netsim::NetSimConfig oracle = cfg;
-    oracle.obs = obs::ObsConfig{};
-    if (oracle.cluster.protocol == netsim::ClusterProtocolKind::kNone) {
-      oracle.routing_update = netsim::RoutingUpdateMode::kFull;
-    } else {
-      oracle.cluster.assign = netsim::HeadAssignMode::kAllPairs;
-    }
+    netsim::NetSimConfig twin = cfg;
+    twin.obs = obs::ObsConfig{};
+    twin.oracle = true;
     const netsim::ReplicationSummary shadow =
-        RunReplications(oracle, model, rep, cctx.Executor());
+        RunReplications(twin, model, rep, cctx.Executor());
 
     CellOutcome out;
     for (std::size_t r = 0; r < summary.reports.size(); ++r) {
@@ -658,7 +654,6 @@ ResultSet RunFaultStudy(const ScenarioContext& ctx,
       const std::string suffix = " r=" + util::FormatFixed(crash_rate, 4) +
                                  " o=" + util::FormatFixed(outage, 0);
 
-      cfg.routing_update = netsim::RoutingUpdateMode::kIncremental;
       RunPointRow(ctx, table, "faults:flat" + suffix, p.seed, "flat" + suffix,
                   [&](const ScenarioContext& cctx, const PointEnv&) {
                     return point_row(cctx, cfg, "flat" + suffix);
@@ -669,7 +664,6 @@ ResultSet RunFaultStudy(const ScenarioContext& ctx,
       ccfg.cluster.head_fraction = 0.1;
       ccfg.cluster.round_s = p.horizon_s / 10.0;
       ccfg.cluster.aggregation = 4;
-      ccfg.cluster.assign = netsim::HeadAssignMode::kGrid;
       RunPointRow(ctx, table, "faults:clustered" + suffix, p.seed,
                   "clustered" + suffix,
                   [&](const ScenarioContext& cctx, const PointEnv&) {

@@ -292,14 +292,6 @@ void ExpectResolvesLikeOracle(const ClusterAssignment& lazy,
   }
 }
 
-TEST(HeadAssignment, ModeNamesRoundTrip) {
-  EXPECT_STREQ(HeadAssignModeName(HeadAssignMode::kGrid), "grid");
-  EXPECT_STREQ(HeadAssignModeName(HeadAssignMode::kAllPairs), "all-pairs");
-  EXPECT_EQ(ParseHeadAssignMode("grid"), HeadAssignMode::kGrid);
-  EXPECT_EQ(ParseHeadAssignMode("all-pairs"), HeadAssignMode::kAllPairs);
-  EXPECT_THROW(ParseHeadAssignMode("fast"), util::InvalidArgument);
-}
-
 TEST(HeadAssignment, GridMatchesAllPairsOverRandomKillAndElectionSequences) {
   // Random deployments, random head sets of every size (1 head through
   // ~a third of the nodes, well past the small-k all-pairs dispatch
@@ -346,13 +338,13 @@ TEST(HeadAssignment, GridMatchesAllPairsOverRandomKillAndElectionSequences) {
       ExpectAssignmentsEqual(AssignToNearestHeadGrid(view, heads),
                              AssignToNearestHeadAllPairs(view, heads),
                              "direct grid vs all-pairs");
-      // The dispatcher must agree with the oracle in both modes.
-      view.assign_mode = HeadAssignMode::kGrid;
+      // The dispatcher must agree with the oracle either way.
+      view.all_pairs = false;
       const ClusterAssignment via_grid = AssignToNearestHead(view, heads);
-      view.assign_mode = HeadAssignMode::kAllPairs;
+      view.all_pairs = true;
       const ClusterAssignment via_oracle = AssignToNearestHead(view, heads);
       ExpectAssignmentsEqual(via_grid, via_oracle, "dispatcher");
-      view.assign_mode = HeadAssignMode::kGrid;
+      view.all_pairs = false;
       // Kill a couple of random survivors before the next election.
       for (int k = 0; k < 2; ++k) {
         const std::size_t victim = rng() % n;
@@ -388,10 +380,9 @@ TEST(HeadAssignment, IncrementalRepairMatchesFullReassignAcrossChainedDeaths) {
     const std::vector<node::Position> sinks = {{0.0, 0.0}};
     std::vector<bool> alive(n, true);
     std::vector<double> energy(n, 1.0);
-    ClusterView grid_view = MakeView(positions, sinks, alive, energy);
-    grid_view.assign_mode = HeadAssignMode::kGrid;
+    const ClusterView grid_view = MakeView(positions, sinks, alive, energy);
     ClusterView oracle_view = grid_view;
-    oracle_view.assign_mode = HeadAssignMode::kAllPairs;
+    oracle_view.all_pairs = true;
 
     LeachClustering grid_proto(0.25);
     LeachClustering oracle_proto(0.25);
@@ -484,7 +475,7 @@ TEST(HeadAssignment, IncrementalRepairMatchesFullReassignAcrossChainedDeaths) {
     std::vector<bool> alive(n, true);
     const ClusterView view = MakeView(positions, sinks, alive, energy);
     ClusterView oracle_view = view;
-    oracle_view.assign_mode = HeadAssignMode::kAllPairs;
+    oracle_view.all_pairs = true;
     LeachClustering proto(0.05);
     util::Rng unused_rng(1);
     ClusterAssignment cur = from_grid

@@ -1,8 +1,8 @@
-// Fault-injection engine (ISSUE 8): randomized crash/recover churn
-// pinning RoutingTable::RepairAfterRecovery (and RepairAfterDeath) to
-// the full and legacy recompute oracles after every event; end-to-end
-// simulator equivalence across routing-update and head-assignment modes
-// under churn; scripted partition-heal semantics; exponential-backoff
+// Fault-injection engine: randomized crash/recover churn pinning
+// RoutingTable::RepairAfterRecovery (and RepairAfterDeath) to the full
+// recompute after every event; end-to-end simulator equivalence with the
+// oracle twin under churn, flat and clustered; scripted partition-heal
+// semantics; exponential-backoff
 // timing; the packet-conservation invariant; jam and sink-outage
 // observables; fault-plan determinism and config validation.
 #include <gtest/gtest.h>
@@ -56,8 +56,7 @@ std::vector<node::Position> RandomDeployment(util::Rng& rng, std::size_t n,
 // The randomized churn-equivalence suite: 210 random chained
 // crash/recover schedules across several sizes and sink counts.  After
 // EVERY event — crash or recovery — the incrementally maintained table
-// must match both the grid-accelerated full recompute and the faithful
-// legacy all-pairs recompute, route for route and counter for counter.
+// must match the full recompute, route for route and counter for counter.
 TEST(FaultChurnEquivalence, RecoveryRepairMatchesRecomputeOverChurn) {
   util::Rng rng(4242);
   const std::size_t kSequences = 210;
@@ -75,7 +74,6 @@ TEST(FaultChurnEquivalence, RecoveryRepairMatchesRecomputeOverChurn) {
 
     RoutingTable incremental(sinks, hop, pos);
     RoutingTable full(sinks, hop, pos);
-    RoutingTable legacy(sinks, hop, pos);
 
     std::vector<bool> alive(n, true);
     std::vector<std::uint32_t> down;
@@ -106,9 +104,7 @@ TEST(FaultChurnEquivalence, RecoveryRepairMatchesRecomputeOverChurn) {
         incremental.RepairAfterRecovery(revived, alive);
       }
       full.Recompute(alive);
-      legacy.RecomputeLegacy(alive);
       ExpectTablesEqual(incremental, full, "incremental vs full");
-      ExpectTablesEqual(incremental, legacy, "incremental vs legacy");
       if (HasFatalFailure() || HasNonfatalFailure()) {
         FAIL() << "divergence in sequence " << seq << " after step " << step;
       }
@@ -322,53 +318,46 @@ NetSimConfig CascadeConfig(double wakeup_interval_s) {
   return cfg;
 }
 
-TEST(FaultSimulator, ChurnIdenticalAcrossRoutingUpdateModes) {
-  NetSimConfig cfg = ChurnConfig(8, 6);
-  cfg.routing_update = RoutingUpdateMode::kIncremental;
+/// `cfg` run as its oracle twin.
+NetSimReport RunOracle(NetSimConfig cfg, std::uint64_t seed) {
+  cfg.oracle = true;
+  return RunOne(cfg, seed);
+}
+
+TEST(FaultSimulator, ChurnMatchesOracle) {
+  const NetSimConfig cfg = ChurnConfig(8, 6);
   const NetSimReport inc = RunOne(cfg, 321);
   EXPECT_GT(inc.crashes, 0u) << "test must exercise churn";
   EXPECT_GT(inc.recoveries, 0u);
   EXPECT_TRUE(inc.Conserved());
-
-  cfg.routing_update = RoutingUpdateMode::kFull;
-  const NetSimReport full = RunOne(cfg, 321);
-  cfg.routing_update = RoutingUpdateMode::kLegacy;
-  const NetSimReport legacy = RunOne(cfg, 321);
-  EXPECT_EQ(FirstReportDifference(inc, full), "");
-  EXPECT_EQ(FirstReportDifference(inc, legacy), "");
+  EXPECT_EQ(FirstReportDifference(inc, RunOracle(cfg, 321)), "");
 }
 
-TEST(FaultSimulator, ClusteredChurnIdenticalAcrossAssignModes) {
+TEST(FaultSimulator, ClusteredChurnMatchesOracle) {
   NetSimConfig cfg = ChurnConfig(8, 6);
   cfg.cluster.protocol = ClusterProtocolKind::kLeach;
   cfg.cluster.head_fraction = 0.15;
   cfg.cluster.round_s = 200.0;
   cfg.cluster.aggregation = 4;
 
-  cfg.cluster.assign = HeadAssignMode::kGrid;
   const NetSimReport grid = RunOne(cfg, 654);
   EXPECT_GT(grid.crashes, 0u) << "test must exercise churn";
   EXPECT_GT(grid.recoveries, 0u);
   EXPECT_TRUE(grid.Conserved());
-
-  cfg.cluster.assign = HeadAssignMode::kAllPairs;
-  const NetSimReport allpairs = RunOne(cfg, 654);
-  EXPECT_EQ(FirstReportDifference(grid, allpairs), "");
+  EXPECT_EQ(FirstReportDifference(grid, RunOracle(cfg, 654)), "");
 
   // A death cascade, with and without low-power listening: under LPL the
   // receiver a transmission starts toward sets its timing, so a member
   // payload reaching the wrong head shows in every later field.
   for (const double wakeup : {0.0, 0.5}) {
     for (const std::uint64_t seed : {1, 2, 3}) {
-      NetSimConfig cascade = CascadeConfig(wakeup);
-      cascade.cluster.assign = HeadAssignMode::kGrid;
+      const NetSimConfig cascade = CascadeConfig(wakeup);
       const NetSimReport g = RunOne(cascade, seed);
       EXPECT_EQ(g.rounds, 21u);
       EXPECT_GE(g.elections, 90u) << "the cascade must kill heads mid-round";
       EXPECT_GT(g.crashes, 0u);
       EXPECT_TRUE(g.Conserved());
-      cascade.cluster.assign = HeadAssignMode::kAllPairs;
-      EXPECT_EQ(FirstReportDifference(g, RunOne(cascade, seed)), "")
+      EXPECT_EQ(FirstReportDifference(g, RunOracle(cascade, seed)), "")
           << "LPL " << wakeup << " s, seed " << seed;
     }
   }
@@ -410,14 +399,12 @@ TEST(FaultSimulator, ClusteredChurnIdenticalAcrossAssignModes) {
                         {380.0, FaultEventKind::kRecover, heads[0]},
                         {450.0, FaultEventKind::kCrash, heads[0]},
                         {460.0, FaultEventKind::kCrash, heads[5]}};
-  st.cluster.assign = HeadAssignMode::kGrid;
   const NetSimReport st_grid = RunOne(st, 987);
   EXPECT_GE(st_grid.crashes, 5u);
   EXPECT_GE(st_grid.recoveries, 2u);
   EXPECT_GT(st_grid.elections, st_grid.rounds) << "heads must die mid-round";
   EXPECT_TRUE(st_grid.Conserved());
-  st.cluster.assign = HeadAssignMode::kAllPairs;
-  EXPECT_EQ(FirstReportDifference(st_grid, RunOne(st, 987)), "");
+  EXPECT_EQ(FirstReportDifference(st_grid, RunOracle(st, 987)), "");
 }
 
 TEST(FaultSimulator, CascadeReattachmentCountIsPinned) {

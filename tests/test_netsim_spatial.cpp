@@ -1,9 +1,9 @@
-// Spatial-grid neighbour index + incremental routing repair (ISSUE 5):
-// grid candidate completeness on boundary/degenerate geometry, and the
+// Spatial-grid neighbour index + incremental routing repair: grid
+// candidate completeness on boundary/degenerate geometry, and the
 // randomized equivalence suite pinning RepairAfterDeath against the full
-// (and the faithful legacy all-pairs) recompute over random kill
-// sequences — several sizes, multi-sink, and end-to-end through the
-// simulator including clustered mode.
+// recompute over random kill sequences — several sizes, multi-sink, and
+// end-to-end through the simulator against its oracle twin, clustered
+// mode included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -323,10 +323,23 @@ std::vector<node::Position> RandomDeployment(util::Rng& rng, std::size_t n,
   return pos;
 }
 
+// Nodes j != i within `hop` of node i, by scanning every node.
+std::size_t BruteNeighborCount(const std::vector<node::Position>& pos,
+                               std::size_t i, double hop) {
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < pos.size(); ++j) {
+    if (j != i && node::Distance(pos[i], pos[j]) <= hop) ++count;
+  }
+  return count;
+}
+
 // The randomized equivalence suite: 200 random kill sequences across
 // several sizes and sink counts.  After every kill, the incrementally
-// repaired table must match both the grid-accelerated full recompute
-// and the faithful legacy all-pairs recompute, route for route.
+// repaired table must match the full recompute, route for route.  Both
+// read the grid-built neighbour lists, so each deployment first checks
+// them against an all-pairs count: the lists are range-filtered,
+// duplicate-free and sorted, so equal counts make Recompute the greedy
+// scan over every node.
 TEST(RoutingEquivalence, IncrementalRepairMatchesFullRecomputeOverKills) {
   util::Rng rng(2008);
   const std::size_t kSequences = 200;
@@ -345,10 +358,14 @@ TEST(RoutingEquivalence, IncrementalRepairMatchesFullRecomputeOverKills) {
 
     RoutingTable incremental(sinks, hop, pos);
     RoutingTable full(sinks, hop, pos);
-    RoutingTable legacy(sinks, hop, pos);
-    ExpectTablesEqual(incremental, legacy, "all-alive construction");
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(incremental.NeighborCount(i), BruteNeighborCount(pos, i, hop))
+          << "sequence " << seq << ", node " << i;
+    }
 
     std::vector<bool> alive(n, true);
+    full.Recompute(alive);
+    ExpectTablesEqual(incremental, full, "all-alive construction");
     std::vector<std::size_t> order(n);
     for (std::size_t i = 0; i < n; ++i) order[i] = i;
     // Fisher-Yates for a random kill order; kill about half the nodes.
@@ -361,9 +378,7 @@ TEST(RoutingEquivalence, IncrementalRepairMatchesFullRecomputeOverKills) {
       alive[dead] = false;
       incremental.RepairAfterDeath(dead, alive);
       full.Recompute(alive);
-      legacy.RecomputeLegacy(alive);
       ExpectTablesEqual(incremental, full, "incremental vs full");
-      ExpectTablesEqual(incremental, legacy, "incremental vs legacy");
       if (HasFatalFailure() || HasNonfatalFailure()) {
         FAIL() << "divergence in sequence " << seq << " after kill " << k;
       }
@@ -423,9 +438,9 @@ TEST(RoutingEquivalence, MatchesNetworkNextHopAllAlive) {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: the simulator must produce identical replications under
-// all three routing-update modes, flat and (trivially, the flag is
-// flat-only) clustered.
+// End-to-end: the simulator must produce identical replications with and
+// without NetSimConfig::oracle, flat (single and multi-sink) and
+// clustered.
 
 NetSimConfig ScaleSimConfig(std::size_t cols, std::size_t rows) {
   NetSimConfig cfg;
@@ -441,51 +456,39 @@ NetSimConfig ScaleSimConfig(std::size_t cols, std::size_t rows) {
   return cfg;
 }
 
-NetSimReport RunWithMode(NetSimConfig cfg, RoutingUpdateMode mode,
-                         std::uint64_t seed) {
-  cfg.routing_update = mode;
+NetSimReport RunSim(NetSimConfig cfg, bool oracle, std::uint64_t seed) {
+  cfg.oracle = oracle;
   const core::MarkovCpuModel model;
   NetworkSimulator sim(cfg, CpuAveragePowerMw(cfg, model),
                        util::Rng(seed).MakeStream(0));
   return sim.Run();
 }
 
-TEST(RoutingEquivalence, SimulatorIdenticalAcrossUpdateModesFlat) {
+TEST(RoutingEquivalence, SimulatorMatchesOracleFlat) {
   const NetSimConfig cfg = ScaleSimConfig(8, 6);
-  const NetSimReport inc =
-      RunWithMode(cfg, RoutingUpdateMode::kIncremental, 555);
-  const NetSimReport full = RunWithMode(cfg, RoutingUpdateMode::kFull, 555);
-  const NetSimReport legacy =
-      RunWithMode(cfg, RoutingUpdateMode::kLegacy, 555);
+  const NetSimReport inc = RunSim(cfg, /*oracle=*/false, 555);
   EXPECT_GT(inc.routing_repairs, 0u) << "test must exercise repairs";
-  EXPECT_EQ(FirstReportDifference(inc, full), "");
-  EXPECT_EQ(FirstReportDifference(inc, legacy), "");
+  EXPECT_EQ(FirstReportDifference(inc, RunSim(cfg, true, 555)), "");
 }
 
-TEST(RoutingEquivalence, SimulatorIdenticalAcrossUpdateModesMultiSink) {
+TEST(RoutingEquivalence, SimulatorMatchesOracleMultiSink) {
   NetSimConfig cfg = ScaleSimConfig(8, 6);
   cfg.sinks = {{0.0, 0.0}, {135.0, 105.0}};
-  const NetSimReport inc =
-      RunWithMode(cfg, RoutingUpdateMode::kIncremental, 808);
-  const NetSimReport legacy =
-      RunWithMode(cfg, RoutingUpdateMode::kLegacy, 808);
+  const NetSimReport inc = RunSim(cfg, /*oracle=*/false, 808);
   EXPECT_GT(inc.routing_repairs, 0u);
-  EXPECT_EQ(FirstReportDifference(inc, legacy), "");
+  EXPECT_EQ(FirstReportDifference(inc, RunSim(cfg, true, 808)), "");
 }
 
-TEST(RoutingEquivalence, SimulatorIdenticalAcrossUpdateModesClustered) {
-  // Clustered routing does not consult the flat table after deaths, but
-  // the member-death fast path must keep reports identical to the full
-  // rebuild semantics the flag-irrelevant modes share.
+TEST(RoutingEquivalence, SimulatorMatchesOracleClustered) {
+  // Member deaths take the clustered fast path; head deaths repair in
+  // place against the oracle's full re-assignment.
   NetSimConfig cfg = ScaleSimConfig(7, 7);
   cfg.cluster.protocol = ClusterProtocolKind::kLeach;
   cfg.cluster.round_s = 100.0;
   cfg.cluster.aggregation = 4;
-  const NetSimReport inc =
-      RunWithMode(cfg, RoutingUpdateMode::kIncremental, 99);
-  const NetSimReport legacy = RunWithMode(cfg, RoutingUpdateMode::kLegacy, 99);
+  const NetSimReport inc = RunSim(cfg, /*oracle=*/false, 99);
   EXPECT_GT(inc.routing_repairs, 0u);
-  EXPECT_EQ(FirstReportDifference(inc, legacy), "");
+  EXPECT_EQ(FirstReportDifference(inc, RunSim(cfg, true, 99)), "");
 }
 
 }  // namespace

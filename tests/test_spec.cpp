@@ -66,6 +66,14 @@ TEST(SpecErrors, UnknownSectionKeyListsAcceptedKeys) {
                 R"({"study": "lifetime", "topology": {"sinks": 2}})"),
             "spec: unknown key 'sinks' at $.topology (accepted: cols, hop, "
             "rows, spacing)");
+  // The fast paths' mode keys are gone; verify.oracle runs the oracles.
+  EXPECT_EQ(FailMessage(
+                R"({"study": "generic", "routing": {"update": "full"}})"),
+            "spec: unknown key 'update' at $.routing (accepted: rerouting)");
+  EXPECT_EQ(FailMessage(
+                R"({"study": "generic", "cluster": {"assign": "grid"}})"),
+            "spec: unknown key 'assign' at $.cluster (accepted: aggregation, "
+            "head_fraction, protocol, round_s, static_heads)");
 }
 
 TEST(SpecErrors, SectionMustBeAnObject) {

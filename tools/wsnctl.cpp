@@ -3,9 +3,6 @@
 //   wsnctl list
 //   wsnctl help table4
 //   wsnctl run table4 --points=21 --threads=8 --format=json
-//
-// The per-artifact binaries (bench_table4, netsim_demo, ...) are thin
-// shims over the same registry, kept for artifact compatibility.
 #include "scenario/run_main.hpp"
 
 int main(int argc, char** argv) {
