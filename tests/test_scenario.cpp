@@ -128,13 +128,13 @@ TEST(ScenarioDeterminism, NetsimClusteredByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial, other_seed);
 }
 
-// Cross-change output pins (ISSUE 7): the SoA node-state restructuring,
-// batched LPL wakeups and grid head assignment are pure layout/speed
-// changes — the rendered scenario output for a fixed (flags, seed) must
-// be byte-for-byte what the pre-change array-of-structs simulator
-// produced.  The FNV-1a hashes below were captured BEFORE the refactor;
-// a mismatch means the refactor changed simulation behaviour, not just
-// performance.  Re-pin only with an explicit note in docs/performance.md.
+// Cross-change output pins: speed-only changes to netsim or the DES
+// kernel (the SoA node-state restructuring, batched LPL wakeups, grid
+// head assignment, the kernel's event set) must leave the rendered
+// scenario output for a fixed (flags, seed) byte-for-byte unchanged.
+// Each FNV-1a hash was captured before the change it guards; a mismatch
+// means simulation behaviour changed, not just performance.  Re-pin only
+// with an explicit note in docs/performance.md.
 std::uint64_t Fnv1a64(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
   for (const unsigned char c : s) {
@@ -144,24 +144,44 @@ std::uint64_t Fnv1a64(const std::string& s) {
   return h;
 }
 
-TEST(ScenarioDeterminism, NetsimLifetimeOutputPinnedAcrossSoARefactor) {
-  const std::string out =
-      RunAll("netsim-lifetime",
-             {"--cols=5", "--rows=4", "--horizon=1200", "--replications=2",
-              "--seed=2008"},
-             1);
-  EXPECT_EQ(out.size(), 4826u);
-  EXPECT_EQ(Fnv1a64(out), 0x2312344034942ccaull);
-}
+struct OutputPin {
+  std::string scenario;
+  std::vector<std::string> flags;
+  std::size_t size;
+  std::uint64_t fnv;
+};
 
-TEST(ScenarioDeterminism, NetsimClusteredOutputPinnedAcrossSoARefactor) {
-  const std::string out =
-      RunAll("netsim-clustered",
-             {"--cols=6", "--rows=6", "--horizon=900", "--replications=2",
-              "--seed=2008"},
-             1);
-  EXPECT_EQ(out.size(), 6246u);
-  EXPECT_EQ(Fnv1a64(out), 0x659e0f3c8c3316b5ull);
+TEST(ScenarioDeterminism, NetsimOutputsPinned) {
+  const std::vector<std::string> large = {"--cols=30", "--rows=25",
+                                          "--horizon=300",
+                                          "--replications=2", "--seed=2008"};
+  const OutputPin pins[] = {
+      // 20 and 36 nodes: a few dozen pending events.
+      {"netsim-lifetime",
+       {"--cols=5", "--rows=4", "--horizon=1200", "--replications=2",
+        "--seed=2008"},
+       4826u,
+       0x2312344034942ccaull},
+      {"netsim-clustered",
+       {"--cols=6", "--rows=6", "--horizon=900", "--replications=2",
+        "--seed=2008"},
+       6246u,
+       0x659e0f3c8c3316b5ull},
+      // 750 and 700 nodes: 789 to 1,396 events pending at once.
+      {"netsim-lifetime", large, 4840u, 0x3b7a2722e5b1f4c0ull},
+      {"netsim-clustered", large, 6301u, 0x8a043feed934a443ull},
+      {"netsim-faults",
+       {"--nodes=700", "--horizon=600", "--crash-rates=0.001",
+        "--outages=150", "--replications=2", "--seed=2008"},
+       4341u,
+       0x3ad2ab4f4accc054ull},
+  };
+  for (const OutputPin& pin : pins) {
+    SCOPED_TRACE(pin.scenario + " " + pin.flags.front());
+    const std::string out = RunAll(pin.scenario, pin.flags, 1);
+    EXPECT_EQ(out.size(), pin.size);
+    EXPECT_EQ(Fnv1a64(out), pin.fnv);
+  }
 }
 
 // Preset round-trip pins (ISSUE 9): every committed preset file under
