@@ -1,6 +1,8 @@
 #include "des/simulator.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -32,6 +34,7 @@ std::uint32_t Simulator::AcquireSlot() {
           "event slab exhausted (too many simultaneously pending events)");
   slab_.emplace_back();
   heap_pos_.push_back(kNotQueued);
+  far_.emplace_back();
   return static_cast<std::uint32_t>(slab_.size() - 1);
 }
 
@@ -56,6 +59,11 @@ void Simulator::SiftUp(std::size_t pos, HeapKey key) {
     pos = parent;
   }
   Place(pos, key);
+}
+
+void Simulator::Push(const HeapKey& key) {
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, key);
 }
 
 void Simulator::RemoveAt(std::size_t pos) {
@@ -88,9 +96,13 @@ EventId Simulator::ScheduleAt(double time, Action action) {
   const std::uint32_t slot = AcquireSlot();
   const EventId id = (next_seq_++ << kEventSlotBits) | slot;
   slab_[slot].action = std::move(action);
-  heap_.emplace_back();
-  SiftUp(heap_.size() - 1, {time, id});
-  if (heap_.size() > live_hwm_) live_hwm_ = heap_.size();
+  if (far_on_) {
+    deferred_ += File({time, id});
+  } else {
+    Push({time, id});
+    if (heap_.size() > engage_above_) Engage();
+  }
+  live_hwm_ = std::max<std::uint64_t>(live_hwm_, PendingEvents());
   return id;
 }
 
@@ -103,17 +115,138 @@ bool Simulator::Cancel(EventId id) {
   const std::size_t slot = EventSlotOf(id);
   if (slot >= heap_pos_.size()) return false;
   const std::uint32_t pos = heap_pos_[slot];
-  // A free slot has no heap position, and a reused slot's key carries a
-  // later sequence, so stale handles — and the reserved id 0 — never match.
-  if (pos == kNotQueued || heap_[pos].id != id) return false;
-  RemoveAt(pos);
+  // A free slot has no position, and a reused slot's key carries a later
+  // sequence, so stale handles — and the reserved id 0 — never match.
+  if (pos == kNotQueued) return false;
+  if (pos == kFar) {
+    if (far_[slot].key.id != id) return false;
+    Unlink(slot);
+  } else {
+    if (heap_[pos].id != id) return false;
+    RemoveAt(pos);
+  }
   ReleaseSlot(slot);
   ++cancelled_;
   return true;
 }
 
+bool Simulator::File(const HeapKey& key) {
+  // Compare q itself, never a bucket boundary time recomputed from it:
+  // q is monotone in the time, so the tiers never disagree with the
+  // (time, id) order.  +inf and overflowing q land in the overflow list.
+  const double q = (key.time - start_) / width_;
+  if (q < near_limit_) {
+    Push(key);
+    return false;
+  }
+  Link(key, q < bucket_limit_ ? static_cast<std::size_t>(q)
+                              : far_head_.size() - 1);
+  return true;
+}
+
+void Simulator::Link(const HeapKey& key, std::size_t list) {
+  const auto slot = static_cast<std::uint32_t>(EventSlotOf(key.id));
+  FarNode& node = far_[slot];
+  node.key = key;
+  node.prev = kListHead | static_cast<std::uint32_t>(list);
+  node.next = far_head_[list];
+  if (node.next != kNil) far_[node.next].prev = slot;
+  far_head_[list] = slot;
+  heap_pos_[slot] = kFar;
+  ++far_count_;
+}
+
+void Simulator::Unlink(std::size_t slot) {
+  const FarNode& node = far_[slot];
+  if (node.next != kNil) far_[node.next].prev = node.prev;
+  if ((node.prev & kListHead) != 0) {
+    far_head_[node.prev & ~kListHead] = node.next;
+  } else {
+    far_[node.prev].next = node.next;
+  }
+  --far_count_;
+}
+
+void Simulator::Pour(std::size_t list) {
+  for (std::uint32_t s = far_head_[list]; s != kNil; s = far_[s].next) {
+    Push(far_[s].key);
+    --far_count_;
+  }
+  far_head_[list] = kNil;
+}
+
+bool Simulator::Refill() {
+  if (!far_on_) return false;
+  const std::size_t buckets = far_head_.size() - 1;
+  while (++cur_ < buckets) {
+    if (far_head_[cur_] != kNil) {
+      near_limit_ = static_cast<double>(cur_) + 1.0;
+      Pour(cur_);
+      return true;
+    }
+  }
+  // The epoch is over: re-bucket the overflow list.
+  for (std::uint32_t s = far_head_.back(); s != kNil; s = far_[s].next) {
+    pool_.push_back(far_[s].key);
+  }
+  far_count_ = 0;
+  Partition();
+  return !heap_.empty();
+}
+
+void Simulator::Engage() {
+  pool_.assign(heap_.begin(), heap_.end());
+  heap_.clear();
+  far_on_ = true;
+  Partition();
+}
+
+void Simulator::Partition() {
+  ++repartitions_;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double lo = kInf;
+  double hi = -kInf;
+  std::size_t finite = 0;
+  for (const HeapKey& key : pool_) {
+    if (key.time == kInf) continue;
+    lo = std::min(lo, key.time);
+    hi = std::max(hi, key.time);
+    ++finite;
+  }
+  // +inf keys wait in the overflow list until only they remain; then
+  // the heap takes them, and the far tier engages again only once the
+  // heap has doubled, so a standing set of them is not shuttled back and
+  // forth on every schedule.
+  if (pool_.size() < kReleaseSize || finite == 0) {
+    far_on_ = false;
+    engage_above_ = std::max(kEngageSize, 2 * pool_.size());
+    for (const HeapKey& key : pool_) Push(key);
+    pool_.clear();
+    return;
+  }
+  // One bucket per finite key, spanning [lo, hi].  A zero or non-finite
+  // width (one distinct time, or a span that underflows) instead sends
+  // every key up to hi to the heap: any positive width keeps q monotone.
+  const double width = (hi - lo) / static_cast<double>(finite);
+  std::size_t buckets = finite + 1;
+  if (width > 0.0 && std::isfinite(width)) {
+    start_ = lo;
+    width_ = width;
+  } else {
+    start_ = hi;
+    width_ = std::numeric_limits<double>::min();
+    buckets = 1;
+  }
+  cur_ = 0;
+  near_limit_ = 1.0;
+  bucket_limit_ = static_cast<double>(buckets);
+  far_head_.assign(buckets + 1, kNil);
+  for (const HeapKey& key : pool_) File(key);
+  pool_.clear();
+}
+
 bool Simulator::Step() {
-  if (heap_.empty()) return false;
+  if (heap_.empty() && !Refill()) return false;
   const HeapKey next = heap_.front();
   RemoveAt(0);
   now_ = next.time;
@@ -130,7 +263,7 @@ bool Simulator::Step() {
 
 void Simulator::RunUntil(double until) {
   Require(until >= now_, "horizon is in the past");
-  while (!heap_.empty() && heap_.front().time <= until) {
+  while ((!heap_.empty() || Refill()) && heap_.front().time <= until) {
     Step();
   }
   now_ = until;

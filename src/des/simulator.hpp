@@ -10,11 +10,26 @@
 // via the small-buffer-optimized InlineAction — so the schedule/fire/cancel
 // cycle performs no per-event heap allocation and no hashing.
 //
-// The pending-event set is one indexed 4-ary min-heap of contiguous
-// (time, id) keys, ordered by time and then by id.  Ids grow with every
-// schedule, so simultaneous events fire in schedule order (FIFO).  Each
-// slab slot records where its key sits in the heap, which makes Cancel an
-// eager O(log n) removal: the heap only ever holds live events.
+// Pending events fire in (time, id) order.  Ids grow with every schedule,
+// so simultaneous events fire in schedule order (FIFO).  The pending set
+// has two tiers:
+//
+//  * the near tier, an indexed 4-ary min-heap of contiguous (time, id)
+//    keys.  Each slab slot records where its key sits in the heap, which
+//    makes Cancel an eager O(log n) removal;
+//  * the far tier, unsorted bucket lists of equal time width plus an
+//    overflow list past the last bucket (a calendar queue's buckets, kept
+//    exact).  Schedule and Cancel are O(1) there: an intrusive doubly
+//    linked list through slab slots.
+//
+// A key's tier and bucket are monotone functions of its time alone, so
+// every near key precedes every far key and equal times share a tier.
+// When the heap empties, the next non-empty bucket is poured into it;
+// when the buckets run out, the overflow list is re-bucketed into a new
+// epoch.  Both tiers hold only live events.  The far tier engages once
+// more than kEngageSize events are pending and lets go when a
+// repartition finds fewer than kReleaseSize, so small event sets (the
+// CPU model's handful) stay on the plain heap.
 #pragma once
 
 #include <cstddef>
@@ -75,8 +90,10 @@ class Simulator {
   /// Number of events fired so far.
   std::uint64_t ProcessedEvents() const noexcept { return processed_; }
 
-  /// Live (pending, uncancelled) events.
-  std::size_t PendingEvents() const noexcept { return heap_.size(); }
+  /// Live (pending, uncancelled) events, in both tiers.
+  std::size_t PendingEvents() const noexcept {
+    return heap_.size() + far_count_;
+  }
 
   /// High-water slot count of the event-record slab (diagnostics: the
   /// peak number of simultaneously pending events this kernel has seen).
@@ -93,11 +110,14 @@ class Simulator {
                                     ///< free list (vs slab growth)
     std::uint64_t live_hwm = 0;     ///< peak simultaneously pending events
     std::uint64_t slab_slots = 0;   ///< event-record slab size
+    std::uint64_t deferred = 0;     ///< schedules that entered the far tier
+    std::uint64_t repartitions = 0; ///< far-tier epochs started (engaging
+                                    ///< included)
   };
 
   KernelStats Stats() const noexcept {
-    return {next_seq_ - 1, processed_, cancelled_,
-            slab_reuses_,  live_hwm_,  slab_.size()};
+    return {next_seq_ - 1, processed_,  cancelled_, slab_reuses_,
+            live_hwm_,     slab_.size(), deferred_, repartitions_};
   }
 
  private:
@@ -118,11 +138,28 @@ class Simulator {
     std::uint32_t next_free = kNoFreeSlot;
   };
 
+  /// A far-tier entry, per slab slot: the key and its list links.
+  struct FarNode {
+    HeapKey key;
+    std::uint32_t prev;  ///< previous slot, or kListHead | list at a head
+    std::uint32_t next;  ///< next slot, or kNil
+  };
+
   static constexpr std::uint32_t kNoFreeSlot =
       std::numeric_limits<std::uint32_t>::max();
   /// heap_pos_ value of a slot that holds no pending event.
   static constexpr std::uint32_t kNotQueued =
       std::numeric_limits<std::uint32_t>::max();
+  /// heap_pos_ value of a slot whose event sits in the far tier.
+  static constexpr std::uint32_t kFar = kNotQueued - 1;
+  /// End of a far-tier list.
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+  /// FarNode::prev flag: the node heads list (prev & ~kListHead).
+  static constexpr std::uint32_t kListHead = std::uint32_t{1} << 31;
+  /// Pending-set sizes at which the far tier engages and lets go.
+  static constexpr std::size_t kEngageSize = 512;
+  static constexpr std::size_t kReleaseSize = 128;
 
   std::uint32_t AcquireSlot();
   void ReleaseSlot(std::size_t slot);
@@ -130,15 +167,54 @@ class Simulator {
   /// Write `key` at heap index `pos` and record the position in its slot.
   void Place(std::size_t pos, const HeapKey& key);
   void SiftUp(std::size_t pos, HeapKey key);
+  void Push(const HeapKey& key);
   /// Remove the key at heap index `pos`, refilling the hole with the last
   /// key.
   void RemoveAt(std::size_t pos);
 
+  /// Put `key` in its tier while the far tier is engaged: the heap, the
+  /// bucket it falls in or the overflow list.  True when it went far.
+  bool File(const HeapKey& key);
+  void Link(const HeapKey& key, std::size_t list);
+  void Unlink(std::size_t slot);
+  /// Move every key of far-tier list `list` into the heap.
+  void Pour(std::size_t list);
+  /// Called with the heap empty: refill it from the far tier.  False when
+  /// no event is pending at all.
+  bool Refill();
+  /// Move every pending key into pool_ and start the far tier.
+  void Engage();
+  /// Start a new epoch over the keys in pool_ (every pending key), or
+  /// pour them into the heap and let the far tier go.
+  void Partition();
+
   std::vector<HeapKey> heap_;
   std::vector<EventRecord> slab_;
-  /// Per slab slot: index of its key in heap_, or kNotQueued when free.
+  /// Per slab slot: index of its key in heap_, kFar, or kNotQueued when
+  /// free.
   std::vector<std::uint32_t> heap_pos_;
   std::uint32_t free_head_ = kNoFreeSlot;
+
+  // Far tier.  A key of time t has q = (t - start_) / width_.  It goes
+  // to the heap when q < near_limit_ (the current bucket plus one), to
+  // bucket floor(q) when q < bucket_limit_, and to the overflow list
+  // otherwise (+inf included).
+  std::vector<FarNode> far_;  ///< per slab slot
+  /// List heads: bucket b at index b, the overflow list last.
+  std::vector<std::uint32_t> far_head_;
+  std::vector<HeapKey> pool_;  ///< keys being repartitioned
+  std::size_t far_count_ = 0;  ///< keys in the far tier
+  std::size_t cur_ = 0;        ///< bucket last poured into the heap
+  double start_ = 0.0;
+  double width_ = 1.0;
+  double near_limit_ = 0.0;
+  double bucket_limit_ = 0.0;
+  /// Heap size past which the far tier engages; raised when a release
+  /// pours a large set of +inf events into the heap.
+  std::size_t engage_above_ = kEngageSize;
+  bool far_on_ = false;
+  std::uint64_t deferred_ = 0;
+  std::uint64_t repartitions_ = 0;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
