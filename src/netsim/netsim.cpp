@@ -887,6 +887,8 @@ void NetworkSimulator::CollectMetrics(NetSimReport& report) {
   *reg.Counter("des.events.scheduled") += kernel.scheduled;
   *reg.Counter("des.events.fired") += kernel.fired;
   *reg.Counter("des.events.cancelled") += kernel.cancelled;
+  *reg.Counter("des.events.deferred") += kernel.deferred;
+  *reg.Counter("des.far.repartitions") += kernel.repartitions;
   *reg.Counter("des.slab.reuses") += kernel.slab_reuses;
   reg.GaugeMax("des.queue.live_hwm", static_cast<double>(kernel.live_hwm));
   reg.GaugeMax("des.slab.slots", static_cast<double>(kernel.slab_slots));

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "wsn/network.hpp"
 
 namespace wsn::obs {
 namespace {
@@ -139,6 +140,19 @@ netsim::NetSimConfig TinyChain() {
   return cfg;
 }
 
+// 600 nodes that each keep an arrival timer pending: more than the 512
+// pending events at which the kernel's far tier engages.
+netsim::NetSimConfig WideGrid() {
+  netsim::NetSimConfig cfg = TinyChain();
+  cfg.network.node.cpu.arrival_rate = 0.5;
+  cfg.network.node.cpu.service_rate = 5.0;
+  cfg.network.node.battery_mah = 2000.0;
+  cfg.network.max_hop_m = 40.0;
+  cfg.positions = node::MakeGrid(30, 20, 15.0);
+  cfg.horizon_s = 20.0;
+  return cfg;
+}
+
 // The zero-overhead pin: a run with observability off must produce an
 // empty snapshot (no registry was ever created) and an empty trace.
 TEST(NetSimObs, DisabledRunContributesNothing) {
@@ -175,23 +189,29 @@ TEST(NetSimObs, CountersMatchReportFields) {
 
 // The merged snapshot must be byte-identical no matter how many threads
 // ran the replications (wall-clock sections excluded by definition).
+// The wide grid pins the far tier's counters too.
 TEST(NetSimObs, MergedMetricsIndependentOfThreadCount) {
-  netsim::NetSimConfig cfg = TinyChain();
-  cfg.obs.metrics = true;
-  const core::MarkovCpuModel model;
+  for (netsim::NetSimConfig cfg : {TinyChain(), WideGrid()}) {
+    cfg.obs.metrics = true;
+    const core::MarkovCpuModel model;
 
-  netsim::ReplicationConfig serial;
-  serial.replications = 6;
-  serial.seed = 77;
-  serial.threads = 1;
-  netsim::ReplicationConfig parallel = serial;
-  parallel.threads = 4;
+    netsim::ReplicationConfig serial;
+    serial.replications = 6;
+    serial.seed = 77;
+    serial.threads = 1;
+    netsim::ReplicationConfig parallel = serial;
+    parallel.threads = 4;
 
-  const netsim::ReplicationSummary rs = RunReplications(cfg, model, serial);
-  const netsim::ReplicationSummary rp = RunReplications(cfg, model, parallel);
-  EXPECT_FALSE(rs.metrics.Empty());
-  EXPECT_EQ(rs.metrics.ToJson(2, /*include_timings=*/false),
-            rp.metrics.ToJson(2, /*include_timings=*/false));
+    const netsim::ReplicationSummary rs = RunReplications(cfg, model, serial);
+    const netsim::ReplicationSummary rp =
+        RunReplications(cfg, model, parallel);
+    EXPECT_FALSE(rs.metrics.Empty());
+    EXPECT_EQ(rs.metrics.ToJson(2, /*include_timings=*/false),
+              rp.metrics.ToJson(2, /*include_timings=*/false));
+    const bool wide = cfg.positions.size() > 512;
+    EXPECT_EQ(rs.metrics.counters.at("des.events.deferred") > 0, wide);
+    EXPECT_EQ(rs.metrics.counters.at("des.far.repartitions") > 0, wide);
+  }
 }
 
 }  // namespace
