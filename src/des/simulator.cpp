@@ -61,7 +61,7 @@ void Simulator::SiftUp(std::size_t pos, HeapKey key) {
   Place(pos, key);
 }
 
-void Simulator::Push(const HeapKey& key) {
+inline void Simulator::Push(const HeapKey& key) {
   heap_.emplace_back();
   SiftUp(heap_.size() - 1, key);
 }
@@ -96,10 +96,11 @@ EventId Simulator::ScheduleAt(double time, Action action) {
   const std::uint32_t slot = AcquireSlot();
   const EventId id = (next_seq_++ << kEventSlotBits) | slot;
   slab_[slot].action = std::move(action);
-  if (far_on_) {
-    deferred_ += File({time, id});
+  const HeapKey key{time, id};
+  if (far_on_ && Defer(key)) {
+    ++deferred_;
   } else {
-    Push({time, id});
+    Push(key);
     if (heap_.size() > engage_above_) Engage();
   }
   live_hwm_ = std::max<std::uint64_t>(live_hwm_, PendingEvents());
@@ -130,15 +131,12 @@ bool Simulator::Cancel(EventId id) {
   return true;
 }
 
-bool Simulator::File(const HeapKey& key) {
+bool Simulator::Defer(const HeapKey& key) {
   // Compare q itself, never a bucket boundary time recomputed from it:
   // q is monotone in the time, so the tiers never disagree with the
   // (time, id) order.  +inf and overflowing q land in the overflow list.
   const double q = (key.time - start_) / width_;
-  if (q < near_limit_) {
-    Push(key);
-    return false;
-  }
+  if (q < near_limit_) return false;
   Link(key, q < bucket_limit_ ? static_cast<std::size_t>(q)
                               : far_head_.size() - 1);
   return true;
@@ -185,43 +183,47 @@ bool Simulator::Refill() {
       return true;
     }
   }
-  // The epoch is over: re-bucket the overflow list.
-  for (std::uint32_t s = far_head_.back(); s != kNil; s = far_[s].next) {
-    pool_.push_back(far_[s].key);
-  }
-  far_count_ = 0;
-  Partition();
+  Partition();  // the epoch is over: re-bucket the overflow list
   return !heap_.empty();
 }
 
 void Simulator::Engage() {
-  pool_.assign(heap_.begin(), heap_.end());
-  heap_.clear();
   far_on_ = true;
+  engage_above_ = std::numeric_limits<std::size_t>::max();
+  far_head_.assign(1, kNil);  // just the overflow list
+  for (const HeapKey& key : heap_) Link(key, 0);
+  heap_.clear();
   Partition();
 }
 
 void Simulator::Partition() {
   ++repartitions_;
+  // Every pending key is in the overflow list: the heap and the buckets
+  // are empty.  Each is filed anew below.
+  const std::uint32_t first = far_head_.back();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   double lo = kInf;
   double hi = -kInf;
   std::size_t finite = 0;
-  for (const HeapKey& key : pool_) {
-    if (key.time == kInf) continue;
-    lo = std::min(lo, key.time);
-    hi = std::max(hi, key.time);
+  for (std::uint32_t s = first; s != kNil; s = far_[s].next) {
+    const double t = far_[s].key.time;
+    if (t == kInf) continue;
+    lo = std::min(lo, t);
+    hi = std::max(hi, t);
     ++finite;
   }
+  const std::size_t count = far_count_;
+  far_count_ = 0;
   // +inf keys wait in the overflow list until only they remain; then
   // the heap takes them, and the far tier engages again only once the
   // heap has doubled, so a standing set of them is not shuttled back and
   // forth on every schedule.
-  if (pool_.size() < kReleaseSize || finite == 0) {
+  if (count < kReleaseSize || finite == 0) {
     far_on_ = false;
-    engage_above_ = std::max(kEngageSize, 2 * pool_.size());
-    for (const HeapKey& key : pool_) Push(key);
-    pool_.clear();
+    engage_above_ = std::max(kEngageSize, 2 * count);
+    for (std::uint32_t s = first; s != kNil; s = far_[s].next) {
+      Push(far_[s].key);
+    }
     return;
   }
   // One bucket per finite key, spanning [lo, hi].  A zero or non-finite
@@ -241,8 +243,11 @@ void Simulator::Partition() {
   near_limit_ = 1.0;
   bucket_limit_ = static_cast<double>(buckets);
   far_head_.assign(buckets + 1, kNil);
-  for (const HeapKey& key : pool_) File(key);
-  pool_.clear();
+  for (std::uint32_t s = first, next = kNil; s != kNil; s = next) {
+    next = far_[s].next;  // Defer relinks the node
+    const HeapKey key = far_[s].key;
+    if (!Defer(key)) Push(key);
+  }
 }
 
 bool Simulator::Step() {

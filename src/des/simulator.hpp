@@ -172,9 +172,9 @@ class Simulator {
   /// key.
   void RemoveAt(std::size_t pos);
 
-  /// Put `key` in its tier while the far tier is engaged: the heap, the
-  /// bucket it falls in or the overflow list.  True when it went far.
-  bool File(const HeapKey& key);
+  /// While the far tier is engaged: link `key` into the bucket it falls
+  /// in or the overflow list, or return false when it belongs in the heap.
+  bool Defer(const HeapKey& key);
   void Link(const HeapKey& key, std::size_t list);
   void Unlink(std::size_t slot);
   /// Move every key of far-tier list `list` into the heap.
@@ -182,10 +182,10 @@ class Simulator {
   /// Called with the heap empty: refill it from the far tier.  False when
   /// no event is pending at all.
   bool Refill();
-  /// Move every pending key into pool_ and start the far tier.
+  /// Move every pending key into the overflow list and partition it.
   void Engage();
-  /// Start a new epoch over the keys in pool_ (every pending key), or
-  /// pour them into the heap and let the far tier go.
+  /// Start a new epoch over the overflow list, which then holds every
+  /// pending key, or pour it into the heap and let the far tier go.
   void Partition();
 
   std::vector<HeapKey> heap_;
@@ -202,15 +202,14 @@ class Simulator {
   std::vector<FarNode> far_;  ///< per slab slot
   /// List heads: bucket b at index b, the overflow list last.
   std::vector<std::uint32_t> far_head_;
-  std::vector<HeapKey> pool_;  ///< keys being repartitioned
   std::size_t far_count_ = 0;  ///< keys in the far tier
   std::size_t cur_ = 0;        ///< bucket last poured into the heap
   double start_ = 0.0;
   double width_ = 1.0;
   double near_limit_ = 0.0;
   double bucket_limit_ = 0.0;
-  /// Heap size past which the far tier engages; raised when a release
-  /// pours a large set of +inf events into the heap.
+  /// Heap size past which the far tier engages: SIZE_MAX while it is
+  /// engaged, raised when a release pours many +inf events into the heap.
   std::size_t engage_above_ = kEngageSize;
   bool far_on_ = false;
   std::uint64_t deferred_ = 0;
