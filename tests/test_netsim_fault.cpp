@@ -410,23 +410,38 @@ TEST(FaultSimulator, ClusteredChurnMatchesOracle) {
 TEST(FaultSimulator, CascadeReattachmentCountIsPinned) {
   // Members of a dead head re-attach when they next transmit; the count
   // of those re-attachments on the cascade input is pinned, so a change
-  // to the repair algorithm fails here deterministically.  Replications
-  // run on their own streams, so the count ignores the thread count.
+  // to the repair algorithm fails here deterministically.  So is the
+  // total of head_elections over every node: the oracle twin shares the
+  // full-election counting, so only an absolute value catches a miscount
+  // common to both paths.  Replications run on their own streams, so
+  // both counts ignore the thread count.
   const core::MarkovCpuModel model;
   ReplicationConfig rep;
   rep.replications = 3;
   rep.seed = 2008;
-  for (const auto& [wakeup, pinned] :
-       {std::pair{0.0, std::uint64_t{1664}},
-        std::pair{0.5, std::uint64_t{1541}}}) {
-    NetSimConfig cfg = CascadeConfig(wakeup);
+  rep.keep_reports = true;
+  struct Pin {
+    double wakeup_s;
+    std::uint64_t reattachments;
+    std::uint64_t head_elections;
+  };
+  for (const Pin& pin : {Pin{0.0, 1664, 5440}, Pin{0.5, 1541, 5586}}) {
+    NetSimConfig cfg = CascadeConfig(pin.wakeup_s);
     cfg.obs.metrics = true;
     for (const std::size_t threads : {1, 3}) {
       rep.threads = threads;
       const ReplicationSummary summary = RunReplications(cfg, model, rep);
       EXPECT_EQ(summary.metrics.counters.at("netsim.cluster.reattachments"),
-                pinned)
-          << "LPL " << wakeup << " s, " << threads << " threads";
+                pin.reattachments)
+          << "LPL " << pin.wakeup_s << " s, " << threads << " threads";
+      std::uint64_t head_elections = 0;
+      for (const NetSimReport& report : summary.reports) {
+        for (const NodeSimStats& node : report.nodes) {
+          head_elections += node.head_elections;
+        }
+      }
+      EXPECT_EQ(head_elections, pin.head_elections)
+          << "LPL " << pin.wakeup_s << " s, " << threads << " threads";
     }
   }
 }
