@@ -4,8 +4,10 @@
 #include <bit>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "energy/energy_model.hpp"
+#include "util/distributions.hpp"
 #include "util/error.hpp"
 #include "wsn/node.hpp"
 
@@ -205,39 +207,38 @@ NetworkSimulator::NetworkSimulator(NetSimConfig config, double cpu_power_mw,
 
   const std::vector<node::NodeConfig> per_node = PerNodeConfigs(config_);
   const std::size_t n = config_.positions.size();
-  battery_.reserve(n);
-  elec_nj_per_bit_.reserve(n);
-  amp_friis_.reserve(n);
-  amp_multipath_.reserve(n);
-  crossover_m_.reserve(n);
-  baseline_mw_.reserve(n);
-  traffic_.resize(n);
+  nodes_.reserve(n);
+  // Steady Poisson arrivals are drawn inline from each record's rate;
+  // a traffic factory, or the oracle's reference path, uses workloads.
+  if (config_.traffic_factory || config_.oracle) traffic_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const node::NodeConfig& cfg = per_node[i];
-    battery_.emplace_back(cfg.battery_mah, cfg.battery_volts);
+    NodeState& node = nodes_.emplace_back(NodeState{
+        .battery = energy::Battery(cfg.battery_mah, cfg.battery_volts)});
     const energy::RadioModel radio(cfg.radio);  // validates the parameters
-    elec_nj_per_bit_.push_back(radio.Parameters().elec_nj_per_bit);
-    amp_friis_.push_back(radio.Parameters().amp_friis_pj_per_bit_m2);
-    amp_multipath_.push_back(radio.Parameters().amp_multipath_pj_per_bit_m4);
-    crossover_m_.push_back(radio.Parameters().crossover_m);
-    baseline_mw_.push_back(cpu_power_mw +
-                           cfg.listen_duty_cycle * cfg.radio.listen_mw +
-                           (1.0 - cfg.listen_duty_cycle) * cfg.radio.sleep_mw);
+    node.baseline_mw = cpu_power_mw +
+                       cfg.listen_duty_cycle * cfg.radio.listen_mw +
+                       (1.0 - cfg.listen_duty_cycle) * cfg.radio.sleep_mw;
+    node.elec_nj_per_bit = radio.Parameters().elec_nj_per_bit;
+    node.amp_friis = radio.Parameters().amp_friis_pj_per_bit_m2;
+    node.amp_multipath = radio.Parameters().amp_multipath_pj_per_bit_m4;
+    node.crossover_m = radio.Parameters().crossover_m;
     if (config_.traffic_factory) {
       traffic_[i] = config_.traffic_factory(i);
       Require(traffic_[i] != nullptr, "traffic factory returned null");
-    } else {
-      const double rate = cfg.cpu.arrival_rate * cfg.report_fraction;
-      if (rate > 0.0) traffic_[i] = des::MakePoissonWorkload(rate);
+    } else if (const double rate = cfg.cpu.arrival_rate * cfg.report_fraction;
+               rate > 0.0) {
+      if (config_.oracle) {
+        traffic_[i] = des::MakePoissonWorkload(rate);
+      } else {
+        node.arrival_rate = rate;
+      }
     }
   }
-  last_update_s_.assign(n, 0.0);
   alive_.assign(n, true);
   busy_.assign(n, 0);
   queues_ = PacketQueues(n);
   agg_payloads_.assign(n, 0);
-  death_event_.assign(n, 0);
-  arrival_event_.assign(n, 0);
   stats_.resize(n);
 
   if (config_.faults.Enabled()) {
@@ -257,8 +258,6 @@ NetworkSimulator::NetworkSimulator(NetSimConfig config, double cpu_power_mw,
 
   protocol_ = config_.cluster.MakeProtocol(n);
   if (protocol_ != nullptr) {
-    cluster_next_.assign(n, RoutingTable::kNoRoute);
-    cluster_dist_.assign(n, 0.0);
     energy_fraction_.assign(n, 1.0);
     aggregate_bits_ = config_.cluster.aggregate_bits != 0
                           ? config_.cluster.aggregate_bits
@@ -300,7 +299,7 @@ NetSimReport NetworkSimulator::Run() {
     sim_.ScheduleAt(config_.cluster.round_s, [this] { RoundTick(); });
   }
   CheckPartition();  // a deployment can be partitioned from the start
-  const std::size_t n = battery_.size();
+  const std::size_t n = nodes_.size();
   for (std::size_t i = 0; i < n; ++i) {
     ScheduleNextArrival(i);
     RescheduleDeath(i);
@@ -321,18 +320,20 @@ NetSimReport NetworkSimulator::Run() {
   sim_.RunUntil(config_.horizon_s);
 
   const double end = stopped_ ? stop_time_s_ : config_.horizon_s;
+  for (std::size_t h : cluster_.heads) CreditRepairWins(h);  // still seated
   NetSimReport report;
   report.nodes.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (alive_[i]) Touch(i, end);
+    NodeState& node = nodes_[i];
+    if (alive_[i]) Touch(node, end);
     NodeSimStats& stats = stats_[i];
     stats.alive = alive_[i];
-    stats.remaining_j = battery_[i].Remaining();
+    stats.remaining_j = node.battery.Remaining();
     stats.energy_used_j =
-        battery_[i].CapacityJoules() - battery_[i].Remaining();
+        node.battery.CapacityJoules() - node.battery.Remaining();
     if (config_.timeline_interval_s > 0.0 &&
         (stats.timeline.empty() || stats.timeline.back().time_s < end)) {
-      stats.timeline.push_back({end, battery_[i].Remaining()});
+      stats.timeline.push_back({end, node.battery.Remaining()});
     }
     report.nodes.push_back(std::move(stats));
   }
@@ -368,17 +369,28 @@ NetSimReport NetworkSimulator::Run() {
 }
 
 void NetworkSimulator::ScheduleNextArrival(std::size_t i) {
-  arrival_event_[i] = 0;
-  if (!traffic_[i]) return;
-  const auto next = traffic_[i]->NextArrival(sim_.Now(), rng_);
-  if (!next) return;
-  const double t = std::max(*next, sim_.Now());
+  NodeState& node = nodes_[i];
+  node.arrival_event = 0;
+  const double now = sim_.Now();
+  double t;
+  if (traffic_.empty()) {
+    // des::OpenWorkload::NextArrival's expression for an exponential
+    // law, so the draws and their bits are the workload's.
+    if (node.arrival_rate <= 0.0) return;
+    t = now + util::SampleExponential(rng_, node.arrival_rate);
+  } else {
+    if (!traffic_[i]) return;
+    const auto next = traffic_[i]->NextArrival(now, rng_);
+    if (!next) return;
+    t = std::max(*next, now);
+  }
   if (t > config_.horizon_s) return;
-  arrival_event_[i] = sim_.ScheduleAt(t, [this, i] { OnArrival(i); });
+  node.arrival_event = sim_.ScheduleAt(t, [this, i] { OnArrival(i); });
 }
 
 void NetworkSimulator::OnArrival(std::size_t i) {
-  arrival_event_[i] = 0;
+  ++fired_.arrival;
+  nodes_[i].arrival_event = 0;
   if (stopped_) return;
   if (!alive_[i]) return;  // dead sources stop reporting
   ++counters_.generated;
@@ -441,7 +453,10 @@ void NetworkSimulator::StartNext(std::size_t i) {
 void NetworkSimulator::ScheduleTxFinish(std::size_t i,
                                         const DutyCycledMac::TxTiming& tx) {
   if (!tx.slotted || !config_.batch_mac_wakeups) {
-    sim_.ScheduleAt(tx.finish_s, [this, i] { FinishTx(i); });
+    sim_.ScheduleAt(tx.finish_s, [this, i] {
+      ++fired_.tx_finish;  // here: FireWakeups calls FinishTx too
+      FinishTx(i);
+    });
     return;
   }
   // Same-slot completions share a bit-identical timestamp (the MAC
@@ -473,6 +488,7 @@ void NetworkSimulator::FireWakeups(std::size_t slot) {
   // batches (possibly reusing this slot or growing wakeup_lists_), and
   // the scratch keeps this walk untouched by that.  The kernel fires one
   // event at a time, so FireWakeups never nests inside itself.
+  ++fired_.wakeup_batch;
   WakeupBatch& batch = wakeup_lists_[slot];
   wakeup_at_.erase(batch.t);
   firing_.clear();
@@ -507,10 +523,12 @@ void NetworkSimulator::FinishTx(std::size_t i) {
   }
   // The sender pays for the attempt whatever its fate (this drain may
   // deplete the sender; the in-flight packet still completes the hop).
-  DrainDiscrete(i, energy::ElectronicsEnergy(pkt.bits, elec_nj_per_bit_[i]) +
+  const NodeState& sender = nodes_[i];
+  DrainDiscrete(i, energy::ElectronicsEnergy(pkt.bits, sender.elec_nj_per_bit) +
                       energy::AmplifierEnergy(pkt.bits, HopDistanceOf(i),
-                                              amp_friis_[i], amp_multipath_[i],
-                                              crossover_m_[i]));
+                                              sender.amp_friis,
+                                              sender.amp_multipath,
+                                              sender.crossover_m));
   TracePacket("tx", i, pkt);
 
   // A sink inside an outage window accepts nothing: the attempt fails
@@ -538,8 +556,9 @@ void NetworkSimulator::FinishTx(std::size_t i) {
     // In clustered mode every node-to-node hand-off lands at a cluster
     // head, which folds the payload into its aggregation buffer instead
     // of relaying the packet verbatim.
-    DrainDiscrete(receiver, energy::ElectronicsEnergy(
-                                pkt.bits, elec_nj_per_bit_[receiver]));
+    DrainDiscrete(receiver,
+                  energy::ElectronicsEnergy(
+                      pkt.bits, nodes_[receiver].elec_nj_per_bit));
     ++counters_.forwarded;
     ++stats_[receiver].forwarded;
     TracePacket("rx", receiver, pkt);
@@ -549,10 +568,11 @@ void NetworkSimulator::FinishTx(std::size_t i) {
       DropPacket(receiver, DropReason::kNodeDied, pkt.payload);
     }
   } else {
-    DrainDiscrete(receiver, energy::ElectronicsEnergy(
-                                pkt.bits, elec_nj_per_bit_[receiver]));
+    DrainDiscrete(receiver,
+                  energy::ElectronicsEnergy(
+                      pkt.bits, nodes_[receiver].elec_nj_per_bit));
     pkt.retries = 0;
-    if (++pkt.hops > battery_.size()) {
+    if (++pkt.hops > nodes_.size()) {
       DropPacket(receiver, DropReason::kTtlExceeded, pkt.payload);
     } else {
       ++counters_.forwarded;
@@ -564,19 +584,20 @@ void NetworkSimulator::FinishTx(std::size_t i) {
   if (alive_[i]) StartNext(i);
 }
 
-void NetworkSimulator::Touch(std::size_t i, double now) {
-  const double dt = now - last_update_s_[i];
+void NetworkSimulator::Touch(NodeState& node, double now) {
+  const double dt = now - node.last_update_s;
   if (dt > 0.0) {
-    battery_[i].Drain(baseline_mw_[i] * dt / 1000.0);
-    last_update_s_[i] = now;
+    node.battery.Drain(node.baseline_mw * dt / 1000.0);
+    node.last_update_s = now;
   }
 }
 
 void NetworkSimulator::DrainDiscrete(std::size_t i, double joules) {
   if (!alive_[i]) return;
-  Touch(i, sim_.Now());
-  battery_[i].Drain(joules);
-  if (battery_[i].Depleted()) {
+  NodeState& node = nodes_[i];
+  Touch(node, sim_.Now());
+  node.battery.Drain(joules);
+  if (node.battery.Depleted()) {
     OnDeath(i);
   } else {
     RescheduleDeath(i);
@@ -584,20 +605,23 @@ void NetworkSimulator::DrainDiscrete(std::size_t i, double joules) {
 }
 
 void NetworkSimulator::RescheduleDeath(std::size_t i) {
-  if (death_event_[i] != 0) {
-    sim_.Cancel(death_event_[i]);
-    death_event_[i] = 0;
+  NodeState& node = nodes_[i];
+  if (node.death_event != 0) {
+    sim_.Cancel(node.death_event);
+    node.death_event = 0;
   }
-  if (baseline_mw_[i] <= 0.0) return;  // only discrete drains can kill
+  if (node.baseline_mw <= 0.0) return;  // only discrete drains can kill
   const double seconds_left =
-      battery_[i].Remaining() / (baseline_mw_[i] / 1000.0);
+      node.battery.Remaining() / (node.baseline_mw / 1000.0);
   const double when = sim_.Now() + seconds_left;
   if (when > config_.horizon_s) return;  // outlives the horizon
-  death_event_[i] = sim_.ScheduleAt(when, [this, i] {
+  node.death_event = sim_.ScheduleAt(when, [this, i] {
+    ++fired_.death;
     if (stopped_ || !alive_[i]) return;
-    death_event_[i] = 0;
-    Touch(i, sim_.Now());
-    battery_[i].Drain(battery_[i].Remaining());
+    NodeState& dying = nodes_[i];
+    dying.death_event = 0;
+    Touch(dying, sim_.Now());
+    dying.battery.Drain(dying.battery.Remaining());
     OnDeath(i);
   });
 }
@@ -605,9 +629,10 @@ void NetworkSimulator::RescheduleDeath(std::size_t i) {
 void NetworkSimulator::OnDeath(std::size_t i) {
   alive_[i] = false;
   stats_[i].death_s = sim_.Now();
-  if (death_event_[i] != 0) {
-    sim_.Cancel(death_event_[i]);
-    death_event_[i] = 0;
+  NodeState& node = nodes_[i];
+  if (node.death_event != 0) {
+    sim_.Cancel(node.death_event);
+    node.death_event = 0;
   }
   while (!queues_.Empty(i)) {
     DropPacket(i, DropReason::kNodeDied, queues_.Front(i).payload);
@@ -637,6 +662,7 @@ void NetworkSimulator::RepairAfterLoss(std::size_t i) {
   obs::PhaseTimer repair_timer(repaired ? &repair_sw_ : nullptr);
   if (Clustered()) {
     if (cluster_.IsHead(i)) {
+      CreditRepairWins(i);  // it wins no repair from here on
       if (config_.rerouting) {
         // Losing a head strands its members: repair the cluster now.
         // The in-place path drops only the dead head (its members
@@ -655,9 +681,10 @@ void NetworkSimulator::RepairAfterLoss(std::size_t i) {
       // was already kNoRoute), so a full rebuild would change nothing.
       // Leaving the alive set also removes the member from the
       // unrouted-alive count when it had no uplink.
-      if (cluster_next_[i] == RoutingTable::kNoRoute) --cluster_unrouted_;
-      cluster_next_[i] = RoutingTable::kNoRoute;
-      cluster_dist_[i] = 0.0;
+      NodeState& node = nodes_[i];
+      if (node.uplink == RoutingTable::kNoRoute) --cluster_unrouted_;
+      node.uplink = RoutingTable::kNoRoute;
+      node.uplink_m = 0.0;
     }
   } else if (config_.rerouting) {
     if (config_.oracle) {
@@ -672,6 +699,7 @@ void NetworkSimulator::RepairAfterLoss(std::size_t i) {
 }
 
 void NetworkSimulator::OnFaultEvent(std::size_t k) {
+  ++fired_.fault;
   if (stopped_) return;
   const FaultEvent& e = faults_->Events()[k];
   if (e.kind == FaultEventKind::kCrash) {
@@ -687,18 +715,19 @@ void NetworkSimulator::OnCrash(std::size_t i) {
   // crash landing inside a battery-death window never resurrects anyone.
   if (!alive_[i]) return;
   const double now = sim_.Now();
-  Touch(i, now);  // baseline paid up to the crash instant, none during it
+  NodeState& node = nodes_[i];
+  Touch(node, now);  // baseline paid up to the crash instant, none during it
   alive_[i] = false;
   down_[i] = 1;
   down_since_[i] = now;
   ++crashes_;
-  if (death_event_[i] != 0) {
-    sim_.Cancel(death_event_[i]);
-    death_event_[i] = 0;
+  if (node.death_event != 0) {
+    sim_.Cancel(node.death_event);
+    node.death_event = 0;
   }
-  if (arrival_event_[i] != 0) {
-    sim_.Cancel(arrival_event_[i]);
-    arrival_event_[i] = 0;
+  if (node.arrival_event != 0) {
+    sim_.Cancel(node.arrival_event);
+    node.arrival_event = 0;
   }
   // An interrupted transmission completes nothing: its pending FinishTx
   // must be swallowed, not treated as a finished attempt after recovery.
@@ -727,7 +756,7 @@ void NetworkSimulator::OnRecover(std::size_t i) {
   alive_[i] = true;
   // No baseline drain accrues over the outage: the node rejoins with the
   // charge it crashed with.
-  last_update_s_[i] = now;
+  nodes_[i].last_update_s = now;
   ++recoveries_;
   if (outage_hist_ != nullptr) outage_hist_->Add(now - down_since_[i]);
   RescheduleDeath(i);
@@ -780,18 +809,19 @@ void NetworkSimulator::ReadmitRevived(std::size_t i) {
       }
     }
   }
+  NodeState& node = nodes_[i];
   if (best == ClusterAssignment::kUnclustered) {
     if (i < cluster_.head_of.size()) {
       cluster_.head_of[i] = ClusterAssignment::kUnclustered;
     }
-    cluster_next_[i] = RoutingTable::kNoRoute;
-    cluster_dist_[i] = 0.0;
+    node.uplink = RoutingTable::kNoRoute;
+    node.uplink_m = 0.0;
     ++cluster_unrouted_;
     return;
   }
   if (i < cluster_.head_of.size()) cluster_.head_of[i] = best;
-  cluster_next_[i] = best;
-  cluster_dist_[i] = node::Distance(p, config_.positions[best]);
+  node.uplink = best;
+  node.uplink_m = node::Distance(p, config_.positions[best]);
 }
 
 bool NetworkSimulator::AttemptLost(std::size_t i) {
@@ -886,6 +916,14 @@ void NetworkSimulator::CollectMetrics(NetSimReport& report) {
   const des::Simulator::KernelStats kernel = sim_.Stats();
   *reg.Counter("des.events.scheduled") += kernel.scheduled;
   *reg.Counter("des.events.fired") += kernel.fired;
+  const std::pair<const char*, std::uint64_t> fired_by_kind[] = {
+      {"arrival", fired_.arrival}, {"tx_finish", fired_.tx_finish},
+      {"wakeup_batch", fired_.wakeup_batch}, {"death", fired_.death},
+      {"fault", fired_.fault}, {"round", fired_.round},
+      {"timeline", fired_.timeline}};
+  for (const auto& [kind, fired] : fired_by_kind) {
+    *reg.Counter(std::string("des.events.fired.") + kind) += fired;
+  }
   *reg.Counter("des.events.cancelled") += kernel.cancelled;
   *reg.Counter("des.events.deferred") += kernel.deferred;
   *reg.Counter("des.far.repartitions") += kernel.repartitions;
@@ -902,9 +940,11 @@ void NetworkSimulator::CollectMetrics(NetSimReport& report) {
     *reg.Counter(std::string("netsim.drops.") + DropReasonName(reason)) +=
         counters_.Dropped(reason);
   }
+  // Battery deaths only: a node still down from a fault crash is not
+  // alive at the end either, but it has no death instant.
   std::uint64_t deaths = 0;
-  for (std::size_t i = 0; i < alive_.size(); ++i) {
-    if (!alive_[i]) ++deaths;
+  for (const NodeSimStats& node : report.nodes) {
+    if (node.death_s != std::numeric_limits<double>::infinity()) ++deaths;
   }
   *reg.Counter("netsim.deaths") += deaths;
   if (faults_ != nullptr) {
@@ -938,12 +978,14 @@ void NetworkSimulator::CollectMetrics(NetSimReport& report) {
 }
 
 void NetworkSimulator::TimelineTick() {
+  ++fired_.timeline;
   if (stopped_) return;
   const double now = sim_.Now();
   for (std::size_t i = 0; i < alive_.size(); ++i) {
     if (!alive_[i]) continue;
-    Touch(i, now);
-    stats_[i].timeline.push_back({now, battery_[i].Remaining()});
+    NodeState& node = nodes_[i];
+    Touch(node, now);
+    stats_[i].timeline.push_back({now, node.battery.Remaining()});
   }
   const double next = now + config_.timeline_interval_s;
   if (next <= config_.horizon_s) {
@@ -963,7 +1005,7 @@ std::size_t NetworkSimulator::Receiver(std::size_t i) {
   // that is no longer a head died or crashed in this round.  head_of,
   // not alive_, decides: a head that crashed and recovered is alive but
   // now a member.
-  const std::size_t next = cluster_next_[i];
+  const std::size_t next = nodes_[i].uplink;
   if (next < cluster_.head_of.size() && cluster_.head_of[next] != next) {
     return ReattachMember(i);
   }
@@ -973,14 +1015,15 @@ std::size_t NetworkSimulator::Receiver(std::size_t i) {
 std::size_t NetworkSimulator::ReattachMember(std::size_t i) {
   ++reattachments_;
   const std::size_t head = cluster_.ResolveHead(i, config_.positions);
-  cluster_next_[i] = head;
-  cluster_dist_[i] =
+  NodeState& node = nodes_[i];
+  node.uplink = head;
+  node.uplink_m =
       node::Distance(config_.positions[i], config_.positions[head]);
   return head;
 }
 
 double NetworkSimulator::HopDistanceOf(std::size_t i) const {
-  return Clustered() ? cluster_dist_[i] : routing_.HopDistance(i);
+  return Clustered() ? nodes_[i].uplink_m : routing_.HopDistance(i);
 }
 
 void NetworkSimulator::ElectClusters(bool repair) {
@@ -994,7 +1037,7 @@ void NetworkSimulator::ElectClusters(bool repair) {
     // trajectories by ULPs relative to the eager-sweep implementation
     // (identically with and without `oracle`).
     for (std::size_t i = 0; i < alive_.size(); ++i) {
-      if (alive_[i]) Touch(i, now);  // batteries current at the election
+      if (alive_[i]) Touch(nodes_[i], now);  // current at the election
     }
   }
   ClusterView view;
@@ -1009,9 +1052,10 @@ void NetworkSimulator::ElectClusters(bool repair) {
   view.refresh_energy = [this, now] {
     for (std::size_t i = 0; i < alive_.size(); ++i) {
       if (alive_[i]) {
-        Touch(i, now);  // no-op when the round-election sweep already ran
+        NodeState& node = nodes_[i];
+        Touch(node, now);  // no-op when the round-election sweep already ran
         energy_fraction_[i] =
-            battery_[i].Remaining() / battery_[i].CapacityJoules();
+            node.battery.Remaining() / node.battery.CapacityJoules();
       } else {
         energy_fraction_[i] = 0.0;
       }
@@ -1020,6 +1064,9 @@ void NetworkSimulator::ElectClusters(bool repair) {
   view.assign_stopwatch = &assign_sw_;
   view.all_pairs = config_.oracle;
 
+  // The outgoing heads collect their repair wins before the new
+  // assignment replaces them.
+  for (std::size_t h : cluster_.heads) CreditRepairWins(h);
   // Election cost = protocol decision + member assignment + route
   // rebuild; the post-election queue wakeups below are ordinary TX work,
   // not election overhead, so they stay outside the timer.
@@ -1029,7 +1076,10 @@ void NetworkSimulator::ElectClusters(bool repair) {
                     : protocol_->Elect(round_, view, rng_);
   ++elections_;
   if (!repair) ++rounds_;
-  for (std::size_t h : cluster_.heads) ++stats_[h].head_elections;
+  for (std::size_t h : cluster_.heads) {
+    ++stats_[h].head_elections;
+    nodes_[h].win_mark = repair_wins_;
+  }
   RebuildClusterRoutes(repair && prev.head_of.size() == cluster_.head_of.size()
                            ? &prev.head_of
                            : nullptr);
@@ -1061,9 +1111,11 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
     return false;
   }
   ++elections_;
-  // Every surviving head "wins" the repair election, exactly as on the
-  // full-rebuild path — head_elections is an output-visible stat.
-  for (std::size_t h : cluster_.heads) ++stats_[h].head_elections;
+  // Every surviving head wins the repair election, as on the full-
+  // rebuild path (head_elections is an output-visible stat).  One count
+  // records the win; each head collects it through CreditRepairWins, and
+  // the dead head, credited before this step, gets none.
+  ++repair_wins_;
   // The dead head forgets its sink uplink.  Its members' rows keep
   // naming it until Receiver re-attaches them, and cluster_unrouted_ is
   // untouched: the dead head left the alive set, not the routed set.
@@ -1073,9 +1125,16 @@ bool NetworkSimulator::TryInPlaceClusterRepair(std::size_t dead) {
   // own FinishTx whose receiving head the RX drain just killed; that
   // FinishTx restarts it before anything draws a random number or
   // schedules an event.
-  cluster_next_[dead] = RoutingTable::kNoRoute;
-  cluster_dist_[dead] = 0.0;
+  nodes_[dead].uplink = RoutingTable::kNoRoute;
+  nodes_[dead].uplink_m = 0.0;
   return true;
+}
+
+void NetworkSimulator::CreditRepairWins(std::size_t head) {
+  NodeState& node = nodes_[head];
+  stats_[head].head_elections +=
+      static_cast<std::uint32_t>(repair_wins_ - node.win_mark);
+  node.win_mark = repair_wins_;
 }
 
 void NetworkSimulator::RebuildClusterRoutes(
@@ -1085,17 +1144,18 @@ void NetworkSimulator::RebuildClusterRoutes(
                     cluster_.head_of.size() == alive_.size();
   if (!diff) cluster_unrouted_ = 0;
   for (std::size_t i = 0; i < alive_.size(); ++i) {
+    NodeState& node = nodes_[i];
     if (diff) {
       // A row whose assignment is unchanged still points at a live head
       // (repair never kills a kept head) at the same distance.
       if ((*prev_head_of)[i] == cluster_.head_of[i]) continue;
-      if (alive_[i] && cluster_next_[i] == RoutingTable::kNoRoute) {
+      if (alive_[i] && node.uplink == RoutingTable::kNoRoute) {
         --cluster_unrouted_;  // re-counted below if the row stays unrouted
       }
     }
     if (!alive_[i]) {
-      cluster_next_[i] = RoutingTable::kNoRoute;
-      cluster_dist_[i] = 0.0;
+      node.uplink = RoutingTable::kNoRoute;
+      node.uplink_m = 0.0;
       continue;
     }
     const std::size_t head = i < cluster_.head_of.size()
@@ -1104,21 +1164,22 @@ void NetworkSimulator::RebuildClusterRoutes(
     if (head == i) {
       // Heads uplink straight to their nearest sink; the routing table
       // precomputed that distance from the same sink set.
-      cluster_next_[i] = RoutingTable::kSink;
-      cluster_dist_[i] = routing_.DistanceToSink(i);
+      node.uplink = RoutingTable::kSink;
+      node.uplink_m = routing_.DistanceToSink(i);
     } else if (head != ClusterAssignment::kUnclustered && alive_[head]) {
-      cluster_next_[i] = head;
-      cluster_dist_[i] =
+      node.uplink = head;
+      node.uplink_m =
           node::Distance(config_.positions[i], config_.positions[head]);
     } else {
-      cluster_next_[i] = RoutingTable::kNoRoute;
-      cluster_dist_[i] = 0.0;
+      node.uplink = RoutingTable::kNoRoute;
+      node.uplink_m = 0.0;
       ++cluster_unrouted_;
     }
   }
 }
 
 void NetworkSimulator::RoundTick() {
+  ++fired_.round;
   if (stopped_) return;
   // Demotion flush: partial aggregates leave under the *new* assignment
   // (the packets sit in the queue; the receiver is read at TX time).

@@ -31,12 +31,13 @@
 /// record slab (no per-packet heap allocation — see des/action.hpp); the
 /// per-node next hop is read once per transmission opportunity, not once
 /// per shed packet; and per-node timeline buffers are reserved up front.
-/// Per-node hot state (battery, baseline draw, liveness, busy flag,
-/// backlog cursors) lives in parallel struct-of-arrays vectors rather
-/// than an array of per-node structs, so loops that sweep every node —
-/// timeline ticks, election-time battery refreshes, post-election queue
-/// wakeups — stream through dense cache lines instead of striding over
-/// cold queue/stats bytes; packet backlogs share one pooled slab
+/// The per-node fields that event handlers read together (battery, drain
+/// instant, baseline draw, radio coefficients, pending event ids, Poisson
+/// rate, cluster uplink) sit in one two-cache-line record per node
+/// (NodeState): an event that wakes a cold node — an arrival, a hop's RX
+/// drain, a death — misses on one or two lines instead of one per field.
+/// Steady Poisson arrivals are drawn inline from the record's rate, with
+/// no per-node workload object; packet backlogs share one pooled slab
 /// (PacketQueues).  Under low-power listening, transmissions completing
 /// at the same receiver wake slot are batched into a single kernel event
 /// that walks a wakeup list in schedule order (batch_mac_wakeups),
@@ -45,9 +46,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -303,7 +306,6 @@ class NetworkSimulator {
   /// the finishes were scheduled (the kernel's FIFO order).
   void FireWakeups(std::size_t slot);
   void FinishTx(std::size_t i);
-  void Touch(std::size_t i, double now);
   void DrainDiscrete(std::size_t i, double joules);
   void RescheduleDeath(std::size_t i);
   void OnDeath(std::size_t i);
@@ -354,6 +356,11 @@ class NetworkSimulator {
   [[gnu::cold]] std::size_t ReattachMember(std::size_t i);
   double HopDistanceOf(std::size_t i) const;
   void ElectClusters(bool repair);
+  /// Adds to head `head`'s head_elections the in-place repairs it won
+  /// since its mark, and moves the mark to now.  Runs when the head dies
+  /// or crashes, before an election replaces the assignment, and when
+  /// the report is built — the points where a head stops winning.
+  void CreditRepairWins(std::size_t head);
   /// Head-death repair that drops only the dead head: drives
   /// ClusteringProtocol::RepairInPlace on cluster_ and clears the dead
   /// head's route row; its members re-attach when they next transmit
@@ -362,7 +369,7 @@ class NetworkSimulator {
   /// set, no surviving head, or the protocol declines); the caller then
   /// falls back to ElectClusters(/*repair=*/true).
   bool TryInPlaceClusterRepair(std::size_t dead);
-  /// Recomputes cluster_next_/cluster_dist_ from cluster_.  With
+  /// Recomputes every node's uplink from cluster_.  With
   /// `prev_head_of` (a repair's pre-election assignment) only rows whose
   /// head changed are recomputed — an unchanged row still points at a
   /// live head at the same distance — and cluster_unrouted_ moves by
@@ -379,29 +386,83 @@ class NetworkSimulator {
   RoutingTable routing_;
   DutyCycledMac mac_;
 
-  // Per-node state, struct-of-arrays: each vector is indexed by node.
-  // The hot sweeps (TimelineTick, election battery refresh, post-
-  // election wakeups) read only the 1-2 arrays they need, densely.
-  std::vector<energy::Battery> battery_;     ///< capacity + remaining (J)
-  // Per-hop radio cost coefficients (energy::RadioParameters fields), one
-  // flat array each: a hop's RX drain reads 8 bytes of the receiver — a
-  // node whose state is usually cold — instead of a whole radio record.
-  std::vector<double> elec_nj_per_bit_;  ///< TX/RX electronics
-  std::vector<double> amp_friis_;        ///< free-space amp, pJ/bit/m^2
-  std::vector<double> amp_multipath_;    ///< two-ray amp, pJ/bit/m^4
-  std::vector<double> crossover_m_;      ///< free-space/two-ray switch
-  std::vector<double> baseline_mw_;  ///< continuous CPU + listen/sleep draw
-  std::vector<double> last_update_s_;  ///< last baseline-drain instant
+  /// The per-node fields the event handlers read together, one record
+  /// per node.  The first cache line holds what every drain reads, the
+  /// second what an arrival or a transmission adds: a hop's RX drain or a
+  /// death touches only the first line of a cold node, an arrival only
+  /// the second.  The O(N) sweeps (round-election drain, energy refresh,
+  /// timeline ticks, the report) walk the records; they run once per
+  /// round or tick.
+  struct alignas(64) NodeState {
+    energy::Battery battery;      ///< capacity + remaining (J)
+    double last_update_s = 0.0;   ///< last baseline-drain instant
+    double baseline_mw = 0.0;     ///< continuous CPU + listen/sleep draw
+    double elec_nj_per_bit = 0.0;  ///< TX/RX radio electronics
+    des::EventId death_event = 0;  ///< pending death event (0 = none)
+    // Second line.  The TX amplifier coefficients (energy::
+    // RadioParameters fields) are read by the sender only.
+    alignas(64) double amp_friis = 0.0;  ///< free-space, pJ/bit/m^2
+    double amp_multipath = 0.0;          ///< two-ray, pJ/bit/m^4
+    double crossover_m = 0.0;            ///< free-space/two-ray switch
+    /// Pending traffic-arrival event (0 = none).  The id is recorded so a
+    /// crash can cancel the node's arrival chain and a recovery can
+    /// restart it without ever double-scheduling; in fault-free runs the
+    /// bookkeeping is written but never read.
+    des::EventId arrival_event = 0;
+    /// Rate (1/s) of the inline steady Poisson arrivals; 0 = none, or
+    /// arrivals come from traffic_.
+    double arrival_rate = 0.0;
+    /// Clustered mode: the receiver, a head index, kSink or kNoRoute.
+    /// After an in-place repair a member's uplink may name its dead (or
+    /// since revived, no longer head) former head until Receiver
+    /// re-attaches it.
+    std::size_t uplink = RoutingTable::kNoRoute;
+    double uplink_m = 0.0;  ///< clustered mode: hop distance (m)
+    /// repair_wins_ when this node's head_elections was last brought
+    /// current (CreditRepairWins); meaningful while it is a head.
+    std::uint64_t win_mark = 0;
+  };
+  static_assert(sizeof(NodeState) == 128, "a node spans two cache lines");
+
+  /// Baseline drain of `node` up to `now`.
+  static void Touch(NodeState& node, double now);
+
+  /// Cache-line aligned storage for the records, cut from a plain
+  /// allocation 64 bytes larger.  An over-aligned operator new goes
+  /// through glibc's memalign, and its split-off slack kept each new
+  /// simulator from reusing the last one's array: the peak RSS of
+  /// back-to-back 45k-node runs grew from 50 to 72 MB over 9 runs.
+  template <typename T>
+  struct LineAllocator {
+    using value_type = T;
+    LineAllocator() = default;
+    template <typename U>
+    explicit LineAllocator(const LineAllocator<U>&) noexcept {}
+    static T* allocate(std::size_t n) {
+      // The block start sits in the word before the aligned address: at
+      // least 16 bytes lie between them, since malloc aligns to 16.
+      void* block = std::malloc(n * sizeof(T) + 64);
+      if (block == nullptr) throw std::bad_alloc();
+      const std::uintptr_t p =
+          (reinterpret_cast<std::uintptr_t>(block) + 64) & ~std::uintptr_t{63};
+      reinterpret_cast<void**>(p)[-1] = block;
+      return reinterpret_cast<T*>(p);
+    }
+    static void deallocate(T* p, std::size_t) noexcept {
+      std::free(reinterpret_cast<void**>(p)[-1]);
+    }
+    bool operator==(const LineAllocator&) const noexcept { return true; }
+  };
+
+  std::vector<NodeState, LineAllocator<NodeState>> nodes_;
   std::vector<bool> alive_;
   std::vector<std::uint8_t> busy_;  ///< radio TX in progress (0/1)
   PacketQueues queues_;             ///< pooled per-node packet FIFOs
   std::vector<std::uint32_t> agg_payloads_;  ///< head aggregation buffers
-  std::vector<des::EventId> death_event_;    ///< pending death events
-  /// Pending traffic-arrival events, one per node (0 = none).  The id is
-  /// recorded so a crash can cancel the node's arrival chain and a
-  /// recovery can restart it without ever double-scheduling; in
-  /// fault-free runs the bookkeeping is written but never read.
-  std::vector<des::EventId> arrival_event_;
+  /// Per-node arrival generators: filled only for a traffic_factory, or
+  /// under `oracle`, whose steady Poisson draws go through
+  /// des::MakePoissonWorkload — the reference the inline draw is pinned
+  /// against.  Empty otherwise.
   std::vector<std::unique_ptr<des::Workload>> traffic_;
   std::vector<NodeSimStats> stats_;
 
@@ -435,6 +496,20 @@ class NetworkSimulator {
   std::uint64_t wakeup_batches_ = 0;   ///< batch events fired
   std::uint64_t wakeups_batched_ = 0;  ///< FinishTx calls delivered batched
 
+  /// Kernel events fired, by kind: one plain increment per handler,
+  /// emitted as des.events.fired.<kind>.  The kinds sum to the kernel's
+  /// fired count.
+  struct FiredEvents {
+    std::uint64_t arrival = 0;
+    std::uint64_t tx_finish = 0;
+    std::uint64_t wakeup_batch = 0;
+    std::uint64_t death = 0;
+    std::uint64_t fault = 0;
+    std::uint64_t round = 0;
+    std::uint64_t timeline = 0;
+  };
+  FiredEvents fired_;
+
   PacketCounters counters_;
   std::uint64_t next_packet_id_ = 0;
   double first_death_s_ = std::numeric_limits<double>::infinity();
@@ -463,12 +538,7 @@ class NetworkSimulator {
   // Clustered-mode state.
   std::unique_ptr<ClusteringProtocol> protocol_;  ///< null in flat mode
   ClusterAssignment cluster_;
-  /// Per-node receiver: a head index, kSink or kNoRoute.  After an
-  /// in-place repair a member's row may name its dead (or since revived,
-  /// no longer head) former head until Receiver re-attaches it.
-  std::vector<std::size_t> cluster_next_;
-  std::vector<double> cluster_dist_;       ///< per-node hop distance (m)
-  /// Alive nodes with cluster_next_ == kNoRoute, which alone answers the
+  /// Alive nodes with uplink == kNoRoute, which alone answers the
   /// partition check in O(1) — the clustered analogue of
   /// RoutingTable::UnroutedAlive().  It stays exact while stale rows
   /// wait for re-attachment: a stale row implies a surviving head, so it
@@ -479,6 +549,10 @@ class NetworkSimulator {
   std::size_t aggregate_bits_ = 0;         ///< resolved upstream bits
   std::uint64_t rounds_ = 0;
   std::uint64_t elections_ = 0;
+  /// In-place repairs so far.  Each one is a win for every head then
+  /// seated; a head collects its wins through CreditRepairWins instead of
+  /// every repair walking the head list.
+  std::uint64_t repair_wins_ = 0;
   std::uint64_t reattachments_ = 0;  ///< lazy member re-attachments
 };
 

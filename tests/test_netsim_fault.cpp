@@ -362,6 +362,15 @@ TEST(FaultSimulator, ClusteredChurnMatchesOracle) {
     }
   }
 
+  // The same cascade cut off inside its last round, after repairs there:
+  // the heads still seated collect their repair wins into
+  // head_elections when the report is built.
+  NetSimConfig cut = CascadeConfig(0.0);
+  cut.horizon_s = 1990.0;
+  const NetSimReport c = RunOne(cut, 1);
+  EXPECT_EQ(c.rounds, 20u);
+  EXPECT_EQ(FirstReportDifference(c, RunOracle(cut, 1)), "");
+
   // Static heads on a larger grid, where crashed heads recover and the
   // next round re-elects the same alive head set.  The head index must
   // follow the assignment it serves: an index that lost a crashed head
@@ -558,6 +567,29 @@ TEST(FaultSimulator, CrashOfABatteryDeadNodeIsANoOp) {
   EXPECT_EQ(report.recoveries, 0u);   // the paired recover no-ops too
   EXPECT_FALSE(report.nodes[1].alive);
   EXPECT_TRUE(report.Conserved());
+}
+
+TEST(FaultSimulator, DeathsMetricCountsBatteryDeathsOnly) {
+  // Node 2 crashes and never recovers: it ends the run not alive, but it
+  // has no death instant, so netsim.deaths does not count it.  A staged
+  // battery death of node 0 then counts once.
+  NetSimConfig cfg = ChainConfig();
+  cfg.obs.metrics = true;
+  cfg.faults.scripted = {{100.0, FaultEventKind::kCrash, 2}};
+  const NetSimReport crashed = RunOne(cfg, 8);
+  EXPECT_EQ(crashed.crashes, 1u);
+  EXPECT_EQ(crashed.recoveries, 0u);
+  EXPECT_FALSE(crashed.nodes[2].alive);
+  EXPECT_EQ(crashed.nodes[2].death_s, kInf);
+  EXPECT_EQ(crashed.metrics.counters.at("netsim.deaths"), 0u);
+
+  cfg.battery_mah_override = {0.0001, 50.0, 50.0};
+  const NetSimReport died = RunOne(cfg, 8);
+  EXPECT_EQ(died.crashes, 1u);
+  EXPECT_EQ(died.first_dead_node, 0u);
+  EXPECT_LT(died.nodes[0].death_s, kInf);
+  EXPECT_FALSE(died.nodes[2].alive);
+  EXPECT_EQ(died.metrics.counters.at("netsim.deaths"), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -153,6 +153,26 @@ netsim::NetSimConfig WideGrid() {
   return cfg;
 }
 
+// A LEACH grid with crash churn, low-power listening, staged battery
+// deaths and timeline ticks, so every kind of netsim event fires.
+netsim::NetSimConfig ClusteredFaultedGrid() {
+  netsim::NetSimConfig cfg = WideGrid();
+  cfg.positions = node::MakeGrid(10, 8, 20.0);
+  cfg.horizon_s = 200.0;
+  cfg.timeline_interval_s = 50.0;
+  cfg.mac.wakeup_interval_s = 0.5;
+  cfg.battery_mah_override.assign(cfg.positions.size(), 2000.0);
+  for (std::size_t i = 0; i < cfg.positions.size(); i += 9) {
+    cfg.battery_mah_override[i] = 0.02;
+  }
+  cfg.cluster.protocol = netsim::ClusterProtocolKind::kLeach;
+  cfg.cluster.head_fraction = 0.1;
+  cfg.cluster.round_s = 40.0;
+  cfg.faults.crash_rate_hz = 0.002;
+  cfg.faults.mean_outage_s = 30.0;
+  return cfg;
+}
+
 // The zero-overhead pin: a run with observability off must produce an
 // empty snapshot (no registry was ever created) and an empty trace.
 TEST(NetSimObs, DisabledRunContributesNothing) {
@@ -189,9 +209,14 @@ TEST(NetSimObs, CountersMatchReportFields) {
 
 // The merged snapshot must be byte-identical no matter how many threads
 // ran the replications (wall-clock sections excluded by definition).
-// The wide grid pins the far tier's counters too.
+// The wide grid pins the far tier's counters too, and the clustered,
+// faulted grid the fired count of every event kind.
 TEST(NetSimObs, MergedMetricsIndependentOfThreadCount) {
-  for (netsim::NetSimConfig cfg : {TinyChain(), WideGrid()}) {
+  const char* const kinds[] = {"arrival", "tx_finish", "wakeup_batch",
+                               "death",   "fault",     "round",
+                               "timeline"};
+  for (netsim::NetSimConfig cfg :
+       {TinyChain(), WideGrid(), ClusteredFaultedGrid()}) {
     cfg.obs.metrics = true;
     const core::MarkovCpuModel model;
 
@@ -211,6 +236,17 @@ TEST(NetSimObs, MergedMetricsIndependentOfThreadCount) {
     const bool wide = cfg.positions.size() > 512;
     EXPECT_EQ(rs.metrics.counters.at("des.events.deferred") > 0, wide);
     EXPECT_EQ(rs.metrics.counters.at("des.far.repartitions") > 0, wide);
+
+    // Every fired event is counted under exactly one kind.
+    const bool every_kind = cfg.cluster.Enabled();
+    std::uint64_t by_kind = 0;
+    for (const char* kind : kinds) {
+      const std::uint64_t fired =
+          rs.metrics.counters.at(std::string("des.events.fired.") + kind);
+      by_kind += fired;
+      if (every_kind) EXPECT_GT(fired, 0u) << kind;
+    }
+    EXPECT_EQ(by_kind, rs.metrics.counters.at("des.events.fired"));
   }
 }
 
