@@ -1,6 +1,10 @@
 #include "scenario/common.hpp"
 
+#include <sched.h>
+
 #include <cstdint>
+#include <fstream>
+#include <thread>
 
 #include "obs/session.hpp"
 #include "util/error.hpp"
@@ -69,6 +73,38 @@ void ContributeObs(const ScenarioContext& ctx,
                    const netsim::ReplicationSummary& summary) {
   if (ctx.obs == nullptr) return;
   ctx.obs->Contribute(summary.metrics, summary.trace);
+}
+
+#ifndef WSN_BUILD_TYPE
+#define WSN_BUILD_TYPE "unknown"
+#endif
+
+void StampMachineFingerprint(ResultSet& results) {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(line.find_first_not_of(" \t", colon + 1));
+      break;
+    }
+  }
+  cpu_set_t allowed;
+  const std::size_t nproc =
+      sched_getaffinity(0, sizeof(allowed), &allowed) == 0
+          ? static_cast<std::size_t>(CPU_COUNT(&allowed))
+          : std::thread::hardware_concurrency();
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  results.SetMeta("cpu", cpu);
+  results.SetMeta("nproc", std::to_string(nproc));
+  results.SetMeta("compiler", compiler);
+  results.SetMeta("build-type", WSN_BUILD_TYPE);
 }
 
 }  // namespace wsn::scenario

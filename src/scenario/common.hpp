@@ -62,4 +62,11 @@ void ApplyObs(const ScenarioContext& ctx, netsim::NetSimConfig& config);
 void ContributeObs(const ScenarioContext& ctx,
                    const netsim::ReplicationSummary& summary);
 
+/// Stamp the machine fingerprint into `results`' meta: `cpu` (the CPU
+/// model), `nproc` (CPUs this process may run on), `compiler` and
+/// `build-type`.  Timing records carry it so that two of them can be
+/// told apart by host and build (tools/bench_compare.py warns when they
+/// differ).
+void StampMachineFingerprint(ResultSet& results);
+
 }  // namespace wsn::scenario

@@ -117,6 +117,7 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
   results.SetMeta("replications", std::to_string(reps));
   results.SetMeta("traj-points", std::to_string(traj_points));
   results.SetMeta("seed", std::to_string(seed));
+  StampMachineFingerprint(results);
 
   // --- kernel event throughput --------------------------------------
   const KernelRun slab = TimeKernel(events, chains, cancel_every, seed);

@@ -179,6 +179,7 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
   results.SetMeta("oracle-max", std::to_string(oracle_max));
   results.SetMeta("replications", std::to_string(replications));
   results.SetMeta("seed", std::to_string(seed));
+  StampMachineFingerprint(results);
 
   // "elections" / "assign (s)" are appended at the END of the header
   // list on purpose: bench_compare.py zips rows positionally against the

@@ -6,6 +6,11 @@ Comparator for the perf trajectory: loads two scenario-JSON documents
 --format=json``, ...), matches tables by name and rows by their first
 cell, and prints per-cell deltas for every numeric column.
 
+Both files carry the machine fingerprint in ``meta`` (``cpu``, ``nproc``,
+``compiler``, ``build-type``).  A ``WARNING:`` line names each field that
+differs or that only one file has: the timings of two hosts or builds
+are not comparable.
+
 With ``--warn-drop=PCT`` it additionally prints a ``WARNING:`` line for
 every throughput-like column (header containing ``speedup`` or ending in
 ``/s``) where the candidate dropped more than PCT percent below the
@@ -18,6 +23,8 @@ Usage: tools/bench_compare.py [--warn-drop=PCT] BASELINE.json CANDIDATE.json
 import json
 import sys
 
+FINGERPRINT = ("cpu", "nproc", "compiler", "build-type")
+
 
 def load(path):
     with open(path) as fh:
@@ -27,7 +34,19 @@ def load(path):
         headers = table.get("headers", [])
         rows = {row[0]: row for row in table.get("rows", []) if row}
         tables[table.get("name", "?")] = (headers, rows)
-    return tables
+    return doc.get("meta", {}), tables
+
+
+def compare_fingerprints(base_meta, cand_meta):
+    """Print a WARNING per fingerprint field that differs or is one-sided."""
+    for field in FINGERPRINT:
+        if field not in base_meta and field not in cand_meta:
+            continue
+        base = base_meta.get(field, "<missing>")
+        cand = cand_meta.get(field, "<missing>")
+        if base != cand:
+            print(f"WARNING: machine fingerprint differs in {field!r}: "
+                  f"{base!r} -> {cand!r} (timings are not comparable)")
 
 
 def as_float(cell):
@@ -58,7 +77,8 @@ def main(argv):
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    baseline, candidate = load(args[0]), load(args[1])
+    (base_meta, baseline), (cand_meta, candidate) = load(args[0]), load(args[1])
+    compare_fingerprints(base_meta, cand_meta)
 
     warnings = 0
     for name in sorted(set(baseline) | set(candidate)):
