@@ -33,9 +33,9 @@
 /// per shed packet; and per-node timeline buffers are reserved up front.
 /// The per-node fields that event handlers read together (battery, drain
 /// instant, baseline draw, radio coefficients, pending event ids, Poisson
-/// rate, cluster uplink) sit in one two-cache-line record per node
+/// rate, cluster uplink) sit in one 112-byte record per node
 /// (NodeState): an event that wakes a cold node — an arrival, a hop's RX
-/// drain, a death — misses on one or two lines instead of one per field.
+/// drain, a death — misses on a line or two instead of one per field.
 /// Steady Poisson arrivals are drawn inline from the record's rate, with
 /// no per-node workload object; packet backlogs share one pooled slab
 /// (PacketQueues).  Under low-power listening, transmissions completing
@@ -46,11 +46,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <new>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -386,24 +384,23 @@ class NetworkSimulator {
   RoutingTable routing_;
   DutyCycledMac mac_;
 
-  /// The per-node fields the event handlers read together, one record
-  /// per node.  The first cache line holds what every drain reads, the
-  /// second what an arrival or a transmission adds: a hop's RX drain or a
-  /// death touches only the first line of a cold node, an arrival only
-  /// the second.  The O(N) sweeps (round-election drain, energy refresh,
-  /// timeline ticks, the report) walk the records; they run once per
-  /// round or tick.
-  struct alignas(64) NodeState {
-    energy::Battery battery;      ///< capacity + remaining (J)
-    double last_update_s = 0.0;   ///< last baseline-drain instant
-    double baseline_mw = 0.0;     ///< continuous CPU + listen/sleep draw
+  /// The per-node fields the event handlers read together, one 112-byte
+  /// record per node: what every drain reads (a hop's RX, a death) comes
+  /// first, what an arrival or a transmission adds after it.  Aligning
+  /// the records to cache lines measured no faster.  The O(N) sweeps
+  /// (round-election drain, energy refresh, timeline ticks, the report)
+  /// walk the records; they run once per round or tick.
+  struct NodeState {
+    energy::Battery battery;       ///< capacity + remaining (J)
+    double last_update_s = 0.0;    ///< last baseline-drain instant
+    double baseline_mw = 0.0;      ///< continuous CPU + listen/sleep draw
     double elec_nj_per_bit = 0.0;  ///< TX/RX radio electronics
     des::EventId death_event = 0;  ///< pending death event (0 = none)
-    // Second line.  The TX amplifier coefficients (energy::
-    // RadioParameters fields) are read by the sender only.
-    alignas(64) double amp_friis = 0.0;  ///< free-space, pJ/bit/m^2
-    double amp_multipath = 0.0;          ///< two-ray, pJ/bit/m^4
-    double crossover_m = 0.0;            ///< free-space/two-ray switch
+    // The TX amplifier coefficients (energy::RadioParameters fields) are
+    // read by the sender only.
+    double amp_friis = 0.0;      ///< free-space, pJ/bit/m^2
+    double amp_multipath = 0.0;  ///< two-ray, pJ/bit/m^4
+    double crossover_m = 0.0;    ///< free-space/two-ray switch
     /// Pending traffic-arrival event (0 = none).  The id is recorded so a
     /// crash can cancel the node's arrival chain and a recovery can
     /// restart it without ever double-scheduling; in fault-free runs the
@@ -422,39 +419,11 @@ class NetworkSimulator {
     /// current (CreditRepairWins); meaningful while it is a head.
     std::uint64_t win_mark = 0;
   };
-  static_assert(sizeof(NodeState) == 128, "a node spans two cache lines");
 
   /// Baseline drain of `node` up to `now`.
   static void Touch(NodeState& node, double now);
 
-  /// Cache-line aligned storage for the records, cut from a plain
-  /// allocation 64 bytes larger.  An over-aligned operator new goes
-  /// through glibc's memalign, and its split-off slack kept each new
-  /// simulator from reusing the last one's array: the peak RSS of
-  /// back-to-back 45k-node runs grew from 50 to 72 MB over 9 runs.
-  template <typename T>
-  struct LineAllocator {
-    using value_type = T;
-    LineAllocator() = default;
-    template <typename U>
-    explicit LineAllocator(const LineAllocator<U>&) noexcept {}
-    static T* allocate(std::size_t n) {
-      // The block start sits in the word before the aligned address: at
-      // least 16 bytes lie between them, since malloc aligns to 16.
-      void* block = std::malloc(n * sizeof(T) + 64);
-      if (block == nullptr) throw std::bad_alloc();
-      const std::uintptr_t p =
-          (reinterpret_cast<std::uintptr_t>(block) + 64) & ~std::uintptr_t{63};
-      reinterpret_cast<void**>(p)[-1] = block;
-      return reinterpret_cast<T*>(p);
-    }
-    static void deallocate(T* p, std::size_t) noexcept {
-      std::free(reinterpret_cast<void**>(p)[-1]);
-    }
-    bool operator==(const LineAllocator&) const noexcept { return true; }
-  };
-
-  std::vector<NodeState, LineAllocator<NodeState>> nodes_;
+  std::vector<NodeState> nodes_;
   std::vector<bool> alive_;
   std::vector<std::uint8_t> busy_;  ///< radio TX in progress (0/1)
   PacketQueues queues_;             ///< pooled per-node packet FIFOs

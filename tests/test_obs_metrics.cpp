@@ -244,7 +244,9 @@ TEST(NetSimObs, MergedMetricsIndependentOfThreadCount) {
       const std::uint64_t fired =
           rs.metrics.counters.at(std::string("des.events.fired.") + kind);
       by_kind += fired;
-      if (every_kind) EXPECT_GT(fired, 0u) << kind;
+      if (every_kind) {
+        EXPECT_GT(fired, 0u) << kind;
+      }
     }
     EXPECT_EQ(by_kind, rs.metrics.counters.at("des.events.fired"));
   }
