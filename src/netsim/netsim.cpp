@@ -556,9 +556,8 @@ void NetworkSimulator::FinishTx(std::size_t i) {
     // In clustered mode every node-to-node hand-off lands at a cluster
     // head, which folds the payload into its aggregation buffer instead
     // of relaying the packet verbatim.
-    DrainDiscrete(receiver,
-                  energy::ElectronicsEnergy(
-                      pkt.bits, nodes_[receiver].elec_nj_per_bit));
+    DrainDiscrete(receiver, energy::ElectronicsEnergy(
+                                pkt.bits, nodes_[receiver].elec_nj_per_bit));
     ++counters_.forwarded;
     ++stats_[receiver].forwarded;
     TracePacket("rx", receiver, pkt);
@@ -568,9 +567,8 @@ void NetworkSimulator::FinishTx(std::size_t i) {
       DropPacket(receiver, DropReason::kNodeDied, pkt.payload);
     }
   } else {
-    DrainDiscrete(receiver,
-                  energy::ElectronicsEnergy(
-                      pkt.bits, nodes_[receiver].elec_nj_per_bit));
+    DrainDiscrete(receiver, energy::ElectronicsEnergy(
+                                pkt.bits, nodes_[receiver].elec_nj_per_bit));
     pkt.retries = 0;
     if (++pkt.hops > nodes_.size()) {
       DropPacket(receiver, DropReason::kTtlExceeded, pkt.payload);

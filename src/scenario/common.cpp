@@ -75,6 +75,8 @@ void ContributeObs(const ScenarioContext& ctx,
   ctx.obs->Contribute(summary.metrics, summary.trace);
 }
 
+// CMakeLists.txt defines the build type; wsnbench/ compiles this file
+// without it.
 #ifndef WSN_BUILD_TYPE
 #define WSN_BUILD_TYPE "unknown"
 #endif
