@@ -318,6 +318,144 @@ TEST(SpnSimulationPin, GenericDelayDistributions) {
                      {0x3fe39d0e4458ab3dULL, 0x3fd8c5e3774ea985ULL}});
 }
 
+// A run pinned with its end state too: whether it deadlocked and the
+// marking it ended in.
+struct PinnedEnd {
+  PinnedRun run;
+  bool deadlocked;
+  Marking final_marking;
+};
+
+void ExpectPinnedEnd(const PetriNet& net, const SimulationConfig& cfg,
+                     const PinnedEnd& want) {
+  const SimulationResult r = SimulateSpn(net, cfg);
+  EXPECT_EQ(r.total_firings, want.run.total_firings);
+  EXPECT_EQ(r.firings, want.run.firings);
+  EXPECT_EQ(Bits(r.mean_tokens), want.run.mean_token_bits);
+  EXPECT_EQ(r.deadlocked, want.deadlocked);
+  EXPECT_EQ(r.final_marking, want.final_marking);
+}
+
+// Each tick adds a token to `count`, so no tangible marking ever repeats.
+PetriNet CounterNet() {
+  PetriNet net;
+  const PlaceId clock = net.AddPlace("clock", 1);
+  const PlaceId tallied = net.AddPlace("tallied", 0);
+  const PlaceId count = net.AddPlace("count", 0);
+  const TransitionId tick = net.AddExponentialTransition("tick", 2.0);
+  net.AddInputArc(tick, clock);
+  net.AddOutputArc(tick, tallied);
+  const TransitionId tally = net.AddImmediateTransition("tally", 1);
+  net.AddInputArc(tally, tallied);
+  net.AddOutputArc(tally, clock);
+  net.AddOutputArc(tally, count);
+  return net;
+}
+
+// From `home`, `loop` leads through one immediate back to `home`, while
+// `branch` leads to a weighted conflict between `left` and `right`.
+PetriNet MixedChainNet() {
+  PetriNet net;
+  const PlaceId home = net.AddPlace("home", 1);
+  const PlaceId looped = net.AddPlace("looped", 0);
+  const PlaceId branched = net.AddPlace("branched", 0);
+  const PlaceId a = net.AddPlace("a", 0);
+  const PlaceId b = net.AddPlace("b", 0);
+  const TransitionId loop = net.AddExponentialTransition("loop", 1.0);
+  net.AddInputArc(loop, home);
+  net.AddOutputArc(loop, looped);
+  const TransitionId back = net.AddImmediateTransition("return", 2);
+  net.AddInputArc(back, looped);
+  net.AddOutputArc(back, home);
+  const TransitionId branch = net.AddExponentialTransition("branch", 0.5);
+  net.AddInputArc(branch, home);
+  net.AddOutputArc(branch, branched);
+  const TransitionId left = net.AddImmediateTransition("left", 1, 1.0);
+  net.AddInputArc(left, branched);
+  net.AddOutputArc(left, a);
+  const TransitionId right = net.AddImmediateTransition("right", 1, 3.0);
+  net.AddInputArc(right, branched);
+  net.AddOutputArc(right, b);
+  const TransitionId a_done = net.AddExponentialTransition("a_done", 2.0);
+  net.AddInputArc(a_done, a);
+  net.AddOutputArc(a_done, home);
+  const TransitionId b_done = net.AddDeterministicTransition("b_done", 0.4);
+  net.AddInputArc(b_done, b);
+  net.AddOutputArc(b_done, looped);
+  return net;
+}
+
+// `spin` loops through one immediate until `die`, whose timer survives
+// every loop, buries the token in a dead marking.
+PetriNet DyingLoopNet() {
+  PetriNet net;
+  const PlaceId p = net.AddPlace("p", 1);
+  const PlaceId spun = net.AddPlace("spun", 0);
+  const PlaceId dying = net.AddPlace("dying", 0);
+  const PlaceId grave = net.AddPlace("grave", 0);
+  const TransitionId spin = net.AddExponentialTransition("spin", 5.0);
+  net.AddInputArc(spin, p);
+  net.AddOutputArc(spin, spun);
+  const TransitionId back = net.AddImmediateTransition("back", 1);
+  net.AddInputArc(back, spun);
+  net.AddOutputArc(back, p);
+  const TransitionId die = net.AddExponentialTransition("die", 0.005);
+  net.AddInputArc(die, p);
+  net.AddOutputArc(die, dying);
+  const TransitionId bury = net.AddImmediateTransition("bury", 1);
+  net.AddInputArc(bury, dying);
+  net.AddOutputArc(bury, grave);
+  return net;
+}
+
+TEST(SpnSimulationPin, CounterNetNeverRepeatsAMarking) {
+  ExpectPinnedEnd(CounterNet(), PinConfig(),
+                  {{1894,
+                    {858, 858},
+                    {0x3ff0000000000000ULL, 0x0000000000000000ULL,
+                     0x40803f0d8b9d9d0eULL}},
+                   false,
+                   {1, 0, 947}});
+}
+
+TEST(SpnSimulationPin, DeterministicChainBesideWeightedConflict) {
+  ExpectPinnedEnd(MixedChainNet(), PinConfig(),
+                  {{1547,
+                    {382, 495, 175, 62, 113, 63, 113},
+                    {0x3feafa95e77ea131ULL, 0x0000000000000000ULL,
+                     0x0000000000000000ULL, 0x3face92d402d98d8ULL,
+                     0x3fb9b6ba23f42a0eULL}},
+                   false,
+                   {1, 0, 0, 0, 0}});
+}
+
+TEST(SpnSimulationPin, MaxFiringsStopsTheCpuNet) {
+  SimulationConfig cfg = PinConfig();
+  cfg.max_firings = 1001;
+  ExpectPinnedEnd(CpuNet(0.1, 0.3), cfg,
+                  {{1001,
+                    {114, 114, 76, 77, 38, 115, 115, 76},
+                    {0x3fd15f7a51e4e78bULL, 0x0000000000000000ULL,
+                     0x3fb0417025b69d11ULL, 0x3fad836be7520cefULL,
+                     0x3fc712b03c7806b5ULL, 0x3faa32f0c40cb420ULL,
+                     0x3fa47e20d93a6d63ULL, 0x3fcfd010807bbdd1ULL,
+                     0x3f9777211a708a27ULL}},
+                   false,
+                   {1, 0, 0, 0, 0, 0, 1, 1, 0}});
+}
+
+TEST(SpnSimulationPin, DeadMarkingAfterRepeatedChains) {
+  SimulationConfig cfg = PinConfig();
+  cfg.warmup = 5.0;
+  ExpectPinnedEnd(DyingLoopNet(), cfg,
+                  {{114,
+                    {32, 32, 1, 1},
+                    {0x3f930adee379c9ccULL, 0x0000000000000000ULL,
+                     0x0000000000000000ULL, 0x3fef67a908e431b1ULL}},
+                   true,
+                   {0, 0, 0, 1}});
+}
+
 TEST(SpnSimulationPin, EnsembleIdenticalAcrossThreadCounts) {
   const PetriNet net = CpuNet(0.1, 0.3);
   SimulationConfig cfg;
