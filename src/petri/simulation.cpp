@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "petri/enabling.hpp"
@@ -34,12 +35,136 @@ std::vector<TransitionId> PrepareRun(const PetriNet& net,
   return timed;
 }
 
-/// One replication: owns its marking, timers, RNG and conflict buffer.
+/// The tangible markings one replication has met.  Each keeps its
+/// enabled timed transitions and, per timed transition, the vanishing
+/// chain that followed its firing there, if that chain drew no number:
+/// such a chain is a function of the marking alone, so the token game
+/// replays it instead of walking it again.  Markings sit in one flat
+/// array (one row of PlaceCount() tokens each) behind an open-addressing
+/// index that hashes a row in place.
+class ChainCache {
+ public:
+  static constexpr std::uint32_t kNone =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// What firing a timed transition from a marking led to: the tangible
+  /// target and the immediates fired on the way, in order.
+  struct Chain {
+    std::uint32_t target = kNone;  ///< kNone = not recorded
+    std::size_t first = 0;         ///< offset into Fired()
+    std::size_t count = 0;
+  };
+
+  ChainCache(const PetriNet& net, const std::vector<TransitionId>& timed)
+      : net_(net), timed_(timed), places_(net.PlaceCount()),
+        slots_(kInitialSlots, kNone) {}
+
+  /// Index of `m`, interned with its enabled flags if new; kNone once the
+  /// cache is full or has given up.
+  std::uint32_t Intern(const Marking& m) {
+    if (gave_up_) return kNone;
+    std::size_t slot = Hash(m.data()) & (slots_.size() - 1);
+    for (; slots_[slot] != kNone; slot = (slot + 1) & (slots_.size() - 1)) {
+      if (std::equal(m.begin(), m.end(), Tokens(slots_[slot]))) {
+        return slots_[slot];
+      }
+    }
+    if (count_ == kMaxMarkings) return kNone;
+    const std::uint32_t index = count_++;
+    slots_[slot] = index;
+    tokens_.insert(tokens_.end(), m.begin(), m.end());
+    for (const TransitionId t : timed_) {
+      enabled_.push_back(IsEnabled(net_, t, m) ? 1 : 0);
+    }
+    chains_.resize(chains_.size() + timed_.size());
+    if (2 * count_ > slots_.size()) Grow();
+    return index;
+  }
+
+  /// Counts one timed firing; false once the cache has given up.  It
+  /// gives up for good when, at 128, 256, 512, ... timed firings, the
+  /// markings interned outnumber half of them: markings that do not
+  /// repeat would only pay for interning.  The first check waits for 128
+  /// because a Fig. 3 replication at a 10 s power-up delay can meet 42
+  /// markings in its first 64 timed firings, and then repeats them.
+  bool KeepCaching() {
+    if (++timed_firings_ == next_check_) {
+      next_check_ *= 2;
+      if (2 * std::uint64_t{count_} > timed_firings_) gave_up_ = true;
+    }
+    return !gave_up_;
+  }
+
+  const std::uint32_t* Tokens(std::uint32_t i) const {
+    return tokens_.data() + std::size_t{i} * places_;
+  }
+  const std::uint8_t* Enabled(std::uint32_t i) const {
+    return enabled_.data() + std::size_t{i} * timed_.size();
+  }
+  const Chain& ChainAt(std::uint32_t i, std::size_t k) const {
+    return chains_[std::size_t{i} * timed_.size() + k];
+  }
+  const TransitionId* Fired(const Chain& c) const {
+    return fired_.data() + c.first;
+  }
+
+  /// Record that timed transition timed_[k] fired from marking `from`
+  /// led, through `walked`, to marking `to`.
+  void Record(std::uint32_t from, std::size_t k, std::uint32_t to,
+              const std::vector<TransitionId>& walked) {
+    Chain& c = chains_[std::size_t{from} * timed_.size() + k];
+    c.target = to;
+    c.first = fired_.size();
+    c.count = walked.size();
+    fired_.insert(fired_.end(), walked.begin(), walked.end());
+  }
+
+  std::uint32_t Markings() const { return count_; }
+
+ private:
+  static constexpr std::uint32_t kMaxMarkings = 1u << 12;
+  static constexpr std::size_t kInitialSlots = 64;
+  static constexpr std::uint64_t kFirstCheck = 128;
+
+  std::uint64_t Hash(const std::uint32_t* row) const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t p = 0; p < places_; ++p) {
+      h = (h ^ row[p]) * 0x100000001b3ULL;
+    }
+    return h ^ (h >> 29);
+  }
+
+  void Grow() {
+    slots_.assign(slots_.size() * 2, kNone);
+    for (std::uint32_t i = 0; i < count_; ++i) {
+      std::size_t slot = Hash(Tokens(i)) & (slots_.size() - 1);
+      while (slots_[slot] != kNone) slot = (slot + 1) & (slots_.size() - 1);
+      slots_[slot] = i;
+    }
+  }
+
+  const PetriNet& net_;
+  const std::vector<TransitionId>& timed_;
+  std::size_t places_;
+  std::vector<std::uint32_t> slots_;      ///< marking index or kNone
+  std::vector<std::uint32_t> tokens_;     ///< stride places_
+  std::vector<std::uint8_t> enabled_;     ///< stride timed_.size()
+  std::vector<Chain> chains_;             ///< stride timed_.size()
+  std::vector<TransitionId> fired_;       ///< immediates of every chain
+  std::uint32_t count_ = 0;
+  std::uint64_t timed_firings_ = 0;
+  std::uint64_t next_check_ = kFirstCheck;
+  bool gave_up_ = false;
+};
+
+/// One replication: owns its marking, timers, RNG, conflict buffer and
+/// chain cache.
 class TokenGame {
  public:
   TokenGame(const PetriNet& net, const std::vector<TransitionId>& timed,
             const SimulationConfig& config)
-      : net_(net), timed_(timed), config_(config), rng_(config.seed) {}
+      : net_(net), timed_(timed), config_(config), rng_(config.seed),
+        cache_(net, timed), enabled_(timed.size()) {}
 
   SimulationResult Run() {
     const std::size_t np = net_.PlaceCount();
@@ -52,10 +177,12 @@ class TokenGame {
     Marking m = net_.InitialMarking();
     double now = 0.0;
     ResolveVanishing(m, now, result);
+    // Index of m in the cache; kNone when it is not interned.
+    std::uint32_t at = cache_.Intern(m);
 
     // Absolute fire time per entry of timed_; infinity = not scheduled.
     std::vector<double> fire_at(timed_.size(), kUnscheduled);
-    RefreshSchedule(m, now, fire_at);
+    RefreshSchedule(EnabledFlags(at, m), now, fire_at);
 
     for (;;) {
       if (config_.max_firings != 0 &&
@@ -88,12 +215,31 @@ class TokenGame {
       AccumulateTokens(m, now, next_time, result);
       now = next_time;
       const TransitionId t = timed_[next];
-      FireInPlace(net_, t, m);
       CountFiring(t, now, result);
       // The fired transition resamples if it is enabled again.
       fire_at[next] = kUnscheduled;
-      ResolveVanishing(m, now, result);
-      RefreshSchedule(m, now, fire_at);
+      const ChainCache::Chain* chain =
+          at == ChainCache::kNone ? nullptr : &cache_.ChainAt(at, next);
+      if (chain != nullptr && chain->target != ChainCache::kNone) {
+        // Replay: the same counts at the same instant as the walk.
+        const TransitionId* fired = cache_.Fired(*chain);
+        for (std::size_t i = 0; i < chain->count; ++i) {
+          CountFiring(fired[i], now, result);
+        }
+        at = chain->target;
+        std::copy_n(cache_.Tokens(at), np, m.begin());
+        ++result.replayed_firings;
+      } else {
+        FireInPlace(net_, t, m);
+        const bool drew = ResolveVanishing(m, now, result);
+        const std::uint32_t from = at;
+        at = cache_.Intern(m);
+        if (!drew && from != ChainCache::kNone && at != ChainCache::kNone) {
+          cache_.Record(from, next, at, walked_);
+        }
+      }
+      if (!cache_.KeepCaching()) at = ChainCache::kNone;
+      RefreshSchedule(EnabledFlags(at, m), now, fire_at);
     }
 
     const double window = result.observed_time;
@@ -106,6 +252,7 @@ class TokenGame {
           static_cast<double>(result.firings[t]) / window;
     }
     result.final_marking = std::move(m);
+    result.tangible_markings = cache_.Markings();
     return result;
   }
 
@@ -129,21 +276,35 @@ class TokenGame {
   }
 
   /// Fire immediate transitions (highest priority first, weighted among
-  /// equals) until the marking is tangible.
-  void ResolveVanishing(Marking& m, double now, SimulationResult& result) {
-    std::uint64_t chain = 0;
+  /// equals) until the marking is tangible.  Leaves the immediates fired
+  /// in walked_ and returns true if a weight was drawn.
+  bool ResolveVanishing(Marking& m, double now, SimulationResult& result) {
+    walked_.clear();
+    bool drew = false;
     for (;;) {
       EnabledImmediateConflictSet(net_, m, conflict_);
-      if (conflict_.empty()) return;
-      if (++chain > config_.max_vanishing_chain) {
+      if (conflict_.empty()) return drew;
+      if (walked_.size() >= config_.max_vanishing_chain) {
         throw ModelError(
             "immediate-transition livelock: vanishing chain exceeded " +
             std::to_string(config_.max_vanishing_chain) + " firings");
       }
+      drew = drew || conflict_.size() > 1;
       const TransitionId t = SampleByWeight(net_, conflict_, rng_);
       FireInPlace(net_, t, m);
       CountFiring(t, now, result);
+      walked_.push_back(t);
     }
+  }
+
+  /// Enabled flag per entry of timed_ at tangible marking `m`: the
+  /// cache's copy when `m` is interned as `at`, else computed afresh.
+  const std::uint8_t* EnabledFlags(std::uint32_t at, const Marking& m) {
+    if (at != ChainCache::kNone) return cache_.Enabled(at);
+    for (std::size_t k = 0; k < timed_.size(); ++k) {
+      enabled_[k] = IsEnabled(net_, timed_[k], m) ? 1 : 0;
+    }
+    return enabled_.data();
   }
 
   /// Enabling-memory schedule maintenance at a tangible marking, in
@@ -152,14 +313,13 @@ class TokenGame {
   ///     fresh delay;
   ///   - transitions that stay enabled keep their timers;
   ///   - disabled transitions are descheduled.
-  void RefreshSchedule(const Marking& m, double now,
+  void RefreshSchedule(const std::uint8_t* enabled, double now,
                        std::vector<double>& fire_at) {
     for (std::size_t k = 0; k < timed_.size(); ++k) {
-      const TransitionId t = timed_[k];
-      if (!IsEnabled(net_, t, m)) {
+      if (enabled[k] == 0) {
         fire_at[k] = kUnscheduled;  // enabling memory: timer discarded
       } else if (fire_at[k] == kUnscheduled) {
-        fire_at[k] = now + net_.GetTransition(t).delay->Sample(rng_);
+        fire_at[k] = now + net_.GetTransition(timed_[k]).delay->Sample(rng_);
       }
     }
   }
@@ -169,6 +329,9 @@ class TokenGame {
   const SimulationConfig& config_;
   util::Rng rng_;
   std::vector<TransitionId> conflict_;
+  std::vector<TransitionId> walked_;  ///< immediates of the last walk
+  ChainCache cache_;
+  std::vector<std::uint8_t> enabled_;  ///< flags of an uninterned marking
 };
 
 }  // namespace

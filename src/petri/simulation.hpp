@@ -16,6 +16,17 @@
 //
 // Statistics: time-averaged token counts per place and firing counts /
 // throughput per transition, collected over [warmup, horizon].
+//
+// Chain cache: each replication interns the tangible markings it meets,
+// with their enabled timed transitions.  When the vanishing chain after a
+// timed firing drew no number (every conflict set on it had one member),
+// the chain is a function of the marking and the transition, so the game
+// records its target and the immediates fired on it, and the next firing
+// of that transition from that marking replays the record: the same
+// counts at the same instant, no enabling scan, no draw.  Every output
+// bit and the RNG stream are those of the walk, which stays the reference
+// on every miss.  A replication stops caching once the markings it has
+// interned outnumber half its timed firings (checked at 128, 256, ...).
 #pragma once
 
 #include <cstdint>
@@ -51,6 +62,10 @@ struct SimulationResult {
   bool deadlocked = false;
   /// Final marking at the horizon.
   Marking final_marking;
+  /// Tangible markings interned by the replication's chain cache.
+  std::uint64_t tangible_markings = 0;
+  /// Timed firings whose vanishing chain was replayed from the cache.
+  std::uint64_t replayed_firings = 0;
 };
 
 /// One replication of the token game.

@@ -1,7 +1,8 @@
 // EDSPN token-game simulator: agreement with closed forms (ping-pong,
 // M/M/1/K), exact deterministic cycles, enabling-memory semantics,
-// vanishing-chain handling, deadlock detection, warm-up, ensembles, and
-// bit-exact pins of whole runs at a fixed seed.
+// vanishing-chain handling, deadlock detection, warm-up, ensembles,
+// bit-exact pins of whole runs at a fixed seed, and the work counts of the
+// chain cache.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -225,10 +226,11 @@ TEST(SpnSimulation, ConfigValidation) {
 
 // ---------------------------------------------------------------------------
 // Bit-exact pins.  Each expectation below was captured from the token game
-// before its hot loop was restructured; any change to the RNG draw order
-// (delays sampled in ascending transition id, a weight drawn only for a
-// conflict of two or more), to the enabling rule, to the timer policy or to
-// the order in which token time is accumulated moves these bits.
+// before its hot loop was restructured or its vanishing chains were cached;
+// any change to the RNG draw order (delays sampled in ascending transition
+// id, a weight drawn only for a conflict of two or more), to the enabling
+// rule, to the timer policy or to the order in which token time is
+// accumulated moves these bits.
 
 struct PinnedRun {
   std::uint64_t total_firings;
@@ -454,6 +456,50 @@ TEST(SpnSimulationPin, DeadMarkingAfterRepeatedChains) {
                      0x0000000000000000ULL, 0x3fef67a908e431b1ULL}},
                    true,
                    {0, 0, 0, 1}});
+}
+
+// Work counts of the chain cache.  They repeat exactly, so an
+// algorithmic regression fails here even on a host too noisy to time it.
+
+TEST(SpnSimulationPin, ChainCacheCountsOnTheCpuNet) {
+  const SimulationResult r = SimulateSpn(CpuNet(0.1, 0.3), PinConfig());
+  EXPECT_EQ(r.tangible_markings, 10u);
+  EXPECT_EQ(r.replayed_firings, 1529u);
+}
+
+TEST(SpnSimulationPin, ChainCacheNeverReplaysAWeightedConflict) {
+  // `branch` draws between `left` and `right`, so only `loop`, `a_done`
+  // and `b_done` replay.
+  const PetriNet net = MixedChainNet();
+  const SimulationResult r = SimulateSpn(net, PinConfig());
+  EXPECT_EQ(r.tangible_markings, 3u);
+  EXPECT_EQ(r.replayed_firings, 612u);
+}
+
+TEST(SpnSimulationPin, ChainCacheGivesUpOnMarkingsThatNeverRepeat) {
+  const SimulationResult r = SimulateSpn(CounterNet(), PinConfig());
+  // The initial marking plus one per tick, up to the first check at 128
+  // timed firings; none after it.
+  EXPECT_EQ(r.tangible_markings, 129u);
+  EXPECT_EQ(r.replayed_firings, 0u);
+}
+
+TEST(SpnSimulation, ChainCacheReplaysMostTimedFiringsAtPaperPoints) {
+  // One 1000 s replication per paper PUD at T = 0.5 s, no warm-up, so
+  // `firings` counts every timed firing.
+  for (const double pud : {0.001, 0.3, 10.0}) {
+    const PetriNet net = CpuNet(0.5, pud);
+    SimulationConfig cfg;
+    cfg.horizon = 1000.0;
+    cfg.seed = 2008;
+    const SimulationResult r = SimulateSpn(net, cfg);
+    std::uint64_t timed = 0;
+    for (TransitionId t = 0; t < net.TransitionCount(); ++t) {
+      if (!net.GetTransition(t).IsImmediate()) timed += r.firings[t];
+    }
+    EXPECT_GE(r.replayed_firings * 100, timed * 95) << "PUD " << pud;
+    EXPECT_LE(r.tangible_markings, 64u) << "PUD " << pud;
+  }
 }
 
 TEST(SpnSimulationPin, EnsembleIdenticalAcrossThreadCounts) {
