@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <cmath>
+#include <iterator>
 
 #include "util/error.hpp"
 
@@ -28,6 +29,22 @@ std::vector<double> PaperPdtGrid(std::size_t count, double eps) {
   return grid;
 }
 
+namespace {
+
+/// `model` at `base` with the PDT set to `pdt`, and its energy.
+SweepPoint EvaluatePoint(const CpuEnergyModel& model, CpuParams base,
+                         double pdt, const energy::PowerStateTable& table,
+                         double energy_horizon) {
+  SweepPoint point;
+  point.params = base;
+  point.params.power_down_threshold = pdt;
+  point.eval = model.Evaluate(point.params);
+  point.energy_joules = EnergyJoules(point.eval, table, energy_horizon);
+  return point;
+}
+
+}  // namespace
+
 SweepSeries SweepPowerDownThreshold(const CpuEnergyModel& model,
                                     CpuParams base,
                                     const std::vector<double>& pdt_values,
@@ -37,12 +54,7 @@ SweepSeries SweepPowerDownThreshold(const CpuEnergyModel& model,
   SweepSeries series;
   series.model_name = model.Name();
   series.points = executor.Map(pdt_values.size(), [&](std::size_t i) {
-    SweepPoint point;
-    point.params = base;
-    point.params.power_down_threshold = pdt_values[i];
-    point.eval = model.Evaluate(point.params);
-    point.energy_joules = EnergyJoules(point.eval, table, energy_horizon);
-    return point;
+    return EvaluatePoint(model, base, pdt_values[i], table, energy_horizon);
   });
   return series;
 }
@@ -89,16 +101,34 @@ DeltaTables ComputeDeltaTables(
     const std::vector<double>& pdt_values,
     const energy::PowerStateTable& table, double energy_horizon,
     util::ParallelExecutor& executor) {
+  // One fan-out over every (PUD, model, PDT) point, in that index order,
+  // so no worker waits at the end of a series.
+  const CpuEnergyModel* models[] = {&sim, &markov, &pn};
+  const std::size_t per_model = pdt_values.size();
+  const std::size_t per_pud = std::size(models) * per_model;
+  const std::vector<SweepPoint> points =
+      executor.Map(pud_values.size() * per_pud, [&](std::size_t i) {
+        CpuParams params = base;
+        params.power_up_delay = pud_values[i / per_pud];
+        const std::size_t j = i % per_pud;
+        return EvaluatePoint(*models[j / per_model], params,
+                             pdt_values[j % per_model], table,
+                             energy_horizon);
+      });
+  const auto series = [&](std::size_t u, std::size_t k) {
+    SweepSeries out;
+    out.model_name = models[k]->Name();
+    const auto first = points.begin() + (u * per_pud + k * per_model);
+    out.points.assign(first, first + per_model);
+    return out;
+  };
+
   DeltaTables tables;
-  for (double pud : pud_values) {
-    CpuParams params = base;
-    params.power_up_delay = pud;
-    const SweepSeries s_sim = SweepPowerDownThreshold(
-        sim, params, pdt_values, table, energy_horizon, executor);
-    const SweepSeries s_markov = SweepPowerDownThreshold(
-        markov, params, pdt_values, table, energy_horizon, executor);
-    const SweepSeries s_pn = SweepPowerDownThreshold(
-        pn, params, pdt_values, table, energy_horizon, executor);
+  for (std::size_t u = 0; u < pud_values.size(); ++u) {
+    const double pud = pud_values[u];
+    const SweepSeries s_sim = series(u, 0);
+    const SweepSeries s_markov = series(u, 1);
+    const SweepSeries s_pn = series(u, 2);
 
     DeltaRow shares;
     shares.power_up_delay = pud;

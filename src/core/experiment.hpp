@@ -80,6 +80,8 @@ struct DeltaRow {
 /// Compute the full Table 4 (`share_deltas`) and Table 5
 /// (`energy_deltas`) for the given PUD list.  The three series per PUD
 /// are produced by the supplied models (paper order: sim, markov, pn).
+/// Every (PUD, model, PDT) point fans out through one `executor.Map`, so
+/// the tables are bit-identical whatever the thread count.
 struct DeltaTables {
   std::vector<DeltaRow> share_deltas;   // Table 4 (percentage points)
   std::vector<DeltaRow> energy_deltas;  // Table 5 (joules)
