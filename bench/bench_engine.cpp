@@ -122,6 +122,52 @@ void BM_SpnTokenGameCpuNet(benchmark::State& state) {
 }
 BENCHMARK(BM_SpnTokenGameCpuNet);
 
+// Equal-priority acquire_* immediates compete by weight, so every chain
+// after a timed firing draws and the chain cache never replays one.
+void BM_SpnTokenGameSharedResource(benchmark::State& state) {
+  const petri::PetriNet net = petri::MakeSharedResourceNet(3, 1.0, 2.0);
+  petri::SimulationConfig cfg;
+  cfg.horizon = 1000.0;
+  std::uint64_t seed = 1;
+  std::uint64_t firings = 0;
+  for (auto _ : state) {
+    cfg.seed = seed++;
+    const std::uint64_t fired = petri::SimulateSpn(net, cfg).total_firings;
+    benchmark::DoNotOptimize(fired);
+    firings += fired;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(firings));
+}
+BENCHMARK(BM_SpnTokenGameSharedResource);
+
+// Each tick adds a token to `count`, so no tangible marking repeats: the
+// chain cache interns markings until it gives up, then only walks.
+void BM_SpnTokenGameCounter(benchmark::State& state) {
+  petri::PetriNet net;
+  const petri::PlaceId clock = net.AddPlace("clock", 1);
+  const petri::PlaceId tallied = net.AddPlace("tallied", 0);
+  const petri::PlaceId count = net.AddPlace("count", 0);
+  const petri::TransitionId tick = net.AddExponentialTransition("tick", 2.0);
+  net.AddInputArc(tick, clock);
+  net.AddOutputArc(tick, tallied);
+  const petri::TransitionId tally = net.AddImmediateTransition("tally", 1);
+  net.AddInputArc(tally, tallied);
+  net.AddOutputArc(tally, clock);
+  net.AddOutputArc(tally, count);
+  petri::SimulationConfig cfg;
+  cfg.horizon = 1000.0;
+  std::uint64_t seed = 1;
+  std::uint64_t firings = 0;
+  for (auto _ : state) {
+    cfg.seed = seed++;
+    const std::uint64_t fired = petri::SimulateSpn(net, cfg).total_firings;
+    benchmark::DoNotOptimize(fired);
+    firings += fired;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(firings));
+}
+BENCHMARK(BM_SpnTokenGameCounter);
+
 void BM_SpnTokenGameMm1k(benchmark::State& state) {
   const petri::PetriNet net = petri::MakeMm1kNet(0.8, 1.0, 10);
   petri::SimulationConfig cfg;
