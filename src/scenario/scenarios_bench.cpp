@@ -1,17 +1,22 @@
 // Registered hot-path benchmark scenario: the BENCH_hotpath.json
 // producer that starts the repo's performance trajectory.
 //
-// Three sections, each a table in the ResultSet:
-//   * kernel    — DES event throughput of the slab/InlineAction kernel on
-//                 a deterministic schedule/fire/cancel workload;
-//   * netsim    — packet-level replication rate on a node grid;
-//   * transient — 200-point transient-trajectory latency, incremental
-//                 TransientSolver vs per-point single-shot recompute.
+// Four sections, each a table in the ResultSet:
+//   * kernel     — DES event throughput of the slab/InlineAction kernel on
+//                  a deterministic schedule/fire/cancel workload;
+//   * netsim     — packet-level replication rate on a node grid;
+//   * token-game — replication rate of the Fig. 3 CPU net's token game at
+//                  the paper point, serial;
+//   * transient  — 200-point transient-trajectory latency, incremental
+//                  TransientSolver vs per-point single-shot recompute.
+//
+// Every row times the median of kTimedRuns runs.
 //
 // The kernel itself is pinned by the randomized differential against a
 // std::set reference in tests/test_event_queue.cpp.
 // tools/bench_compare.py diffs two JSON outputs.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -19,12 +24,14 @@
 #include <string>
 #include <vector>
 
+#include "core/cpu_petri_net.hpp"
 #include "core/models.hpp"
 #include "des/simulator.hpp"
 #include "obs/session.hpp"
 #include "util/error.hpp"
 #include "markov/transient.hpp"
 #include "netsim/replication.hpp"
+#include "petri/simulation.hpp"
 #include "scenario/common.hpp"
 #include "scenario/scenario.hpp"
 #include "util/table.hpp"
@@ -43,6 +50,20 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Runs per timed row; a single run moves more than most changes do.
+constexpr std::size_t kTimedRuns = 5;
+
+/// Median over kTimedRuns calls of `run`, each returning the wall time
+/// of its own timed span.
+template <typename Run>
+double MedianWall(Run&& run) {
+  std::array<double, kTimedRuns> walls{};
+  for (double& wall : walls) wall = run();
+  std::nth_element(walls.begin(), walls.begin() + kTimedRuns / 2,
+                   walls.end());
+  return walls[kTimedRuns / 2];
 }
 
 // Deterministic netsim-shaped kernel workload: `chains` self-rescheduling
@@ -110,24 +131,30 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.GetCount("seed", 2008));
 
-  ResultSet results("hot-path benchmark: DES kernel, netsim, transient");
+  ResultSet results(
+      "hot-path benchmark: DES kernel, netsim, token game, transient");
   results.SetMeta("events", std::to_string(events));
   results.SetMeta("chains", std::to_string(chains));
   results.SetMeta("cancel-every", std::to_string(cancel_every));
   results.SetMeta("replications", std::to_string(reps));
   results.SetMeta("traj-points", std::to_string(traj_points));
   results.SetMeta("seed", std::to_string(seed));
+  results.SetMeta("timed-runs", std::to_string(kTimedRuns));
   StampMachineFingerprint(results);
 
   // --- kernel event throughput --------------------------------------
-  const KernelRun slab = TimeKernel(events, chains, cancel_every, seed);
+  KernelRun slab;
+  const double slab_wall = MedianWall([&] {
+    slab = TimeKernel(events, chains, cancel_every, seed);
+    return slab.wall_s;
+  });
   ResultTable& kernel =
       results.AddTable("kernel", {"path", "events", "wall (s)", "events/s"});
   kernel.AddRow({"slab (InlineAction event records)",
                  std::to_string(slab.events),
-                 util::FormatFixed(slab.wall_s, 4),
+                 util::FormatFixed(slab_wall, 4),
                  util::FormatFixed(static_cast<double>(slab.events) /
-                                       slab.wall_s, 0)});
+                                       slab_wall, 0)});
 
   // With an obs session active, fold the slab kernel's deterministic
   // counters into the bench JSON (keyed rows for bench_compare.py) and
@@ -178,10 +205,12 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
 
   const core::MarkovCpuModel cpu_model;
   ApplyObs(ctx, net);
-  const auto net_start = std::chrono::steady_clock::now();
-  const netsim::ReplicationSummary summary =
-      RunReplications(net, cpu_model, rep, ctx.Executor());
-  const double net_wall = Seconds(net_start);
+  netsim::ReplicationSummary summary;
+  const double net_wall = MedianWall([&] {
+    const auto start = std::chrono::steady_clock::now();
+    summary = RunReplications(net, cpu_model, rep, ctx.Executor());
+    return Seconds(start);
+  });
   ContributeObs(ctx, summary);
   std::uint64_t net_events = 0;
   for (const netsim::NetSimReport& report : summary.reports) {
@@ -198,6 +227,27 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
        util::FormatFixed(static_cast<double>(reps) / net_wall, 2),
        util::FormatFixed(static_cast<double>(net_events) / net_wall, 0)});
 
+  // --- token-game replication rate ----------------------------------
+  const core::CpuParams paper = PaperParams();
+  const petri::PetriNet cpu_net = core::BuildCpuPetriNet(paper);
+  petri::SimulationConfig game;
+  game.horizon = 1000.0;
+  game.seed = seed;
+  const double game_wall = MedianWall([&] {
+    const auto start = std::chrono::steady_clock::now();
+    petri::SimulateSpnEnsemble(cpu_net, game, reps, 1);
+    return Seconds(start);
+  });
+  ResultTable& game_table = results.AddTable(
+      "token-game",
+      {"net", "horizon (s)", "replications", "wall (ms)", "replications/s"});
+  game_table.AddRow(
+      {"Fig. 3 CPU net, T " + util::FormatFixed(paper.power_down_threshold, 3) +
+           " s, D " + util::FormatFixed(paper.power_up_delay, 3) + " s",
+       util::FormatFixed(game.horizon, 0), std::to_string(reps),
+       util::FormatFixed(game_wall * 1000.0, 3),
+       util::FormatFixed(static_cast<double>(reps) / game_wall, 2)});
+
   // --- transient trajectory latency ---------------------------------
   const markov::TransientCpuAnalysis transient(1.0, 10.0, 0.2, 0.1, 8);
   std::vector<double> grid(traj_points);
@@ -207,17 +257,21 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
               static_cast<double>(traj_points - 1);
   }
 
-  const auto inc_start = std::chrono::steady_clock::now();
-  const std::vector<markov::TransientPoint> incremental =
-      transient.Trajectory(grid);
-  const double inc_wall = Seconds(inc_start);
+  std::vector<markov::TransientPoint> incremental;
+  const double inc_wall = MedianWall([&] {
+    const auto start = std::chrono::steady_clock::now();
+    incremental = transient.Trajectory(grid);
+    return Seconds(start);
+  });
 
-  // Pre-PR shape: one full uniformization series from t = 0 per point.
-  const auto shot_start = std::chrono::steady_clock::now();
+  // The reference: one full uniformization series from t = 0 per point.
   std::vector<markov::TransientPoint> single_shot;
-  single_shot.reserve(traj_points);
-  for (double t : grid) single_shot.push_back(transient.At(t));
-  const double shot_wall = Seconds(shot_start);
+  const double shot_wall = MedianWall([&] {
+    const auto start = std::chrono::steady_clock::now();
+    single_shot.clear();
+    for (double t : grid) single_shot.push_back(transient.At(t));
+    return Seconds(start);
+  });
 
   double max_diff = 0.0;
   for (std::size_t i = 0; i < traj_points; ++i) {
@@ -293,14 +347,15 @@ ResultSet RunTransientTrajectory(const ScenarioContext& ctx) {
 
 const ScenarioRegistrar reg_bench_hotpath(MakeScenario(
     "bench-hotpath",
-    "hot-path throughput: DES kernel, netsim rate, transient trajectory "
-    "latency",
+    "hot-path throughput: DES kernel, netsim and token-game rates, "
+    "transient trajectory latency",
     "extension (engineering benchmark, BENCH_hotpath.json)",
     {
         {"events", "N", "2000000", "kernel events to fire (>= 1000)"},
         {"chains", "N", "1024", "concurrent self-rescheduling chains"},
         {"cancel-every", "K", "4", "refresh a shadow timer every K fires"},
-        {"replications", "R", "16", "netsim replications (>= 1)"},
+        {"replications", "R", "16",
+         "netsim and token-game replications (>= 1)"},
         {"net-horizon", "S", "30", "netsim horizon (s)"},
         {"traj-points", "N", "200", "transient trajectory grid points"},
         {"seed", "N", "2008", "master RNG seed (non-negative)"},
