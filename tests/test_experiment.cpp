@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/models.hpp"
+#include "energy/power_state.hpp"
 #include "util/error.hpp"
+#include "util/executor.hpp"
 
 namespace wsn::core {
 namespace {
@@ -114,6 +117,51 @@ TEST(DeltaTables, FullPipelineOnAnalyticalModels) {
     EXPECT_GE(row.sim_markov, 0.0);
     EXPECT_GE(row.sim_pn, 0.0);
     EXPECT_GE(row.markov_pn, 0.0);
+  }
+}
+
+TEST(DeltaTables, OneFanOutMatchesPerSeriesSweeps) {
+  // The paper's three models at tiny effort: the tables computed through
+  // one fan-out equal, bit for bit, those computed from one sweep per
+  // (PUD, model) series, serially and on four workers.
+  EvalConfig config;
+  config.sim_time = 50.0;
+  config.replications = 2;
+  config.seed = 7;
+  config.threads = 1;
+  const SimulationCpuModel sim(config);
+  const MarkovCpuModel markov;
+  const PetriNetCpuModel pn(config);
+  const CpuParams base;
+  const std::vector<double> puds = {0.001, 0.3, 10.0};
+  const std::vector<double> grid = PaperPdtGrid(3);
+  const energy::PowerStateTable table = energy::Pxa271();
+  util::ParallelExecutor workers(4);
+  const DeltaTables serial =
+      ComputeDeltaTables(sim, markov, pn, base, puds, grid, table, 1000.0);
+  const DeltaTables threaded = ComputeDeltaTables(
+      sim, markov, pn, base, puds, grid, table, 1000.0, workers);
+
+  for (std::size_t u = 0; u < puds.size(); ++u) {
+    CpuParams params = base;
+    params.power_up_delay = puds[u];
+    const SweepSeries s =
+        SweepPowerDownThreshold(sim, params, grid, table, 1000.0);
+    const SweepSeries m =
+        SweepPowerDownThreshold(markov, params, grid, table, 1000.0);
+    const SweepSeries p =
+        SweepPowerDownThreshold(pn, params, grid, table, 1000.0);
+    for (const DeltaTables* got : {&serial, &threaded}) {
+      const DeltaRow& shares = got->share_deltas[u];
+      EXPECT_EQ(shares.power_up_delay, puds[u]);
+      EXPECT_EQ(shares.sim_markov, MeanAbsoluteShareDeltaPct(s, m));
+      EXPECT_EQ(shares.sim_pn, MeanAbsoluteShareDeltaPct(s, p));
+      EXPECT_EQ(shares.markov_pn, MeanAbsoluteShareDeltaPct(m, p));
+      const DeltaRow& energy = got->energy_deltas[u];
+      EXPECT_EQ(energy.sim_markov, MeanAbsoluteEnergyDelta(s, m));
+      EXPECT_EQ(energy.sim_pn, MeanAbsoluteEnergyDelta(s, p));
+      EXPECT_EQ(energy.markov_pn, MeanAbsoluteEnergyDelta(m, p));
+    }
   }
 }
 
