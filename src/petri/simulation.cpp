@@ -63,13 +63,8 @@ class ChainCache {
   /// cache is full or has given up.
   std::uint32_t Intern(const Marking& m) {
     if (gave_up_) return kNone;
-    std::size_t slot = Hash(m.data()) & (slots_.size() - 1);
-    for (; slots_[slot] != kNone; slot = (slot + 1) & (slots_.size() - 1)) {
-      if (std::equal(m.begin(), m.end(), Tokens(slots_[slot]))) {
-        return slots_[slot];
-      }
-    }
-    if (count_ == kMaxMarkings) return kNone;
+    const std::size_t slot = FindSlot(m.data());
+    if (slots_[slot] != kNone || count_ == kMaxMarkings) return slots_[slot];
     const std::uint32_t index = count_++;
     slots_[slot] = index;
     tokens_.insert(tokens_.end(), m.begin(), m.end());
@@ -126,21 +121,25 @@ class ChainCache {
   static constexpr std::size_t kInitialSlots = 64;
   static constexpr std::uint64_t kFirstCheck = 128;
 
-  std::uint64_t Hash(const std::uint32_t* row) const {
+  /// The slot holding `row`, else the empty slot where it would go
+  /// (FNV-1a over the token counts, folded so high bits reach the mask).
+  std::size_t FindSlot(const std::uint32_t* row) const {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (std::size_t p = 0; p < places_; ++p) {
       h = (h ^ row[p]) * 0x100000001b3ULL;
     }
-    return h ^ (h >> 29);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = (h ^ (h >> 29)) & mask;
+    while (slots_[slot] != kNone &&
+           !std::equal(row, row + places_, Tokens(slots_[slot]))) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
   }
 
   void Grow() {
     slots_.assign(slots_.size() * 2, kNone);
-    for (std::uint32_t i = 0; i < count_; ++i) {
-      std::size_t slot = Hash(Tokens(i)) & (slots_.size() - 1);
-      while (slots_[slot] != kNone) slot = (slot + 1) & (slots_.size() - 1);
-      slots_[slot] = i;
-    }
+    for (std::uint32_t i = 0; i < count_; ++i) slots_[FindSlot(Tokens(i))] = i;
   }
 
   const PetriNet& net_;
