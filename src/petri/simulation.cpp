@@ -38,8 +38,8 @@ std::vector<TransitionId> PrepareRun(const PetriNet& net,
 /// The tangible markings one replication has met.  Each keeps its
 /// enabled timed transitions and, per timed transition, the vanishing
 /// chain that followed its firing there, if that chain drew no number:
-/// such a chain is a function of the marking alone, so the token game
-/// replays it instead of walking it again.  Markings sit in one flat
+/// such a chain is a function of the marking and the transition, so the
+/// token game replays it instead of walking it again.  Markings sit in one flat
 /// array (one row of PlaceCount() tokens each) behind an open-addressing
 /// index that hashes a row in place.
 class ChainCache {
@@ -103,8 +103,8 @@ class ChainCache {
     return fired_.data() + c.first;
   }
 
-  /// Record that timed transition timed_[k] fired from marking `from`
-  /// led, through `walked`, to marking `to`.
+  /// Record that firing timed_[k] from marking `from` led, through the
+  /// immediates in `walked`, to marking `to`.
   void Record(std::uint32_t from, std::size_t k, std::uint32_t to,
               const std::vector<TransitionId>& walked) {
     Chain& c = chains_[std::size_t{from} * timed_.size() + k];

@@ -266,6 +266,7 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
 
   // The reference: one full uniformization series from t = 0 per point.
   std::vector<markov::TransientPoint> single_shot;
+  single_shot.reserve(traj_points);
   const double shot_wall = MedianWall([&] {
     const auto start = std::chrono::steady_clock::now();
     single_shot.clear();
