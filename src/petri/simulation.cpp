@@ -163,7 +163,7 @@ class TokenGame {
   TokenGame(const PetriNet& net, const std::vector<TransitionId>& timed,
             const SimulationConfig& config)
       : net_(net), timed_(timed), config_(config), rng_(config.seed),
-        cache_(net, timed), enabled_(timed.size()) {}
+        cache_(net, timed) {}
 
   SimulationResult Run() {
     const std::size_t np = net_.PlaceCount();
@@ -181,7 +181,7 @@ class TokenGame {
 
     // Absolute fire time per entry of timed_; infinity = not scheduled.
     std::vector<double> fire_at(timed_.size(), kUnscheduled);
-    RefreshSchedule(EnabledFlags(at, m), now, fire_at);
+    RefreshSchedule(at, m, now, fire_at);
 
     for (;;) {
       if (config_.max_firings != 0 &&
@@ -238,7 +238,7 @@ class TokenGame {
         }
       }
       if (!cache_.KeepCaching()) at = ChainCache::kNone;
-      RefreshSchedule(EnabledFlags(at, m), now, fire_at);
+      RefreshSchedule(at, m, now, fire_at);
     }
 
     const double window = result.observed_time;
@@ -296,26 +296,19 @@ class TokenGame {
     }
   }
 
-  /// Enabled flag per entry of timed_ at tangible marking `m`: the
-  /// cache's copy when `m` is interned as `at`, else computed afresh.
-  const std::uint8_t* EnabledFlags(std::uint32_t at, const Marking& m) {
-    if (at != ChainCache::kNone) return cache_.Enabled(at);
-    for (std::size_t k = 0; k < timed_.size(); ++k) {
-      enabled_[k] = IsEnabled(net_, timed_[k], m) ? 1 : 0;
-    }
-    return enabled_.data();
-  }
-
   /// Enabling-memory schedule maintenance at a tangible marking, in
   /// ascending transition id so delay draws keep their order:
   ///   - newly enabled (or just-fired and re-enabled) transitions sample a
   ///     fresh delay;
   ///   - transitions that stay enabled keep their timers;
   ///   - disabled transitions are descheduled.
-  void RefreshSchedule(const std::uint8_t* enabled, double now,
+  /// Enabling comes from the cached flags when `m` is interned as `at`.
+  void RefreshSchedule(std::uint32_t at, const Marking& m, double now,
                        std::vector<double>& fire_at) {
+    const std::uint8_t* flags =
+        at == ChainCache::kNone ? nullptr : cache_.Enabled(at);
     for (std::size_t k = 0; k < timed_.size(); ++k) {
-      if (enabled[k] == 0) {
+      if (flags != nullptr ? flags[k] == 0 : !IsEnabled(net_, timed_[k], m)) {
         fire_at[k] = kUnscheduled;  // enabling memory: timer discarded
       } else if (fire_at[k] == kUnscheduled) {
         fire_at[k] = now + net_.GetTransition(timed_[k]).delay->Sample(rng_);
@@ -330,7 +323,6 @@ class TokenGame {
   std::vector<TransitionId> conflict_;
   std::vector<TransitionId> walked_;  ///< immediates of the last walk
   ChainCache cache_;
-  std::vector<std::uint8_t> enabled_;  ///< flags of an uninterned marking
 };
 
 }  // namespace
