@@ -2,7 +2,10 @@
 // M/M/1 limits, share normalization, warm-up handling and ensembles.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "des/cpu_model.hpp"
 #include "markov/mm1.hpp"
@@ -182,6 +185,121 @@ TEST(CpuModel, RejectsBadConfig) {
   CpuModelConfig cfg2;
   cfg2.warmup_time = cfg2.sim_time + 1.0;
   EXPECT_THROW(CpuSimulation(cfg2, 1).Run(), util::InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-exact pins.  Each expectation below was captured from the engine
+// before its closed-loop branches were removed; any change to the event
+// order, to the RNG draw order or to the order in which occupancy and
+// statistics accumulate moves these bits.
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void AppendStats(const util::RunningStats& s, std::vector<std::uint64_t>& out) {
+  out.insert(out.end(), {s.Count(), Bits(s.Mean()), Bits(s.Variance()),
+                         Bits(s.Min()), Bits(s.Max())});
+}
+
+// Every field of a replication, doubles as bit patterns.
+std::vector<std::uint64_t> Fields(const CpuRunResult& r) {
+  std::vector<std::uint64_t> out = {
+      Bits(r.time_standby), Bits(r.time_powerup), Bits(r.time_idle),
+      Bits(r.time_active),  Bits(r.observed_time), r.jobs_arrived,
+      r.jobs_completed};
+  AppendStats(r.latency, out);
+  out.insert(out.end(), {Bits(r.jobs_in_system.Mean()),
+                         Bits(r.jobs_in_system.ElapsedTime()),
+                         Bits(r.jobs_in_system.CurrentValue())});
+  return out;
+}
+
+std::vector<std::uint64_t> Fields(const CpuEnsembleResult& e) {
+  std::vector<std::uint64_t> out;
+  for (const util::RunningStats* s :
+       {&e.standby, &e.powerup, &e.idle, &e.active, &e.mean_latency,
+        &e.mean_jobs, &e.completed}) {
+    AppendStats(*s, out);
+  }
+  return out;
+}
+
+// Paper rates: lambda = 1 job/s, mu = 10 jobs/s, over 500 s.
+CpuModelConfig PinConfig(double power_down_threshold, double power_up_delay,
+                         double warmup_time) {
+  CpuModelConfig cfg;
+  cfg.arrival_rate = 1.0;
+  cfg.mean_service_time = 0.1;
+  cfg.power_down_threshold = power_down_threshold;
+  cfg.power_up_delay = power_up_delay;
+  cfg.sim_time = 500.0;
+  cfg.warmup_time = warmup_time;
+  return cfg;
+}
+
+TEST(CpuSimulationPin, ShortThresholdAndDelay) {
+  const CpuModelConfig cfg = PinConfig(0.1, 0.3, 0.0);
+  EXPECT_EQ(Fields(CpuSimulation(cfg, 2008).Run()),
+            (std::vector<std::uint64_t>{
+                0x4074ab74d77c04acULL, 0x4056599999999a46ULL,
+                0x403f47e9dd83a768ULL, 0x40484d31222ad25dULL,
+                0x407f400000000000ULL, 465, 465, 465,
+                0x3fd7563a55ce0e1aULL, 0x3f961cf940b80a36ULL,
+                0x3f6a783567f30000ULL, 0x3fefb3c3a94c9600ULL,
+                0x3fd5b4082bf5642aULL, 0x407f400000000000ULL,
+                0x0000000000000000ULL}));
+  EXPECT_EQ(Fields(CpuSimulation(cfg, 7).Run()),
+            (std::vector<std::uint64_t>{
+                0x4074290ddaee030fULL, 0x40578ccccccccd80ULL,
+                0x4040bf03a188242fULL, 0x4048def3ed6e2855ULL,
+                0x407f400000000000ULL, 502, 501, 501,
+                0x3fd67da85ca29cc5ULL, 0x3f99fe5c407d4ae7ULL,
+                0x3f4e05d3a45c0000ULL, 0x3ff0bca9fc75ba00ULL,
+                0x3fd69506faf5ed0fULL, 0x407f400000000000ULL,
+                0x3ff0000000000000ULL}));
+}
+
+TEST(CpuSimulationPin, LongDelayWithWarmup) {
+  const CpuModelConfig cfg = PinConfig(0.5, 10.0, 100.0);
+  EXPECT_EQ(Fields(CpuSimulation(cfg, 2008).Run()),
+            (std::vector<std::uint64_t>{
+                0x4038e2195ec8e880ULL, 0x4073a8b8f31deea1ULL,
+                0x4034e6812ab53bbcULL, 0x4043d5eb225178d8ULL,
+                0x4079000000000000ULL, 467, 458, 386,
+                0x4014fab3eb889334ULL, 0x40257e16741251c5ULL,
+                0x3f885485d8ff0000ULL, 0x4024b84d16b12540ULL,
+                0x40135c13b0a586e7ULL, 0x407f400000000000ULL,
+                0x4022000000000000ULL}));
+  EXPECT_EQ(Fields(CpuSimulation(cfg, 7).Run()),
+            (std::vector<std::uint64_t>{
+                0x404028eb983cd3d4ULL, 0x40736a39c8ad1fe6ULL,
+                0x40354f2cb3b18b60ULL, 0x4041ddafc881674aULL,
+                0x4079000000000000ULL, 475, 475, 386,
+                0x40154529e37671e9ULL, 0x4027f25e975aff31ULL,
+                0x3f3d903e76d00000ULL, 0x4024659d84e863e0ULL,
+                0x4013c12a75c6d44aULL, 0x407f400000000000ULL,
+                0x0000000000000000ULL}));
+}
+
+TEST(CpuSimulationPin, EnsembleIndependentOfThreadCount) {
+  CpuModelConfig cfg = PinConfig(0.1, 0.3, 0.0);
+  cfg.sim_time = 200.0;
+  const std::vector<std::uint64_t> want = {
+      4, 0x3fe5385b6edd91e1ULL, 0x3f125f676d594c6fULL,
+      0x3fe4f83b6998ad77ULL, 0x3fe58dffa8362d64ULL,
+      4, 0x3fc6f131060ac5aaULL, 0x3f0da86fd7f53cf5ULL,
+      0x3fc5e170205c3cd8ULL, 0x3fc83126e978d543ULL,
+      4, 0x3fb01c17ae522483ULL, 0x3eeb688b3c631755ULL,
+      0x3faf2dd9b345593aULL, 0x3fb17ecb67a3a82cULL,
+      4, 0x3fb83eaaceabc125ULL, 0x3f0ab0c94622c0d4ULL,
+      0x3fb65d0b78a54194ULL, 0x3fbab977c1bea746ULL,
+      4, 0x3fd6cf1d0b15c7c8ULL, 0x3f2dca5241798814ULL,
+      0x3fd59d45d40a071eULL, 0x3fd7d05b006618a8ULL,
+      4, 0x3fd542c5337c5811ULL, 0x3f21f9fbdf601505ULL,
+      0x3fd4889befd6538dULL, 0x3fd64fa5eadffa4aULL,
+      4, 0x4067400000000000ULL, 0x4043000000000003ULL,
+      0x4066200000000000ULL, 0x4067c00000000000ULL};
+  EXPECT_EQ(Fields(RunCpuEnsemble(cfg, 2008, 4, 1)), want);
+  EXPECT_EQ(Fields(RunCpuEnsemble(cfg, 2008, 4, 4)), want);
 }
 
 }  // namespace
