@@ -59,16 +59,6 @@ SweepSeries SweepPowerDownThreshold(const CpuEnergyModel& model,
   return series;
 }
 
-SweepSeries SweepPowerDownThreshold(const CpuEnergyModel& model,
-                                    CpuParams base,
-                                    const std::vector<double>& pdt_values,
-                                    const energy::PowerStateTable& table,
-                                    double energy_horizon) {
-  util::ParallelExecutor serial(1);
-  return SweepPowerDownThreshold(model, base, pdt_values, table,
-                                 energy_horizon, serial);
-}
-
 double MeanAbsoluteShareDeltaPct(const SweepSeries& a, const SweepSeries& b) {
   Require(a.points.size() == b.points.size() && !a.points.empty(),
           "series must align");
@@ -145,17 +135,6 @@ DeltaTables ComputeDeltaTables(
     tables.energy_deltas.push_back(energy);
   }
   return tables;
-}
-
-DeltaTables ComputeDeltaTables(
-    const CpuEnergyModel& sim, const CpuEnergyModel& markov,
-    const CpuEnergyModel& pn, CpuParams base,
-    const std::vector<double>& pud_values,
-    const std::vector<double>& pdt_values,
-    const energy::PowerStateTable& table, double energy_horizon) {
-  util::ParallelExecutor serial(1);
-  return ComputeDeltaTables(sim, markov, pn, base, pud_values, pdt_values,
-                            table, energy_horizon, serial);
 }
 
 }  // namespace wsn::core

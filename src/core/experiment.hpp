@@ -54,13 +54,6 @@ SweepSeries SweepPowerDownThreshold(const CpuEnergyModel& model,
                                     double energy_horizon,
                                     util::ParallelExecutor& executor);
 
-/// Serial convenience overload.
-SweepSeries SweepPowerDownThreshold(const CpuEnergyModel& model,
-                                    CpuParams base,
-                                    const std::vector<double>& pdt_values,
-                                    const energy::PowerStateTable& table,
-                                    double energy_horizon);
-
 /// Mean absolute state-share difference between two series, in percentage
 /// points, averaged over sweep points and the four states (Table 4 cell).
 double MeanAbsoluteShareDeltaPct(const SweepSeries& a, const SweepSeries& b);
@@ -94,13 +87,5 @@ DeltaTables ComputeDeltaTables(
     const std::vector<double>& pdt_values,
     const energy::PowerStateTable& table, double energy_horizon,
     util::ParallelExecutor& executor);
-
-/// Serial convenience overload.
-DeltaTables ComputeDeltaTables(
-    const CpuEnergyModel& sim, const CpuEnergyModel& markov,
-    const CpuEnergyModel& pn, CpuParams base,
-    const std::vector<double>& pud_values,
-    const std::vector<double>& pdt_values,
-    const energy::PowerStateTable& table, double energy_horizon);
 
 }  // namespace wsn::core

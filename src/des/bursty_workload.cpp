@@ -63,38 +63,6 @@ std::string MmppWorkload::Describe() const {
   return os.str();
 }
 
-double MmppWorkload::MeanRate() const {
-  const std::size_t n = rates_.size();
-  // Power iteration on the uniformized phase chain.
-  double lambda_max = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    lambda_max = std::max(lambda_max, -q_[i][i]);
-  }
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  if (lambda_max > 0.0) {
-    const double scale = lambda_max * 1.05;
-    for (int it = 0; it < 200000; ++it) {
-      std::vector<double> next(n, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          const double p =
-              (i == j) ? 1.0 + q_[i][i] / scale : q_[i][j] / scale;
-          next[j] += pi[i] * p;
-        }
-      }
-      double diff = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        diff = std::max(diff, std::abs(next[i] - pi[i]));
-      }
-      pi = std::move(next);
-      if (diff < 1e-14) break;
-    }
-  }
-  double mean = 0.0;
-  for (std::size_t i = 0; i < n; ++i) mean += pi[i] * rates_[i];
-  return mean;
-}
-
 BatchRenewalWorkload::BatchRenewalWorkload(util::Distribution interarrival,
                                            std::uint32_t batch_size,
                                            double geometric_mean)

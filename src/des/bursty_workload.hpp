@@ -28,14 +28,7 @@ class MmppWorkload final : public Workload {
                std::size_t initial_phase = 0);
 
   std::optional<double> NextArrival(double now, util::Rng& rng) override;
-  bool IsOpen() const override { return true; }
   std::string Describe() const override;
-
-  std::size_t CurrentPhase() const noexcept { return phase_; }
-
-  /// Long-run average arrival rate: sum_i pi_i * rates_i with pi the
-  /// stationary phase distribution (computed by power iteration).
-  double MeanRate() const;
 
  private:
   std::vector<double> rates_;
@@ -54,7 +47,6 @@ class BatchRenewalWorkload final : public Workload {
                        double geometric_mean = 0.0);
 
   std::optional<double> NextArrival(double now, util::Rng& rng) override;
-  bool IsOpen() const override { return true; }
   std::string Describe() const override;
 
  private:

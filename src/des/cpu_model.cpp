@@ -10,16 +10,6 @@ namespace wsn::des {
 
 using util::Require;
 
-const char* PowerStateName(PowerState s) noexcept {
-  switch (s) {
-    case PowerState::kStandby: return "standby";
-    case PowerState::kPowerUp: return "powerup";
-    case PowerState::kIdle: return "idle";
-    case PowerState::kActive: return "active";
-  }
-  return "?";
-}
-
 double CpuRunResult::FractionStandby() const noexcept {
   return observed_time > 0.0 ? time_standby / observed_time : 0.0;
 }
@@ -88,7 +78,6 @@ class Engine {
     state_ = s;
     state_since_ = now;
     has_state_ = true;
-    if (config_.record_trace) result_.trace.Record(now, PowerStateName(s));
   }
 
   void CloseOccupancy(double horizon) {
@@ -132,7 +121,7 @@ class Engine {
       case PowerState::kActive:
         break;  // job waits in the buffer
     }
-    if (workload_->IsOpen()) ScheduleNextArrival();
+    ScheduleNextArrival();
   }
 
   void OnPowerUpComplete() {
@@ -157,8 +146,6 @@ class Engine {
     ++result_.jobs_completed;
     if (now >= config_.warmup_time) result_.latency.Add(now - admitted);
     result_.jobs_in_system.Update(now, static_cast<double>(queue_.size()));
-    workload_->OnCompletion(now);
-    if (!workload_->IsOpen()) ScheduleNextArrival();
 
     if (!queue_.empty()) {
       StartService();

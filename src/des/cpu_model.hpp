@@ -15,7 +15,6 @@
 #include <optional>
 
 #include "des/simulator.hpp"
-#include "des/trace.hpp"
 #include "des/workload.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -25,8 +24,6 @@ namespace wsn::des {
 
 /// The four power states of the modeled CPU.
 enum class PowerState { kStandby, kPowerUp, kIdle, kActive };
-
-const char* PowerStateName(PowerState s) noexcept;
 
 /// Model parameters (paper Tables 2 and 4/5 sweeps).
 struct CpuModelConfig {
@@ -40,8 +37,6 @@ struct CpuModelConfig {
 
   /// Service-time distribution; exponential(mean_service_time) when unset.
   std::optional<util::Distribution> service_distribution;
-
-  bool record_trace = false;  ///< capture the power-state timeline
 };
 
 /// Per-replication outputs.
@@ -56,8 +51,6 @@ struct CpuRunResult {
   std::uint64_t jobs_completed = 0;
   util::RunningStats latency;        ///< per-job sojourn times
   util::TimeWeightedStats jobs_in_system;
-
-  StateTrace trace;  ///< only populated when record_trace
 
   double FractionStandby() const noexcept;
   double FractionPowerUp() const noexcept;

@@ -274,9 +274,4 @@ void Simulator::RunUntil(double until) {
   now_ = until;
 }
 
-void Simulator::RunToCompletion() {
-  while (Step()) {
-  }
-}
-
 }  // namespace wsn::des

@@ -84,9 +84,6 @@ class Simulator {
   /// statistics can be finalized at the horizon.
   void RunUntil(double until);
 
-  /// Run until the event set drains completely.
-  void RunToCompletion();
-
   /// Number of events fired so far.
   std::uint64_t ProcessedEvents() const noexcept { return processed_; }
 

@@ -1,7 +1,5 @@
 #include "des/workload.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace wsn::des {
@@ -17,45 +15,6 @@ std::optional<double> OpenWorkload::NextArrival(double now, util::Rng& rng) {
 
 std::string OpenWorkload::Describe() const {
   return "open[" + interarrival_.Describe() + "]";
-}
-
-ClosedWorkload::ClosedWorkload(util::Distribution think_time)
-    : think_time_(std::move(think_time)) {}
-
-std::optional<double> ClosedWorkload::NextArrival(double now, util::Rng& rng) {
-  if (job_outstanding_) return std::nullopt;  // population of one
-  job_outstanding_ = true;
-  if (first_) {
-    first_ = false;
-    return now + think_time_.Sample(rng);
-  }
-  return std::max(now, ready_at_) + think_time_.Sample(rng);
-}
-
-void ClosedWorkload::OnCompletion(double now) {
-  job_outstanding_ = false;
-  ready_at_ = now;  // thinking starts at completion time
-}
-
-std::string ClosedWorkload::Describe() const {
-  return "closed[think=" + think_time_.Describe() + "]";
-}
-
-TraceWorkload::TraceWorkload(std::vector<double> arrival_times)
-    : times_(std::move(arrival_times)) {
-  Require(std::is_sorted(times_.begin(), times_.end()),
-          "trace arrival times must be sorted");
-  for (double t : times_) Require(t >= 0.0, "trace times must be >= 0");
-}
-
-std::optional<double> TraceWorkload::NextArrival(double now, util::Rng&) {
-  while (next_ < times_.size() && times_[next_] < now) ++next_;
-  if (next_ >= times_.size()) return std::nullopt;
-  return times_[next_++];
-}
-
-std::string TraceWorkload::Describe() const {
-  return "trace[" + std::to_string(times_.size()) + " arrivals]";
 }
 
 std::unique_ptr<Workload> MakePoissonWorkload(double rate) {

@@ -1,13 +1,11 @@
-// Workload generators (paper Section 4.1): open (arrivals independent of
-// system state — interrupt-driven sensing), closed (a fixed population of
-// tasks; the next request only appears after the current one completes and
-// the node "thinks") and trace-driven replay.
+// Workload generators (paper Section 4.1): open arrivals, independent of
+// the system state, as in interrupt-driven sensing.  The bursty open
+// workloads are in bursty_workload.hpp.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -16,20 +14,13 @@ namespace wsn::des {
 
 /// Generates arrival times.  NextArrival(now, rng) returns the absolute
 /// time of the next job arrival given the current time, or nullopt when
-/// the workload is exhausted (traces).  For closed workloads the caller
-/// must also call OnCompletion when a job finishes.
+/// the workload is exhausted.
 class Workload {
  public:
   virtual ~Workload() = default;
 
   /// Absolute time of the next arrival at/after `now`.
   virtual std::optional<double> NextArrival(double now, util::Rng& rng) = 0;
-
-  /// Hook for closed workloads (no-op for open/trace).
-  virtual void OnCompletion(double now) { (void)now; }
-
-  /// True when arrivals are generated independently of completions.
-  virtual bool IsOpen() const = 0;
 
   virtual std::string Describe() const = 0;
 };
@@ -41,44 +32,10 @@ class OpenWorkload final : public Workload {
   explicit OpenWorkload(util::Distribution interarrival);
 
   std::optional<double> NextArrival(double now, util::Rng& rng) override;
-  bool IsOpen() const override { return true; }
   std::string Describe() const override;
 
  private:
   util::Distribution interarrival_;
-};
-
-/// Closed workload with population 1: after each completion the source
-/// "thinks" for a random time, then submits the next job.  NextArrival
-/// returns the pending submission when one is due.
-class ClosedWorkload final : public Workload {
- public:
-  explicit ClosedWorkload(util::Distribution think_time);
-
-  std::optional<double> NextArrival(double now, util::Rng& rng) override;
-  void OnCompletion(double now) override;
-  bool IsOpen() const override { return false; }
-  std::string Describe() const override;
-
- private:
-  util::Distribution think_time_;
-  bool job_outstanding_ = false;
-  double ready_at_ = 0.0;
-  bool first_ = true;
-};
-
-/// Trace replay: a fixed, sorted list of arrival instants.
-class TraceWorkload final : public Workload {
- public:
-  explicit TraceWorkload(std::vector<double> arrival_times);
-
-  std::optional<double> NextArrival(double now, util::Rng& rng) override;
-  bool IsOpen() const override { return true; }
-  std::string Describe() const override;
-
- private:
-  std::vector<double> times_;
-  std::size_t next_ = 0;
 };
 
 /// Factory for the paper's default open Poisson workload.

@@ -13,7 +13,8 @@ void StateShares::Validate(double tol) const {
     Require(s >= -1e-12 && s <= 1.0 + 1e-9 && std::isfinite(s),
             "state share outside [0,1]");
   }
-  Require(std::abs(Sum() - 1.0) <= tol, "state shares must sum to 1");
+  Require(std::abs(standby + powerup + idle + active - 1.0) <= tol,
+          "state shares must sum to 1");
 }
 
 double AveragePowerMilliwatts(const StateShares& shares,

@@ -14,8 +14,6 @@ struct StateShares {
   double idle = 0.0;
   double active = 0.0;
 
-  double Sum() const noexcept { return standby + powerup + idle + active; }
-
   /// Throws InvalidArgument if any share is outside [0, 1+eps] or the sum
   /// deviates from 1 by more than `tol`.
   void Validate(double tol = 1e-6) const;

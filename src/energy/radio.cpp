@@ -27,14 +27,4 @@ double RadioModel::ReceiveEnergy(std::size_t bits) const {
   return ElectronicsEnergy(bits, params_.elec_nj_per_bit);
 }
 
-double RadioModel::ListenEnergy(double seconds) const {
-  Require(seconds >= 0.0, "duration must be >= 0");
-  return params_.listen_mw * seconds / 1000.0;
-}
-
-double RadioModel::SleepEnergy(double seconds) const {
-  Require(seconds >= 0.0, "duration must be >= 0");
-  return params_.sleep_mw * seconds / 1000.0;
-}
-
 }  // namespace wsn::energy

@@ -48,12 +48,6 @@ class RadioModel {
   /// Energy (joules) to receive `bits`.
   double ReceiveEnergy(std::size_t bits) const;
 
-  /// Energy (joules) spent listening for `seconds`.
-  double ListenEnergy(double seconds) const;
-
-  /// Energy (joules) asleep for `seconds`.
-  double SleepEnergy(double seconds) const;
-
   const RadioParameters& Parameters() const noexcept { return params_; }
 
  private:

@@ -24,50 +24,7 @@ CsrMatrix TransposeCsr(const CsrMatrix& a) {
   return CsrMatrix(coo);
 }
 
-double MaxDiagonalMagnitude(const CsrMatrix& q) {
-  double m = 0.0;
-  for (std::size_t r = 0; r < q.Rows(); ++r) {
-    m = std::max(m, std::abs(q.At(r, r)));
-  }
-  return m;
-}
-
 }  // namespace
-
-IterativeResult StationaryPowerMethod(const CsrMatrix& q,
-                                      const IterativeOptions& opts) {
-  Require(q.Rows() == q.Cols() && q.Rows() > 0, "generator must be square");
-  const std::size_t n = q.Rows();
-  const double lambda = MaxDiagonalMagnitude(q) * 1.05 + 1e-12;
-
-  IterativeResult result;
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    // next = pi P = pi (I + Q/lambda) = pi + (Q^T pi) / lambda.
-    std::vector<double> qt_pi = q.ApplyTransposed(pi);
-    double change = 0.0;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double next = pi[i] + qt_pi[i] / lambda;
-      change = std::max(change, std::abs(next - pi[i]));
-      pi[i] = next;
-      sum += next;
-    }
-    for (double& p : pi) p /= sum;
-    result.iterations = it + 1;
-    result.residual = change;
-    if (change < opts.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  for (double& p : pi) {
-    if (p < 0.0) p = 0.0;
-  }
-  NormalizeProbability(pi);
-  result.solution = std::move(pi);
-  return result;
-}
 
 IterativeResult StationaryGaussSeidel(const CsrMatrix& q,
                                       const IterativeOptions& opts) {

@@ -1,9 +1,8 @@
-// Iterative stationary-vector solvers for large sparse chains.
+// Iterative stationary-vector solver for large sparse chains.
 //
 // For a CTMC generator Q, the stationary vector satisfies pi Q = 0.  We use
-// the uniformized power method (pi P, P = I + Q/Lambda) and Gauss–Seidel
-// sweeps on the transposed system; both only need ApplyTransposed, so CSR
-// storage of Q is enough.
+// Gauss–Seidel sweeps on the transposed system, so CSR storage of Q is
+// enough.
 #pragma once
 
 #include <cstddef>
@@ -26,13 +25,8 @@ struct IterativeResult {
   bool converged = false;
 };
 
-/// Power iteration on the uniformized chain P = I + Q / Lambda where
-/// Lambda > max_i |Q(i,i)|.  Converges for ergodic chains.
-IterativeResult StationaryPowerMethod(const CsrMatrix& q,
-                                      const IterativeOptions& opts = {});
-
 /// Gauss–Seidel (optionally SOR) on pi Q = 0 with normalization after each
-/// sweep.  Typically far fewer iterations than the power method.
+/// sweep.
 IterativeResult StationaryGaussSeidel(const CsrMatrix& q,
                                       const IterativeOptions& opts = {});
 

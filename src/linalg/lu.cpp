@@ -34,7 +34,6 @@ LuDecomposition::LuDecomposition(Matrix a) : lu_(std::move(a)) {
         std::swap(lu_(k, j), lu_(pivot, j));
       }
       std::swap(perm_[k], perm_[pivot]);
-      swap_parity_ = -swap_parity_;
     }
     const double pivot_value = lu_(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -67,12 +66,6 @@ std::vector<double> LuDecomposition::Solve(const std::vector<double>& b) const {
   return x;
 }
 
-double LuDecomposition::Determinant() const noexcept {
-  double det = static_cast<double>(swap_parity_);
-  for (std::size_t i = 0; i < lu_.Rows(); ++i) det *= lu_(i, i);
-  return det;
-}
-
 std::vector<double> SolveDense(const Matrix& a, const std::vector<double>& b) {
   return LuDecomposition(a).Solve(b);
 }
@@ -99,13 +92,6 @@ std::vector<double> StationaryFromGenerator(const Matrix& q) {
   }
   NormalizeProbability(pi);
   return pi;
-}
-
-std::vector<double> StationaryFromStochastic(const Matrix& p) {
-  Require(p.Rows() == p.Cols(), "transition matrix must be square");
-  Matrix q = p;
-  for (std::size_t i = 0; i < q.Rows(); ++i) q(i, i) -= 1.0;
-  return StationaryFromGenerator(q);
 }
 
 }  // namespace wsn::linalg

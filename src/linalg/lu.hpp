@@ -1,6 +1,6 @@
 // Dense LU factorization with partial pivoting, plus helpers built on it:
-// linear solve, determinant, and the rank-1-constraint solve used for CTMC
-// stationary distributions (pi Q = 0, sum pi = 1).
+// linear solve and the rank-1-constraint solve used for CTMC stationary
+// distributions (pi Q = 0, sum pi = 1).
 #pragma once
 
 #include <vector>
@@ -19,15 +19,9 @@ class LuDecomposition {
   /// Solve A x = b.
   std::vector<double> Solve(const std::vector<double>& b) const;
 
-  /// det(A); sign accounts for row swaps.
-  double Determinant() const noexcept;
-
-  std::size_t Size() const noexcept { return lu_.Rows(); }
-
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
-  int swap_parity_ = 1;
 };
 
 /// One-shot solve A x = b.
@@ -38,9 +32,5 @@ std::vector<double> SolveDense(const Matrix& a, const std::vector<double>& b);
 /// ones.  `q` must be square.  Throws for non-square or singular systems
 /// (e.g. reducible chains).
 std::vector<double> StationaryFromGenerator(const Matrix& q);
-
-/// Stationary distribution of a DTMC with transition matrix P (rows sum
-/// to 1): solves pi (P - I) = 0 with sum(pi) = 1.
-std::vector<double> StationaryFromStochastic(const Matrix& p);
 
 }  // namespace wsn::linalg

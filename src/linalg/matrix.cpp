@@ -1,14 +1,12 @@
 #include "linalg/matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 
 #include "util/error.hpp"
 
 namespace wsn::linalg {
 
-using util::InvalidArgument;
 using util::NumericalError;
 using util::Require;
 
@@ -23,65 +21,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
     Require(row.size() == cols_, "ragged initializer list for Matrix");
     data_.insert(data_.end(), row.begin(), row.end());
   }
-}
-
-Matrix Matrix::Identity(std::size_t n) {
-  Matrix m(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-double& Matrix::At(std::size_t r, std::size_t c) {
-  Require(r < rows_ && c < cols_, "Matrix::At out of range");
-  return (*this)(r, c);
-}
-
-double Matrix::At(std::size_t r, std::size_t c) const {
-  Require(r < rows_ && c < cols_, "Matrix::At out of range");
-  return (*this)(r, c);
-}
-
-Matrix Matrix::Transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix Matrix::operator*(const Matrix& rhs) const {
-  Require(cols_ == rhs.rows_, "Matrix product dimension mismatch");
-  Matrix out(rows_, rhs.cols_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = (*this)(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < rhs.cols_; ++j) {
-        out(i, j) += aik * rhs(k, j);
-      }
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  Require(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-          "Matrix sum dimension mismatch");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  Require(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-          "Matrix difference dimension mismatch");
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix& Matrix::operator*=(double s) noexcept {
-  for (double& v : data_) v *= s;
-  return *this;
 }
 
 std::vector<double> Matrix::Apply(const std::vector<double>& x) const {
@@ -108,43 +47,10 @@ std::vector<double> Matrix::ApplyTransposed(const std::vector<double>& x) const 
   return y;
 }
 
-double Matrix::MaxAbs() const noexcept {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
-std::string Matrix::ToString(int precision) const {
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(precision);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    os << "[";
-    for (std::size_t c = 0; c < cols_; ++c) {
-      os << (*this)(r, c);
-      if (c + 1 < cols_) os << ", ";
-    }
-    os << "]\n";
-  }
-  return os.str();
-}
-
-double Norm2(const std::vector<double>& v) noexcept {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return std::sqrt(acc);
-}
-
 double NormInf(const std::vector<double>& v) noexcept {
   double m = 0.0;
   for (double x : v) m = std::max(m, std::abs(x));
   return m;
-}
-
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
-  Require(a.size() == b.size(), "Dot dimension mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 std::vector<double> Subtract(const std::vector<double>& a,

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace wsn::linalg {
@@ -18,8 +17,6 @@ class Matrix {
   /// Build from nested initializer list: Matrix{{1,2},{3,4}}.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  static Matrix Identity(std::size_t n);
-
   std::size_t Rows() const noexcept { return rows_; }
   std::size_t Cols() const noexcept { return cols_; }
 
@@ -30,27 +27,11 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  double& At(std::size_t r, std::size_t c);
-  double At(std::size_t r, std::size_t c) const;
-
-  const std::vector<double>& Data() const noexcept { return data_; }
-
-  Matrix Transpose() const;
-  Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix& operator*=(double s) noexcept;
-
   /// y = A x.
   std::vector<double> Apply(const std::vector<double>& x) const;
 
   /// y = A^T x (i.e. x as a row vector times A).
   std::vector<double> ApplyTransposed(const std::vector<double>& x) const;
-
-  /// Max-abs entry (infinity norm of the flattened matrix).
-  double MaxAbs() const noexcept;
-
-  std::string ToString(int precision = 4) const;
 
  private:
   std::size_t rows_ = 0;
@@ -58,14 +39,8 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Euclidean norm.
-double Norm2(const std::vector<double>& v) noexcept;
-
 /// Infinity norm.
 double NormInf(const std::vector<double>& v) noexcept;
-
-/// Dot product (sizes must match).
-double Dot(const std::vector<double>& a, const std::vector<double>& b);
 
 /// a - b.
 std::vector<double> Subtract(const std::vector<double>& a,

@@ -76,19 +76,6 @@ CsrMatrix::CsrMatrix(const Matrix& dense, double zero_tol)
   }
 }
 
-std::vector<double> CsrMatrix::Apply(const std::vector<double>& x) const {
-  Require(x.size() == cols_, "CsrMatrix::Apply dimension mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += values_[k] * x[col_idx_[k]];
-    }
-    y[r] = acc;
-  }
-  return y;
-}
-
 void CsrMatrix::ApplyInto(const std::vector<double>& x,
                           std::vector<double>& y) const {
   Require(x.size() == cols_, "CsrMatrix::ApplyInto dimension mismatch");

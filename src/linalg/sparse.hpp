@@ -48,9 +48,6 @@ class CsrMatrix {
   std::size_t Cols() const noexcept { return cols_; }
   std::size_t NonZeros() const noexcept { return values_.size(); }
 
-  /// y = A x.
-  std::vector<double> Apply(const std::vector<double>& x) const;
-
   /// y = A x into a caller-provided buffer (resized to Rows()) — the
   /// allocation-free form iterative hot loops (e.g. the incremental
   /// uniformization solver) call once per series term.

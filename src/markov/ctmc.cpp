@@ -12,20 +12,8 @@ namespace wsn::markov {
 using util::ModelError;
 using util::Require;
 
-Ctmc::Ctmc(std::size_t n) : labels_(n) {}
-
-std::size_t Ctmc::AddState(std::string label) {
-  labels_.push_back(std::move(label));
-  return labels_.size() - 1;
-}
-
-const std::string& Ctmc::Label(std::size_t i) const {
-  Require(i < labels_.size(), "CTMC state index out of range");
-  return labels_[i];
-}
-
 void Ctmc::AddRate(std::size_t i, std::size_t j, double rate) {
-  Require(i < labels_.size() && j < labels_.size(),
+  Require(i < n_ && j < n_,
           "CTMC transition endpoint out of range");
   Require(i != j, "CTMC self-loops are meaningless (rates, not probabilities)");
   Require(rate >= 0.0 && std::isfinite(rate), "CTMC rate must be >= 0");
@@ -33,17 +21,8 @@ void Ctmc::AddRate(std::size_t i, std::size_t j, double rate) {
   edges_.push_back({i, j, rate});
 }
 
-double Ctmc::ExitRate(std::size_t i) const {
-  Require(i < labels_.size(), "CTMC state index out of range");
-  double total = 0.0;
-  for (const Edge& e : edges_) {
-    if (e.from == i) total += e.rate;
-  }
-  return total;
-}
-
 linalg::Matrix Ctmc::Generator() const {
-  const std::size_t n = labels_.size();
+  const std::size_t n = n_;
   linalg::Matrix q(n, n, 0.0);
   for (const Edge& e : edges_) {
     q(e.from, e.to) += e.rate;
@@ -53,7 +32,7 @@ linalg::Matrix Ctmc::Generator() const {
 }
 
 linalg::CsrMatrix Ctmc::SparseGenerator() const {
-  const std::size_t n = labels_.size();
+  const std::size_t n = n_;
   linalg::CooBuilder coo(n, n);
   for (const Edge& e : edges_) {
     coo.Add(e.from, e.to, e.rate);
@@ -63,7 +42,7 @@ linalg::CsrMatrix Ctmc::SparseGenerator() const {
 }
 
 linalg::CsrMatrix Ctmc::SparseGeneratorTransposed() const {
-  const std::size_t n = labels_.size();
+  const std::size_t n = n_;
   linalg::CooBuilder coo(n, n);
   for (const Edge& e : edges_) {
     coo.Add(e.to, e.from, e.rate);
@@ -73,14 +52,14 @@ linalg::CsrMatrix Ctmc::SparseGeneratorTransposed() const {
 }
 
 std::vector<double> Ctmc::ExitRates() const {
-  std::vector<double> exit(labels_.size(), 0.0);
+  std::vector<double> exit(n_, 0.0);
   for (const Edge& e : edges_) exit[e.from] += e.rate;
   return exit;
 }
 
 std::vector<double> Ctmc::StationaryDistribution(
     std::size_t dense_threshold) const {
-  const std::size_t n = labels_.size();
+  const std::size_t n = n_;
   if (n == 0) throw ModelError("CTMC has no states");
   if (n == 1) return {1.0};
   if (edges_.empty()) throw ModelError("CTMC has no transitions");
@@ -99,7 +78,7 @@ std::vector<double> Ctmc::StationaryDistribution(
 std::vector<double> Ctmc::TransientDistribution(const std::vector<double>& p0,
                                                 double t,
                                                 double epsilon) const {
-  const std::size_t n = labels_.size();
+  const std::size_t n = n_;
   Require(p0.size() == n, "initial distribution dimension mismatch");
   Require(t >= 0.0, "time must be >= 0");
   if (t == 0.0 || edges_.empty()) return p0;
@@ -108,15 +87,6 @@ std::vector<double> Ctmc::TransientDistribution(const std::vector<double>& p0,
   // TransientSolver themselves and advance it (see transient_solver.hpp).
   TransientSolver solver(*this, p0, epsilon);
   return solver.AdvanceTo(t);
-}
-
-double Ctmc::StationaryReward(const std::vector<double>& reward,
-                              std::size_t dense_threshold) const {
-  Require(reward.size() == labels_.size(), "reward dimension mismatch");
-  const std::vector<double> pi = StationaryDistribution(dense_threshold);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < pi.size(); ++i) acc += pi[i] * reward[i];
-  return acc;
 }
 
 }  // namespace wsn::markov

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -19,21 +18,13 @@ namespace wsn::markov {
 class Ctmc {
  public:
   /// `n` states, all rates zero.
-  explicit Ctmc(std::size_t n);
+  explicit Ctmc(std::size_t n) : n_(n) {}
 
-  /// Add a state, returning its index.  Optional human-readable label.
-  static Ctmc Empty() { return Ctmc(0); }
-  std::size_t AddState(std::string label = {});
-
-  std::size_t StateCount() const noexcept { return labels_.size(); }
-  const std::string& Label(std::size_t i) const;
+  std::size_t StateCount() const noexcept { return n_; }
 
   /// Add transition rate `rate` from state i to state j (i != j, rate >= 0).
   /// Repeated calls accumulate.
   void AddRate(std::size_t i, std::size_t j, double rate);
-
-  /// Total exit rate of state i.
-  double ExitRate(std::size_t i) const;
 
   /// Dense generator matrix Q (rows sum to zero).
   linalg::Matrix Generator() const;
@@ -46,8 +37,7 @@ class Ctmc {
   /// form the uniformization solver iterates millions of times.
   linalg::CsrMatrix SparseGeneratorTransposed() const;
 
-  /// Exit rate of every state in one O(edges) pass (ExitRate(i) per
-  /// state would be O(states * edges)).
+  /// Exit rate of every state, in one O(edges) pass.
   std::vector<double> ExitRates() const;
 
   /// Stationary distribution.  Uses dense LU for chains up to
@@ -65,10 +55,6 @@ class Ctmc {
                                             double t,
                                             double epsilon = 1e-10) const;
 
-  /// Expected reward rate at stationarity: sum_i pi_i * reward[i].
-  double StationaryReward(const std::vector<double>& reward,
-                          std::size_t dense_threshold = 512) const;
-
  private:
   struct Edge {
     std::size_t from;
@@ -76,7 +62,7 @@ class Ctmc {
     double rate;
   };
 
-  std::vector<std::string> labels_;
+  std::size_t n_;
   std::vector<Edge> edges_;
 };
 

@@ -66,31 +66,6 @@ std::vector<TransientPoint> TransientCpuAnalysis::Trajectory(
   return out;
 }
 
-double TransientCpuAnalysis::CumulativeEnergyJoules(
-    double t, double standby_mw, double powerup_mw, double idle_mw,
-    double active_mw, std::size_t grid_points) const {
-  Require(t >= 0.0, "time must be >= 0");
-  Require(grid_points >= 2, "need at least two grid points");
-  if (t == 0.0) return 0.0;
-
-  TransientSolver solver(chain_, InitialDistribution());
-  const auto power_mw = [&](double at) {
-    const TransientPoint p = SharesFrom(solver.AdvanceTo(at), at);
-    return p.p_standby * standby_mw + p.p_powerup * powerup_mw +
-           p.p_idle * idle_mw + p.p_active * active_mw;
-  };
-
-  // Trapezoid rule over an even grid, visited in one ascending solver
-  // pass: the whole integral costs one uniformization series over [0, t].
-  const double h = t / static_cast<double>(grid_points - 1);
-  double acc = 0.5 * power_mw(0.0);
-  for (std::size_t i = 1; i + 1 < grid_points; ++i) {
-    acc += power_mw(h * static_cast<double>(i));
-  }
-  acc += 0.5 * power_mw(t);
-  return acc * h / 1000.0;  // mW * s -> J
-}
-
 StagesResult TransientCpuAnalysis::StationaryLimit() const {
   return model_.Evaluate();
 }

@@ -45,15 +45,6 @@ class TransientCpuAnalysis {
   std::vector<TransientPoint> Trajectory(
       const std::vector<double>& times) const;
 
-  /// Expected cumulative energy (joules) over [0, t] given per-state
-  /// draws in mW, via trapezoidal integration of the transient power on
-  /// `grid_points` points — a single incremental solver pass over the
-  /// grid, O(points) series work rather than O(points^2).
-  double CumulativeEnergyJoules(double t, double standby_mw,
-                                double powerup_mw, double idle_mw,
-                                double active_mw,
-                                std::size_t grid_points = 64) const;
-
   /// Stationary shares (the t -> infinity limit) for convergence checks.
   StagesResult StationaryLimit() const;
 

@@ -12,10 +12,10 @@ using util::Require;
 
 TransientSolver::TransientSolver(const Ctmc& chain, std::vector<double> p0,
                                  double epsilon)
-    : p0_(std::move(p0)), epsilon_(epsilon) {
+    : epsilon_(epsilon), dist_(std::move(p0)) {
   const std::size_t n = chain.StateCount();
   Require(n > 0, "transient solver needs a chain with states");
-  Require(p0_.size() == n, "initial distribution dimension mismatch");
+  Require(dist_.size() == n, "initial distribution dimension mismatch");
   Require(epsilon_ > 0.0 && epsilon_ < 1.0,
           "uniformization epsilon must be in (0, 1)");
 
@@ -31,18 +31,12 @@ TransientSolver::TransientSolver(const Ctmc& chain, std::vector<double> p0,
     qt_v_.resize(n);
     acc_.resize(n);
   }
-  dist_ = p0_;
-}
-
-void TransientSolver::Reset() {
-  time_ = 0.0;
-  dist_ = p0_;
 }
 
 const std::vector<double>& TransientSolver::AdvanceTo(double t) {
   Require(t >= 0.0, "time must be >= 0");
   Require(t >= time_,
-          "TransientSolver cannot step backwards; Reset() to rewind");
+          "TransientSolver cannot step backwards");
   const double dt = t - time_;
   if (dt > 0.0 && lambda_ > 0.0) StepBy(dt);
   time_ = t;

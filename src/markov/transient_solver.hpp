@@ -39,21 +39,14 @@ class TransientSolver {
   TransientSolver(const Ctmc& chain, std::vector<double> p0,
                   double epsilon = 1e-10);
 
-  std::size_t StateCount() const noexcept { return dist_.size(); }
-
   /// Time of the current checkpoint.
   double CurrentTime() const noexcept { return time_; }
 
-  /// Distribution at the current checkpoint.
-  const std::vector<double>& Current() const noexcept { return dist_; }
-
   /// Advance the checkpoint to absolute time `t` (>= CurrentTime(),
   /// throws InvalidArgument otherwise) and return the distribution at t.
-  /// Calling with t == CurrentTime() is a no-op returning Current().
+  /// Calling with t == CurrentTime() is a no-op returning the
+  /// checkpoint's distribution.
   const std::vector<double>& AdvanceTo(double t);
-
-  /// Rewind to the initial condition (t = 0, p0).
-  void Reset();
 
   /// The uniformization constant Lambda (0 for a chain with no
   /// transitions, whose distribution is constant in time).
@@ -62,7 +55,6 @@ class TransientSolver {
  private:
   void StepBy(double dt);
 
-  std::vector<double> p0_;
   double epsilon_;
   double lambda_ = 0.0;
   linalg::CsrMatrix qt_;  ///< transposed generator, built once

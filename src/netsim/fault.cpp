@@ -10,16 +10,6 @@ namespace wsn::netsim {
 
 using util::Require;
 
-const char* FaultEventKindName(FaultEventKind kind) noexcept {
-  switch (kind) {
-    case FaultEventKind::kCrash:
-      return "crash";
-    case FaultEventKind::kRecover:
-      return "recover";
-  }
-  return "?";
-}
-
 void FaultConfig::Validate() const {
   Require(crash_rate_hz >= 0.0, "fault crash rate must be >= 0");
   Require(mean_outage_s >= 0.0, "fault mean outage must be >= 0");

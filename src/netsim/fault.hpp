@@ -43,9 +43,6 @@ enum class FaultEventKind : std::uint8_t {
   kRecover,  ///< the node rejoins with its remaining battery
 };
 
-/// Human-readable name of a fault event kind ("crash" / "recover").
-const char* FaultEventKindName(FaultEventKind kind) noexcept;
-
 /// One scheduled node fault transition.
 struct FaultEvent {
   double t = 0.0;                               ///< event instant (s)

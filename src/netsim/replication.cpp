@@ -33,11 +33,7 @@ ReplicationSummary Summarize(std::vector<NetSimReport> reports,
   for (MetricSummary* m : {&out.first_death_s, &out.partition_s,
                            &out.delivery_ratio, &out.delivered}) {
     m->observed = m->stats.Count();
-    if (m->observed >= 2) {
-      m->ci = util::IntervalFromStats(m->stats, rep.ci_level);
-    } else {
-      m->ci = {m->stats.Mean(), 0.0, rep.ci_level};
-    }
+    m->ci = util::IntervalFromStats(m->stats);
   }
   if (rep.keep_reports) out.reports = std::move(reports);
   return out;
@@ -69,21 +65,6 @@ ReplicationSummary RunReplications(const NetSimConfig& config,
   // expensive, and every node/replication shares the same operating point.
   const double cpu_mw = CpuAveragePowerMw(config, cpu_model);
   return Summarize(RunAll(config, cpu_mw, rep, executor), rep);
-}
-
-ReplicationSummary RunReplications(const NetSimConfig& config,
-                                   const core::CpuEnergyModel& cpu_model,
-                                   const ReplicationConfig& rep,
-                                   util::ThreadPool& pool) {
-  util::ParallelExecutor executor(pool);
-  return RunReplications(config, cpu_model, rep, executor);
-}
-
-ReplicationSummary RunReplications(const NetSimConfig& config,
-                                   const core::CpuEnergyModel& cpu_model,
-                                   const ReplicationConfig& rep) {
-  util::ParallelExecutor executor(rep.threads);
-  return RunReplications(config, cpu_model, rep, executor);
 }
 
 }  // namespace wsn::netsim

@@ -18,7 +18,6 @@
 #include "netsim/netsim.hpp"
 #include "util/executor.hpp"
 #include "util/statistics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wsn::netsim {
 
@@ -26,15 +25,13 @@ namespace wsn::netsim {
 struct ReplicationConfig {
   std::size_t replications = 32;  ///< independent replications to run
   std::uint64_t seed = 2008;      ///< master seed the streams jump from
-  std::size_t threads = 0;        ///< 0 = hardware concurrency
-  double ci_level = 0.95;         ///< confidence level of the summaries
   bool keep_reports = false;      ///< retain every per-replication report
 };
 
 /// A metric observed in (a subset of) the replications.
 struct MetricSummary {
   util::RunningStats stats;      ///< Welford accumulator over observations
-  util::ConfidenceInterval ci;   ///< mean +- half-width at ci_level
+  util::ConfidenceInterval ci;   ///< mean +- 95% half-width
   std::size_t observed = 0;      ///< replications where the event occurred
 };
 
@@ -62,17 +59,4 @@ ReplicationSummary RunReplications(const NetSimConfig& config,
                                    const core::CpuEnergyModel& cpu_model,
                                    const ReplicationConfig& rep,
                                    util::ParallelExecutor& executor);
-
-/// Run on an existing pool (reused across calls, e.g. by benchmarks).
-ReplicationSummary RunReplications(const NetSimConfig& config,
-                                   const core::CpuEnergyModel& cpu_model,
-                                   const ReplicationConfig& rep,
-                                   util::ThreadPool& pool);
-
-/// Convenience overload: runs serially when rep.threads == 1, otherwise
-/// on a fresh pool of rep.threads workers.
-ReplicationSummary RunReplications(const NetSimConfig& config,
-                                   const core::CpuEnergyModel& cpu_model,
-                                   const ReplicationConfig& rep);
-
 }  // namespace wsn::netsim

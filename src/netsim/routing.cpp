@@ -12,11 +12,6 @@ namespace wsn::netsim {
 
 using util::Require;
 
-RoutingTable::RoutingTable(node::Position sink, double max_hop_m,
-                           std::vector<node::Position> positions)
-    : RoutingTable(std::vector<node::Position>{sink}, max_hop_m,
-                   std::move(positions)) {}
-
 RoutingTable::RoutingTable(std::vector<node::Position> sinks, double max_hop_m,
                            std::vector<node::Position> positions)
     : sinks_(std::move(sinks)),

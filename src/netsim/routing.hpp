@@ -42,12 +42,8 @@ class RoutingTable {
   /// NextHop() sentinel: no live route exists (dead end or dead node).
   static constexpr std::size_t kNoRoute = static_cast<std::size_t>(-2);
 
-  /// Single-sink table (the common case).
-  RoutingTable(node::Position sink, double max_hop_m,
-               std::vector<node::Position> positions);
-
-  /// Multi-sink table: each node's distance-to-sink is the minimum over
-  /// `sinks`, which must be non-empty.
+  /// Each node's distance-to-sink is the minimum over `sinks`, which
+  /// must be non-empty.
   RoutingTable(std::vector<node::Position> sinks, double max_hop_m,
                std::vector<node::Position> positions);
 

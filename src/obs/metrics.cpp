@@ -172,11 +172,6 @@ util::Histogram* MetricsRegistry::TimingHist(const std::string& name,
   return &it->second;
 }
 
-bool MetricsRegistry::Empty() const noexcept {
-  return counters_.empty() && gauges_.empty() && sums_.empty() &&
-         timings_.empty() && histograms_.empty() && timing_histograms_.empty();
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot s;
   s.counters = counters_;

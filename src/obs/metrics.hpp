@@ -167,8 +167,6 @@ class MetricsRegistry {
   util::Histogram* TimingHist(const std::string& name, double low, double high,
                               std::size_t bins);
 
-  bool Empty() const noexcept;
-
   /// Plain-data copy for reports and merging.
   MetricsSnapshot Snapshot() const;
 

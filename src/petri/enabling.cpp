@@ -12,15 +12,6 @@ Marking Fire(const PetriNet& net, TransitionId t, const Marking& m) {
   return out;
 }
 
-std::vector<TransitionId> EnabledTransitions(const PetriNet& net,
-                                             const Marking& m) {
-  std::vector<TransitionId> out;
-  for (TransitionId t = 0; t < net.TransitionCount(); ++t) {
-    if (IsEnabled(net, t, m)) out.push_back(t);
-  }
-  return out;
-}
-
 std::vector<TransitionId> EnabledImmediateConflictSet(const PetriNet& net,
                                                       const Marking& m) {
   std::vector<TransitionId> out;

@@ -47,10 +47,6 @@ inline void FireInPlace(const PetriNet& net, TransitionId t, Marking& m) {
   }
 }
 
-/// All enabled transitions (any kind) in `m`, ascending id.
-std::vector<TransitionId> EnabledTransitions(const PetriNet& net,
-                                             const Marking& m);
-
 /// Enabled immediate transitions of maximal priority in `m` (the conflict
 /// set that competes by weight), ascending id.  Empty iff the marking is
 /// tangible.

@@ -116,16 +116,6 @@ bool PetriNet::AllTimedExponential() const noexcept {
   return true;
 }
 
-bool PetriNet::HasDeterministic() const noexcept {
-  for (const Transition& t : transitions_) {
-    if (t.kind == TransitionKind::kTimed && t.delay &&
-        t.delay->IsDeterministic()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void PetriNet::Validate() const {
   if (places_.empty()) throw ModelError("net has no places");
   if (transitions_.empty()) throw ModelError("net has no transitions");

@@ -106,9 +106,6 @@ class PetriNet {
   /// and solvable exactly as a CTMC).
   bool AllTimedExponential() const noexcept;
 
-  /// True iff the net has at least one deterministic transition (DSPN).
-  bool HasDeterministic() const noexcept;
-
   /// Structural checks: at least one place and one transition, every
   /// transition has at least one arc, no duplicate names.  Throws
   /// ModelError describing the first violation.

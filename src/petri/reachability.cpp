@@ -36,15 +36,6 @@ void CheckBound(const Marking& m, std::uint32_t max_tokens) {
 
 }  // namespace
 
-std::vector<std::size_t> ReachabilityGraph::DeadMarkings(
-    const PetriNet& net) const {
-  std::vector<std::size_t> dead;
-  for (std::size_t i = 0; i < markings.size(); ++i) {
-    if (EnabledTransitions(net, markings[i]).empty()) dead.push_back(i);
-  }
-  return dead;
-}
-
 std::uint32_t ReachabilityGraph::MaxTokens() const noexcept {
   std::uint32_t best = 0;
   for (const Marking& m : markings) {

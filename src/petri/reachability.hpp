@@ -1,5 +1,5 @@
 // Reachability analysis: full state-space exploration for structural
-// questions (boundedness, deadlock detection) and tangible reachability
+// questions (boundedness) and tangible reachability
 // with vanishing-marking elimination — the front half of the numerical
 // SPN solvers.
 #pragma once
@@ -43,8 +43,6 @@ struct ReachabilityGraph {
   bool complete = true;        ///< false if the exploration cap was hit
 
   std::size_t Size() const noexcept { return markings.size(); }
-  /// Markings with no enabled transitions at all.
-  std::vector<std::size_t> DeadMarkings(const PetriNet& net) const;
   /// Maximum token count observed in any place (bound of the net if
   /// exploration completed).
   std::uint32_t MaxTokens() const noexcept;

@@ -190,10 +190,13 @@ ResultSet RunWsnLifetime(const ScenarioContext& ctx) {
       "per-node", {"node", "pos", "next-hop", "relay pkts/s",
                    "avg power (mW)", "lifetime (days)"});
   for (const node::NodeReport& n : report.nodes) {
+    std::string pos = "(";
+    pos += util::FormatFixed(positions[n.index].x, 0);
+    pos += ',';
+    pos += util::FormatFixed(positions[n.index].y, 0);
+    pos += ')';
     table.AddRow(
-        {std::to_string(n.index),
-         "(" + util::FormatFixed(positions[n.index].x, 0) + "," +
-             util::FormatFixed(positions[n.index].y, 0) + ")",
+        {std::to_string(n.index), std::move(pos),
          n.next_hop == n.index ? std::string("sink")
                                : std::to_string(n.next_hop),
          util::FormatFixed(n.relay_packets_per_second, 2),

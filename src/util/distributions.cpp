@@ -1,6 +1,5 @@
 #include "util/distributions.hpp"
 
-#include <numbers>
 #include <sstream>
 
 namespace wsn::util {
@@ -13,11 +12,6 @@ void CheckPositive(double x, const char* what) {
 void CheckNonNegative(double x, const char* what) {
   Require(x >= 0.0 && std::isfinite(x),
           std::string(what) + " must be non-negative");
-}
-
-double GammaOnePlusInverse(double k) {
-  // Gamma(1 + 1/k) via lgamma.
-  return std::exp(std::lgamma(1.0 + 1.0 / k));
 }
 
 }  // namespace
@@ -41,38 +35,6 @@ Distribution::Distribution(Erlang d) : v_(d) {
   CheckPositive(d.rate, "Erlang rate");
 }
 
-Distribution::Distribution(Weibull d) : v_(d) {
-  CheckPositive(d.shape, "Weibull shape");
-  CheckPositive(d.scale, "Weibull scale");
-}
-
-Distribution::Distribution(LogNormal d) : v_(d) {
-  Require(std::isfinite(d.mu), "LogNormal mu must be finite");
-  CheckPositive(d.sigma, "LogNormal sigma");
-}
-
-Distribution::Distribution(HyperExponential d) : v_(std::move(d)) {
-  const auto& h = std::get<HyperExponential>(v_);
-  Require(!h.probabilities.empty() &&
-              h.probabilities.size() == h.rates.size(),
-          "HyperExponential needs matching, non-empty prob/rate lists");
-  double sum = 0.0;
-  for (double p : h.probabilities) {
-    Require(p >= 0.0, "HyperExponential probabilities must be >= 0");
-    sum += p;
-  }
-  Require(std::abs(sum - 1.0) < 1e-9,
-          "HyperExponential probabilities must sum to 1");
-  for (double r : h.rates) CheckPositive(r, "HyperExponential rate");
-}
-
-double SampleStandardNormal(Rng& rng) {
-  const double u1 = UniformDoubleOpenLow(rng);
-  const double u2 = UniformDouble(rng);
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
-
 double Distribution::Sample(Rng& rng) const {
   return std::visit(
       [&rng](const auto& d) -> double {
@@ -83,26 +45,11 @@ double Distribution::Sample(Rng& rng) const {
           return d.value;
         } else if constexpr (std::is_same_v<T, Uniform>) {
           return d.low + (d.high - d.low) * UniformDouble(rng);
-        } else if constexpr (std::is_same_v<T, Erlang>) {
+        } else {
+          static_assert(std::is_same_v<T, Erlang>);
           double sum = 0.0;
           for (int i = 0; i < d.k; ++i) sum += SampleExponential(rng, d.rate);
           return sum;
-        } else if constexpr (std::is_same_v<T, Weibull>) {
-          const double u = UniformDoubleOpenLow(rng);
-          return d.scale * std::pow(-std::log(u), 1.0 / d.shape);
-        } else if constexpr (std::is_same_v<T, LogNormal>) {
-          return std::exp(d.mu + d.sigma * SampleStandardNormal(rng));
-        } else {
-          static_assert(std::is_same_v<T, HyperExponential>);
-          double u = UniformDouble(rng);
-          for (std::size_t i = 0; i < d.probabilities.size(); ++i) {
-            if (u < d.probabilities[i] ||
-                i + 1 == d.probabilities.size()) {
-              return SampleExponential(rng, d.rates[i]);
-            }
-            u -= d.probabilities[i];
-          }
-          return SampleExponential(rng, d.rates.back());
         }
       },
       v_);
@@ -118,18 +65,9 @@ double Distribution::Mean() const {
           return d.value;
         } else if constexpr (std::is_same_v<T, Uniform>) {
           return 0.5 * (d.low + d.high);
-        } else if constexpr (std::is_same_v<T, Erlang>) {
-          return static_cast<double>(d.k) / d.rate;
-        } else if constexpr (std::is_same_v<T, Weibull>) {
-          return d.scale * GammaOnePlusInverse(d.shape);
-        } else if constexpr (std::is_same_v<T, LogNormal>) {
-          return std::exp(d.mu + 0.5 * d.sigma * d.sigma);
         } else {
-          static_assert(std::is_same_v<T, HyperExponential>);
-          double m = 0.0;
-          for (std::size_t i = 0; i < d.rates.size(); ++i)
-            m += d.probabilities[i] / d.rates[i];
-          return m;
+          static_assert(std::is_same_v<T, Erlang>);
+          return static_cast<double>(d.k) / d.rate;
         }
       },
       v_);
@@ -146,33 +84,12 @@ double Distribution::Variance() const {
         } else if constexpr (std::is_same_v<T, Uniform>) {
           const double w = d.high - d.low;
           return w * w / 12.0;
-        } else if constexpr (std::is_same_v<T, Erlang>) {
-          return static_cast<double>(d.k) / (d.rate * d.rate);
-        } else if constexpr (std::is_same_v<T, Weibull>) {
-          const double g1 = std::exp(std::lgamma(1.0 + 1.0 / d.shape));
-          const double g2 = std::exp(std::lgamma(1.0 + 2.0 / d.shape));
-          return d.scale * d.scale * (g2 - g1 * g1);
-        } else if constexpr (std::is_same_v<T, LogNormal>) {
-          const double s2 = d.sigma * d.sigma;
-          return (std::exp(s2) - 1.0) * std::exp(2.0 * d.mu + s2);
         } else {
-          static_assert(std::is_same_v<T, HyperExponential>);
-          // E[X^2] = sum p_i * 2/rate_i^2 for an exponential mixture.
-          double m = 0.0, m2 = 0.0;
-          for (std::size_t i = 0; i < d.rates.size(); ++i) {
-            m += d.probabilities[i] / d.rates[i];
-            m2 += d.probabilities[i] * 2.0 / (d.rates[i] * d.rates[i]);
-          }
-          return m2 - m * m;
+          static_assert(std::is_same_v<T, Erlang>);
+          return static_cast<double>(d.k) / (d.rate * d.rate);
         }
       },
       v_);
-}
-
-double Distribution::Scv() const {
-  const double m = Mean();
-  if (m == 0.0) return 0.0;
-  return Variance() / (m * m);
 }
 
 std::string Distribution::Describe() const {
@@ -186,15 +103,9 @@ std::string Distribution::Describe() const {
           os << "Det(" << d.value << ")";
         } else if constexpr (std::is_same_v<T, Uniform>) {
           os << "Uniform[" << d.low << "," << d.high << "]";
-        } else if constexpr (std::is_same_v<T, Erlang>) {
-          os << "Erlang(k=" << d.k << ",rate=" << d.rate << ")";
-        } else if constexpr (std::is_same_v<T, Weibull>) {
-          os << "Weibull(shape=" << d.shape << ",scale=" << d.scale << ")";
-        } else if constexpr (std::is_same_v<T, LogNormal>) {
-          os << "LogNormal(mu=" << d.mu << ",sigma=" << d.sigma << ")";
         } else {
-          static_assert(std::is_same_v<T, HyperExponential>);
-          os << "HyperExp(k=" << d.rates.size() << ")";
+          static_assert(std::is_same_v<T, Erlang>);
+          os << "Erlang(k=" << d.k << ",rate=" << d.rate << ")";
         }
       },
       v_);

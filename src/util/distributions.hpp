@@ -9,7 +9,6 @@
 #include <cmath>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -41,38 +40,15 @@ struct Erlang {
   double rate;
 };
 
-/// Weibull with shape `k` and scale `lambda`; mean lambda*Gamma(1+1/k).
-struct Weibull {
-  double shape;
-  double scale;
-};
-
-/// Log-normal: exp(N(mu, sigma^2)).
-struct LogNormal {
-  double mu;
-  double sigma;
-};
-
-/// Hyper-exponential: with probability p[i], Exponential(rate[i]).
-/// Captures high-variance (CV > 1) service processes.
-struct HyperExponential {
-  std::vector<double> probabilities;
-  std::vector<double> rates;
-};
-
 /// Tagged union of supported delay distributions.
 class Distribution {
  public:
-  using Variant = std::variant<Exponential, Deterministic, Uniform, Erlang,
-                               Weibull, LogNormal, HyperExponential>;
+  using Variant = std::variant<Exponential, Deterministic, Uniform, Erlang>;
 
   Distribution(Exponential d);        // NOLINT(google-explicit-constructor)
   Distribution(Deterministic d);      // NOLINT(google-explicit-constructor)
   Distribution(Uniform d);            // NOLINT(google-explicit-constructor)
   Distribution(Erlang d);             // NOLINT(google-explicit-constructor)
-  Distribution(Weibull d);            // NOLINT(google-explicit-constructor)
-  Distribution(LogNormal d);          // NOLINT(google-explicit-constructor)
-  Distribution(HyperExponential d);   // NOLINT(google-explicit-constructor)
 
   /// Draw one variate.
   double Sample(Rng& rng) const;
@@ -82,10 +58,6 @@ class Distribution {
 
   /// Analytical variance.
   double Variance() const;
-
-  /// Squared coefficient of variation: Var/Mean^2 (0 for Deterministic,
-  /// 1 for Exponential).
-  double Scv() const;
 
   /// True iff the distribution is memoryless (Exponential).
   bool IsMemoryless() const noexcept {
@@ -105,10 +77,6 @@ class Distribution {
  private:
   Variant v_;
 };
-
-/// Sample a standard normal via Box–Muller (the cached-pair trick is
-/// deliberately avoided: samplers must be stateless for reproducibility).
-double SampleStandardNormal(Rng& rng);
 
 /// Sample Exponential(rate) by inversion.
 inline double SampleExponential(Rng& rng, double rate) {

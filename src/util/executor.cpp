@@ -4,11 +4,8 @@ namespace wsn::util {
 
 ParallelExecutor::ParallelExecutor(std::size_t threads) {
   if (threads == 1) return;  // serial: no pool
-  owned_ = std::make_unique<ThreadPool>(threads);
-  pool_ = owned_.get();
+  pool_ = std::make_unique<ThreadPool>(threads);
 }
-
-ParallelExecutor::ParallelExecutor(ThreadPool& pool) : pool_(&pool) {}
 
 std::size_t ParallelExecutor::ThreadCount() const noexcept {
   return pool_ == nullptr ? 1 : pool_->ThreadCount();

@@ -14,8 +14,8 @@
 //   * if several jobs throw, the exception from the *lowest* index is
 //     rethrown after all jobs finish, so failures are deterministic too.
 //
-// An executor either owns its pool (threads = 0 -> hardware concurrency,
-// 1 -> strictly serial, no pool at all) or borrows a caller-managed one.
+// An executor owns its pool: threads = 0 -> hardware concurrency, 1 ->
+// strictly serial, with no pool at all.
 #pragma once
 
 #include <cstddef>
@@ -36,9 +36,6 @@ class ParallelExecutor {
   /// Own a pool of `threads` workers (0 = hardware concurrency).
   /// `threads == 1` runs jobs inline on the calling thread.
   explicit ParallelExecutor(std::size_t threads = 0);
-
-  /// Borrow `pool` (not owned; must outlive the executor).
-  explicit ParallelExecutor(ThreadPool& pool);
 
   /// Worker count (1 when serial).
   std::size_t ThreadCount() const noexcept;
@@ -73,8 +70,7 @@ class ParallelExecutor {
                   const std::function<void(std::size_t)>& fn) const;
 
  private:
-  ThreadPool* pool_ = nullptr;          ///< null when serial
-  std::unique_ptr<ThreadPool> owned_;
+  std::unique_ptr<ThreadPool> pool_;  ///< null when serial
 };
 
 }  // namespace wsn::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -47,67 +46,6 @@ void Histogram::Add(double x) noexcept {
 std::size_t Histogram::BinCount(std::size_t i) const {
   Require(i < counts_.size(), "histogram bin out of range");
   return counts_[i];
-}
-
-double Histogram::BinLow(std::size_t i) const {
-  Require(i < counts_.size(), "histogram bin out of range");
-  return low_ + static_cast<double>(i) * width_;
-}
-
-double Histogram::BinHigh(std::size_t i) const { return BinLow(i) + width_; }
-
-double Histogram::Density(std::size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(BinCount(i)) /
-         (static_cast<double>(total_) * width_);
-}
-
-double Histogram::ChiSquare(const std::vector<double>& expected) const {
-  Require(expected.size() == counts_.size(),
-          "expected probabilities must match bin count");
-  double stat = 0.0;
-  const double n = static_cast<double>(total_);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    double obs = static_cast<double>(counts_[i]);
-    if (i == 0) obs += static_cast<double>(underflow_);
-    if (i + 1 == counts_.size()) obs += static_cast<double>(overflow_);
-    const double exp_count = expected[i] * n;
-    if (exp_count <= 0.0) continue;
-    const double d = obs - exp_count;
-    stat += d * d / exp_count;
-  }
-  return stat;
-}
-
-void Histogram::Merge(const Histogram& other) {
-  Require(low_ == other.low_ && high_ == other.high_ &&
-              counts_.size() == other.counts_.size() &&
-              policy_ == other.policy_,
-          "cannot merge histograms with different ranges, bin counts or "
-          "edge policies");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  nan_ += other.nan_;
-  total_ += other.total_;
-  sum_ += other.sum_;
-}
-
-std::string Histogram::Render(std::size_t max_width) const {
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar =
-        static_cast<std::size_t>(std::llround(static_cast<double>(counts_[i]) /
-                                              static_cast<double>(peak) *
-                                              static_cast<double>(max_width)));
-    os << "[" << BinLow(i) << ", " << BinHigh(i) << ") "
-       << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace wsn::util

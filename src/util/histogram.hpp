@@ -1,10 +1,8 @@
-// Fixed-bin histogram for distribution diagnostics (latency distributions,
-// goodness-of-fit tests in the RNG test suite, workload validation) and
-// the obs metrics layer's fixed-bucket latency/size histograms.
+// Fixed-bin histogram: the obs metrics layer's fixed-bucket latency/size
+// histograms.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace wsn::util {
@@ -41,8 +39,6 @@ class Histogram {
   /// NaN samples seen (counted in TotalCount, never binned).
   std::size_t Nan() const noexcept { return nan_; }
   std::size_t Bins() const noexcept { return counts_.size(); }
-  double BinLow(std::size_t i) const;
-  double BinHigh(std::size_t i) const;
   double BinWidth() const noexcept { return width_; }
   double Low() const noexcept { return low_; }
   double High() const noexcept { return high_; }
@@ -51,23 +47,6 @@ class Histogram {
   /// Sum of every finite sample added (including out-of-range ones) —
   /// lets consumers report a mean next to the bucketed shape.
   double Sum() const noexcept { return sum_; }
-
-  /// Empirical density of bin i (count / (total * width)).
-  double Density(std::size_t i) const;
-
-  /// Pearson chi-square statistic against expected bin probabilities
-  /// `expected` (same length as Bins(); must sum to ~1; under/overflow
-  /// are folded into the first/last bin).
-  double ChiSquare(const std::vector<double>& expected) const;
-
-  /// Fold `other` into this histogram, bin by bin.  Both histograms must
-  /// have identical range, bin count and edge policy (throws
-  /// InvalidArgument otherwise) — the deterministic merge the obs layer
-  /// uses to combine per-replication histograms.
-  void Merge(const Histogram& other);
-
-  /// ASCII sparkline-style rendering, for example programs.
-  std::string Render(std::size_t max_width = 50) const;
 
  private:
   double low_;

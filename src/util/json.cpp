@@ -139,12 +139,6 @@ JsonWriter& JsonWriter::Number(double value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Int(std::int64_t value) {
-  BeforeValue();
-  out_ += std::to_string(value);
-  return *this;
-}
-
 JsonWriter& JsonWriter::UInt(std::uint64_t value) {
   BeforeValue();
   out_ += std::to_string(value);
@@ -154,12 +148,6 @@ JsonWriter& JsonWriter::UInt(std::uint64_t value) {
 JsonWriter& JsonWriter::Bool(bool value) {
   BeforeValue();
   out_ += value ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
   return *this;
 }
 

@@ -57,10 +57,8 @@ class JsonWriter {
 
   JsonWriter& String(const std::string& value);
   JsonWriter& Number(double value);
-  JsonWriter& Int(std::int64_t value);
   JsonWriter& UInt(std::uint64_t value);
   JsonWriter& Bool(bool value);
-  JsonWriter& Null();
 
   /// The document so far.  Valid once every container has been closed.
   const std::string& Str() const noexcept { return out_; }

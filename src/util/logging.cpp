@@ -27,8 +27,6 @@ const char* LevelName(LogLevel level) {
 
 void SetLogLevel(LogLevel level) noexcept { g_level.store(level); }
 
-LogLevel GetLogLevel() noexcept { return g_level.load(); }
-
 const char* LogLevelName(LogLevel level) noexcept {
   switch (level) {
     case LogLevel::kDebug: return "debug";

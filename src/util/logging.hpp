@@ -18,7 +18,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Global threshold; messages below it are dropped.
 void SetLogLevel(LogLevel level) noexcept;
-LogLevel GetLogLevel() noexcept;
 
 /// "debug" / "info" / "warn" / "error" / "off".
 const char* LogLevelName(LogLevel level) noexcept;

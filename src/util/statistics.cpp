@@ -20,23 +20,6 @@ void RunningStats::Add(double x) noexcept {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::Merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::Variance() const noexcept {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -54,7 +37,6 @@ void TimeWeightedStats::Accumulate(double now) noexcept {
   const double dt = now - last_time_;
   if (dt > 0.0) {
     weighted_sum_ += value_ * dt;
-    weighted_sq_sum_ += value_ * value_ * dt;
     total_time_ += dt;
   }
 }
@@ -74,20 +56,6 @@ void TimeWeightedStats::Finish(double now) noexcept {
 double TimeWeightedStats::Mean() const noexcept {
   if (total_time_ <= 0.0) return has_value_ ? value_ : 0.0;
   return weighted_sum_ / total_time_;
-}
-
-double TimeWeightedStats::Variance() const noexcept {
-  if (total_time_ <= 0.0) return 0.0;
-  const double m = Mean();
-  return std::max(0.0, weighted_sq_sum_ / total_time_ - m * m);
-}
-
-void TimeWeightedStats::ResetWindow(double now) noexcept {
-  weighted_sum_ = 0.0;
-  weighted_sq_sum_ = 0.0;
-  total_time_ = 0.0;
-  last_time_ = now;
-  start_time_ = now;
 }
 
 namespace {
@@ -176,39 +144,6 @@ ConfidenceInterval IntervalFromStats(const RunningStats& s, double level) {
     ci.half_width = StudentTCritical(level, s.Count() - 1) * s.StdError();
   }
   return ci;
-}
-
-BatchMeans::BatchMeans(std::size_t batch_size) : batch_size_(batch_size) {
-  Require(batch_size >= 1, "batch size must be >= 1");
-}
-
-void BatchMeans::Add(double x) {
-  batch_sum_ += x;
-  if (++in_batch_ == batch_size_) {
-    const double mean = batch_sum_ / static_cast<double>(batch_size_);
-    batches_.Add(mean);
-    batch_means_.push_back(mean);
-    in_batch_ = 0;
-    batch_sum_ = 0.0;
-  }
-}
-
-ConfidenceInterval BatchMeans::Interval(double level) const {
-  return IntervalFromStats(batches_, level);
-}
-
-double BatchMeans::BatchLag1Autocorrelation() const noexcept {
-  const std::size_t n = batch_means_.size();
-  if (n < 3) return 0.0;
-  const double mean = batches_.Mean();
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = batch_means_[i] - mean;
-    den += d * d;
-    if (i + 1 < n) num += d * (batch_means_[i + 1] - mean);
-  }
-  if (den == 0.0) return 0.0;
-  return num / den;
 }
 
 }  // namespace wsn::util

@@ -6,13 +6,11 @@
 //   * time-persistent (number of tokens in a place, CPU power state) — use
 //     TimeWeightedStats which integrates a piecewise-constant signal.
 //
-// BatchMeans turns a single long correlated run into approximately
-// independent batch averages; ConfidenceInterval converts either estimator
-// into a Student-t interval.
+// IntervalFromStats turns independent replication means into a Student-t
+// confidence interval.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace wsn::util {
 
@@ -20,9 +18,6 @@ namespace wsn::util {
 class RunningStats {
  public:
   void Add(double x) noexcept;
-
-  /// Merge another accumulator (parallel reduction; Chan et al. update).
-  void Merge(const RunningStats& other) noexcept;
 
   std::size_t Count() const noexcept { return n_; }
   double Mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -53,7 +48,7 @@ class RunningStats {
 class TimeWeightedStats {
  public:
   explicit TimeWeightedStats(double start_time = 0.0) noexcept
-      : last_time_(start_time), start_time_(start_time) {}
+      : last_time_(start_time) {}
 
   /// Record that the signal takes `value` from time `now` onward.
   void Update(double now, double value) noexcept;
@@ -64,24 +59,15 @@ class TimeWeightedStats {
   /// Time-weighted mean over the observed window.
   double Mean() const noexcept;
 
-  /// Time-weighted second moment -> variance of the signal.
-  double Variance() const noexcept;
-
   double ElapsedTime() const noexcept { return total_time_; }
   double CurrentValue() const noexcept { return value_; }
-
-  /// Restart the window at `now`, keeping the current signal value.
-  /// Used to discard the warm-up transient.
-  void ResetWindow(double now) noexcept;
 
  private:
   void Accumulate(double now) noexcept;
 
   double value_ = 0.0;
   double last_time_ = 0.0;
-  double start_time_ = 0.0;
   double weighted_sum_ = 0.0;
-  double weighted_sq_sum_ = 0.0;
   double total_time_ = 0.0;
   bool has_value_ = false;
 };
@@ -104,31 +90,5 @@ struct ConfidenceInterval {
 
 /// Interval from independent replication means.
 ConfidenceInterval IntervalFromStats(const RunningStats& s, double level = 0.95);
-
-/// Batch-means output analysis for one long, autocorrelated run.
-class BatchMeans {
- public:
-  /// `batch_size` observations per batch.
-  explicit BatchMeans(std::size_t batch_size);
-
-  void Add(double x);
-
-  std::size_t CompleteBatches() const noexcept { return batches_.Count(); }
-  /// Grand mean over complete batches.
-  double Mean() const noexcept { return batches_.Mean(); }
-  /// CI treating batch means as iid.
-  ConfidenceInterval Interval(double level = 0.95) const;
-
-  /// Lag-1 autocorrelation between successive batch means; values near 0
-  /// indicate the batch size is large enough.
-  double BatchLag1Autocorrelation() const noexcept;
-
- private:
-  std::size_t batch_size_;
-  std::size_t in_batch_ = 0;
-  double batch_sum_ = 0.0;
-  RunningStats batches_;
-  std::vector<double> batch_means_;
-};
 
 }  // namespace wsn::util

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -18,13 +17,6 @@ void TextTable::AddRow(std::vector<std::string> cells) {
   Require(cells.size() == headers_.size(),
           "row arity does not match header arity");
   rows_.push_back(std::move(cells));
-}
-
-void TextTable::AddNumericRow(const std::vector<double>& cells, int precision) {
-  std::vector<std::string> formatted;
-  formatted.reserve(cells.size());
-  for (double v : cells) formatted.push_back(FormatFixed(v, precision));
-  AddRow(std::move(formatted));
 }
 
 std::string TextTable::Render() const {
@@ -77,10 +69,6 @@ std::string TextTable::RenderCsv() const {
   emit(headers_);
   for (const auto& row : rows_) emit(row);
   return os.str();
-}
-
-std::ostream& operator<<(std::ostream& os, const TextTable& t) {
-  return os << t.Render();
 }
 
 std::string FormatFixed(double v, int precision) {

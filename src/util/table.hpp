@@ -2,7 +2,6 @@
 // reproduced table and figure prints in a uniform, diff-friendly format.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -16,9 +15,6 @@ class TextTable {
   /// Append a row; must have the same arity as the header.
   void AddRow(std::vector<std::string> cells);
 
-  /// Convenience: format doubles with fixed precision.
-  void AddNumericRow(const std::vector<double>& cells, int precision = 4);
-
   std::size_t Rows() const noexcept { return rows_.size(); }
 
   /// Render with a rule under the header, columns right-padded.
@@ -27,9 +23,6 @@ class TextTable {
   /// Render as CSV (RFC-4180: cells containing commas, quotes or line
   /// breaks are quoted, embedded quotes doubled).
   std::string RenderCsv() const;
-
-  /// Write Render() to `os`.
-  friend std::ostream& operator<<(std::ostream& os, const TextTable& t);
 
  private:
   std::vector<std::string> headers_;

@@ -1,49 +1,15 @@
-// Birth–death closed forms and the M/M/1 / M/M/1/K reference formulas,
-// cross-validated against the generic CTMC solver.
+// The M/M/1 and M/M/1/K reference formulas that other suites use as
+// oracles, cross-validated against the generic CTMC solver.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "markov/birth_death.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/mm1.hpp"
 #include "util/error.hpp"
 
 namespace wsn::markov {
 namespace {
-
-TEST(BirthDeath, TwoStateMatchesDetailedBalance) {
-  const auto pi = BirthDeathStationary({2.0}, {1.0});
-  EXPECT_NEAR(pi[0], 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(pi[1], 2.0 / 3.0, 1e-12);
-}
-
-TEST(BirthDeath, MatchesCtmcSolver) {
-  const std::vector<double> birth{1.0, 2.0, 0.5, 3.0};
-  const std::vector<double> death{2.0, 1.0, 4.0, 0.7};
-  const auto closed = BirthDeathStationary(birth, death);
-
-  Ctmc chain(5);
-  for (std::size_t i = 0; i < 4; ++i) {
-    chain.AddRate(i, i + 1, birth[i]);
-    chain.AddRate(i + 1, i, death[i]);
-  }
-  const auto numeric = chain.StationaryDistribution();
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_NEAR(closed[i], numeric[i], 1e-10);
-  }
-}
-
-TEST(BirthDeath, MeanState) {
-  // Symmetric rates: uniform over {0,1}; mean 0.5.
-  EXPECT_NEAR(BirthDeathMeanState({1.0}, {1.0}), 0.5, 1e-12);
-}
-
-TEST(BirthDeath, RejectsBadInput) {
-  EXPECT_THROW(BirthDeathStationary({1.0}, {1.0, 2.0}),
-               util::InvalidArgument);
-  EXPECT_THROW(BirthDeathStationary({0.0}, {1.0}), util::InvalidArgument);
-}
 
 class Mm1Cases : public ::testing::TestWithParam<double> {};
 

@@ -27,13 +27,8 @@ TEST(Mmpp, ValidatesGenerator) {
                util::InvalidArgument);
 }
 
-TEST(Mmpp, MeanRateMatchesStationaryMixture) {
-  const MmppWorkload w = TwoPhaseBursty();
-  // Symmetric switching: pi = (1/2, 1/2); mean rate 2.55.
-  EXPECT_NEAR(w.MeanRate(), 2.55, 1e-9);
-}
-
 TEST(Mmpp, EmpiricalRateMatchesMeanRate) {
+  // Symmetric switching: pi = (1/2, 1/2); mean rate 2.55.
   MmppWorkload w = TwoPhaseBursty();
   util::Rng rng(11);
   double now = 0.0;

@@ -1,5 +1,5 @@
 // CTMC: stationary solutions against closed forms, transient analysis via
-// uniformization against analytical two-state results, rewards.
+// uniformization against analytical two-state results.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -90,25 +90,6 @@ TEST(Ctmc, TransientAtZeroIsInitial) {
   const auto p = chain.TransientDistribution({0.25, 0.75}, 0.0);
   EXPECT_DOUBLE_EQ(p[0], 0.25);
   EXPECT_DOUBLE_EQ(p[1], 0.75);
-}
-
-TEST(Ctmc, StationaryReward) {
-  Ctmc chain(2);
-  chain.AddRate(0, 1, 1.0);
-  chain.AddRate(1, 0, 1.0);
-  // Uniform stationary; reward (10, 20) -> 15.
-  EXPECT_NEAR(chain.StationaryReward({10.0, 20.0}), 15.0, 1e-10);
-}
-
-TEST(Ctmc, LabelsAndGrowth) {
-  Ctmc chain(0);
-  const auto s0 = chain.AddState("off");
-  const auto s1 = chain.AddState("on");
-  EXPECT_EQ(chain.StateCount(), 2u);
-  EXPECT_EQ(chain.Label(s0), "off");
-  chain.AddRate(s0, s1, 1.0);
-  chain.AddRate(s1, s0, 3.0);
-  EXPECT_NEAR(chain.ExitRate(s1), 3.0, 1e-12);
 }
 
 TEST(Ctmc, InvalidUsageThrows) {

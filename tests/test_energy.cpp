@@ -108,12 +108,5 @@ TEST(Radio, ReceiveIndependentOfDistance) {
   EXPECT_NEAR(r.ReceiveEnergy(1000), 1000 * 50e-9, 1e-15);
 }
 
-TEST(Radio, ListenAndSleepScaleWithTime) {
-  const RadioModel r;
-  EXPECT_NEAR(r.ListenEnergy(10.0), 0.6, 1e-12);  // 60 mW * 10 s
-  EXPECT_GT(r.ListenEnergy(1.0), r.SleepEnergy(1.0));
-  EXPECT_THROW(r.ListenEnergy(-1.0), util::InvalidArgument);
-}
-
 }  // namespace
 }  // namespace wsn::energy

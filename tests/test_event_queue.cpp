@@ -146,7 +146,8 @@ void CheckFireOrder(const DelayLaw& law) {
   }
 
   const std::size_t before = fired.size();
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   ASSERT_EQ(fired.size() - before, ref.size());
   auto expected = ref.begin();
   for (std::size_t k = before; k < fired.size(); ++k, ++expected) {
@@ -237,7 +238,8 @@ TEST(EventSet, EqualTimeFloodsAndInfiniteTimesFireInOrder) {
   }
   EXPECT_EQ(sim.Stats().repartitions, repartitions);
   EXPECT_EQ(sim.PendingEvents(), 1090u);
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(log.fired, log.Expected());
   EXPECT_EQ(sim.Now(), kInf);
 }
@@ -256,7 +258,8 @@ TEST(EventSet, TimesOnBucketBoundariesKeepFifoOrder) {
     log.Schedule(log.sim.Now() + 1.0);
     log.Schedule(log.sim.Now() + 2.0);
   }
-  log.sim.RunToCompletion();
+  while (log.sim.Step()) {
+  }
   EXPECT_EQ(log.fired, log.Expected());
 }
 
@@ -269,7 +272,8 @@ TEST(EventSet, CancelOfIdsNeverHandedOutReturnsFalse) {
   // A slot past the end of the slab.
   EXPECT_FALSE(sim.Cancel(live + 1));
   EXPECT_EQ(sim.PendingEvents(), 1u);
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_TRUE(fired);
 }
 

@@ -44,8 +44,9 @@ TEST(Sweep, MarkovSeriesHasExpectedShape) {
   const MarkovCpuModel markov;
   CpuParams base;
   const auto grid = PaperPdtGrid(6);
+  util::ParallelExecutor serial(1);
   const SweepSeries s = SweepPowerDownThreshold(
-      markov, base, grid, energy::Pxa271(), 1000.0);
+      markov, base, grid, energy::Pxa271(), 1000.0, serial);
 
   ASSERT_EQ(s.points.size(), 6u);
   EXPECT_EQ(s.model_name, "markov");
@@ -63,8 +64,9 @@ TEST(DeltaMetrics, ZeroForIdenticalSeries) {
   const MarkovCpuModel markov;
   CpuParams base;
   const auto grid = PaperPdtGrid(4);
+  util::ParallelExecutor serial(1);
   const SweepSeries s = SweepPowerDownThreshold(
-      markov, base, grid, energy::Pxa271(), 1000.0);
+      markov, base, grid, energy::Pxa271(), 1000.0, serial);
   EXPECT_DOUBLE_EQ(MeanAbsoluteShareDeltaPct(s, s), 0.0);
   EXPECT_DOUBLE_EQ(MeanAbsoluteEnergyDelta(s, s), 0.0);
 }
@@ -77,10 +79,11 @@ TEST(DeltaMetrics, DetectsKnownDifference) {
   CpuParams base;
   base.power_up_delay = 1.0;
   const auto grid = PaperPdtGrid(4);
+  util::ParallelExecutor serial(1);
   const auto sm = SweepPowerDownThreshold(markov, base, grid,
-                                          energy::Pxa271(), 1000.0);
+                                          energy::Pxa271(), 1000.0, serial);
   const auto ss = SweepPowerDownThreshold(stages, base, grid,
-                                          energy::Pxa271(), 1000.0);
+                                          energy::Pxa271(), 1000.0, serial);
   EXPECT_GT(MeanAbsoluteShareDeltaPct(sm, ss), 0.0);
   EXPECT_GT(MeanAbsoluteEnergyDelta(sm, ss), 0.0);
 }
@@ -88,10 +91,11 @@ TEST(DeltaMetrics, DetectsKnownDifference) {
 TEST(DeltaMetrics, MisalignedSeriesRejected) {
   const MarkovCpuModel markov;
   CpuParams base;
+  util::ParallelExecutor serial(1);
   const auto a = SweepPowerDownThreshold(markov, base, PaperPdtGrid(4),
-                                         energy::Pxa271(), 1000.0);
+                                         energy::Pxa271(), 1000.0, serial);
   const auto b = SweepPowerDownThreshold(markov, base, PaperPdtGrid(5),
-                                         energy::Pxa271(), 1000.0);
+                                         energy::Pxa271(), 1000.0, serial);
   EXPECT_THROW(MeanAbsoluteShareDeltaPct(a, b), util::InvalidArgument);
 }
 
@@ -102,9 +106,10 @@ TEST(DeltaTables, FullPipelineOnAnalyticalModels) {
   const StagesMarkovCpuModel stages_fine(12);
   const StagesMarkovCpuModel stages_coarse(1);
   CpuParams base;
+  util::ParallelExecutor serial(1);
   const DeltaTables tables = ComputeDeltaTables(
       stages_fine, markov, stages_coarse, base, {0.001, 1.0},
-      PaperPdtGrid(4), energy::Pxa271(), 1000.0);
+      PaperPdtGrid(4), energy::Pxa271(), 1000.0, serial);
 
   ASSERT_EQ(tables.share_deltas.size(), 2u);
   ASSERT_EQ(tables.energy_deltas.size(), 2u);
@@ -136,9 +141,10 @@ TEST(DeltaTables, OneFanOutMatchesPerSeriesSweeps) {
   const std::vector<double> puds = {0.001, 0.3, 10.0};
   const std::vector<double> grid = PaperPdtGrid(3);
   const energy::PowerStateTable table = energy::Pxa271();
+  util::ParallelExecutor one(1);
   util::ParallelExecutor workers(4);
-  const DeltaTables serial =
-      ComputeDeltaTables(sim, markov, pn, base, puds, grid, table, 1000.0);
+  const DeltaTables serial = ComputeDeltaTables(
+      sim, markov, pn, base, puds, grid, table, 1000.0, one);
   const DeltaTables threaded = ComputeDeltaTables(
       sim, markov, pn, base, puds, grid, table, 1000.0, workers);
 
@@ -146,11 +152,11 @@ TEST(DeltaTables, OneFanOutMatchesPerSeriesSweeps) {
     CpuParams params = base;
     params.power_up_delay = puds[u];
     const SweepSeries s =
-        SweepPowerDownThreshold(sim, params, grid, table, 1000.0);
+        SweepPowerDownThreshold(sim, params, grid, table, 1000.0, one);
     const SweepSeries m =
-        SweepPowerDownThreshold(markov, params, grid, table, 1000.0);
+        SweepPowerDownThreshold(markov, params, grid, table, 1000.0, one);
     const SweepSeries p =
-        SweepPowerDownThreshold(pn, params, grid, table, 1000.0);
+        SweepPowerDownThreshold(pn, params, grid, table, 1000.0, one);
     for (const DeltaTables* got : {&serial, &threaded}) {
       const DeltaRow& shares = got->share_deltas[u];
       EXPECT_EQ(shares.power_up_delay, puds[u]);

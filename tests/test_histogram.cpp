@@ -1,12 +1,10 @@
-// Histogram binning, densities and the chi-square statistic.
+// Histogram binning, edge policies and NaN handling.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "util/distributions.hpp"
 #include "util/error.hpp"
 #include "util/histogram.hpp"
-#include "util/rng.hpp"
 
 namespace wsn::util {
 namespace {
@@ -33,58 +31,9 @@ TEST(Histogram, UnderOverflow) {
   EXPECT_EQ(h.TotalCount(), 3u);
 }
 
-TEST(Histogram, BinEdges) {
+TEST(Histogram, BinWidth) {
   Histogram h(1.0, 3.0, 4);
-  EXPECT_NEAR(h.BinLow(0), 1.0, 1e-12);
-  EXPECT_NEAR(h.BinHigh(0), 1.5, 1e-12);
-  EXPECT_NEAR(h.BinLow(3), 2.5, 1e-12);
   EXPECT_NEAR(h.BinWidth(), 0.5, 1e-12);
-}
-
-TEST(Histogram, DensityIntegratesToOne) {
-  Histogram h(0.0, 1.0, 20);
-  Rng rng(1);
-  for (int i = 0; i < 100000; ++i) h.Add(UniformDouble(rng));
-  double integral = 0.0;
-  for (std::size_t b = 0; b < h.Bins(); ++b) {
-    integral += h.Density(b) * h.BinWidth();
-  }
-  EXPECT_NEAR(integral, 1.0, 1e-9);
-}
-
-TEST(Histogram, ChiSquareSmallForMatchingDistribution) {
-  Histogram h(0.0, 1.0, 10);
-  Rng rng(2);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) h.Add(UniformDouble(rng));
-  const std::vector<double> expected(10, 0.1);
-  // Chi-square with 9 dof: mean 9, sd ~4.24; 40 is far beyond 5 sigma.
-  EXPECT_LT(h.ChiSquare(expected), 40.0);
-}
-
-TEST(Histogram, ChiSquareLargeForMismatchedDistribution) {
-  Histogram h(0.0, 1.0, 10);
-  Rng rng(3);
-  for (int i = 0; i < 100000; ++i) {
-    const double u = UniformDouble(rng);
-    h.Add(u * u);  // skewed toward 0
-  }
-  const std::vector<double> expected(10, 0.1);
-  EXPECT_GT(h.ChiSquare(expected), 1000.0);
-}
-
-TEST(Histogram, ExponentialGoodnessOfFit) {
-  const double rate = 2.0;
-  Histogram h(0.0, 3.0, 12);
-  Rng rng(4);
-  for (int i = 0; i < 200000; ++i) h.Add(SampleExponential(rng, rate));
-  std::vector<double> expected(12);
-  for (std::size_t b = 0; b < 12; ++b) {
-    expected[b] = std::exp(-rate * h.BinLow(b)) - std::exp(-rate * h.BinHigh(b));
-  }
-  // Fold tail mass into last bin as ChiSquare does with overflow.
-  expected.back() += std::exp(-rate * 3.0);
-  EXPECT_LT(h.ChiSquare(expected), 60.0);
 }
 
 TEST(Histogram, RejectsDegenerateConstruction) {
@@ -123,42 +72,6 @@ TEST(Histogram, NanSamplesAreCountedButNeverBinned) {
     EXPECT_EQ(binned, 1u);
     EXPECT_DOUBLE_EQ(h.Sum(), 0.5);  // NaN is excluded from the sum
   }
-}
-
-TEST(Histogram, MergeAddsBinwise) {
-  Histogram a(0.0, 1.0, 4);
-  Histogram b(0.0, 1.0, 4);
-  a.Add(0.1);
-  a.Add(-1.0);
-  b.Add(0.1);
-  b.Add(0.9);
-  b.Add(2.0);
-  b.Add(std::nan(""));
-  a.Merge(b);
-  EXPECT_EQ(a.BinCount(0), 2u);
-  EXPECT_EQ(a.BinCount(3), 1u);
-  EXPECT_EQ(a.Underflow(), 1u);
-  EXPECT_EQ(a.Overflow(), 1u);
-  EXPECT_EQ(a.Nan(), 1u);
-  EXPECT_EQ(a.TotalCount(), 6u);
-  EXPECT_DOUBLE_EQ(a.Sum(), 0.1 - 1.0 + 0.1 + 0.9 + 2.0);
-}
-
-TEST(Histogram, MergeRejectsShapeMismatch) {
-  Histogram a(0.0, 1.0, 4);
-  const Histogram range(0.0, 2.0, 4);
-  const Histogram bins(0.0, 1.0, 8);
-  const Histogram policy(0.0, 1.0, 4, HistogramEdgePolicy::kClamp);
-  EXPECT_THROW(a.Merge(range), InvalidArgument);
-  EXPECT_THROW(a.Merge(bins), InvalidArgument);
-  EXPECT_THROW(a.Merge(policy), InvalidArgument);
-}
-
-TEST(Histogram, RenderProducesOneLinePerBin) {
-  Histogram h(0.0, 1.0, 5);
-  h.Add(0.1);
-  const std::string text = h.Render();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
 }
 
 }  // namespace

@@ -22,9 +22,10 @@ TEST(Integration, PaperPipelineQualitativeConclusions) {
 
   CpuParams base;  // paper Table 2 defaults
   const auto grid = PaperPdtGrid(5);
+  util::ParallelExecutor serial(1);
   const DeltaTables tables =
       ComputeDeltaTables(sim, markov, pn, base, {0.001, 0.3, 10.0}, grid,
-                         energy::Pxa271(), 1000.0);
+                         energy::Pxa271(), 1000.0, serial);
 
   ASSERT_EQ(tables.share_deltas.size(), 3u);
 
@@ -53,8 +54,10 @@ TEST(Integration, Figure4SeriesShapes) {
   CpuParams base;
   base.power_up_delay = 0.001;
   const auto grid = PaperPdtGrid(5);
-  const SweepSeries s =
-      SweepPowerDownThreshold(pn, base, grid, energy::Pxa271(), 1000.0);
+  util::ParallelExecutor serial(1);
+  const SweepSeries s = SweepPowerDownThreshold(pn, base, grid,
+                                                energy::Pxa271(), 1000.0,
+                                                serial);
 
   // Idle rises, standby falls, active ~constant (= rho), powerup small.
   for (std::size_t i = 1; i < s.points.size(); ++i) {
@@ -75,9 +78,10 @@ TEST(Integration, Figure5EnergyMonotoneForAllModels) {
   cfg.replications = 10;
   const auto grid = PaperPdtGrid(4);
   CpuParams base;
+  util::ParallelExecutor serial(1);
   for (const auto& model : MakePaperModels(cfg)) {
     const SweepSeries s = SweepPowerDownThreshold(
-        *model, base, grid, energy::Pxa271(), 1000.0);
+        *model, base, grid, energy::Pxa271(), 1000.0, serial);
     for (std::size_t i = 1; i < s.points.size(); ++i) {
       EXPECT_GT(s.points[i].energy_joules,
                 s.points[i - 1].energy_joules - 0.3)

@@ -1,4 +1,4 @@
-// Iterative stationary solvers: agreement with the dense solver on random
+// Iterative stationary solver: agreement with the dense solver on random
 // ergodic chains, convergence flags, and SOR parameter validation.
 #include <gtest/gtest.h>
 
@@ -42,19 +42,6 @@ TEST_P(IterativeVsDense, GaussSeidelMatchesLu) {
   }
 }
 
-TEST_P(IterativeVsDense, PowerMethodMatchesLu) {
-  const auto [n, density] = GetParam();
-  const Matrix q = RandomGenerator(n, 80 + n, density);
-  const auto exact = StationaryFromGenerator(q);
-  linalg::IterativeOptions opts;
-  opts.tolerance = 1e-14;
-  const auto result = StationaryPowerMethod(CsrMatrix(q), opts);
-  ASSERT_TRUE(result.converged);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(result.solution[i], exact[i], 1e-7);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     ChainShapes, IterativeVsDense,
     ::testing::Combine(::testing::Values<std::size_t>(3, 8, 20, 50),
@@ -93,7 +80,6 @@ TEST(Iterative, RejectsNonSquare) {
   CooBuilder coo(2, 3);
   coo.Add(0, 0, 1.0);
   EXPECT_THROW(StationaryGaussSeidel(CsrMatrix(coo)), util::InvalidArgument);
-  EXPECT_THROW(StationaryPowerMethod(CsrMatrix(coo)), util::InvalidArgument);
 }
 
 }  // namespace

@@ -52,10 +52,10 @@ TEST(JsonNumber, FractionalValuesRoundTrip) {
 TEST(JsonWriter, CompactObjectAndArray) {
   JsonWriter w(0);
   w.BeginObject()
-      .Key("a").Int(1)
-      .Key("b").BeginArray().String("x").Bool(true).Null().EndArray()
+      .Key("a").UInt(1)
+      .Key("b").BeginArray().String("x").Bool(true).EndArray()
       .EndObject();
-  EXPECT_EQ(w.Str(), "{\"a\":1,\"b\":[\"x\",true,null]}");
+  EXPECT_EQ(w.Str(), "{\"a\":1,\"b\":[\"x\",true]}");
 }
 
 TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
@@ -76,7 +76,7 @@ TEST(JsonWriter, EscapesKeysAndValues) {
 
 TEST(JsonWriter, IndentedOutputIsStable) {
   JsonWriter w(2);
-  w.BeginObject().Key("k").BeginArray().Int(1).Int(2).EndArray().EndObject();
+  w.BeginObject().Key("k").BeginArray().UInt(1).UInt(2).EndArray().EndObject();
   EXPECT_EQ(w.Str(), "{\n  \"k\": [\n    1,\n    2\n  ]\n}");
 }
 

@@ -1,5 +1,5 @@
-// LU factorization, linear solve residuals on random systems, determinant,
-// and stationary-vector helpers.
+// LU factorization, linear solve residuals on random systems and the
+// stationary-vector helper.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,14 +23,6 @@ TEST(Lu, SolvesSystemNeedingPivoting) {
   const auto x = SolveDense(a, {2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(Lu, Determinant) {
-  EXPECT_NEAR(LuDecomposition(Matrix{{2.0, 0.0}, {0.0, 3.0}}).Determinant(),
-              6.0, 1e-12);
-  // Swapped rows flip the sign.
-  EXPECT_NEAR(LuDecomposition(Matrix{{0.0, 1.0}, {1.0, 0.0}}).Determinant(),
-              -1.0, 1e-12);
 }
 
 TEST(Lu, SingularThrows) {
@@ -81,14 +73,6 @@ TEST(Stationary, ThreeStateCycle) {
   const Matrix q{{-1.0, 1.0, 0.0}, {0.0, -1.0, 1.0}, {1.0, 0.0, -1.0}};
   const auto pi = StationaryFromGenerator(q);
   for (double p : pi) EXPECT_NEAR(p, 1.0 / 3.0, 1e-12);
-}
-
-TEST(Stationary, StochasticMatrix) {
-  // DTMC: p(0->1)=.5, p(1->0)=.25 => pi ~ (1/3, 2/3).
-  const Matrix p{{0.5, 0.5}, {0.25, 0.75}};
-  const auto pi = StationaryFromStochastic(p);
-  EXPECT_NEAR(pi[0], 1.0 / 3.0, 1e-12);
-  EXPECT_NEAR(pi[1], 2.0 / 3.0, 1e-12);
 }
 
 TEST(Stationary, ProbabilitiesSumToOneAndNonNegative) {

@@ -58,7 +58,7 @@ NetSimConfig ChainConfig() {
 }
 
 TEST(RoutingTable, GreedyChainAndLiveSubset) {
-  RoutingTable table({0.0, 0.0}, 60.0,
+  RoutingTable table({{0.0, 0.0}}, 60.0,
                      {{50.0, 0.0}, {100.0, 0.0}, {150.0, 0.0}});
   EXPECT_EQ(table.NextHop(0), RoutingTable::kSink);
   EXPECT_EQ(table.NextHop(1), 0u);
@@ -76,7 +76,7 @@ TEST(RoutingTable, GreedyChainAndLiveSubset) {
 }
 
 TEST(RoutingTable, StaleChainThroughDeadNodeDisconnects) {
-  RoutingTable table({0.0, 0.0}, 60.0,
+  RoutingTable table({{0.0, 0.0}}, 60.0,
                      {{50.0, 0.0}, {100.0, 0.0}, {150.0, 0.0}});
   // No Recompute: the table still says 2 -> 1 -> 0, but node 1 is dead.
   std::vector<bool> alive{true, false, true};
@@ -112,16 +112,15 @@ TEST(NetSim, ReplicationResultsIndependentOfThreadCount) {
   cfg.horizon_s = 60.0;
   const core::MarkovCpuModel model;
 
-  ReplicationConfig serial;
-  serial.replications = 6;
-  serial.seed = 77;
-  serial.threads = 1;
-  serial.keep_reports = true;
-  ReplicationConfig parallel = serial;
-  parallel.threads = 4;
+  ReplicationConfig rep;
+  rep.replications = 6;
+  rep.seed = 77;
+  rep.keep_reports = true;
+  util::ParallelExecutor serial(1);
+  util::ParallelExecutor parallel(4);
 
-  const ReplicationSummary rs = RunReplications(cfg, model, serial);
-  const ReplicationSummary rp = RunReplications(cfg, model, parallel);
+  const ReplicationSummary rs = RunReplications(cfg, model, rep, serial);
+  const ReplicationSummary rp = RunReplications(cfg, model, rep, parallel);
   ASSERT_EQ(rs.reports.size(), rp.reports.size());
   for (std::size_t r = 0; r < rs.reports.size(); ++r) {
     EXPECT_EQ(rs.reports[r].packets.delivered, rp.reports[r].packets.delivered)
@@ -150,7 +149,9 @@ TEST(NetSim, FirstDeathMatchesAnalyticLifetimeOnChain) {
   ReplicationConfig rep;
   rep.replications = 40;
   rep.seed = 2008;
-  const ReplicationSummary summary = RunReplications(cfg, model, rep);
+  util::ParallelExecutor executor;
+  const ReplicationSummary summary =
+      RunReplications(cfg, model, rep, executor);
 
   ASSERT_EQ(summary.first_death_s.observed, rep.replications)
       << "every replication must reach a first death before the horizon";

@@ -169,7 +169,7 @@ TEST(MultiSinkRouting, NodesRouteTowardTheirNearestSink) {
   // Two nodes, each within direct range of a different sink; with only
   // the origin sink the far node would need a relay it does not have.
   const std::vector<node::Position> positions = {{30.0, 0.0}, {170.0, 0.0}};
-  RoutingTable single({0.0, 0.0}, 40.0, positions);
+  RoutingTable single({{0.0, 0.0}}, 40.0, positions);
   EXPECT_EQ(single.NextHop(0), RoutingTable::kSink);
   EXPECT_EQ(single.NextHop(1), RoutingTable::kNoRoute);
 
@@ -699,16 +699,15 @@ TEST(ClusteredSim, ReplicationsIndependentOfThreadCount) {
   cfg.horizon_s = 150.0;
 
   const core::MarkovCpuModel model;
-  ReplicationConfig serial;
-  serial.replications = 4;
-  serial.seed = 99;
-  serial.threads = 1;
-  serial.keep_reports = true;
-  ReplicationConfig parallel = serial;
-  parallel.threads = 4;
+  ReplicationConfig rep;
+  rep.replications = 4;
+  rep.seed = 99;
+  rep.keep_reports = true;
+  util::ParallelExecutor serial(1);
+  util::ParallelExecutor parallel(4);
 
-  const ReplicationSummary rs = RunReplications(cfg, model, serial);
-  const ReplicationSummary rp = RunReplications(cfg, model, parallel);
+  const ReplicationSummary rs = RunReplications(cfg, model, rep, serial);
+  const ReplicationSummary rp = RunReplications(cfg, model, rep, parallel);
   ASSERT_EQ(rs.reports.size(), rp.reports.size());
   for (std::size_t r = 0; r < rs.reports.size(); ++r) {
     EXPECT_EQ(rs.reports[r].packets.delivered, rp.reports[r].packets.delivered)
@@ -739,10 +738,12 @@ TEST(ClusteredSim, LeachRotationBeatsStaticHeadsOnFirstDeath) {
   ReplicationConfig rep;
   rep.replications = 6;
   rep.seed = 2008;
-  rep.threads = 1;
+  util::ParallelExecutor serial(1);
 
-  const ReplicationSummary leach_sum = RunReplications(leach, model, rep);
-  const ReplicationSummary still_sum = RunReplications(still, model, rep);
+  const ReplicationSummary leach_sum =
+      RunReplications(leach, model, rep, serial);
+  const ReplicationSummary still_sum =
+      RunReplications(still, model, rep, serial);
   ASSERT_EQ(leach_sum.first_death_s.observed, rep.replications);
   ASSERT_EQ(still_sum.first_death_s.observed, rep.replications);
   EXPECT_GT(leach_sum.first_death_s.ci.mean,
@@ -786,7 +787,9 @@ TEST(HeterogeneousSim, FirstDeathMatchesPerNodeAnalyticEstimate) {
   ReplicationConfig rep;
   rep.replications = 32;
   rep.seed = 2008;
-  const ReplicationSummary summary = RunReplications(cfg, model, rep);
+  util::ParallelExecutor executor;
+  const ReplicationSummary summary =
+      RunReplications(cfg, model, rep, executor);
   ASSERT_EQ(summary.first_death_s.observed, rep.replications);
   const util::ConfidenceInterval& ci = summary.first_death_s.ci;
   EXPECT_TRUE(ci.Contains(analytic.network_lifetime_seconds))

@@ -117,8 +117,8 @@ TEST(FaultChurnEquivalence, RecoveryOfIsolatedAndGatewayNodes) {
   // reviving the middle node must exactly restore the original table.
   const std::vector<node::Position> pos{{30.0, 0.0}, {60.0, 0.0},
                                         {90.0, 0.0}};
-  RoutingTable table({0.0, 0.0}, 40.0, pos);
-  const RoutingTable pristine({0.0, 0.0}, 40.0, pos);
+  RoutingTable table({{0.0, 0.0}}, 40.0, pos);
+  const RoutingTable pristine({{0.0, 0.0}}, 40.0, pos);
   std::vector<bool> alive(3, true);
 
   alive[1] = false;
@@ -438,8 +438,9 @@ TEST(FaultSimulator, CascadeReattachmentCountIsPinned) {
     NetSimConfig cfg = CascadeConfig(pin.wakeup_s);
     cfg.obs.metrics = true;
     for (const std::size_t threads : {1, 3}) {
-      rep.threads = threads;
-      const ReplicationSummary summary = RunReplications(cfg, model, rep);
+      util::ParallelExecutor executor(threads);
+      const ReplicationSummary summary =
+          RunReplications(cfg, model, rep, executor);
       EXPECT_EQ(summary.metrics.counters.at("netsim.cluster.reattachments"),
                 pin.reattachments)
           << "LPL " << pin.wakeup_s << " s, " << threads << " threads";
@@ -788,10 +789,10 @@ TEST(FaultReplication, ThreadCountInvariantWithFaults) {
   rep.seed = 2008;
   rep.keep_reports = true;
 
-  rep.threads = 1;
-  const ReplicationSummary serial = RunReplications(cfg, model, rep);
-  rep.threads = 4;
-  const ReplicationSummary parallel = RunReplications(cfg, model, rep);
+  util::ParallelExecutor one(1);
+  const ReplicationSummary serial = RunReplications(cfg, model, rep, one);
+  util::ParallelExecutor four(4);
+  const ReplicationSummary parallel = RunReplications(cfg, model, rep, four);
 
   ASSERT_EQ(serial.reports.size(), parallel.reports.size());
   std::uint64_t total_crashes = 0;

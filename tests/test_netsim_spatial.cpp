@@ -389,10 +389,10 @@ TEST(RoutingEquivalence, IncrementalRepairMatchesFullRecomputeOverKills) {
 TEST(RoutingEquivalence, SingleNodeTable) {
   // N=1 grid-index edge case: in sink range -> kSink, out of range ->
   // kNoRoute, and a death repairs to kNoRoute without touching anyone.
-  RoutingTable near({0.0, 0.0}, 60.0, {{30.0, 0.0}});
+  RoutingTable near({{0.0, 0.0}}, 60.0, {{30.0, 0.0}});
   EXPECT_EQ(near.NextHop(0), RoutingTable::kSink);
 
-  RoutingTable far({0.0, 0.0}, 60.0, {{300.0, 0.0}});
+  RoutingTable far({{0.0, 0.0}}, 60.0, {{300.0, 0.0}});
   EXPECT_EQ(far.NextHop(0), RoutingTable::kNoRoute);
 
   std::vector<bool> alive{false};
@@ -417,7 +417,7 @@ TEST(RoutingEquivalence, MatchesNetworkNextHopAllAlive) {
     net_cfg.sink = {0.0, 0.0};
     net_cfg.max_hop_m = hop;
     const node::Network network(net_cfg, pos);
-    const RoutingTable table(net_cfg.sink, hop, pos);
+    const RoutingTable table({net_cfg.sink}, hop, pos);
 
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t expected = network.NextHop(i);

@@ -48,13 +48,13 @@ TEST(Stopwatch, MergeSumsCallsAndSeconds) {
 
 TEST(MetricsRegistry, HandlesAreStableAndCreateOnFirstUse) {
   MetricsRegistry reg;
-  EXPECT_TRUE(reg.Empty());
+  EXPECT_TRUE(reg.Snapshot().Empty());
   std::uint64_t* c = reg.Counter("a.count");
   *c += 3;
   double* later = reg.Gauge("z.level");  // map insert must not move `c`
   *later = 7.0;
   EXPECT_EQ(reg.Counter("a.count"), c);
-  EXPECT_FALSE(reg.Empty());
+  EXPECT_FALSE(reg.Snapshot().Empty());
 
   const MetricsSnapshot snap = reg.Snapshot();
   EXPECT_EQ(snap.counters.at("a.count"), 3u);
@@ -220,16 +220,16 @@ TEST(NetSimObs, MergedMetricsIndependentOfThreadCount) {
     cfg.obs.metrics = true;
     const core::MarkovCpuModel model;
 
-    netsim::ReplicationConfig serial;
-    serial.replications = 6;
-    serial.seed = 77;
-    serial.threads = 1;
-    netsim::ReplicationConfig parallel = serial;
-    parallel.threads = 4;
+    netsim::ReplicationConfig rep;
+    rep.replications = 6;
+    rep.seed = 77;
+    util::ParallelExecutor serial(1);
+    util::ParallelExecutor parallel(4);
 
-    const netsim::ReplicationSummary rs = RunReplications(cfg, model, serial);
+    const netsim::ReplicationSummary rs =
+        RunReplications(cfg, model, rep, serial);
     const netsim::ReplicationSummary rp =
-        RunReplications(cfg, model, parallel);
+        RunReplications(cfg, model, rep, parallel);
     EXPECT_FALSE(rs.metrics.Empty());
     EXPECT_EQ(rs.metrics.ToJson(2, /*include_timings=*/false),
               rp.metrics.ToJson(2, /*include_timings=*/false));

@@ -156,15 +156,16 @@ TEST(NetSimTrace, ConcatenatedTraceIndependentOfThreadCount) {
   cfg.obs.trace.until_s = 5.0;  // keep the buffers small
   const core::MarkovCpuModel model;
 
-  netsim::ReplicationConfig serial;
-  serial.replications = 4;
-  serial.seed = 11;
-  serial.threads = 1;
-  netsim::ReplicationConfig parallel = serial;
-  parallel.threads = 4;
+  netsim::ReplicationConfig rep;
+  rep.replications = 4;
+  rep.seed = 11;
+  util::ParallelExecutor serial(1);
+  util::ParallelExecutor parallel(4);
 
-  const netsim::ReplicationSummary rs = RunReplications(cfg, model, serial);
-  const netsim::ReplicationSummary rp = RunReplications(cfg, model, parallel);
+  const netsim::ReplicationSummary rs =
+      RunReplications(cfg, model, rep, serial);
+  const netsim::ReplicationSummary rp =
+      RunReplications(cfg, model, rep, parallel);
   ASSERT_FALSE(rs.trace.empty());
   EXPECT_EQ(rs.trace, rp.trace);
   for (std::uint32_t r = 0; r < 4; ++r) {

@@ -52,13 +52,11 @@ TEST(PetriNet, TransitionKindsAndParameters) {
   EXPECT_TRUE(net.GetTransition(exp).delay->IsMemoryless());
   EXPECT_TRUE(net.GetTransition(det).delay->IsDeterministic());
   EXPECT_FALSE(net.AllTimedExponential());
-  EXPECT_TRUE(net.HasDeterministic());
 }
 
 TEST(PetriNet, AllTimedExponentialDetection) {
   PetriNet net = SmallNet();
   EXPECT_TRUE(net.AllTimedExponential());
-  EXPECT_FALSE(net.HasDeterministic());
 }
 
 TEST(PetriNet, ValidationCatchesProblems) {

@@ -30,7 +30,8 @@ TEST(Simulator, EventsFireInTimeOrder) {
   sim.ScheduleAt(3.0, [&] { order.push_back(3); });
   sim.ScheduleAt(1.0, [&] { order.push_back(1); });
   sim.ScheduleAt(2.0, [&] { order.push_back(2); });
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.Now(), 3.0);
 }
@@ -41,7 +42,8 @@ TEST(Simulator, SimultaneousEventsFifo) {
   sim.ScheduleAt(1.0, [&] { order.push_back(1); });
   sim.ScheduleAt(1.0, [&] { order.push_back(2); });
   sim.ScheduleAt(1.0, [&] { order.push_back(3); });
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -51,7 +53,8 @@ TEST(Simulator, ScheduleAfterUsesCurrentTime) {
   sim.ScheduleAt(5.0, [&] {
     sim.ScheduleAfter(2.5, [&] { fired_at = sim.Now(); });
   });
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_DOUBLE_EQ(fired_at, 7.5);
 }
 
@@ -60,7 +63,8 @@ TEST(Simulator, CancelPreventsExecution) {
   bool fired = false;
   const EventId id = sim.ScheduleAt(1.0, [&] { fired = true; });
   EXPECT_TRUE(sim.Cancel(id));
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_FALSE(fired);
   EXPECT_FALSE(sim.Cancel(id));  // already gone
 }
@@ -71,7 +75,8 @@ TEST(Simulator, CancelFromWithinEvent) {
   const EventId victim =
       sim.ScheduleAt(2.0, [&] { second_fired = true; });
   sim.ScheduleAt(1.0, [&] { EXPECT_TRUE(sim.Cancel(victim)); });
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_FALSE(second_fired);
 }
 
@@ -107,7 +112,8 @@ TEST(Simulator, ZeroDelayChainProcessesInOrder) {
       sim.ScheduleAfter(0.0, [&] { order.push_back(3); });
     });
   });
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.Now(), 1.0);
 }
@@ -125,7 +131,8 @@ TEST(Simulator, CountsProcessedEvents) {
   for (int i = 0; i < 25; ++i) {
     sim.ScheduleAt(static_cast<double>(i), [] {});
   }
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(sim.ProcessedEvents(), 25u);
 }
 
@@ -149,7 +156,8 @@ TEST(Simulator, CancelRemovesFarFutureEventsAtOnce) {
     EXPECT_TRUE(sim.Cancel(ids[i]));
   }
   EXPECT_EQ(sim.PendingEvents(), 5u);
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(sim.PendingEvents(), 0u);
   EXPECT_EQ(sim.ProcessedEvents(), 5u);
 }
@@ -160,12 +168,14 @@ TEST(Simulator, CancelOfReservedNullIdIsAlwaysFalse) {
   Simulator sim;
   EXPECT_FALSE(sim.Cancel(0));  // before any slot exists
   sim.ScheduleAt(1.0, [] {});
-  sim.RunToCompletion();        // slot 0 now sits freed on the free list
+  while (sim.Step()) {  // slot 0 then sits freed on the free list
+  }
   EXPECT_FALSE(sim.Cancel(0));
   EXPECT_EQ(sim.PendingEvents(), 0u);
   sim.ScheduleAt(2.0, [] {});   // the recycled slot must still be usable
   EXPECT_EQ(sim.PendingEvents(), 1u);
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(sim.ProcessedEvents(), 2u);
 }
 
@@ -195,7 +205,8 @@ TEST(Simulator, FifoTieBreakSurvivesSlotReuse) {
   const EventId c = sim.ScheduleAt(5.0, [&] { order.push_back(3); });
   EXPECT_EQ(EventSlotOf(c), EventSlotOf(a));  // reused the freed slot
   EXPECT_GT(c, a);                            // but with a later sequence
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_EQ(order, (std::vector<int>{2, 3}));
 }
 
@@ -252,7 +263,8 @@ TEST(Simulator, SlabReuseStressNoStaleCallbackFires) {
     }
     ASSERT_EQ(sim.PendingEvents(), pending.size());
   }
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
 
   std::uint64_t fired = 0, cancelled = 0;
   for (const Cell& cell : cells) {
@@ -304,7 +316,8 @@ TEST(Simulator, OversizeActionSchedulesAndFires) {
   payload[15] = 42.0;
   double seen = 0.0;
   sim.ScheduleAt(1.0, [payload, &seen] { seen = payload[15]; });
-  sim.RunToCompletion();
+  while (sim.Step()) {
+  }
   EXPECT_DOUBLE_EQ(seen, 42.0);
 }
 

@@ -73,7 +73,8 @@ TEST(CsrMatrix, MatvecMatchesDenseOnRandomMatrix) {
   for (auto& xi : x) xi = util::UniformDouble(rng);
 
   const auto yd = dense.Apply(x);
-  const auto ys = csr.Apply(x);
+  std::vector<double> ys;
+  csr.ApplyInto(x, ys);
   const auto ydt = dense.ApplyTransposed(x);
   const auto yst = csr.ApplyTransposed(x);
   for (std::size_t i = 0; i < n; ++i) {
@@ -98,7 +99,8 @@ TEST(CsrMatrix, ApplyDimensionChecked) {
   CooBuilder coo(2, 3);
   coo.Add(0, 0, 1.0);
   const CsrMatrix csr(coo);
-  EXPECT_THROW(csr.Apply({1.0, 2.0}), util::InvalidArgument);
+  std::vector<double> y;
+  EXPECT_THROW(csr.ApplyInto({1.0, 2.0}, y), util::InvalidArgument);
   EXPECT_THROW(csr.ApplyTransposed({1.0, 2.0, 3.0}), util::InvalidArgument);
 }
 

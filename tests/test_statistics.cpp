@@ -1,6 +1,5 @@
-// Statistics: Welford accumulator vs naive formulas, merge correctness,
-// time-weighted integrals, Student-t criticals, CI coverage property and
-// batch means.
+// Statistics: Welford accumulator vs naive formulas, time-weighted
+// integrals, Student-t criticals and the CI coverage property.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -44,33 +43,6 @@ TEST(RunningStats, EmptyAndSingle) {
   EXPECT_EQ(s.StdError(), 0.0);
 }
 
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(1);
-  RunningStats whole, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = UniformDouble(rng) * 10.0 - 5.0;
-    whole.Add(x);
-    (i % 2 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.Count(), whole.Count());
-  EXPECT_NEAR(a.Mean(), whole.Mean(), 1e-10);
-  EXPECT_NEAR(a.Variance(), whole.Variance(), 1e-10);
-  EXPECT_EQ(a.Min(), whole.Min());
-  EXPECT_EQ(a.Max(), whole.Max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.Add(1.0);
-  a.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.Count(), 2u);
-  b.Merge(a);
-  EXPECT_EQ(b.Count(), 2u);
-  EXPECT_NEAR(b.Mean(), 2.0, 1e-12);
-}
-
 TEST(RunningStats, NumericallyStableForLargeOffset) {
   RunningStats s;
   const double offset = 1e9;
@@ -88,31 +60,12 @@ TEST(TimeWeightedStats, PiecewiseConstantSignal) {
   EXPECT_NEAR(tw.ElapsedTime(), 5.0, 1e-12);
 }
 
-TEST(TimeWeightedStats, VarianceOfTwoLevelSignal) {
-  TimeWeightedStats tw(0.0);
-  tw.Update(0.0, 0.0);
-  tw.Update(5.0, 1.0);
-  tw.Finish(10.0);
-  // Signal is 0 half the time, 1 half the time: mean .5, var .25.
-  EXPECT_NEAR(tw.Mean(), 0.5, 1e-12);
-  EXPECT_NEAR(tw.Variance(), 0.25, 1e-12);
-}
-
 TEST(TimeWeightedStats, ZeroDurationUpdatesIgnored) {
   TimeWeightedStats tw(0.0);
   tw.Update(0.0, 5.0);
   tw.Update(0.0, 7.0);  // instantaneous change
   tw.Finish(2.0);
   EXPECT_NEAR(tw.Mean(), 7.0, 1e-12);
-}
-
-TEST(TimeWeightedStats, ResetWindowDiscardsHistory) {
-  TimeWeightedStats tw(0.0);
-  tw.Update(0.0, 100.0);
-  tw.Update(10.0, 1.0);
-  tw.ResetWindow(10.0);  // warm-up discard
-  tw.Finish(20.0);
-  EXPECT_NEAR(tw.Mean(), 1.0, 1e-12);
 }
 
 TEST(StudentT, KnownCriticalValues) {
@@ -146,38 +99,6 @@ TEST(ConfidenceInterval, CoverageNearNominal) {
   // Binomial(600, .95) 5-sigma band.
   EXPECT_GT(coverage, 0.90);
   EXPECT_LE(coverage, 1.0);
-}
-
-TEST(BatchMeans, GrandMeanMatches) {
-  BatchMeans bm(10);
-  double sum = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    bm.Add(static_cast<double>(i));
-    sum += i;
-  }
-  EXPECT_EQ(bm.CompleteBatches(), 10u);
-  EXPECT_NEAR(bm.Mean(), sum / 100.0, 1e-12);
-}
-
-TEST(BatchMeans, IncompleteBatchExcluded) {
-  BatchMeans bm(10);
-  for (int i = 0; i < 15; ++i) bm.Add(1.0);
-  EXPECT_EQ(bm.CompleteBatches(), 1u);
-}
-
-TEST(BatchMeans, IidBatchesHaveLowAutocorrelation) {
-  Rng rng(5);
-  BatchMeans bm(100);
-  for (int i = 0; i < 50000; ++i) bm.Add(UniformDouble(rng));
-  EXPECT_LT(std::abs(bm.BatchLag1Autocorrelation()), 0.15);
-}
-
-TEST(BatchMeans, IntervalShrinksWithMoreData) {
-  Rng rng(6);
-  BatchMeans small(50), large(50);
-  for (int i = 0; i < 1000; ++i) small.Add(UniformDouble(rng));
-  for (int i = 0; i < 40000; ++i) large.Add(UniformDouble(rng));
-  EXPECT_GT(small.Interval().half_width, large.Interval().half_width);
 }
 
 }  // namespace

@@ -30,13 +30,6 @@ TEST(TextTable, RejectsAridityMismatch) {
   EXPECT_THROW(t.AddRow({"only-one"}), InvalidArgument);
 }
 
-TEST(TextTable, NumericRowFormatting) {
-  TextTable t({"x", "y"});
-  t.AddNumericRow(std::vector<double>{1.23456, 2.0}, 2);
-  EXPECT_NE(t.Render().find("1.23"), std::string::npos);
-  EXPECT_EQ(t.Render().find("1.2345"), std::string::npos);
-}
-
 TEST(TextTable, CsvQuotesCommas) {
   TextTable t({"name", "value"});
   t.AddRow({"a,b", "1"});
@@ -192,12 +185,10 @@ TEST(RenderHelp, ListsEveryFlagWithDefault) {
 }
 
 TEST(Logging, LevelThresholding) {
-  const LogLevel old = GetLogLevel();
   SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   LogInfo() << "suppressed";   // must not crash
   LogError() << "emitted";
-  SetLogLevel(old);
+  SetLogLevel(LogLevel::kWarn);  // the default
 }
 
 TEST(Logging, LevelNamesRoundTrip) {
@@ -213,10 +204,9 @@ TEST(Logging, LevelNamesRoundTrip) {
 std::string CaptureLog(const std::function<void()>& emit) {
   std::ostringstream captured;
   std::streambuf* old_buf = std::clog.rdbuf(captured.rdbuf());
-  const LogLevel old_level = GetLogLevel();
   SetLogLevel(LogLevel::kDebug);
   emit();
-  SetLogLevel(old_level);
+  SetLogLevel(LogLevel::kWarn);  // the default
   std::clog.rdbuf(old_buf);
   return captured.str();
 }

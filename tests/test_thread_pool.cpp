@@ -151,9 +151,9 @@ TEST(ParallelExecutor, SerialWhenOneThread) {
             (std::vector<std::size_t>{0, 1, 2}));
 }
 
-TEST(ParallelExecutor, BorrowsAnExternalPool) {
-  ThreadPool pool(3);
-  ParallelExecutor executor(pool);
+TEST(ParallelExecutor, OwnsAPoolOfTheRequestedSize) {
+  ParallelExecutor executor(3);
+  EXPECT_FALSE(executor.Serial());
   EXPECT_EQ(executor.ThreadCount(), 3u);
   std::atomic<int> counter{0};
   executor.RunIndexed(20, [&](std::size_t) { ++counter; });

@@ -1,5 +1,5 @@
 // Transient CPU analysis: initial condition, probability conservation,
-// convergence to the stationary limit, and energy accumulation.
+// convergence to the stationary limit and a short-horizon simulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -66,24 +66,6 @@ TEST(Transient, TrajectoryMatchesPointQueries) {
   EXPECT_DOUBLE_EQ(traj[2].time, 10.0);
 }
 
-TEST(Transient, CumulativeEnergyGrowsAndApproachesStationaryRate) {
-  const auto a = Default();
-  const double e10 = a.CumulativeEnergyJoules(10.0, 17, 192.442, 88, 193);
-  const double e100 = a.CumulativeEnergyJoules(100.0, 17, 192.442, 88, 193);
-  EXPECT_GT(e10, 0.0);
-  EXPECT_GT(e100, e10);
-  // Long-horizon slope ~ stationary average power.
-  const StagesResult limit = a.StationaryLimit();
-  const double stationary_mw = limit.p_standby * 17 +
-                               limit.p_powerup * 192.442 +
-                               limit.p_idle * 88 + limit.p_active * 193;
-  const double slope_mw =
-      (a.CumulativeEnergyJoules(220.0, 17, 192.442, 88, 193) -
-       a.CumulativeEnergyJoules(200.0, 17, 192.442, 88, 193)) /
-      20.0 * 1000.0;
-  EXPECT_NEAR(slope_mw, stationary_mw, 0.05 * stationary_mw);
-}
-
 TEST(Transient, MatchesShortHorizonSimulation) {
   // DES replications measured over [0, 2] s from the same cold start.
   const double horizon = 2.0;
@@ -116,10 +98,6 @@ TEST(Transient, MatchesShortHorizonSimulation) {
 TEST(Transient, DomainChecks) {
   const auto a = Default();
   EXPECT_THROW(a.At(-1.0), util::InvalidArgument);
-  EXPECT_THROW(a.CumulativeEnergyJoules(-1.0, 1, 1, 1, 1),
-               util::InvalidArgument);
-  EXPECT_THROW(a.CumulativeEnergyJoules(1.0, 1, 1, 1, 1, 1),
-               util::InvalidArgument);
 }
 
 }  // namespace

@@ -73,17 +73,6 @@ TEST(TransientSolver, AdvanceToCurrentTimeIsIdentity) {
   EXPECT_DOUBLE_EQ(solver.CurrentTime(), 1.0);
 }
 
-TEST(TransientSolver, ResetRewindsToInitialCondition) {
-  std::size_t standby = 0;
-  const Ctmc chain = PaperChain(&standby);
-  const std::vector<double> p0 = PointMass(chain, standby);
-  TransientSolver solver(chain, p0);
-  solver.AdvanceTo(5.0);
-  solver.Reset();
-  EXPECT_DOUBLE_EQ(solver.CurrentTime(), 0.0);
-  EXPECT_EQ(solver.Current(), p0);
-}
-
 TEST(TransientSolver, ChainWithoutTransitionsIsConstant) {
   Ctmc chain(3);
   TransientSolver solver(chain, {0.25, 0.5, 0.25});
@@ -122,28 +111,6 @@ TEST(TransientTrajectory, UnsortedInputEvaluatedCorrectlyInInputOrder) {
     EXPECT_NEAR(traj[i].p_idle, point.p_idle, 1e-10) << "i=" << i;
     EXPECT_NEAR(traj[i].p_standby, point.p_standby, 1e-10) << "i=" << i;
   }
-}
-
-TEST(TransientTrajectory, CumulativeEnergyMatchesManualTrapezoid) {
-  // The one-pass incremental integral must agree with the same trapezoid
-  // assembled from independent point queries.
-  const TransientCpuAnalysis a(1.0, 10.0, 0.2, 0.1, 4);
-  const double t = 5.0;
-  const std::size_t grid = 32;
-  const double h = t / static_cast<double>(grid - 1);
-  const auto power = [&](double at) {
-    const TransientPoint p = a.At(at);
-    return p.p_standby * 17.0 + p.p_powerup * 192.442 + p.p_idle * 88.0 +
-           p.p_active * 193.0;
-  };
-  double manual = 0.5 * (power(0.0) + power(t));
-  for (std::size_t i = 1; i + 1 < grid; ++i) {
-    manual += power(h * static_cast<double>(i));
-  }
-  manual *= h / 1000.0;
-  const double fast = a.CumulativeEnergyJoules(t, 17.0, 192.442, 88.0,
-                                               193.0, grid);
-  EXPECT_NEAR(fast, manual, 1e-9);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
-// Workload generators: open renewal processes (rate recovery), closed
-// think-time semantics, trace replay and the trace recorder.
+// Open renewal workloads: rate recovery, deterministic inter-arrivals and
+// validation.
 #include <gtest/gtest.h>
 
-#include "des/trace.hpp"
 #include "des/workload.hpp"
 #include "util/error.hpp"
-#include "util/statistics.hpp"
 
 namespace wsn::des {
 namespace {
@@ -23,7 +21,6 @@ TEST(OpenWorkload, PoissonRateRecovered) {
   }
   // n arrivals in `now` seconds: empirical rate ~ 2.
   EXPECT_NEAR(static_cast<double>(n) / now, 2.0, 0.05);
-  EXPECT_TRUE(w->IsOpen());
 }
 
 TEST(OpenWorkload, DeterministicInterarrivals) {
@@ -39,93 +36,8 @@ TEST(OpenWorkload, DescribeMentionsDistribution) {
   EXPECT_NE(w.Describe().find("Exp"), std::string::npos);
 }
 
-TEST(ClosedWorkload, OneJobOutstandingAtATime) {
-  ClosedWorkload w{util::Distribution(util::Deterministic{1.0})};
-  util::Rng rng(1);
-  const auto first = w.NextArrival(0.0, rng);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_DOUBLE_EQ(*first, 1.0);  // thinks 1s before the first job
-  // While the job is outstanding no new arrival is generated.
-  EXPECT_FALSE(w.NextArrival(2.0, rng).has_value());
-  // After completion at t=5 the next job comes one think-time later.
-  w.OnCompletion(5.0);
-  const auto second = w.NextArrival(5.0, rng);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_DOUBLE_EQ(*second, 6.0);
-  EXPECT_FALSE(w.IsOpen());
-}
-
-TEST(ClosedWorkload, ThroughputBoundedByCycleTime) {
-  // With think time 1s and instantaneous queries, at most 1 job/s.
-  ClosedWorkload w{util::Distribution(util::Deterministic{1.0})};
-  util::Rng rng(2);
-  double now = 0.0;
-  int jobs = 0;
-  while (now < 1000.0) {
-    const auto t = w.NextArrival(now, rng);
-    if (!t.has_value()) break;
-    now = *t;
-    ++jobs;
-    w.OnCompletion(now);  // zero service time
-  }
-  EXPECT_NEAR(static_cast<double>(jobs) / now, 1.0, 0.01);
-}
-
-TEST(TraceWorkload, ReplaysInOrder) {
-  TraceWorkload w({1.0, 2.5, 7.0});
-  util::Rng rng(1);
-  EXPECT_DOUBLE_EQ(*w.NextArrival(0.0, rng), 1.0);
-  EXPECT_DOUBLE_EQ(*w.NextArrival(1.0, rng), 2.5);
-  EXPECT_DOUBLE_EQ(*w.NextArrival(2.5, rng), 7.0);
-  EXPECT_FALSE(w.NextArrival(7.0, rng).has_value());
-}
-
-TEST(TraceWorkload, SkipsPastArrivals) {
-  TraceWorkload w({1.0, 2.0, 3.0});
-  util::Rng rng(1);
-  EXPECT_DOUBLE_EQ(*w.NextArrival(2.5, rng), 3.0);
-}
-
-TEST(TraceWorkload, RejectsUnsortedTrace) {
-  EXPECT_THROW(TraceWorkload({2.0, 1.0}), util::InvalidArgument);
-  EXPECT_THROW(TraceWorkload({-1.0, 1.0}), util::InvalidArgument);
-}
-
 TEST(MakePoissonWorkload, RejectsNonPositiveRate) {
   EXPECT_THROW(MakePoissonWorkload(0.0), util::InvalidArgument);
-}
-
-TEST(StateTrace, RecordsAndCollapsesDuplicates) {
-  StateTrace trace;
-  trace.Record(0.0, "a");
-  trace.Record(1.0, "a");  // duplicate state: collapsed
-  trace.Record(2.0, "b");
-  EXPECT_EQ(trace.Size(), 2u);
-  EXPECT_EQ(trace.Entries()[1].state, "b");
-}
-
-TEST(StateTrace, TimeInState) {
-  StateTrace trace;
-  trace.Record(0.0, "a");
-  trace.Record(3.0, "b");
-  trace.Record(5.0, "a");
-  EXPECT_DOUBLE_EQ(trace.TimeIn("a", 10.0), 3.0 + 5.0);
-  EXPECT_DOUBLE_EQ(trace.TimeIn("b", 10.0), 2.0);
-  EXPECT_DOUBLE_EQ(trace.TimeIn("a", 2.0), 2.0);  // clipped horizon
-}
-
-TEST(StateTrace, RejectsTimeTravel) {
-  StateTrace trace;
-  trace.Record(5.0, "a");
-  EXPECT_THROW(trace.Record(4.0, "b"), util::InvalidArgument);
-}
-
-TEST(StateTrace, RenderShowsTransitions) {
-  StateTrace trace;
-  trace.Record(0.0, "x");
-  trace.Record(1.5, "y");
-  EXPECT_NE(trace.Render().find("x"), std::string::npos);
-  EXPECT_NE(trace.Render().find("->"), std::string::npos);
 }
 
 }  // namespace
