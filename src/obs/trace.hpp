@@ -1,10 +1,10 @@
 /// \file
 /// Opt-in structured packet-lifecycle trace sink: every accepted event
 /// becomes one JSONL line with simulated time, node, event kind and
-/// optional packet identity / drop cause.  Filtering by node set and time window
-/// keeps traces of large runs tractable, and a hard line cap bounds
-/// memory; when the cap trips the sink flags truncation instead of
-/// growing without bound.
+/// optional packet identity / drop cause.  Filtering by node set and
+/// time window keeps traces of large runs tractable, and a hard line cap
+/// bounds memory; when the cap trips the sink flags truncation instead
+/// of growing without bound.
 ///
 /// Determinism: each replication owns one sink (no sharing across
 /// threads) and stamps its replication index into every line; the

@@ -39,10 +39,8 @@ class Histogram {
   /// NaN samples seen (counted in TotalCount, never binned).
   std::size_t Nan() const noexcept { return nan_; }
   std::size_t Bins() const noexcept { return counts_.size(); }
-  double BinWidth() const noexcept { return width_; }
   double Low() const noexcept { return low_; }
   double High() const noexcept { return high_; }
-  HistogramEdgePolicy Policy() const noexcept { return policy_; }
 
   /// Sum of every finite sample added (including out-of-range ones) —
   /// lets consumers report a mean next to the bucketed shape.

@@ -31,11 +31,6 @@ TEST(Histogram, UnderOverflow) {
   EXPECT_EQ(h.TotalCount(), 3u);
 }
 
-TEST(Histogram, BinWidth) {
-  Histogram h(1.0, 3.0, 4);
-  EXPECT_NEAR(h.BinWidth(), 0.5, 1e-12);
-}
-
 TEST(Histogram, RejectsDegenerateConstruction) {
   EXPECT_THROW(Histogram(0.0, 0.0, 4), InvalidArgument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), InvalidArgument);

@@ -18,7 +18,7 @@ Prints one function per line and exits 1 when any is left, or when an
 allow entry has no reason or matches nothing left to allow.  Prints
 nothing and exits 0 otherwise.
 
-Usage: tools/dead_code.py [--build-dir DIR] [--jobs N]
+Usage: tools/dead_code.py [--build-dir DIR]
 """
 import argparse
 import os
@@ -44,13 +44,13 @@ def run(cmd):
         sys.exit(f"command failed: {' '.join(cmd)}")
 
 
-def build(source, build_dir, targets, jobs, extra=()):
+def build(source, build_dir, targets, extra=()):
     run(["cmake", "-S", str(source), "-B", str(build_dir),
          "-DCMAKE_BUILD_TYPE=Debug", "-DCMAKE_CXX_FLAGS_DEBUG=-O0",
          "-DCMAKE_CXX_FLAGS=-ffunction-sections",
          "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections", *extra])
-    run(["cmake", "--build", str(build_dir), "-j", str(jobs), "--target",
-         *targets])
+    run(["cmake", "--build", str(build_dir), "-j", str(os.cpu_count() or 1),
+         "--target", *targets])
 
 
 def library_objects(build_dir):
@@ -107,13 +107,11 @@ def allowed(name, entry):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default=str(ROOT / ".dead_code_build"))
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
     build_dir = pathlib.Path(args.build_dir).resolve()
 
-    build(ROOT, build_dir / "main", MAIN_PROGRAMS, args.jobs,
-          ("-DBUILD_TESTING=OFF",))
-    build(ROOT / "wsnbench", build_dir / "wsnbench", ("wsnbench",), args.jobs)
+    build(ROOT, build_dir / "main", MAIN_PROGRAMS, ("-DBUILD_TESTING=OFF",))
+    build(ROOT / "wsnbench", build_dir / "wsnbench", ("wsnbench",))
     programs = [build_dir / "main" / name for name in MAIN_PROGRAMS]
     programs.append(build_dir / "wsnbench" / "wsnbench")
 
