@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "des/bursty_workload.hpp"
 #include "des/cpu_model.hpp"
 #include "markov/mm1.hpp"
 #include "util/error.hpp"
@@ -110,6 +111,30 @@ TEST(CpuModel, ArrivalDuringIdleCancelsPowerDown) {
   EXPECT_NEAR(r.time_standby, 1.2, 1e-9);
 }
 
+// An arrival due at the instant the power-down timer expires.  Events
+// due at one instant fire in the order they were scheduled: the arrival
+// at 2 s was scheduled at 1 s, the power-down at 1.75 s, so the arrival
+// finds the CPU idle and is served at once.  Firing the power-down first
+// would read standby 2.0 s and power-up 1.0 s.
+TEST(CpuModel, ArrivalTiedWithPowerDownFiresFirst) {
+  CpuModelConfig cfg;
+  cfg.service_distribution = util::Distribution(util::Deterministic{0.25});
+  cfg.power_down_threshold = 0.25;
+  cfg.power_up_delay = 0.5;
+  cfg.sim_time = 4.0;
+  CpuSimulation sim(cfg, 1,
+                    std::make_unique<TraceWorkload>(
+                        std::vector<double>{1.0, 2.0}));
+  const CpuRunResult r = sim.Run();
+  // standby [0,1) u [2.5,4]; powerup [1,1.5); active [1.5,1.75) u
+  // [2,2.25); idle [1.75,2) u [2.25,2.5).
+  EXPECT_DOUBLE_EQ(r.time_standby, 2.5);
+  EXPECT_DOUBLE_EQ(r.time_powerup, 0.5);
+  EXPECT_DOUBLE_EQ(r.time_idle, 0.5);
+  EXPECT_DOUBLE_EQ(r.time_active, 0.5);
+  EXPECT_EQ(r.jobs_completed, 2u);
+}
+
 TEST(CpuModel, HugeThresholdBehavesLikeMm1) {
   CpuModelConfig cfg;
   cfg.arrival_rate = 1.0;
@@ -205,9 +230,9 @@ TEST(CpuModel, RejectsBadConfig) {
 
 // ---------------------------------------------------------------------------
 // Bit-exact pins.  Each expectation below was captured from the engine
-// before its closed-loop branches were removed; any change to the event
-// order, to the RNG draw order or to the order in which occupancy and
-// statistics accumulate moves these bits.
+// while it ran on the general event kernel (des::Simulator); any change to
+// the event order, to the RNG draw order or to the order in which
+// occupancy and statistics accumulate moves these bits.
 
 std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -293,6 +318,30 @@ TEST(CpuSimulationPin, LongDelayWithWarmup) {
                 0x40154529e37671e9ULL, 0x4027f25e975aff31ULL,
                 0x3f3d903e76d00000ULL, 0x4024659d84e863e0ULL,
                 0x4013c12a75c6d44aULL, 0x407f400000000000ULL,
+                0x0000000000000000ULL}));
+}
+
+// A batch's members arrive at one instant.  With D = 0 the power-up the
+// first member starts is due at that instant too; it was scheduled before
+// the next member, so it fires first and the service draw precedes the
+// next batch's interarrival draw.  Firing the member first moves every
+// share.
+TEST(CpuSimulationPin, ZeroDelayPowerUpBeforeCoArrival) {
+  CpuModelConfig cfg;
+  cfg.power_down_threshold = 0.1;
+  cfg.power_up_delay = 0.0;
+  cfg.sim_time = 200.0;
+  CpuSimulation sim(cfg, 7,
+                    std::make_unique<BatchRenewalWorkload>(
+                        util::Distribution(util::Exponential{0.5}), 4));
+  EXPECT_EQ(Fields(sim.Run()),
+            (std::vector<std::uint64_t>{
+                0x4063b98f063b6c98ULL, 0x0000000000000000ULL,
+                0x401d2d2a84526d89ULL, 0x4041741e9687ffedULL,
+                0x4069000000000000ULL, 356, 356, 356,
+                0x3fd23a5063952d56ULL, 0x3fa6df11a540d7f7ULL,
+                0x3f4e05d3a45c0000ULL, 0x3feec0c8461caf00ULL,
+                0x3fe03904fc77f7b6ULL, 0x4069000000000000ULL,
                 0x0000000000000000ULL}));
 }
 
