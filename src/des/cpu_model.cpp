@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
+#include <optional>
 
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -25,7 +27,13 @@ double CpuRunResult::FractionActive() const noexcept {
 
 namespace {
 
-/// The actual event-driven state machine for one replication.
+constexpr double kNever = std::numeric_limits<double>::infinity();
+
+/// The state machine for one replication, on two timers: the next arrival
+/// and the CPU timer, whose meaning is the power state.  Equal times fire
+/// in arming order, as in des::Simulator.  Both ties occur (a zero-delay
+/// power-up and the next member of its batch; a trace arrival on the
+/// instant of a power-down), and breaking them otherwise moves outputs.
 class Engine {
  public:
   Engine(const CpuModelConfig& config, std::uint64_t seed,
@@ -47,18 +55,40 @@ class Engine {
   }
 
   CpuRunResult Run() {
-    EnterState(PowerState::kStandby);
-    result_.jobs_in_system.Update(0.0, 0.0);
-    ScheduleNextArrival();
-    sim_.RunUntil(config_.sim_time);
-    CloseOccupancy(config_.sim_time);
-    result_.jobs_in_system.Finish(config_.sim_time);
-    result_.observed_time = config_.sim_time - config_.warmup_time;
+    const double horizon = config_.sim_time;
+    CountJobs();
+    ArmArrival();
+    // Events due exactly at the horizon still fire.
+    for (;;) {
+      const bool arrival =
+          arrival_.time < cpu_.time ||
+          (arrival_.time == cpu_.time && arrival_.seq < cpu_.seq);
+      Timer& next = arrival ? arrival_ : cpu_;
+      if (next.time > horizon) break;
+      now_ = next.time;
+      next.time = kNever;
+      if (arrival) {
+        OnArrival();
+      } else {
+        OnCpuTimer();
+      }
+    }
+    AddOccupancy(state_since_, horizon, state_);
+    result_.jobs_in_system.Finish(horizon);
+    result_.observed_time = horizon - config_.warmup_time;
     return std::move(result_);
   }
 
  private:
-  // --- occupancy accounting -------------------------------------------
+  /// A pending event: its due time (kNever when disarmed) and its
+  /// schedule number, which breaks ties between equal times.
+  struct Timer {
+    double time = kNever;
+    std::uint64_t seq = 0;
+  };
+
+  void Arm(Timer& timer, double time) { timer = {time, next_seq_++}; }
+
   void AddOccupancy(double from, double to, PowerState s) {
     const double lo = std::max(from, config_.warmup_time);
     const double hi = std::min(to, config_.sim_time);
@@ -73,109 +103,86 @@ class Engine {
   }
 
   void EnterState(PowerState s) {
-    const double now = sim_.Now();
-    if (has_state_) AddOccupancy(state_since_, now, state_);
+    AddOccupancy(state_since_, now_, state_);
     state_ = s;
-    state_since_ = now;
-    has_state_ = true;
+    state_since_ = now_;
   }
 
-  void CloseOccupancy(double horizon) {
-    if (has_state_) AddOccupancy(state_since_, horizon, state_);
-    state_since_ = horizon;
+  void CountJobs() {
+    result_.jobs_in_system.Update(now_, static_cast<double>(queue_.size()));
   }
 
-  // --- workload --------------------------------------------------------
-  void ScheduleNextArrival() {
-    const auto t = workload_->NextArrival(sim_.Now(), rng_);
-    if (!t.has_value()) return;
-    if (*t > config_.sim_time) {
-      // Still schedule it so RunUntil stops at the horizon naturally;
-      // the kernel never fires events beyond the horizon.
-      return;
-    }
-    sim_.ScheduleAt(*t, [this] { OnArrival(); });
+  void ArmArrival() {
+    const std::optional<double> t = workload_->NextArrival(now_, rng_);
+    // An arrival past the horizon would never fire.
+    if (!t.has_value() || *t > config_.sim_time) return;
+    Require(*t >= now_, "cannot schedule into the past");
+    Arm(arrival_, *t);
   }
 
-  // --- event handlers ---------------------------------------------------
   void OnArrival() {
-    const double now = sim_.Now();
     ++result_.jobs_arrived;
-    queue_.push_back(now);
-    result_.jobs_in_system.Update(now, static_cast<double>(queue_.size()));
+    queue_.push_back(now_);
+    CountJobs();
 
     switch (state_) {
       case PowerState::kStandby:
         EnterState(PowerState::kPowerUp);
-        sim_.ScheduleAfter(config_.power_up_delay,
-                           [this] { OnPowerUpComplete(); });
+        Arm(cpu_, now_ + config_.power_up_delay);
         break;
       case PowerState::kIdle:
-        if (powerdown_event_.has_value()) {
-          sim_.Cancel(*powerdown_event_);
-          powerdown_event_.reset();
-        }
-        StartService();
+        StartService();  // the service timer replaces the power-down
         break;
       case PowerState::kPowerUp:
       case PowerState::kActive:
         break;  // job waits in the buffer
     }
-    ScheduleNextArrival();
+    ArmArrival();
   }
 
-  void OnPowerUpComplete() {
-    // Jobs only accumulate during power-up, so the buffer is non-empty.
-    if (queue_.empty()) {
-      BecomeIdle();
-      return;
+  void OnCpuTimer() {
+    switch (state_) {
+      case PowerState::kPowerUp:  // done; the job that woke the CPU waits
+        StartService();
+        break;
+      case PowerState::kActive: CompleteService(); break;
+      case PowerState::kIdle: EnterState(PowerState::kStandby); break;
+      case PowerState::kStandby: break;  // never armed
     }
-    StartService();
   }
 
   void StartService() {
     EnterState(PowerState::kActive);
-    const double duration = service_.Sample(rng_);
-    sim_.ScheduleAfter(duration, [this] { OnServiceComplete(); });
+    Arm(cpu_, now_ + service_.Sample(rng_));
   }
 
-  void OnServiceComplete() {
-    const double now = sim_.Now();
+  void CompleteService() {
     const double admitted = queue_.front();
     queue_.pop_front();
     ++result_.jobs_completed;
-    if (now >= config_.warmup_time) result_.latency.Add(now - admitted);
-    result_.jobs_in_system.Update(now, static_cast<double>(queue_.size()));
+    if (now_ >= config_.warmup_time) result_.latency.Add(now_ - admitted);
+    CountJobs();
 
     if (!queue_.empty()) {
       StartService();
     } else {
-      BecomeIdle();
+      EnterState(PowerState::kIdle);
+      Arm(cpu_, now_ + config_.power_down_threshold);
     }
-  }
-
-  void BecomeIdle() {
-    EnterState(PowerState::kIdle);
-    powerdown_event_ = sim_.ScheduleAfter(config_.power_down_threshold,
-                                          [this] { OnPowerDown(); });
-  }
-
-  void OnPowerDown() {
-    powerdown_event_.reset();
-    EnterState(PowerState::kStandby);
   }
 
   const CpuModelConfig& config_;
   util::Rng rng_;
   Workload* workload_;
-  Simulator sim_;
   util::Distribution service_;
 
+  double now_ = 0.0;
+  Timer arrival_;
+  Timer cpu_;
+  std::uint64_t next_seq_ = 0;
   PowerState state_ = PowerState::kStandby;
   double state_since_ = 0.0;
-  bool has_state_ = false;
   std::deque<double> queue_;  // arrival times of jobs in system (FCFS)
-  std::optional<EventId> powerdown_event_;
   CpuRunResult result_;
 };
 
@@ -184,14 +191,11 @@ class Engine {
 CpuSimulation::CpuSimulation(CpuModelConfig config, std::uint64_t seed,
                              std::unique_ptr<Workload> workload)
     : config_(std::move(config)), seed_(seed), workload_(std::move(workload)) {
-  if (!workload_) {
-    workload_ = MakePoissonWorkload(config_.arrival_rate);
-  }
+  if (!workload_) workload_ = MakePoissonWorkload(config_.arrival_rate);
 }
 
 CpuRunResult CpuSimulation::Run() {
-  Engine engine(config_, seed_, workload_.get());
-  return engine.Run();
+  return Engine(config_, seed_, workload_.get()).Run();
 }
 
 CpuEnsembleResult RunCpuEnsemble(const CpuModelConfig& config,
@@ -202,16 +206,11 @@ CpuEnsembleResult RunCpuEnsemble(const CpuModelConfig& config,
   std::vector<CpuRunResult> results(replications);
   util::Rng base(seed);
   std::vector<std::uint64_t> seeds(replications);
-  for (std::size_t r = 0; r < replications; ++r) {
-    // Derive per-replication seeds from independent draws of the base
-    // generator; each replication then owns its own Xoshiro instance.
-    seeds[r] = base();
-  }
+  for (std::uint64_t& s : seeds) s = base();  // successive draws
   util::ParallelFor(
       replications,
       [&](std::size_t r) {
-        CpuSimulation sim(config, seeds[r]);
-        results[r] = sim.Run();
+        results[r] = CpuSimulation(config, seeds[r]).Run();
       },
       threads);
 

@@ -8,13 +8,20 @@
 //   * an arrival during STANDBY starts a deterministic Power Up Delay D
 //     (POWERUP); service begins only after power-up completes;
 //   * arrivals during POWERUP/ACTIVE simply queue.
+//
+// Engine: the model never has more than two events pending, the next
+// arrival and one CPU timer whose meaning is the power state (power-up
+// done, service done or power-down; none in STANDBY).  A replication
+// keeps these two timers itself rather than running on the general event
+// kernel (des::Simulator), and fires them in the kernel's order: earlier
+// time first, equal times in the order they were armed.  Events due
+// exactly at the horizon fire.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 
-#include "des/simulator.hpp"
 #include "des/workload.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -69,14 +76,14 @@ class CpuSimulation {
   CpuRunResult Run();
 
  private:
-  class Impl;
   CpuModelConfig config_;
   std::uint64_t seed_;
   std::unique_ptr<Workload> workload_;
 };
 
-/// Run `replications` independent replications (seeds derived from `seed`
-/// via RNG stream jumps), optionally in parallel, and aggregate.
+/// Run `replications` independent replications, optionally in parallel,
+/// and aggregate.  Replication r is seeded with the r-th successive draw
+/// of one generator seeded with `seed`.
 struct CpuEnsembleResult {
   util::RunningStats standby;
   util::RunningStats powerup;
