@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "petri/enabling.hpp"
 #include "util/error.hpp"
@@ -36,23 +37,28 @@ std::vector<TransitionId> PrepareRun(const PetriNet& net,
 }
 
 /// The tangible markings one replication has met.  Each keeps its
-/// enabled timed transitions and, per timed transition, the vanishing
-/// chain that followed its firing there, if that chain drew no number:
-/// such a chain is a function of the marking and the transition, so the
-/// token game replays it instead of walking it again.  Markings sit in one flat
-/// array (one row of PlaceCount() tokens each) behind an open-addressing
-/// index that hashes a row in place.
+/// enabled timed transitions, the places that hold tokens and, per timed
+/// transition, the vanishing chain that followed its firing there, if
+/// that chain drew no number: such a chain is a function of the marking
+/// and the transition, so the token game replays it, with the schedule
+/// refresh it needs, instead of walking it again.  Markings sit in one
+/// flat array (one row of PlaceCount() tokens each) behind an
+/// open-addressing index that hashes a row in place.
 class ChainCache {
  public:
   static constexpr std::uint32_t kNone =
       std::numeric_limits<std::uint32_t>::max();
 
   /// What firing a timed transition from a marking led to: the tangible
-  /// target and the immediates fired on the way, in order.
+  /// target, the immediates fired on the way, in order, and the timed
+  /// entries whose timers the target changes.
   struct Chain {
     std::uint32_t target = kNone;  ///< kNone = not recorded
+    std::uint32_t deschedule = 0;  ///< entries of Deschedule()
+    std::uint32_t sample = 0;      ///< entries of Sample()
     std::size_t first = 0;         ///< offset into Fired()
     std::size_t count = 0;
+    std::size_t refresh = 0;       ///< offset into the refresh pool
   };
 
   ChainCache(const PetriNet& net, const std::vector<TransitionId>& timed)
@@ -68,6 +74,10 @@ class ChainCache {
     const std::uint32_t index = count_++;
     slots_[slot] = index;
     tokens_.insert(tokens_.end(), m.begin(), m.end());
+    for (std::uint32_t p = 0; p < places_; ++p) {
+      if (m[p] != 0) occupied_.push_back(p);
+    }
+    occupied_end_.push_back(static_cast<std::uint32_t>(occupied_.size()));
     for (const TransitionId t : timed_) {
       enabled_.push_back(IsEnabled(net_, t, m) ? 1 : 0);
     }
@@ -102,9 +112,28 @@ class ChainCache {
   const TransitionId* Fired(const Chain& c) const {
     return fired_.data() + c.first;
   }
+  /// Places of marking i that hold tokens, ascending.
+  std::span<const std::uint32_t> Occupied(std::uint32_t i) const {
+    const std::uint32_t begin = i == 0 ? 0 : occupied_end_[i - 1];
+    return {occupied_.data() + begin, occupied_end_[i] - begin};
+  }
+  /// Timed entries a replay of `c` deschedules: those disabled at the
+  /// target.
+  std::span<const std::uint32_t> Deschedule(const Chain& c) const {
+    return {refresh_.data() + c.refresh, c.deschedule};
+  }
+  /// Timed entries a replay of `c` samples, ascending: those enabled at
+  /// the target that either fired or were disabled at the source.
+  std::span<const std::uint32_t> Sample(const Chain& c) const {
+    return {refresh_.data() + c.refresh + c.deschedule, c.sample};
+  }
 
   /// Record that firing timed_[k] from marking `from` led, through the
-  /// immediates in `walked`, to marking `to`.
+  /// immediates in `walked`, to marking `to`.  After every schedule
+  /// refresh an entry is scheduled iff it is enabled (every draw is
+  /// finite), so before the refresh that follows this firing the entries
+  /// without a timer are k and those disabled at `from`: the refresh
+  /// RefreshSchedule makes at `to` is Deschedule() then Sample().
   void Record(std::uint32_t from, std::size_t k, std::uint32_t to,
               const std::vector<TransitionId>& walked) {
     Chain& c = chains_[std::size_t{from} * timed_.size() + k];
@@ -112,6 +141,18 @@ class ChainCache {
     c.first = fired_.size();
     c.count = walked.size();
     fired_.insert(fired_.end(), walked.begin(), walked.end());
+    const std::uint8_t* was = Enabled(from);
+    const std::uint8_t* is = Enabled(to);
+    c.refresh = refresh_.size();
+    for (std::uint32_t j = 0; j < timed_.size(); ++j) {
+      if (is[j] == 0) refresh_.push_back(j);
+    }
+    c.deschedule = static_cast<std::uint32_t>(refresh_.size() - c.refresh);
+    for (std::uint32_t j = 0; j < timed_.size(); ++j) {
+      if (is[j] != 0 && (j == k || was[j] == 0)) refresh_.push_back(j);
+    }
+    c.sample = static_cast<std::uint32_t>(refresh_.size() - c.refresh -
+                                          c.deschedule);
   }
 
   std::uint32_t Markings() const { return count_; }
@@ -147,9 +188,12 @@ class ChainCache {
   std::size_t places_;
   std::vector<std::uint32_t> slots_;      ///< marking index or kNone
   std::vector<std::uint32_t> tokens_;     ///< stride places_
+  std::vector<std::uint32_t> occupied_;   ///< places holding tokens
+  std::vector<std::uint32_t> occupied_end_;  ///< per marking, into occupied_
   std::vector<std::uint8_t> enabled_;     ///< stride timed_.size()
   std::vector<Chain> chains_;             ///< stride timed_.size()
   std::vector<TransitionId> fired_;       ///< immediates of every chain
+  std::vector<std::uint32_t> refresh_;    ///< timed entries of every chain
   std::uint32_t count_ = 0;
   std::uint64_t timed_firings_ = 0;
   std::uint64_t next_check_ = kFirstCheck;
@@ -193,25 +237,24 @@ class TokenGame {
       std::size_t next = timed_.size();
       double next_time = kUnscheduled;
       for (std::size_t k = 0; k < timed_.size(); ++k) {
-        if (fire_at[k] < next_time) {
-          next_time = fire_at[k];
-          next = k;
-        }
+        const bool earlier = fire_at[k] < next_time;
+        next_time = earlier ? fire_at[k] : next_time;
+        next = earlier ? k : next;
       }
       if (next == timed_.size()) {
         // Dead tangible marking: nothing can ever fire again.
         result.deadlocked = true;
-        AccumulateTokens(m, now, config_.horizon, result);
+        AccumulateTokens(at, m, now, config_.horizon, result);
         now = config_.horizon;
         break;
       }
       if (next_time > config_.horizon) {
-        AccumulateTokens(m, now, config_.horizon, result);
+        AccumulateTokens(at, m, now, config_.horizon, result);
         now = config_.horizon;
         break;
       }
 
-      AccumulateTokens(m, now, next_time, result);
+      AccumulateTokens(at, m, now, next_time, result);
       now = next_time;
       const TransitionId t = timed_[next];
       CountFiring(t, now, result);
@@ -220,22 +263,30 @@ class TokenGame {
       const ChainCache::Chain* chain =
           at == ChainCache::kNone ? nullptr : &cache_.ChainAt(at, next);
       if (chain != nullptr && chain->target != ChainCache::kNone) {
-        // Replay: the same counts at the same instant as the walk.
+        // Replay: the same counts at the same instant as the walk, and
+        // the same schedule refresh, draws in ascending order.
         const TransitionId* fired = cache_.Fired(*chain);
         for (std::size_t i = 0; i < chain->count; ++i) {
           CountFiring(fired[i], now, result);
         }
         at = chain->target;
         std::copy_n(cache_.Tokens(at), np, m.begin());
-        ++result.replayed_firings;
-      } else {
-        FireInPlace(net_, t, m);
-        const bool drew = ResolveVanishing(m, now, result);
-        const std::uint32_t from = at;
-        at = cache_.Intern(m);
-        if (!drew && from != ChainCache::kNone && at != ChainCache::kNone) {
-          cache_.Record(from, next, at, walked_);
+        for (const std::uint32_t k : cache_.Deschedule(*chain)) {
+          fire_at[k] = kUnscheduled;
         }
+        for (const std::uint32_t k : cache_.Sample(*chain)) {
+          fire_at[k] = now + SampleDelay(k);
+        }
+        ++result.replayed_firings;
+        if (!cache_.KeepCaching()) at = ChainCache::kNone;
+        continue;
+      }
+      FireInPlace(net_, t, m);
+      const bool drew = ResolveVanishing(m, now, result);
+      const std::uint32_t from = at;
+      at = cache_.Intern(m);
+      if (!drew && from != ChainCache::kNone && at != ChainCache::kNone) {
+        cache_.Record(from, next, at, walked_);
       }
       if (!cache_.KeepCaching()) at = ChainCache::kNone;
       RefreshSchedule(at, m, now, fire_at);
@@ -263,15 +314,28 @@ class TokenGame {
     }
   }
 
-  void AccumulateTokens(const Marking& m, double from, double to,
-                        SimulationResult& result) const {
+  /// Adds m's token time over [from, to] inside the window.  When m is
+  /// interned as `at`, only its places that hold tokens are walked: the
+  /// others would add +0.0 to a non-negative sum, which moves no bit.
+  void AccumulateTokens(std::uint32_t at, const Marking& m, double from,
+                        double to, SimulationResult& result) const {
     const double lo = std::max(from, config_.warmup);
     const double hi = std::min(to, config_.horizon);
     if (hi <= lo) return;
     const double dt = hi - lo;
+    if (at != ChainCache::kNone) {
+      for (const std::uint32_t p : cache_.Occupied(at)) {
+        result.mean_tokens[p] += static_cast<double>(m[p]) * dt;
+      }
+      return;
+    }
     for (std::size_t p = 0; p < m.size(); ++p) {
       result.mean_tokens[p] += static_cast<double>(m[p]) * dt;
     }
+  }
+
+  double SampleDelay(std::size_t k) {
+    return net_.GetTransition(timed_[k]).delay->Sample(rng_);
   }
 
   /// Fire immediate transitions (highest priority first, weighted among
@@ -311,7 +375,7 @@ class TokenGame {
       if (flags != nullptr ? flags[k] == 0 : !IsEnabled(net_, timed_[k], m)) {
         fire_at[k] = kUnscheduled;  // enabling memory: timer discarded
       } else if (fire_at[k] == kUnscheduled) {
-        fire_at[k] = now + net_.GetTransition(timed_[k]).delay->Sample(rng_);
+        fire_at[k] = now + SampleDelay(k);
       }
     }
   }
