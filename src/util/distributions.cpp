@@ -35,24 +35,14 @@ Distribution::Distribution(Erlang d) : v_(d) {
   CheckPositive(d.rate, "Erlang rate");
 }
 
-double Distribution::Sample(Rng& rng) const {
-  return std::visit(
-      [&rng](const auto& d) -> double {
-        using T = std::decay_t<decltype(d)>;
-        if constexpr (std::is_same_v<T, Exponential>) {
-          return SampleExponential(rng, d.rate);
-        } else if constexpr (std::is_same_v<T, Deterministic>) {
-          return d.value;
-        } else if constexpr (std::is_same_v<T, Uniform>) {
-          return d.low + (d.high - d.low) * UniformDouble(rng);
-        } else {
-          static_assert(std::is_same_v<T, Erlang>);
-          double sum = 0.0;
-          for (int i = 0; i < d.k; ++i) sum += SampleExponential(rng, d.rate);
-          return sum;
-        }
-      },
-      v_);
+double Distribution::SampleOther(Rng& rng) const {
+  if (const auto* u = std::get_if<Uniform>(&v_)) {
+    return u->low + (u->high - u->low) * UniformDouble(rng);
+  }
+  const Erlang& d = std::get<Erlang>(v_);
+  double sum = 0.0;
+  for (int i = 0; i < d.k; ++i) sum += SampleExponential(rng, d.rate);
+  return sum;
 }
 
 double Distribution::Mean() const {

@@ -15,6 +15,11 @@
 
 namespace wsn::util {
 
+/// Sample Exponential(rate) by inversion.
+inline double SampleExponential(Rng& rng, double rate) {
+  return -std::log(UniformDoubleOpenLow(rng)) / rate;
+}
+
 /// Exponential with rate `rate` (mean 1/rate).
 struct Exponential {
   double rate;
@@ -50,8 +55,15 @@ class Distribution {
   Distribution(Uniform d);            // NOLINT(google-explicit-constructor)
   Distribution(Erlang d);             // NOLINT(google-explicit-constructor)
 
-  /// Draw one variate.
-  double Sample(Rng& rng) const;
+  /// Draw one variate.  The simulators draw Exponential and Deterministic
+  /// delays per event, so those two are sampled here, inline.
+  double Sample(Rng& rng) const {
+    if (const auto* e = std::get_if<Exponential>(&v_)) {
+      return SampleExponential(rng, e->rate);
+    }
+    if (const auto* d = std::get_if<Deterministic>(&v_)) return d->value;
+    return SampleOther(rng);
+  }
 
   /// Analytical mean.
   double Mean() const;
@@ -75,12 +87,10 @@ class Distribution {
   const Variant& AsVariant() const noexcept { return v_; }
 
  private:
+  /// Sample() for the laws it does not handle inline.
+  double SampleOther(Rng& rng) const;
+
   Variant v_;
 };
-
-/// Sample Exponential(rate) by inversion.
-inline double SampleExponential(Rng& rng, double rate) {
-  return -std::log(UniformDoubleOpenLow(rng)) / rate;
-}
 
 }  // namespace wsn::util

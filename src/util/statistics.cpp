@@ -1,24 +1,10 @@
 #include "util/statistics.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
 
 namespace wsn::util {
-
-void RunningStats::Add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
 
 double RunningStats::Variance() const noexcept {
   if (n_ < 2) return 0.0;
@@ -30,22 +16,6 @@ double RunningStats::StdDev() const noexcept { return std::sqrt(Variance()); }
 double RunningStats::StdError() const noexcept {
   if (n_ < 2) return 0.0;
   return StdDev() / std::sqrt(static_cast<double>(n_));
-}
-
-void TimeWeightedStats::Accumulate(double now) noexcept {
-  if (!has_value_) return;
-  const double dt = now - last_time_;
-  if (dt > 0.0) {
-    weighted_sum_ += value_ * dt;
-    total_time_ += dt;
-  }
-}
-
-void TimeWeightedStats::Update(double now, double value) noexcept {
-  Accumulate(now);
-  value_ = value;
-  last_time_ = now;
-  has_value_ = true;
 }
 
 void TimeWeightedStats::Finish(double now) noexcept {

@@ -10,6 +10,7 @@
 // confidence interval.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 namespace wsn::util {
@@ -17,7 +18,18 @@ namespace wsn::util {
 /// Welford online mean/variance over scalar observations.
 class RunningStats {
  public:
-  void Add(double x) noexcept;
+  void Add(double x) noexcept {
+    if (n_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+  }
 
   std::size_t Count() const noexcept { return n_; }
   double Mean() const noexcept { return n_ ? mean_ : 0.0; }
@@ -51,7 +63,12 @@ class TimeWeightedStats {
       : last_time_(start_time) {}
 
   /// Record that the signal takes `value` from time `now` onward.
-  void Update(double now, double value) noexcept;
+  void Update(double now, double value) noexcept {
+    Accumulate(now);
+    value_ = value;
+    last_time_ = now;
+    has_value_ = true;
+  }
 
   /// Close the observation window at `now` (signal keeps its last value).
   void Finish(double now) noexcept;
@@ -63,7 +80,14 @@ class TimeWeightedStats {
   double CurrentValue() const noexcept { return value_; }
 
  private:
-  void Accumulate(double now) noexcept;
+  void Accumulate(double now) noexcept {
+    if (!has_value_) return;
+    const double dt = now - last_time_;
+    if (dt > 0.0) {
+      weighted_sum_ += value_ * dt;
+      total_time_ += dt;
+    }
+  }
 
   double value_ = 0.0;
   double last_time_ = 0.0;
