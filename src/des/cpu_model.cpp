@@ -58,8 +58,7 @@ class Engine {
     const double horizon = config_.sim_time;
     CountJobs();
     ArmArrival();
-    // Events due exactly at the horizon still fire.
-    for (;;) {
+    for (;;) {  // events due exactly at the horizon still fire
       const bool arrival =
           arrival_.time < cpu_.time ||
           (arrival_.time == cpu_.time && arrival_.seq < cpu_.seq);
@@ -108,8 +107,10 @@ class Engine {
     state_since_ = now_;
   }
 
+  /// Jobs in system over [warm-up, horizon], like the state times.
   void CountJobs() {
-    result_.jobs_in_system.Update(now_, static_cast<double>(queue_.size()));
+    result_.jobs_in_system.Update(std::max(now_, config_.warmup_time),
+                                  static_cast<double>(queue_.size()));
   }
 
   void ArmArrival() {

@@ -57,7 +57,7 @@ struct CpuRunResult {
   std::uint64_t jobs_arrived = 0;
   std::uint64_t jobs_completed = 0;
   util::RunningStats latency;        ///< per-job sojourn times
-  util::TimeWeightedStats jobs_in_system;
+  util::TimeWeightedStats jobs_in_system;  ///< over [warmup, horizon]
 
   double FractionStandby() const noexcept;
   double FractionPowerUp() const noexcept;
