@@ -77,7 +77,7 @@ class ChainCache {
     for (std::uint32_t p = 0; p < places_; ++p) {
       if (m[p] != 0) occupied_.push_back(p);
     }
-    occupied_end_.push_back(static_cast<std::uint32_t>(occupied_.size()));
+    occupied_bounds_.push_back(static_cast<std::uint32_t>(occupied_.size()));
     for (const TransitionId t : timed_) {
       enabled_.push_back(IsEnabled(net_, t, m) ? 1 : 0);
     }
@@ -114,8 +114,8 @@ class ChainCache {
   }
   /// Places of marking i that hold tokens, ascending.
   std::span<const std::uint32_t> Occupied(std::uint32_t i) const {
-    const std::uint32_t begin = i == 0 ? 0 : occupied_end_[i - 1];
-    return {occupied_.data() + begin, occupied_end_[i] - begin};
+    return {occupied_.data() + occupied_bounds_[i],
+            occupied_bounds_[i + 1] - occupied_bounds_[i]};
   }
   /// Timed entries a replay of `c` deschedules: those disabled at the
   /// target.
@@ -189,7 +189,9 @@ class ChainCache {
   std::vector<std::uint32_t> slots_;      ///< marking index or kNone
   std::vector<std::uint32_t> tokens_;     ///< stride places_
   std::vector<std::uint32_t> occupied_;   ///< places holding tokens
-  std::vector<std::uint32_t> occupied_end_;  ///< per marking, into occupied_
+  /// Offsets into occupied_, a leading 0 then one per marking: marking
+  /// i's places are [bounds[i], bounds[i + 1]).
+  std::vector<std::uint32_t> occupied_bounds_{0};
   std::vector<std::uint8_t> enabled_;     ///< stride timed_.size()
   std::vector<Chain> chains_;             ///< stride timed_.size()
   std::vector<TransitionId> fired_;       ///< immediates of every chain
