@@ -37,8 +37,6 @@ class SupplementaryVariableModel {
   /// Throws InvalidArgument unless lambda, mu > 0, T, D >= 0 and rho < 1.
   SupplementaryVariableModel(double lambda, double mu, double T, double D);
 
-  double Lambda() const noexcept { return lambda_; }
-  double Mu() const noexcept { return mu_; }
   double PowerDownThreshold() const noexcept { return T_; }
   double PowerUpDelay() const noexcept { return D_; }
   double Rho() const noexcept { return lambda_ / mu_; }

@@ -68,11 +68,6 @@ class ResultSet {
   /// rendered as `# meta` comments in csv and a header block in text.
   void SetMeta(std::string key, std::string value);
 
-  /// The tables in insertion order.
-  const std::vector<ResultTable>& Tables() const noexcept { return tables_; }
-  /// The notes in insertion order.
-  const std::vector<std::string>& Notes() const noexcept { return notes_; }
-
   /// Render as aligned text (see file comment).
   std::string RenderText() const;
   /// Render as RFC-4180 CSV blocks (see file comment).
