@@ -1,12 +1,14 @@
 // Registered hot-path benchmark scenario: the BENCH_hotpath.json
 // producer that starts the repo's performance trajectory.
 //
-// Four sections, each a table in the ResultSet:
+// Five sections, each a table in the ResultSet:
 //   * kernel     — DES event throughput of the slab/InlineAction kernel on
 //                  a deterministic schedule/fire/cancel workload;
 //   * netsim     — packet-level replication rate on a node grid;
 //   * token-game — replication rate of the Fig. 3 CPU net's token game at
 //                  the paper point, serial;
+//   * des-cpu    — replication rate of the DES CPU model at the same
+//                  point, serial;
 //   * transient  — 200-point transient-trajectory latency, incremental
 //                  TransientSolver vs per-point single-shot recompute.
 //
@@ -26,6 +28,7 @@
 
 #include "core/cpu_petri_net.hpp"
 #include "core/models.hpp"
+#include "des/cpu_model.hpp"
 #include "des/simulator.hpp"
 #include "obs/session.hpp"
 #include "util/error.hpp"
@@ -132,7 +135,8 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
       static_cast<std::uint64_t>(args.GetCount("seed", 2008));
 
   ResultSet results(
-      "hot-path benchmark: DES kernel, netsim, token game, transient");
+      "hot-path benchmark: DES kernel, netsim, token game, DES CPU model, "
+      "transient");
   results.SetMeta("events", std::to_string(events));
   results.SetMeta("chains", std::to_string(chains));
   results.SetMeta("cancel-every", std::to_string(cancel_every));
@@ -248,6 +252,28 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
        util::FormatFixed(game_wall * 1000.0, 3),
        util::FormatFixed(static_cast<double>(reps) / game_wall, 2)});
 
+  // --- DES CPU model replication rate -------------------------------
+  des::CpuModelConfig cpu;
+  cpu.arrival_rate = paper.arrival_rate;
+  cpu.mean_service_time = paper.MeanServiceTime();
+  cpu.power_down_threshold = paper.power_down_threshold;
+  cpu.power_up_delay = paper.power_up_delay;
+  cpu.sim_time = game.horizon;
+  const double cpu_wall = MedianWall([&] {
+    const auto start = std::chrono::steady_clock::now();
+    des::RunCpuEnsemble(cpu, seed, reps, 1);
+    return Seconds(start);
+  });
+  ResultTable& cpu_table = results.AddTable(
+      "des-cpu",
+      {"model", "horizon (s)", "replications", "wall (ms)", "replications/s"});
+  cpu_table.AddRow(
+      {"DES CPU model, T " + util::FormatFixed(cpu.power_down_threshold, 3) +
+           " s, D " + util::FormatFixed(cpu.power_up_delay, 3) + " s",
+       util::FormatFixed(cpu.sim_time, 0), std::to_string(reps),
+       util::FormatFixed(cpu_wall * 1000.0, 3),
+       util::FormatFixed(static_cast<double>(reps) / cpu_wall, 2)});
+
   // --- transient trajectory latency ---------------------------------
   const markov::TransientCpuAnalysis transient(1.0, 10.0, 0.2, 0.1, 8);
   std::vector<double> grid(traj_points);
@@ -348,15 +374,15 @@ ResultSet RunTransientTrajectory(const ScenarioContext& ctx) {
 
 const ScenarioRegistrar reg_bench_hotpath(MakeScenario(
     "bench-hotpath",
-    "hot-path throughput: DES kernel, netsim and token-game rates, "
-    "transient trajectory latency",
+    "hot-path throughput: DES kernel, netsim, token-game and DES CPU model "
+    "rates, transient trajectory latency",
     "extension (engineering benchmark, BENCH_hotpath.json)",
     {
         {"events", "N", "2000000", "kernel events to fire (>= 1000)"},
         {"chains", "N", "1024", "concurrent self-rescheduling chains"},
         {"cancel-every", "K", "4", "refresh a shadow timer every K fires"},
         {"replications", "R", "16",
-         "netsim and token-game replications (>= 1)"},
+         "netsim, token-game and DES CPU model replications (>= 1)"},
         {"net-horizon", "S", "30", "netsim horizon (s)"},
         {"traj-points", "N", "200", "transient trajectory grid points"},
         {"seed", "N", "2008", "master RNG seed (non-negative)"},
