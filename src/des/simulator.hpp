@@ -28,8 +28,8 @@
 // when the buckets run out, the overflow list is re-bucketed into a new
 // epoch.  Both tiers hold only live events.  The far tier engages once
 // more than kEngageSize events are pending and lets go when a
-// repartition finds fewer than kReleaseSize, so small event sets (the
-// CPU model's handful) stay on the plain heap.
+// repartition finds fewer than kReleaseSize, so small event sets stay
+// on the plain heap.
 #pragma once
 
 #include <cstddef>

@@ -18,15 +18,20 @@
 // throughput per transition, collected over [warmup, horizon].
 //
 // Chain cache: each replication interns the tangible markings it meets,
-// with their enabled timed transitions.  When the vanishing chain after a
-// timed firing drew no number (every conflict set on it had one member),
-// the chain is a function of the marking and the transition, so the game
-// records its target and the immediates fired on it, and the next firing
-// of that transition from that marking replays the record: the same
-// counts at the same instant, no enabling scan, no draw.  Every output
-// bit and the RNG stream are those of the walk, which stays the reference
-// on every miss.  A replication stops caching once the markings it has
-// interned outnumber half its timed firings (checked at 128, 256, ...).
+// with their enabled timed transitions and the places that hold tokens.
+// When the vanishing chain after a timed firing drew no weight (every
+// conflict set on it had one member), the chain is a function of the
+// marking and the transition, so the game records its target, the
+// immediates fired on it and the timers the target changes: the timed
+// transitions it disables, and those it samples (the one that fired and
+// those it newly enables, ascending).  The next firing of that
+// transition from that marking replays the record: the same counts at
+// the same instant and the same delay draws in the same order, with no
+// enabling scan.  Token time over an interned marking adds only its
+// non-empty places.  Every output bit and the RNG stream are those of
+// the walk, which stays the reference on every miss.  A replication
+// stops caching once the markings it has interned outnumber half its
+// timed firings (checked at 128, 256, ...).
 #pragma once
 
 #include <cstdint>
