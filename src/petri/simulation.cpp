@@ -100,6 +100,9 @@ class ChainCache {
     return !gave_up_;
   }
 
+  /// Stops caching for the rest of the replication.
+  void GiveUp() { gave_up_ = true; }
+
   const std::uint32_t* Tokens(std::uint32_t i) const {
     return tokens_.data() + std::size_t{i} * places_;
   }
@@ -129,10 +132,11 @@ class ChainCache {
   }
 
   /// Record that firing timed_[k] from marking `from` led, through the
-  /// immediates in `walked`, to marking `to`.  After every schedule
-  /// refresh an entry is scheduled iff it is enabled (every draw is
-  /// finite), so before the refresh that follows this firing the entries
-  /// without a timer are k and those disabled at `from`: the refresh
+  /// immediates in `walked`, to marking `to`.  While every timer drawn is
+  /// finite (the token game stops caching at the first that is not), an
+  /// entry is scheduled after each schedule refresh iff it is enabled, so
+  /// before the refresh that follows this firing the entries without a
+  /// timer are k and those disabled at `from`: the refresh
   /// RefreshSchedule makes at `to` is Deschedule() then Sample().
   void Record(std::uint32_t from, std::size_t k, std::uint32_t to,
               const std::vector<TransitionId>& walked) {
@@ -277,21 +281,20 @@ class TokenGame {
           fire_at[k] = kUnscheduled;
         }
         for (const std::uint32_t k : cache_.Sample(*chain)) {
-          fire_at[k] = now + SampleDelay(k);
+          fire_at[k] = NewTimer(k, now);
         }
         ++result.replayed_firings;
-        if (!cache_.KeepCaching()) at = ChainCache::kNone;
-        continue;
-      }
-      FireInPlace(net_, t, m);
-      const bool drew = ResolveVanishing(m, now, result);
-      const std::uint32_t from = at;
-      at = cache_.Intern(m);
-      if (!drew && from != ChainCache::kNone && at != ChainCache::kNone) {
-        cache_.Record(from, next, at, walked_);
+      } else {
+        FireInPlace(net_, t, m);
+        const bool drew = ResolveVanishing(m, now, result);
+        const std::uint32_t from = at;
+        at = cache_.Intern(m);
+        if (!drew && from != ChainCache::kNone && at != ChainCache::kNone) {
+          cache_.Record(from, next, at, walked_);
+        }
+        RefreshSchedule(at, m, now, fire_at);
       }
       if (!cache_.KeepCaching()) at = ChainCache::kNone;
-      RefreshSchedule(at, m, now, fire_at);
     }
 
     const double window = result.observed_time;
@@ -336,8 +339,14 @@ class TokenGame {
     }
   }
 
-  double SampleDelay(std::size_t k) {
-    return net_.GetTransition(timed_[k]).delay->Sample(rng_);
+  /// A fresh timer for timed entry k.  One that overflows to +infinity
+  /// reads as unscheduled, so the next refresh draws it again; a replay
+  /// would not, so such a draw stops the cache.
+  double NewTimer(std::size_t k, double now) {
+    const double timer =
+        now + net_.GetTransition(timed_[k]).delay->Sample(rng_);
+    if (timer == kUnscheduled) cache_.GiveUp();
+    return timer;
   }
 
   /// Fire immediate transitions (highest priority first, weighted among
@@ -377,7 +386,7 @@ class TokenGame {
       if (flags != nullptr ? flags[k] == 0 : !IsEnabled(net_, timed_[k], m)) {
         fire_at[k] = kUnscheduled;  // enabling memory: timer discarded
       } else if (fire_at[k] == kUnscheduled) {
-        fire_at[k] = now + SampleDelay(k);
+        fire_at[k] = NewTimer(k, now);
       }
     }
   }

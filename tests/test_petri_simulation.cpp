@@ -461,6 +461,35 @@ TEST(SpnSimulationPin, DeadMarkingAfterRepeatedChains) {
 // Work counts of the chain cache.  They repeat exactly, so an
 // algorithmic regression fails here even on a host too noisy to time it.
 
+// `slow` is always enabled and its rate is so small that most of its
+// draws overflow to +infinity.  Such a timer reads as unscheduled, so the
+// next schedule refresh draws it again; a replayed chain would skip that
+// draw, so the cache must stop at the first such timer.  Captured before
+// replays carried their schedule refresh.
+TEST(SpnSimulationPin, OverflowingTimerStopsTheCache) {
+  PetriNet net;
+  const PlaceId p = net.AddPlace("p", 1);
+  const PlaceId q = net.AddPlace("q", 0);
+  const PlaceId never = net.AddPlace("never", 0);
+  const TransitionId go = net.AddExponentialTransition("go", 1.0);
+  net.AddInputArc(go, p);
+  net.AddOutputArc(go, q);
+  const TransitionId back = net.AddExponentialTransition("back", 1.0);
+  net.AddInputArc(back, q);
+  net.AddOutputArc(back, p);
+  const TransitionId slow = net.AddExponentialTransition("slow", 1e-309);
+  net.AddInhibitorArc(slow, never);
+  SimulationConfig cfg = PinConfig();
+  cfg.seed = 1;
+  const SimulationResult r = SimulateSpn(net, cfg);
+  EXPECT_EQ(r.total_firings, 521u);
+  EXPECT_EQ(r.firings, (std::vector<std::uint64_t>{235, 235, 0}));
+  EXPECT_EQ(Bits(r.mean_tokens),
+            (std::vector<std::uint64_t>{0x3fe01fe01dfcb7beULL,
+                                        0x3fdfc03fc4069084ULL,
+                                        0x0000000000000000ULL}));
+}
+
 TEST(SpnSimulationPin, ChainCacheCountsOnTheCpuNet) {
   const SimulationResult r = SimulateSpn(CpuNet(0.1, 0.3), PinConfig());
   EXPECT_EQ(r.tangible_markings, 10u);
