@@ -31,7 +31,8 @@
 // non-empty places.  Every output bit and the RNG stream are those of
 // the walk, which stays the reference on every miss.  A replication
 // stops caching once the markings it has interned outnumber half its
-// timed firings (checked at 128, 256, ...).
+// timed firings (checked at 128, 256, ...), or at the first timer that
+// overflows to +infinity.
 #pragma once
 
 #include <cstdint>
