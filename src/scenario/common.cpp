@@ -47,14 +47,6 @@ util::FlagSpec PointsFlag() {
   return {"points", "K", "11", "sweep resolution over the PDT grid (>= 2)"};
 }
 
-netsim::ReplicationConfig NetsimRepConfig(const util::CliArgs& args,
-                                          std::size_t default_reps) {
-  netsim::ReplicationConfig rep;
-  rep.replications = args.GetCount("replications", default_reps, 1);
-  rep.seed = static_cast<std::uint64_t>(args.GetCount("seed", 2008));
-  return rep;
-}
-
 std::string ObservedCell(std::size_t observed, std::size_t total) {
   return std::to_string(observed) + "/" + std::to_string(total) + " reps";
 }

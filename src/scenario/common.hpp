@@ -39,12 +39,6 @@ std::vector<util::FlagSpec> CommonEvalFlags();
 /// FlagSpec for --points.
 util::FlagSpec PointsFlag();
 
-/// Netsim replication effort knobs (--replications, --seed), shared by
-/// every netsim scenario.  Callers opting into per-replication reports
-/// set `keep_reports` on the result themselves.
-netsim::ReplicationConfig NetsimRepConfig(const util::CliArgs& args,
-                                          std::size_t default_reps);
-
 /// "k/n reps" observation cell for replication summary tables.
 std::string ObservedCell(std::size_t observed, std::size_t total);
 

@@ -98,7 +98,7 @@ struct ChaosParams {
 std::vector<std::string> PointCells(const ChaosParams& params,
                                     std::size_t point, std::uint64_t seed,
                                     util::ParallelExecutor& executor) {
-  GridStudyParams grid;
+  ScenarioSpec grid;
   grid.cols = 4;
   grid.rows = 3;
   grid.rate_hz = 1.0 + 0.5 * static_cast<double>(point);

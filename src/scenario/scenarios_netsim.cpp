@@ -1,98 +1,59 @@
-// Registered scenarios for the packet-level network simulator: the
-// lifetime study (deaths, re-routing, partition under bursty traffic)
-// and the replication-throughput benchmark.  Thin flag-parsing wrappers
-// over the shared study runners in scenario/studies.{hpp,cpp}, which
-// the declarative spec interpreter (`wsnctl run --file`) drives with
-// the same params — both paths are byte-identical by construction.
+// Registered netsim studies.  Each is a row of the study table in
+// scenario/spec.cpp: its flags are the study's knob keys, each default
+// rendered from the study's defaults, and a run fills one ScenarioSpec
+// from the flags through the knob table and hands it to RunSpec — the
+// path `wsnctl run --file` takes with a spec file, so a preset and its
+// registered twin are byte-identical by construction.
+#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "netsim/replication.hpp"
-#include "scenario/common.hpp"
 #include "scenario/scenario.hpp"
-#include "scenario/studies.hpp"
+#include "scenario/spec.hpp"
 
 namespace wsn::scenario {
 namespace {
 
-ResultSet RunNetsimLifetime(const ScenarioContext& ctx) {
-  const util::CliArgs& args = ctx.Args();
-  LifetimeStudyParams p;
-  p.cols = args.GetCount("cols", 10, 1);
-  p.rows = args.GetCount("rows", 5, 1);
-  p.spacing_m = args.GetDouble("spacing", 15.0);
-  p.hop_m = args.GetDouble("hop", 40.0);
-  p.rate_hz = args.GetDouble("rate", 2.0);
-  p.battery_mah = args.GetDouble("battery-mah", 0.05);
-  p.horizon_s = args.GetDouble("horizon", 4000.0);
-  p.steady = args.GetBool("steady");
-  const netsim::ReplicationConfig rep = NetsimRepConfig(args, 8);
-  p.replications = rep.replications;
-  p.seed = rep.seed;
-  return RunLifetimeStudy(ctx, p);
+std::unique_ptr<Scenario> NetsimStudy(const char* name, const char* study,
+                                      const char* summary,
+                                      const char* artifact) {
+  return MakeScenario(name, summary, artifact, StudyFlags(study),
+                      [study](const ScenarioContext& ctx) {
+                        return RunSpec(ctx,
+                                       StudySpecFromArgs(study, ctx.Args()));
+                      });
 }
 
-ResultSet RunNetsimThroughput(const ScenarioContext& ctx) {
-  const util::CliArgs& args = ctx.Args();
-  ThroughputStudyParams p;
-  p.cols = args.GetCount("cols", 10, 1);
-  p.rows = args.GetCount("rows", 10, 1);
-  p.spacing_m = args.GetDouble("spacing", 25.0);
-  p.hop_m = args.GetDouble("hop", 40.0);
-  p.rate_hz = args.GetDouble("rate", 2.0);
-  p.horizon_s = args.GetDouble("horizon", 30.0);
-  p.clustered = args.GetBool("clustered");
-  const netsim::ReplicationConfig rep = NetsimRepConfig(args, 32);
-  p.replications = rep.replications;
-  p.seed = rep.seed;
-  return RunThroughputStudy(ctx, p);
-}
-
-std::vector<util::FlagSpec> TopologyFlags(const std::string& cols,
-                                          const std::string& rows,
-                                          const std::string& spacing) {
-  return {
-      {"cols", "C", cols, "grid columns"},
-      {"rows", "R", rows, "grid rows"},
-      {"spacing", "M", spacing, "grid spacing (m)"},
-      {"hop", "M", "40", "max radio hop range (m)"},
-      {"rate", "L", "2", "per-node report rate (1/s)"},
-  };
-}
-
-const ScenarioRegistrar reg_netsim_lifetime(MakeScenario(
-    "netsim-lifetime",
+const ScenarioRegistrar reg_netsim_lifetime(NetsimStudy(
+    "netsim-lifetime", "lifetime",
     "packet-level lifetime study: deaths, re-routing and partition",
-    "extension (dynamic counterpart of wsn-lifetime)",
-    [] {
-      std::vector<util::FlagSpec> flags = TopologyFlags("10", "5", "15");
-      flags.push_back({"battery-mah", "MAH", "0.05", "per-node battery"});
-      flags.push_back({"horizon", "S", "4000", "simulation horizon (s)"});
-      flags.push_back({"replications", "R", "8",
-                       "independent replications (>= 1)"});
-      flags.push_back({"seed", "N", "2008", "master RNG seed (non-negative)"});
-      flags.push_back({"steady", "", "",
-                       "steady Poisson traffic instead of bursty MMPP"});
-      return flags;
-    }(),
-    RunNetsimLifetime));
+    "extension (dynamic counterpart of wsn-lifetime)"));
 
-const ScenarioRegistrar reg_netsim_throughput(MakeScenario(
-    "netsim-throughput",
+const ScenarioRegistrar reg_netsim_throughput(NetsimStudy(
+    "netsim-throughput", "throughput",
     "replications/second: serial vs the scenario executor",
-    "extension (engineering benchmark)",
-    [] {
-      std::vector<util::FlagSpec> flags = TopologyFlags("10", "10", "25");
-      flags.push_back({"horizon", "S", "30", "simulation horizon (s)"});
-      flags.push_back({"replications", "R", "32",
-                       "independent replications (>= 1)"});
-      flags.push_back({"seed", "N", "2008", "master RNG seed (non-negative)"});
-      flags.push_back({"clustered", "", "",
-                       "benchmark the clustered (LEACH) data path"});
-      return flags;
-    }(),
-    RunNetsimThroughput));
+    "extension (engineering benchmark)"));
+
+const ScenarioRegistrar reg_netsim_clustered(NetsimStudy(
+    "netsim-clustered", "clustered",
+    "clustered collection: rotating cluster heads, aggregation, multi-sink",
+    "extension (cluster-based workload)"));
+
+const ScenarioRegistrar reg_netsim_heterogeneous(NetsimStudy(
+    "netsim-heterogeneous", "heterogeneous",
+    "mixed node classes (SEP-style) with analytic cross-validation",
+    "extension (heterogeneous workload)"));
+
+const ScenarioRegistrar reg_netsim_faults(NetsimStudy(
+    "netsim-faults", "faults",
+    "fault-injection chaos sweep: crash-rate x outage-length churn with "
+    "jam windows and sink outages, flat and clustered, differentially "
+    "verified against full-recompute oracles",
+    "extension (robustness / chaos-differential testing)"));
+
+const ScenarioRegistrar reg_cluster_ablation(NetsimStudy(
+    "cluster-ablation", "cluster-ablation",
+    "flat vs static clusters vs LEACH rotation on one deployment",
+    "extension (protocol-policy ablation)"));
 
 }  // namespace
 }  // namespace wsn::scenario

@@ -53,7 +53,7 @@ enum class Shape : std::size_t {
 };
 
 /// Serialize one random-but-valid generic spec.  Writing JSON text (not
-/// a GenericSpec) is the point: the fuzzer exercises the same reader,
+/// a ScenarioSpec) is the point: the fuzzer exercises the same reader,
 /// validator and interpreter a user's --file does.
 std::string GenerateSpecText(util::Rng& rng) {
   const auto shape = static_cast<Shape>(util::UniformBelow(rng, 5));
@@ -295,7 +295,7 @@ ResultSet RunNetsimFuzz(const ScenarioContext& ctx) {
     }
 
     // Shape + effort recap for the table, read back out of the spec.
-    const GenericSpec& g = spec.generic;
+    const ScenarioSpec& g = spec;
     const bool faults = g.crash_rate_hz > 0.0;
     const std::string shape =
         g.verify_analytic

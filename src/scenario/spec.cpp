@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "core/models.hpp"
-#include "des/bursty_workload.hpp"
 #include "scenario/common.hpp"
 #include "scenario/harness.hpp"
+#include "scenario/studies.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -22,12 +24,16 @@ namespace wsn::scenario {
 
 namespace {
 
-[[noreturn]] void SpecFail(const std::string& message) {
-  throw util::InvalidArgument("spec: " + message);
+[[noreturn]] void Fail(const std::string& message) {
+  throw util::InvalidArgument(message);
 }
 
-/// Compact number rendering for error messages: integers without a
-/// decimal point, everything else in %g form.
+[[noreturn]] void SpecFail(const std::string& message) {
+  Fail("spec: " + message);
+}
+
+/// Compact number rendering for messages and defaults: integers without
+/// a decimal point, everything else in %g form.
 std::string NumStr(double v) {
   char buf[32];
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 9.0e15) {
@@ -38,408 +44,321 @@ std::string NumStr(double v) {
   return buf;
 }
 
-std::string JoinList(std::initializer_list<const char*> items) {
+template <typename Range>
+std::string Join(const Range& items) {
   std::string out;
-  for (const char* item : items) {
+  for (const auto& item : items) {
     if (!out.empty()) out += ", ";
     out += item;
   }
   return out;
 }
 
-/// A JSON object plus its "$.section" path: every getter validates type
-/// and range and fails with the member's full path.  Accepted-key lists
-/// are kept sorted in the source so error messages read alphabetically.
-class ObjView {
- public:
-  ObjView(const util::JsonValue& v, std::string path)
-      : v_(&v), path_(std::move(path)) {}
+// ------------------------------------------------------------ knob table
 
-  const std::string& Path() const { return path_; }
-  std::string At(const char* key) const { return path_ + "." + key; }
-  bool Has(const char* key) const { return v_->Find(key) != nullptr; }
-  bool Empty() const { return v_->Members().empty(); }
-
-  /// Reject members outside `accepted`.  `note` qualifies the accepted
-  /// list, e.g. " for study 'lifetime'" at the document root.
-  void RequireKeys(std::initializer_list<const char*> accepted,
-                   const std::string& note = "") const {
-    for (const auto& [key, value] : v_->Members()) {
-      bool known = false;
-      for (const char* a : accepted) {
-        if (key == a) {
-          known = true;
-          break;
-        }
-      }
-      if (!known) {
-        SpecFail("unknown key '" + key + "' at " + path_ + " (accepted" +
-                 note + ": " + JoinList(accepted) + ")");
-      }
-    }
-  }
-
-  double Number(const char* key, double fallback) const {
-    const util::JsonValue* m = v_->Find(key);
-    if (m == nullptr) return fallback;
-    if (!m->is_number()) {
-      SpecFail(At(key) + ": expected a number, got " + m->TypeName());
-    }
-    return m->AsNumber();
-  }
-
-  double Positive(const char* key, double fallback) const {
-    const double v = Number(key, fallback);
-    if (!(v > 0.0)) SpecFail(At(key) + ": must be > 0 (got " + NumStr(v) + ")");
-    return v;
-  }
-
-  double NonNegative(const char* key, double fallback) const {
-    const double v = Number(key, fallback);
-    if (!(v >= 0.0)) {
-      SpecFail(At(key) + ": must be >= 0 (got " + NumStr(v) + ")");
-    }
-    return v;
-  }
-
-  /// Loss probabilities live in [0, 1) — MacConfig rejects p_loss = 1.
-  double LossProb(const char* key, double fallback) const {
-    const double v = Number(key, fallback);
-    if (!(v >= 0.0 && v < 1.0)) {
-      SpecFail(At(key) + ": must be in [0, 1) (got " + NumStr(v) + ")");
-    }
-    return v;
-  }
-
-  /// Head fractions / jam losses live in (0, 1].
-  double FractionOpenLow(const char* key, double fallback) const {
-    const double v = Number(key, fallback);
-    if (!(v > 0.0 && v <= 1.0)) {
-      SpecFail(At(key) + ": must be in (0, 1] (got " + NumStr(v) + ")");
-    }
-    return v;
-  }
-
-  /// Advanced-node fractions live in [0, 1].
-  double FractionClosed(const char* key, double fallback) const {
-    const double v = Number(key, fallback);
-    if (!(v >= 0.0 && v <= 1.0)) {
-      SpecFail(At(key) + ": must be in [0, 1] (got " + NumStr(v) + ")");
-    }
-    return v;
-  }
-
-  std::size_t Count(const char* key, std::size_t fallback,
-                    std::size_t min) const {
-    const util::JsonValue* m = v_->Find(key);
-    if (m == nullptr) return fallback;
-    if (!m->is_number()) {
-      SpecFail(At(key) + ": expected a number, got " + m->TypeName());
-    }
-    const double v = m->AsNumber();
-    if (v != std::floor(v) || std::abs(v) > 9.0e15) {
-      SpecFail(At(key) + ": expected an integer, got " + NumStr(v));
-    }
-    if (v < static_cast<double>(min)) {
-      SpecFail(At(key) + ": must be >= " + std::to_string(min) + " (got " +
-               NumStr(v) + ")");
-    }
-    return static_cast<std::size_t>(v);
-  }
-
-  std::uint64_t U64(const char* key, std::uint64_t fallback) const {
-    const util::JsonValue* m = v_->Find(key);
-    if (m == nullptr) return fallback;
-    if (!m->is_number()) {
-      SpecFail(At(key) + ": expected a number, got " + m->TypeName());
-    }
-    const double v = m->AsNumber();
-    if (v != std::floor(v) || std::abs(v) > 9.0e15) {
-      SpecFail(At(key) + ": expected an integer, got " + NumStr(v));
-    }
-    if (v < 0.0) {
-      SpecFail(At(key) + ": must be >= 0 (got " + NumStr(v) + ")");
-    }
-    return static_cast<std::uint64_t>(v);
-  }
-
-  bool Bool(const char* key, bool fallback) const {
-    const util::JsonValue* m = v_->Find(key);
-    if (m == nullptr) return fallback;
-    if (!m->is_bool()) {
-      SpecFail(At(key) + ": expected a boolean, got " + m->TypeName());
-    }
-    return m->AsBool();
-  }
-
-  std::string Choice(const char* key, const std::string& fallback,
-                     std::initializer_list<const char*> choices) const {
-    const util::JsonValue* m = v_->Find(key);
-    if (m == nullptr) return fallback;
-    if (!m->is_string()) {
-      SpecFail(At(key) + ": expected a string, got " + m->TypeName());
-    }
-    const std::string& v = m->AsString();
-    for (const char* c : choices) {
-      if (v == c) return v;
-    }
-    SpecFail(At(key) + ": unknown value '" + v +
-             "' (one of: " + JoinList(choices) + ")");
-  }
-
-  /// Non-empty array of strictly positive numbers (a sweep-axis list in
-  /// the faults study).  Arity errors name the count.
-  std::vector<double> PositiveArray(const char* key,
-                                    std::vector<double> fallback) const {
-    const util::JsonValue* m = v_->Find(key);
-    if (m == nullptr) return fallback;
-    if (!m->is_array()) {
-      SpecFail(At(key) + ": expected an array of numbers, got " +
-               m->TypeName());
-    }
-    const auto& items = m->Items();
-    if (items.empty()) {
-      SpecFail(At(key) + ": needs at least 1 entry (got 0)");
-    }
-    std::vector<double> values;
-    values.reserve(items.size());
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const std::string at = At(key) + "[" + std::to_string(i) + "]";
-      if (!items[i].is_number()) {
-        SpecFail(at + ": expected a number, got " + items[i].TypeName());
-      }
-      const double v = items[i].AsNumber();
-      if (!(v > 0.0)) SpecFail(at + ": must be > 0 (got " + NumStr(v) + ")");
-      values.push_back(v);
-    }
-    return values;
-  }
-
-  const util::JsonValue* Raw(const char* key) const { return v_->Find(key); }
-
- private:
-  const util::JsonValue* v_;
-  std::string path_;
+/// What a knob's value must satisfy, whether it comes from a spec file
+/// or a flag.
+enum class Rule {
+  kCount,           ///< an integer in [min, max] (max 0 = unbounded)
+  kPositive,        ///< > 0
+  kNonNegative,     ///< >= 0
+  kLossProb,        ///< [0, 1): MacConfig rejects p_loss = 1
+  kOpenFraction,    ///< (0, 1]
+  kClosedFraction,  ///< [0, 1]
+  kBool,
+  kChoice,          ///< one of `choices`
+  kPositiveList,    ///< a non-empty list of values > 0
+  kSection,         ///< the section's presence turns a feature on
 };
 
-/// Fetch an optional object-valued section of `root`.
-std::optional<ObjView> Section(const ObjView& root, const char* key) {
-  const util::JsonValue* v = root.Raw(key);
-  if (v == nullptr) return std::nullopt;
-  if (!v->is_object()) {
-    SpecFail(root.At(key) + ": expected an object, got " + v->TypeName());
+using Field =
+    std::variant<double ScenarioSpec::*, std::uint64_t ScenarioSpec::*,
+                 bool ScenarioSpec::*, std::string ScenarioSpec::*,
+                 std::vector<double> ScenarioSpec::*>;
+
+/// One netsim knob: where it lives in a spec file and on the command
+/// line, what it accepts, and the ScenarioSpec field it fills.
+struct Knob {
+  const char* key;   ///< spec path below $, e.g. "topology.cols"
+  const char* flag;  ///< flag name without "--"; null: spec files only
+  const char* hint;  ///< flag value hint; "" makes a boolean flag
+  const char* help;
+  Rule rule;
+  Field field;
+  std::uint64_t min = 0;  ///< kCount bounds
+  std::uint64_t max = 0;
+  std::vector<const char*> choices = {};  ///< kChoice vocabulary
+};
+
+/// Every netsim knob, once.  A boolean flag on a choice knob selects the
+/// choice named like the flag (--steady: traffic.kind "steady"); on a
+/// section knob it adds the empty section (--clustered: `cluster: {}`).
+const std::vector<Knob>& Knobs() {
+  using S = ScenarioSpec;
+  static const std::vector<Knob> knobs = {
+      {"topology.cols", "cols", "C", "grid columns", Rule::kCount, &S::cols, 1},
+      {"topology.rows", "rows", "R", "grid rows", Rule::kCount, &S::rows, 1},
+      {"topology.nodes", "nodes", "N", "deployment size (>= 2)", Rule::kCount,
+       &S::nodes, 2},
+      {"topology.spacing", "spacing", "M", "grid spacing (m)", Rule::kPositive,
+       &S::spacing_m},
+      {"topology.hop", "hop", "M", "max radio hop range (m)", Rule::kPositive,
+       &S::hop_m},
+      {"topology.sinks", "sinks", "N",
+       "sink count, 1-4 (placed at deployment corners)", Rule::kCount,
+       &S::sinks, 1, 4},
+      {"node.rate", "rate", "L", "per-node report rate (1/s)", Rule::kPositive,
+       &S::rate_hz},
+      {"node.battery_mah", "battery-mah", "MAH", "per-node battery capacity",
+       Rule::kPositive, &S::battery_mah},
+      {"traffic.kind", "steady", "",
+       "steady Poisson traffic instead of bursty MMPP", Rule::kChoice,
+       &S::traffic, 0, 0, {"bursty", "steady"}},
+      {"mac.p_loss", nullptr, "", "", Rule::kLossProb, &S::p_loss},
+      {"mac.wakeup_interval_s", nullptr, "", "", Rule::kNonNegative,
+       &S::wakeup_interval_s},
+      {"mac.max_retries", nullptr, "", "", Rule::kCount, &S::max_retries, 0},
+      {"mac.max_queue", nullptr, "", "", Rule::kCount, &S::max_queue, 1},
+      {"routing.rerouting", nullptr, "", "", Rule::kBool, &S::rerouting},
+      {"cluster", "clustered", "", "benchmark the clustered (LEACH) data path",
+       Rule::kSection, &S::clustered},
+      {"cluster.protocol", "protocol", "P",
+       "clustering protocol: leach or static", Rule::kChoice, &S::protocol, 0,
+       0, {"leach", "static"}},
+      {"cluster.head_fraction", "head-fraction", "F",
+       "desired cluster-head fraction (0, 1]", Rule::kOpenFraction,
+       &S::head_fraction},
+      {"cluster.static_heads", "static-heads", "K",
+       "static protocol head count (0 = head-fraction * nodes)", Rule::kCount,
+       &S::static_heads, 0},
+      {"cluster.round_s", "round", "S", "cluster round length (s)",
+       Rule::kPositive, &S::round_s},
+      {"cluster.aggregation", "aggregation", "K",
+       "member samples per upstream packet (>= 1)", Rule::kCount,
+       &S::aggregation, 1},
+      {"classes.advanced_fraction", "advanced-fraction", "F",
+       "fraction of advanced nodes [0, 1]", Rule::kClosedFraction,
+       &S::advanced_fraction},
+      {"classes.battery_factor", "battery-factor", "X",
+       "advanced battery capacity multiplier", Rule::kPositive,
+       &S::battery_factor},
+      {"classes.placement", "placement", "P",
+       "advanced-node placement: hotspot (highest analytic relay load) or "
+       "spread (index-strided)",
+       Rule::kChoice, &S::placement, 0, 0, {"hotspot", "spread"}},
+      {"faults.crash_rate", nullptr, "", "", Rule::kNonNegative,
+       &S::crash_rate_hz},
+      {"faults.outage_s", nullptr, "", "", Rule::kNonNegative, &S::outage_s},
+      {"faults.crash_rates", "crash-rates", "CSV",
+       "per-node transient crash rates to sweep (1/s)", Rule::kPositiveList,
+       &S::crash_rates},
+      {"faults.outages", "outages", "CSV", "mean outage durations to sweep (s)",
+       Rule::kPositiveList, &S::outages},
+      {"faults.jam_windows", "jam-windows", "N",
+       "regional jam windows per run (0 = none)", Rule::kCount,
+       &S::jam_windows, 0},
+      {"faults.jam_radius", "jam-radius", "M", "jam disc radius (m)",
+       Rule::kPositive, &S::jam_radius_m},
+      {"faults.jam_duration", "jam-duration", "S",
+       "jam window length (s); default horizon/10", Rule::kPositive,
+       &S::jam_duration_s},
+      {"faults.jam_p_loss", "jam-ploss", "P",
+       "extra per-attempt loss inside a jam", Rule::kOpenFraction,
+       &S::jam_p_loss},
+      {"faults.sink_outages", "sink-outages", "N",
+       "sink outage windows per run (0 = none)", Rule::kCount,
+       &S::sink_outages, 0},
+      {"faults.sink_outage_s", "sink-outage", "S",
+       "sink outage window length (s); default horizon/10", Rule::kPositive,
+       &S::sink_outage_s},
+      {"run.horizon_s", "horizon", "S", "simulation horizon (s)",
+       Rule::kPositive, &S::horizon_s},
+      {"run.stop_at", nullptr, "", "", Rule::kChoice, &S::stop_at, 0, 0,
+       {"first_death", "horizon", "partition"}},
+      {"run.replications", "replications", "R",
+       "independent replications (>= 1)", Rule::kCount, &S::replications, 1},
+      {"run.seed", "seed", "N", "master RNG seed (non-negative)", Rule::kCount,
+       &S::seed, 0},
+      {"verify.oracle", nullptr, "", "", Rule::kBool, &S::verify_oracle},
+      {"verify.analytic", nullptr, "", "", Rule::kBool, &S::verify_analytic},
+  };
+  return knobs;
+}
+
+const Knob& FindKnob(const std::string& key) {
+  for (const Knob& knob : Knobs()) {
+    if (key == knob.key) return knob;
   }
-  return ObjView(*v, root.At(key));
+  throw util::Error("no netsim knob '" + key + "'");
 }
 
-/// The shared `run` section of the named studies (the generic study
-/// adds `stop_at` and parses its own).
-void ParseRunSection(const std::optional<ObjView>& run, double& horizon_s,
-                     std::size_t& replications, std::uint64_t& seed) {
-  if (!run) return;
-  run->RequireKeys({"horizon_s", "replications", "seed"});
-  horizon_s = run->Positive("horizon_s", horizon_s);
-  replications = run->Count("replications", replications, 1);
-  seed = run->U64("seed", seed);
+/// The message tail for a number `rule` rejects ("must be > 0 (got 0)"),
+/// or "" when it holds.
+std::string RangeError(Rule rule, const Knob& knob, double v) {
+  const std::string got = " (got " + NumStr(v) + ")";
+  switch (rule) {
+    case Rule::kCount:
+      if (v != std::floor(v) || std::abs(v) > 9.0e15) {
+        return "expected an integer, got " + NumStr(v);
+      }
+      if (v < static_cast<double>(knob.min)) {
+        return "must be >= " + std::to_string(knob.min) + got;
+      }
+      if (knob.max > 0 && v > static_cast<double>(knob.max)) {
+        return "must be in " + std::to_string(knob.min) + ".." +
+               std::to_string(knob.max) + got;
+      }
+      return "";
+    case Rule::kPositive:
+    case Rule::kPositiveList:
+      return v > 0.0 ? "" : "must be > 0" + got;
+    case Rule::kNonNegative:
+      return v >= 0.0 ? "" : "must be >= 0" + got;
+    case Rule::kLossProb:
+      return v >= 0.0 && v < 1.0 ? "" : "must be in [0, 1)" + got;
+    case Rule::kOpenFraction:
+      return v > 0.0 && v <= 1.0 ? "" : "must be in (0, 1]" + got;
+    case Rule::kClosedFraction:
+      return v >= 0.0 && v <= 1.0 ? "" : "must be in [0, 1]" + got;
+    default:
+      return "";
+  }
 }
 
-/// `topology` section of the cols x rows grid studies.  `sinks`
-/// participates only where the registry twin exposes --sinks.
-void ParseGridTopology(const std::optional<ObjView>& t, std::size_t& cols,
-                       std::size_t& rows, double& spacing_m, double& hop_m,
-                       std::size_t* sinks) {
-  if (!t) return;
-  if (sinks != nullptr) {
-    t->RequireKeys({"cols", "hop", "rows", "sinks", "spacing"});
-    *sinks = t->Count("sinks", *sinks, 1);
-    if (*sinks > 4) {
-      SpecFail(t->At("sinks") + ": must be in 1..4 (got " +
-               std::to_string(*sinks) + ")");
+/// `v` as a number `rule` accepts; `where` names the value's source.
+double CheckedNumber(Rule rule, const Knob& knob, const util::JsonValue& v,
+                     const std::string& where) {
+  if (!v.is_number()) {
+    Fail(where + ": expected a number, got " + v.TypeName());
+  }
+  const std::string error = RangeError(rule, knob, v.AsNumber());
+  if (!error.empty()) Fail(where + ": " + error);
+  return v.AsNumber();
+}
+
+/// Check `v` against `knob`'s rule and store it in the knob's field.
+/// `where` names the source in any error: "spec: $.topology.cols" for a
+/// spec file, "flag --cols" for a flag.
+void Apply(const Knob& knob, const util::JsonValue& v, const std::string& where,
+           ScenarioSpec& spec) {
+  std::visit(
+      [&](auto field) {
+        auto& slot = spec.*field;
+        using T = std::decay_t<decltype(slot)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          if (knob.rule == Rule::kSection) {
+            slot = true;  // the caller checked that the section is an object
+            return;
+          }
+          if (!v.is_bool()) {
+            Fail(where + ": expected a boolean, got " + v.TypeName());
+          }
+          slot = v.AsBool();
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          if (!v.is_string()) {
+            Fail(where + ": expected a string, got " + v.TypeName());
+          }
+          if (std::find(knob.choices.begin(), knob.choices.end(),
+                        v.AsString()) == knob.choices.end()) {
+            Fail(where + ": unknown value '" + v.AsString() +
+                 "' (one of: " + Join(knob.choices) + ")");
+          }
+          slot = v.AsString();
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+          if (!v.is_array()) {
+            Fail(where + ": expected an array of numbers, got " +
+                 v.TypeName());
+          }
+          if (v.Items().empty()) {
+            Fail(where + ": needs at least 1 entry (got 0)");
+          }
+          std::vector<double> values;
+          for (std::size_t i = 0; i < v.Items().size(); ++i) {
+            values.push_back(CheckedNumber(
+                knob.rule, knob, v.Items()[i],
+                where + "[" + std::to_string(i) + "]"));
+          }
+          slot = std::move(values);
+        } else {
+          slot = static_cast<T>(CheckedNumber(knob.rule, knob, v, where));
+        }
+      },
+      knob.field);
+}
+
+// ------------------------------------------------------------------ flags
+
+util::JsonValue FlagNumber(const std::string& text, const std::string& where) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(v)) {
+    Fail(where + ": expected a number, got '" + text + "'");
+  }
+  return util::JsonValue::MakeNumber(v);
+}
+
+/// A flag's text as the value its spec key would hold, or nothing for a
+/// boolean flag that is off.  Numbers parse with strtod, so a flag may
+/// spell `.5`, which JSON forbids; a CSV flag becomes a list.
+std::optional<util::JsonValue> FlagValue(const Knob& knob,
+                                         const std::string& text,
+                                         const std::string& where) {
+  if (*knob.hint == '\0') {
+    const bool on = text == "true" || text == "1" || text == "yes";
+    if (!on && text != "false" && text != "0" && text != "no") {
+      Fail(where + ": expected a boolean, got '" + text + "'");
     }
-  } else {
-    t->RequireKeys({"cols", "hop", "rows", "spacing"});
+    if (!on) return std::nullopt;
+    if (knob.rule == Rule::kSection) return util::JsonValue::MakeObject({});
+    return util::JsonValue::MakeString(knob.flag);
   }
-  cols = t->Count("cols", cols, 1);
-  rows = t->Count("rows", rows, 1);
-  spacing_m = t->Positive("spacing", spacing_m);
-  hop_m = t->Positive("hop", hop_m);
+  if (knob.rule == Rule::kChoice) return util::JsonValue::MakeString(text);
+  if (knob.rule != Rule::kPositiveList) return FlagNumber(text, where);
+  std::vector<util::JsonValue> items;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = text.find(',', start);
+    items.push_back(FlagNumber(text.substr(start, comma - start), where));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return util::JsonValue::MakeArray(std::move(items));
 }
 
-void ParseClusterSection(const ObjView& c, ClusterKnobs& knobs) {
-  c.RequireKeys({"aggregation", "head_fraction", "protocol", "round_s",
-                 "static_heads"});
-  knobs.protocol = netsim::ParseClusterProtocolKind(
-      c.Choice("protocol", netsim::ClusterProtocolKindName(knobs.protocol),
-               {"leach", "static"}));
-  knobs.head_fraction = c.FractionOpenLow("head_fraction", knobs.head_fraction);
-  knobs.static_heads = c.Count("static_heads", knobs.static_heads, 0);
-  knobs.round_s = c.Positive("round_s", knobs.round_s);
-  knobs.aggregation = c.Count("aggregation", knobs.aggregation, 1);
-}
-
-// ------------------------------------------------------------- studies
-
-LifetimeStudyParams ParseLifetime(const ObjView& root) {
-  root.RequireKeys({"node", "run", "study", "topology", "traffic"},
-                   " for study 'lifetime'");
-  LifetimeStudyParams p;
-  ParseGridTopology(Section(root, "topology"), p.cols, p.rows, p.spacing_m,
-                    p.hop_m, nullptr);
-  if (const auto n = Section(root, "node")) {
-    n->RequireKeys({"battery_mah", "rate"});
-    p.rate_hz = n->Positive("rate", p.rate_hz);
-    p.battery_mah = n->Positive("battery_mah", p.battery_mah);
-  }
-  if (const auto t = Section(root, "traffic")) {
-    t->RequireKeys({"kind"});
-    p.steady = t->Choice("kind", p.steady ? "steady" : "bursty",
-                         {"bursty", "steady"}) == "steady";
-  }
-  ParseRunSection(Section(root, "run"), p.horizon_s, p.replications, p.seed);
-  return p;
-}
-
-ThroughputStudyParams ParseThroughput(const ObjView& root) {
-  root.RequireKeys({"cluster", "node", "run", "study", "topology"},
-                   " for study 'throughput'");
-  ThroughputStudyParams p;
-  ParseGridTopology(Section(root, "topology"), p.cols, p.rows, p.spacing_m,
-                    p.hop_m, nullptr);
-  if (const auto n = Section(root, "node")) {
-    n->RequireKeys({"rate"});
-    p.rate_hz = n->Positive("rate", p.rate_hz);
-  }
-  if (const auto c = Section(root, "cluster")) {
-    if (!c->Empty()) {
-      SpecFail(c->Path() +
-               ": study 'throughput' derives its cluster knobs (round = "
-               "horizon/5, aggregation 4); pass an empty object to enable "
-               "the clustered data path");
-    }
-    p.clustered = true;
-  }
-  ParseRunSection(Section(root, "run"), p.horizon_s, p.replications, p.seed);
-  return p;
-}
-
-ClusteredStudyParams ParseClustered(const ObjView& root) {
-  root.RequireKeys({"cluster", "node", "run", "study", "topology"},
-                   " for study 'clustered'");
-  ClusteredStudyParams p;
-  ParseGridTopology(Section(root, "topology"), p.grid.cols, p.grid.rows,
-                    p.grid.spacing_m, p.grid.hop_m, &p.grid.sinks);
-  if (const auto n = Section(root, "node")) {
-    n->RequireKeys({"battery_mah", "rate"});
-    p.grid.rate_hz = n->Positive("rate", p.grid.rate_hz);
-    p.grid.battery_mah = n->Positive("battery_mah", p.grid.battery_mah);
-  }
-  if (const auto c = Section(root, "cluster")) {
-    ParseClusterSection(*c, p.cluster);
-  }
-  if (const auto run = Section(root, "run")) {
-    run->RequireKeys({"horizon_s", "replications", "seed"});
-    p.grid.horizon_s = run->Positive("horizon_s", p.grid.horizon_s);
-    p.replications = run->Count("replications", p.replications, 1);
-    p.seed = run->U64("seed", p.seed);
-  }
-  return p;
-}
-
-HeterogeneousStudyParams ParseHeterogeneous(const ObjView& root) {
-  root.RequireKeys({"classes", "node", "run", "study", "topology"},
-                   " for study 'heterogeneous'");
-  HeterogeneousStudyParams p;
-  ParseGridTopology(Section(root, "topology"), p.grid.cols, p.grid.rows,
-                    p.grid.spacing_m, p.grid.hop_m, nullptr);
-  if (const auto n = Section(root, "node")) {
-    n->RequireKeys({"battery_mah", "rate"});
-    p.grid.rate_hz = n->Positive("rate", p.grid.rate_hz);
-    p.grid.battery_mah = n->Positive("battery_mah", p.grid.battery_mah);
-  }
-  if (const auto c = Section(root, "classes")) {
-    c->RequireKeys({"advanced_fraction", "battery_factor", "placement"});
-    p.advanced_fraction =
-        c->FractionClosed("advanced_fraction", p.advanced_fraction);
-    p.battery_factor = c->Positive("battery_factor", p.battery_factor);
-    p.placement = c->Choice("placement", p.placement, {"hotspot", "spread"});
-  }
-  if (const auto run = Section(root, "run")) {
-    run->RequireKeys({"horizon_s", "replications", "seed"});
-    p.grid.horizon_s = run->Positive("horizon_s", p.grid.horizon_s);
-    p.replications = run->Count("replications", p.replications, 1);
-    p.seed = run->U64("seed", p.seed);
-  }
-  return p;
-}
-
-FaultStudyParams ParseFaults(const ObjView& root) {
-  root.RequireKeys({"faults", "node", "run", "study", "topology"},
-                   " for study 'faults'");
-  FaultStudyParams p;
-  if (const auto t = Section(root, "topology")) {
-    t->RequireKeys({"hop", "nodes", "spacing"});
-    p.nodes = t->Count("nodes", p.nodes, 2);
-    p.spacing_m = t->Positive("spacing", p.spacing_m);
-    p.hop_m = t->Positive("hop", p.hop_m);
-  }
-  if (const auto n = Section(root, "node")) {
-    n->RequireKeys({"rate"});
-    p.rate_hz = n->Positive("rate", p.rate_hz);
-  }
-  if (const auto f = Section(root, "faults")) {
-    f->RequireKeys({"crash_rates", "jam_duration", "jam_p_loss", "jam_radius",
-                    "jam_windows", "outages", "sink_outage_s",
-                    "sink_outages"});
-    p.crash_rates = f->PositiveArray("crash_rates", p.crash_rates);
-    p.outages = f->PositiveArray("outages", p.outages);
-    p.jam_windows = f->Count("jam_windows", p.jam_windows, 0);
-    p.jam_radius_m = f->Positive("jam_radius", p.jam_radius_m);
-    if (f->Has("jam_duration")) {
-      p.jam_duration_s = f->Positive("jam_duration", p.jam_duration_s);
-    }
-    p.jam_p_loss = f->FractionOpenLow("jam_p_loss", p.jam_p_loss);
-    p.sink_outages = f->Count("sink_outages", p.sink_outages, 0);
-    if (f->Has("sink_outage_s")) {
-      p.sink_outage_s = f->Positive("sink_outage_s", p.sink_outage_s);
-    }
-  }
-  ParseRunSection(Section(root, "run"), p.horizon_s, p.replications, p.seed);
-  return p;
+/// `--help`'s default of a flag: the study default, or "" for a boolean
+/// flag and for a default outside the knob's rule (a derived default
+/// such as jam-duration's horizon/10).
+std::string DefaultText(const Knob& knob, const ScenarioSpec& defaults) {
+  if (*knob.hint == '\0') return "";
+  return std::visit(
+      [&](auto field) -> std::string {
+        const auto& value = defaults.*field;
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          return value;
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+          std::string out;
+          for (const double v : value) {
+            out += (out.empty() ? "" : ",") + NumStr(v);
+          }
+          return out;
+        } else {
+          const double v = static_cast<double>(value);
+          return RangeError(knob.rule, knob, v).empty() ? NumStr(v) : "";
+        }
+      },
+      knob.field);
 }
 
 // ------------------------------------------------------------- generic
 
-/// Range discipline of a sweepable knob.
-enum class AxisRange { kPositive, kLossProb, kFractionOpenLow };
-
-struct SweepableKnob {
-  const char* key;
-  AxisRange range;
-  bool needs_cluster;
+/// The knobs a generic sweep axis may vary, sorted as messages list them.
+/// Every one is a number field.
+constexpr const char* kSweepable[] = {
+    "cluster.head_fraction", "cluster.round_s",  "faults.crash_rate",
+    "faults.outage_s",       "mac.p_loss",       "node.battery_mah",
+    "node.rate",             "run.horizon_s",    "topology.hop",
+    "topology.spacing",
 };
-
-/// Sorted by key — the order error messages list them in.
-constexpr SweepableKnob kSweepable[] = {
-    {"cluster.head_fraction", AxisRange::kFractionOpenLow, true},
-    {"cluster.round_s", AxisRange::kPositive, true},
-    {"faults.crash_rate", AxisRange::kPositive, false},
-    {"faults.outage_s", AxisRange::kPositive, false},
-    {"mac.p_loss", AxisRange::kLossProb, false},
-    {"node.battery_mah", AxisRange::kPositive, false},
-    {"node.rate", AxisRange::kPositive, false},
-    {"run.horizon_s", AxisRange::kPositive, false},
-    {"topology.hop", AxisRange::kPositive, false},
-    {"topology.spacing", AxisRange::kPositive, false},
-};
-
-std::string SweepableList() {
-  std::string out;
-  for (const SweepableKnob& k : kSweepable) {
-    if (!out.empty()) out += ", ";
-    out += k.key;
-  }
-  return out;
-}
 
 /// Sorted column vocabulary of the generic study's cells table.
 constexpr const char* kColumns[] = {
@@ -448,91 +367,53 @@ constexpr const char* kColumns[] = {
     "healed",        "in_flight", "partition_s",   "recoveries",
 };
 
-std::string ColumnList() {
-  std::string out;
-  for (const char* c : kColumns) {
-    if (!out.empty()) out += ", ";
-    out += c;
-  }
-  return out;
-}
-
-void ApplyAxis(GenericSpec& g, const std::string& key, double v) {
-  if (key == "node.rate") {
-    g.rate_hz = v;
-  } else if (key == "node.battery_mah") {
-    g.battery_mah = v;
-  } else if (key == "topology.hop") {
-    g.hop_m = v;
-  } else if (key == "topology.spacing") {
-    g.spacing_m = v;
-  } else if (key == "faults.crash_rate") {
-    g.crash_rate_hz = v;
-  } else if (key == "faults.outage_s") {
-    g.outage_s = v;
-  } else if (key == "cluster.head_fraction") {
-    g.cluster.head_fraction = v;
-  } else if (key == "cluster.round_s") {
-    g.cluster.round_s = v;
-  } else if (key == "mac.p_loss") {
-    g.p_loss = v;
-  } else if (key == "run.horizon_s") {
-    g.horizon_s = v;
-  }
-}
-
-void ParseSweep(const ObjView& root, GenericSpec& g) {
-  const util::JsonValue* sv = root.Raw("sweep");
+void ParseSweep(const util::JsonValue& doc, ScenarioSpec& g) {
+  const util::JsonValue* sv = doc.Find("sweep");
   if (sv == nullptr) return;
   if (!sv->is_array()) {
-    SpecFail(root.At("sweep") + ": expected an array of axis objects, got " +
-             sv->TypeName());
+    SpecFail("$.sweep: expected an array of axis objects, got " +
+             std::string(sv->TypeName()));
   }
   const auto& items = sv->Items();
   if (items.size() > 3) {
-    SpecFail(root.At("sweep") + ": at most 3 axes (got " +
-             std::to_string(items.size()) + ")");
+    SpecFail("$.sweep: at most 3 axes (got " + std::to_string(items.size()) +
+             ")");
   }
   std::size_t cells = 1;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::string at = root.At("sweep") + "[" + std::to_string(i) + "]";
-    if (!items[i].is_object()) {
-      SpecFail(at + ": expected an axis object, got " + items[i].TypeName());
+    const std::string at = "$.sweep[" + std::to_string(i) + "]";
+    const util::JsonValue& item = items[i];
+    if (!item.is_object()) {
+      SpecFail(at + ": expected an axis object, got " + item.TypeName());
     }
-    const ObjView axis_view(items[i], at);
-    axis_view.RequireKeys({"key", "values"});
-    if (!axis_view.Has("key")) {
-      SpecFail("missing required key 'key' at " + at);
+    for (const auto& [member, value] : item.Members()) {
+      if (member != "key" && member != "values") {
+        SpecFail("unknown key '" + member + "' at " + at +
+                 " (accepted: key, values)");
+      }
     }
-    if (!axis_view.Has("values")) {
-      SpecFail("missing required key 'values' at " + at);
-    }
-    const util::JsonValue* key = axis_view.Raw("key");
+    const util::JsonValue* key = item.Find("key");
+    if (key == nullptr) SpecFail("missing required key 'key' at " + at);
+    const util::JsonValue* vals = item.Find("values");
+    if (vals == nullptr) SpecFail("missing required key 'values' at " + at);
     if (!key->is_string()) {
       SpecFail(at + ".key: expected a string, got " + key->TypeName());
     }
     SweepAxis axis;
     axis.key = key->AsString();
-    const SweepableKnob* knob = nullptr;
-    for (const SweepableKnob& k : kSweepable) {
-      if (axis.key == k.key) {
-        knob = &k;
-        break;
-      }
-    }
-    if (knob == nullptr) {
+    if (std::find(std::begin(kSweepable), std::end(kSweepable), axis.key) ==
+        std::end(kSweepable)) {
       SpecFail(at + ".key: '" + axis.key +
-               "' is not sweepable (sweepable: " + SweepableList() + ")");
+               "' is not sweepable (sweepable: " + Join(kSweepable) + ")");
     }
     for (const SweepAxis& seen : g.sweep) {
       if (seen.key == axis.key) {
         SpecFail(at + ".key: duplicate axis '" + axis.key + "'");
       }
     }
-    if (knob->needs_cluster && !g.clustered) {
+    if (axis.key.rfind("cluster.", 0) == 0 && !g.clustered) {
       SpecFail(at + ".key: '" + axis.key + "' requires a cluster section");
     }
-    const util::JsonValue* vals = axis_view.Raw("values");
     if (!vals->is_array()) {
       SpecFail(at + ".values: expected an array of numbers, got " +
                vals->TypeName());
@@ -540,49 +421,75 @@ void ParseSweep(const ObjView& root, GenericSpec& g) {
     if (vals->Items().empty()) {
       SpecFail(at + ".values: needs at least 1 entry (got 0)");
     }
+    // A swept fault knob must be > 0: 0 is the base spec's "off", and a
+    // crash rate needs an outage length.
+    const Knob& knob = FindKnob(axis.key);
+    const Rule rule =
+        knob.rule == Rule::kNonNegative ? Rule::kPositive : knob.rule;
     for (std::size_t j = 0; j < vals->Items().size(); ++j) {
-      const std::string vat = at + ".values[" + std::to_string(j) + "]";
-      const util::JsonValue& item = vals->Items()[j];
-      if (!item.is_number()) {
-        SpecFail(vat + ": expected a number, got " + item.TypeName());
-      }
-      const double v = item.AsNumber();
-      switch (knob->range) {
-        case AxisRange::kPositive:
-          if (!(v > 0.0)) {
-            SpecFail(vat + ": must be > 0 (got " + NumStr(v) + ")");
-          }
-          break;
-        case AxisRange::kLossProb:
-          if (!(v >= 0.0 && v < 1.0)) {
-            SpecFail(vat + ": must be in [0, 1) (got " + NumStr(v) + ")");
-          }
-          break;
-        case AxisRange::kFractionOpenLow:
-          if (!(v > 0.0 && v <= 1.0)) {
-            SpecFail(vat + ": must be in (0, 1] (got " + NumStr(v) + ")");
-          }
-          break;
-      }
-      axis.values.push_back(v);
+      axis.values.push_back(CheckedNumber(
+          rule, knob, vals->Items()[j],
+          "spec: " + at + ".values[" + std::to_string(j) + "]"));
     }
     cells *= axis.values.size();
     g.sweep.push_back(std::move(axis));
   }
   if (cells > 64) {
-    SpecFail(root.At("sweep") + ": " + std::to_string(cells) +
+    SpecFail("$.sweep: " + std::to_string(cells) +
              " cells exceed the 64-cell cap (axis lengths multiply)");
   }
 }
 
+void ParseColumns(const util::JsonValue& doc, ScenarioSpec& g) {
+  const util::JsonValue* output = doc.Find("output");
+  if (output == nullptr) return;
+  if (!output->is_object()) {
+    SpecFail("$.output: expected an object, got " +
+             std::string(output->TypeName()));
+  }
+  for (const auto& [member, value] : output->Members()) {
+    if (member != "columns") {
+      SpecFail("unknown key '" + member + "' at $.output (accepted: columns)");
+    }
+  }
+  const util::JsonValue* cols = output->Find("columns");
+  if (cols == nullptr) return;
+  if (!cols->is_array()) {
+    SpecFail("$.output.columns: expected an array of column names, got " +
+             std::string(cols->TypeName()));
+  }
+  if (cols->Items().empty()) {
+    SpecFail("$.output.columns: needs at least 1 entry (got 0)");
+  }
+  std::vector<std::string> columns;
+  for (std::size_t i = 0; i < cols->Items().size(); ++i) {
+    const std::string at = "$.output.columns[" + std::to_string(i) + "]";
+    const util::JsonValue& item = cols->Items()[i];
+    if (!item.is_string()) {
+      SpecFail(at + ": expected a string, got " + item.TypeName());
+    }
+    const std::string& name = item.AsString();
+    if (std::find(std::begin(kColumns), std::end(kColumns), name) ==
+        std::end(kColumns)) {
+      SpecFail(at + ": unknown column '" + name +
+               "' (available: " + Join(kColumns) + ")");
+    }
+    if (std::find(columns.begin(), columns.end(), name) != columns.end()) {
+      SpecFail(at + ": duplicate column '" + name + "'");
+    }
+    columns.push_back(name);
+  }
+  g.columns = std::move(columns);
+}
+
 /// The first generic knob that makes the analytic cross-check invalid,
 /// or "" when the spec is analytically comparable.
-std::string AnalyticConflict(const GenericSpec& g) {
+std::string AnalyticConflict(const ScenarioSpec& g) {
   if (g.clustered) {
     return "the cluster section (the analytic estimator models flat greedy "
            "routing)";
   }
-  if (g.bursty) {
+  if (g.traffic == "bursty") {
     return "traffic.kind 'bursty' (the analytic estimator assumes steady "
            "Poisson traffic)";
   }
@@ -611,169 +518,9 @@ std::string AnalyticConflict(const GenericSpec& g) {
   return "";
 }
 
-GenericSpec ParseGeneric(const ObjView& root) {
-  root.RequireKeys({"classes", "cluster", "faults", "mac", "node", "output",
-                    "routing", "run", "study", "sweep", "topology", "traffic",
-                    "verify"},
-                   " for study 'generic'");
-  GenericSpec g;
-  if (const auto t = Section(root, "topology")) {
-    t->RequireKeys({"cols", "hop", "nodes", "rows", "sinks", "spacing"});
-    if (t->Has("nodes") && (t->Has("cols") || t->Has("rows"))) {
-      SpecFail(t->Path() +
-               ": 'nodes' conflicts with 'cols'/'rows' (a 'nodes' deployment "
-               "derives its own near-square grid)");
-    }
-    g.nodes = t->Count("nodes", g.nodes, 2);
-    g.cols = t->Count("cols", g.cols, 1);
-    g.rows = t->Count("rows", g.rows, 1);
-    g.spacing_m = t->Positive("spacing", g.spacing_m);
-    g.hop_m = t->Positive("hop", g.hop_m);
-    g.sinks = t->Count("sinks", g.sinks, 1);
-    if (g.sinks > 4) {
-      SpecFail(t->At("sinks") + ": must be in 1..4 (got " +
-               std::to_string(g.sinks) + ")");
-    }
-  }
-  if (const auto n = Section(root, "node")) {
-    n->RequireKeys({"battery_mah", "rate"});
-    g.rate_hz = n->Positive("rate", g.rate_hz);
-    g.battery_mah = n->Positive("battery_mah", g.battery_mah);
-  }
-  if (const auto t = Section(root, "traffic")) {
-    t->RequireKeys({"kind"});
-    g.bursty = t->Choice("kind", g.bursty ? "bursty" : "steady",
-                         {"bursty", "steady"}) == "bursty";
-  }
-  if (const auto m = Section(root, "mac")) {
-    m->RequireKeys({"max_queue", "max_retries", "p_loss",
-                    "wakeup_interval_s"});
-    g.p_loss = m->LossProb("p_loss", g.p_loss);
-    g.wakeup_interval_s =
-        m->NonNegative("wakeup_interval_s", g.wakeup_interval_s);
-    g.max_retries = m->Count("max_retries", g.max_retries, 0);
-    g.max_queue = m->Count("max_queue", g.max_queue, 1);
-  }
-  if (const auto r = Section(root, "routing")) {
-    r->RequireKeys({"rerouting"});
-    g.rerouting = r->Bool("rerouting", g.rerouting);
-  }
-  if (const auto c = Section(root, "cluster")) {
-    g.clustered = true;
-    c->RequireKeys({"aggregation", "head_fraction", "protocol", "round_s",
-                    "static_heads"});
-    ClusterKnobs knobs = g.cluster;
-    knobs.protocol = netsim::ParseClusterProtocolKind(
-        c->Choice("protocol", "leach", {"leach", "static"}));
-    knobs.head_fraction =
-        c->FractionOpenLow("head_fraction", knobs.head_fraction);
-    knobs.static_heads = c->Count("static_heads", knobs.static_heads, 0);
-    knobs.round_s = c->Positive("round_s", knobs.round_s);
-    knobs.aggregation = c->Count("aggregation", knobs.aggregation, 1);
-    g.cluster = knobs;
-  }
-  if (const auto c = Section(root, "classes")) {
-    c->RequireKeys({"advanced_fraction", "battery_factor", "placement"});
-    g.advanced_fraction =
-        c->FractionClosed("advanced_fraction", g.advanced_fraction);
-    g.battery_factor = c->Positive("battery_factor", g.battery_factor);
-    g.placement = c->Choice("placement", g.placement, {"hotspot", "spread"});
-  }
-  if (const auto f = Section(root, "faults")) {
-    f->RequireKeys({"crash_rate", "jam_duration", "jam_p_loss", "jam_radius",
-                    "jam_windows", "outage_s", "sink_outage_s",
-                    "sink_outages"});
-    g.crash_rate_hz = f->NonNegative("crash_rate", g.crash_rate_hz);
-    g.outage_s = f->NonNegative("outage_s", g.outage_s);
-    g.jam_windows = f->Count("jam_windows", g.jam_windows, 0);
-    g.jam_radius_m = f->Positive("jam_radius", g.jam_radius_m);
-    if (f->Has("jam_duration")) {
-      g.jam_duration_s = f->Positive("jam_duration", g.jam_duration_s);
-    }
-    g.jam_p_loss = f->FractionOpenLow("jam_p_loss", g.jam_p_loss);
-    g.sink_outages = f->Count("sink_outages", g.sink_outages, 0);
-    if (f->Has("sink_outage_s")) {
-      g.sink_outage_s = f->Positive("sink_outage_s", g.sink_outage_s);
-    }
-    if (g.crash_rate_hz > 0.0 && !(g.outage_s > 0.0)) {
-      SpecFail(f->Path() + ": 'crash_rate' > 0 requires 'outage_s' > 0");
-    }
-  }
-  if (const auto run = Section(root, "run")) {
-    run->RequireKeys({"horizon_s", "replications", "seed", "stop_at"});
-    g.horizon_s = run->Positive("horizon_s", g.horizon_s);
-    g.stop_at = run->Choice("stop_at", g.stop_at,
-                            {"first_death", "horizon", "partition"});
-    g.replications = run->Count("replications", g.replications, 1);
-    g.seed = run->U64("seed", g.seed);
-  }
-  ParseSweep(root, g);
-  if (const auto o = Section(root, "output")) {
-    o->RequireKeys({"columns"});
-    const util::JsonValue* cols = o->Raw("columns");
-    if (cols != nullptr) {
-      if (!cols->is_array()) {
-        SpecFail(o->At("columns") + ": expected an array of column names, "
-                 "got " + cols->TypeName());
-      }
-      if (cols->Items().empty()) {
-        SpecFail(o->At("columns") + ": needs at least 1 entry (got 0)");
-      }
-      for (std::size_t i = 0; i < cols->Items().size(); ++i) {
-        const std::string at =
-            o->At("columns") + "[" + std::to_string(i) + "]";
-        const util::JsonValue& item = cols->Items()[i];
-        if (!item.is_string()) {
-          SpecFail(at + ": expected a string, got " + item.TypeName());
-        }
-        const std::string& name = item.AsString();
-        bool known = false;
-        for (const char* c : kColumns) {
-          if (name == c) {
-            known = true;
-            break;
-          }
-        }
-        if (!known) {
-          SpecFail(at + ": unknown column '" + name +
-                   "' (available: " + ColumnList() + ")");
-        }
-        if (std::find(g.columns.begin(), g.columns.end(), name) !=
-            g.columns.end()) {
-          SpecFail(at + ": duplicate column '" + name + "'");
-        }
-        g.columns.push_back(name);
-      }
-    }
-  }
-  if (const auto v = Section(root, "verify")) {
-    v->RequireKeys({"analytic", "oracle"});
-    g.verify_oracle = v->Bool("oracle", g.verify_oracle);
-    g.verify_analytic = v->Bool("analytic", g.verify_analytic);
-  }
-  if (g.verify_analytic) {
-    const std::string conflict = AnalyticConflict(g);
-    if (!conflict.empty()) {
-      SpecFail(root.At("verify") + ".analytic: conflicts with " + conflict);
-    }
-    for (const SweepAxis& axis : g.sweep) {
-      if (axis.key == "mac.p_loss" || axis.key == "faults.crash_rate" ||
-          axis.key == "faults.outage_s") {
-        SpecFail(root.At("verify") + ".analytic: conflicts with sweep axis '" +
-                 axis.key + "'");
-      }
-    }
-  }
-  if (g.columns.empty()) {
-    g.columns = {"generated",      "delivered",     "dropped",
-                 "delivery_ratio", "first_death_s", "conserved"};
-  }
-  return g;
-}
-
 // ------------------------------------------------- generic interpreter
 
-netsim::NetSimConfig BuildGenericConfig(const GenericSpec& g) {
+netsim::NetSimConfig BuildGenericConfig(const ScenarioSpec& g) {
   netsim::NetSimConfig cfg;
   cfg.network.node.cpu.arrival_rate = g.rate_hz;
   cfg.network.node.cpu.service_rate = 10.0 * std::max(g.rate_hz, 0.1);
@@ -795,12 +542,7 @@ netsim::NetSimConfig BuildGenericConfig(const GenericSpec& g) {
     cfg.positions = node::MakeGrid(cols, rows, g.spacing_m);
   }
   cfg.horizon_s = g.horizon_s;
-
-  const double x_max = (static_cast<double>(cols) + 1.0) * g.spacing_m;
-  const double y_max = (static_cast<double>(rows) + 1.0) * g.spacing_m;
-  if (g.sinks >= 2) cfg.sinks = {{0.0, 0.0}, {x_max, y_max}};
-  if (g.sinks >= 3) cfg.sinks.push_back({x_max, 0.0});
-  if (g.sinks >= 4) cfg.sinks.push_back({0.0, y_max});
+  PlaceCornerSinks(cfg, cols, rows, g.spacing_m, g.sinks);
 
   cfg.mac.p_loss = g.p_loss;
   cfg.mac.wakeup_interval_s = g.wakeup_interval_s;
@@ -811,19 +553,8 @@ netsim::NetSimConfig BuildGenericConfig(const GenericSpec& g) {
   cfg.stop_at_first_death = g.stop_at == "first_death";
   cfg.stop_at_partition = g.stop_at == "partition";
 
-  if (g.clustered) ApplyClusterKnobs(cfg, g.cluster);
-
-  if (g.bursty) {
-    // Same quiet/storm MMPP shape as the lifetime study: 20% of the
-    // nominal rate most of the time, 10x bursts, long-run mean close to
-    // the nominal rate.
-    const double rate = g.rate_hz;
-    cfg.traffic_factory = [rate](std::size_t) {
-      return std::make_unique<des::MmppWorkload>(
-          std::vector<double>{0.2 * rate, 10.0 * rate},
-          std::vector<std::vector<double>>{{-0.02, 0.02}, {0.2, -0.2}});
-    };
-  }
+  if (g.clustered) ApplyCluster(cfg, g);
+  if (g.traffic == "bursty") UseBurstyTraffic(cfg);
 
   if (g.crash_rate_hz > 0.0) {
     cfg.faults.crash_rate_hz = g.crash_rate_hz;
@@ -842,55 +573,17 @@ netsim::NetSimConfig BuildGenericConfig(const GenericSpec& g) {
         g.sink_outage_s > 0.0 ? g.sink_outage_s : g.horizon_s / 10.0;
   }
 
-  if (g.advanced_fraction > 0.0) {
-    netsim::NodeClass standard;
-    standard.name = "standard";
-    standard.battery_mah = cfg.network.node.battery_mah;
-    standard.battery_volts = cfg.network.node.battery_volts;
-    standard.radio = cfg.network.node.radio;
-    standard.listen_duty_cycle = cfg.network.node.listen_duty_cycle;
-    netsim::NodeClass advanced = standard;
-    advanced.name = "advanced";
-    advanced.battery_mah = standard.battery_mah * g.battery_factor;
-    cfg.classes = {standard, advanced};
-
-    const std::size_t n = cfg.positions.size();
-    const std::size_t advanced_count = static_cast<std::size_t>(
-        std::lround(g.advanced_fraction * static_cast<double>(n)));
-    cfg.node_class.assign(n, "standard");
-    if (advanced_count > 0 && g.placement == "hotspot") {
-      const core::MarkovCpuModel model;
-      const node::Network analytic_net(cfg.network, cfg.positions);
-      const node::NetworkReport report = analytic_net.Evaluate(model);
-      std::vector<std::size_t> order(n);
-      for (std::size_t i = 0; i < n; ++i) order[i] = i;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const double la = report.nodes[a].relay_packets_per_second;
-                  const double lb = report.nodes[b].relay_packets_per_second;
-                  if (la != lb) return la > lb;
-                  return a < b;
-                });
-      for (std::size_t j = 0; j < advanced_count; ++j) {
-        cfg.node_class[order[j]] = "advanced";
-      }
-    } else if (advanced_count > 0) {  // spread
-      for (std::size_t j = 0; j < advanced_count; ++j) {
-        const std::size_t pick = (j * n + n / 2) / advanced_count;
-        cfg.node_class[std::min(pick, n - 1)] = "advanced";
-      }
-    }
-  }
+  if (g.advanced_fraction > 0.0) AssignNodeClasses(cfg, g, nullptr);
   return cfg;
 }
 
 /// One expanded sweep cell: the base spec with axis values applied.
 struct SpecCell {
-  GenericSpec spec;
+  ScenarioSpec spec;
   std::string label;
 };
 
-std::vector<SpecCell> ExpandCells(const GenericSpec& g) {
+std::vector<SpecCell> ExpandCells(const ScenarioSpec& g) {
   std::vector<SpecCell> cells{{g, ""}};
   for (const SweepAxis& axis : g.sweep) {
     std::vector<SpecCell> next;
@@ -898,7 +591,8 @@ std::vector<SpecCell> ExpandCells(const GenericSpec& g) {
     for (const SpecCell& cell : cells) {
       for (const double v : axis.values) {
         SpecCell expanded = cell;
-        ApplyAxis(expanded.spec, axis.key, v);
+        expanded.spec.*std::get<double ScenarioSpec::*>(
+                            FindKnob(axis.key).field) = v;
         if (!expanded.label.empty()) expanded.label += " ";
         expanded.label += axis.key + "=" + NumStr(v);
         next.push_back(std::move(expanded));
@@ -912,7 +606,7 @@ std::vector<SpecCell> ExpandCells(const GenericSpec& g) {
   return cells;
 }
 
-ResultSet RunGenericStudy(const ScenarioContext& ctx, const GenericSpec& g) {
+ResultSet RunGenericStudy(const ScenarioContext& ctx, const ScenarioSpec& g) {
   const std::vector<SpecCell> cells = ExpandCells(g);
   netsim::ReplicationConfig rep;
   rep.replications = g.replications;
@@ -1083,6 +777,167 @@ ResultSet RunGenericStudy(const ScenarioContext& ctx, const GenericSpec& g) {
   return results;
 }
 
+
+// ------------------------------------------------------------ study table
+
+/// A netsim study: the knobs it accepts — its flags and its spec schema,
+/// in flag order — its defaults and its runner.
+struct Study {
+  const char* name;  ///< the spec's `study` value
+  bool in_files;     ///< false: flags only (cluster-ablation)
+  std::vector<const char*> keys;
+  ScenarioSpec (*defaults)();
+  ResultSet (*run)(const ScenarioContext&, const ScenarioSpec&);
+};
+
+/// Defaults of the clustered grid studies.
+ScenarioSpec GridDefaults() {
+  ScenarioSpec s;
+  s.rate_hz = 2.0;
+  s.horizon_s = 2000.0;
+  s.replications = 8;
+  return s;
+}
+
+const std::vector<Study>& Studies() {
+  // The grid studies' leading flags, then `more`.
+  const auto grid = [](std::initializer_list<const char*> more) {
+    std::vector<const char*> keys = {
+        "topology.cols",  "topology.rows",    "topology.spacing",
+        "node.rate",      "node.battery_mah", "run.horizon_s",
+        "run.replications", "run.seed",       "topology.hop"};
+    keys.insert(keys.end(), more);
+    return keys;
+  };
+  static const std::vector<Study> studies = {
+      {"lifetime", true,
+       {"topology.cols", "topology.rows", "topology.spacing", "topology.hop",
+        "node.rate", "node.battery_mah", "run.horizon_s", "run.replications",
+        "run.seed", "traffic.kind"},
+       [] {
+         ScenarioSpec s;
+         s.cols = 10;
+         s.rows = 5;
+         s.rate_hz = 2.0;
+         s.traffic = "bursty";
+         s.horizon_s = 4000.0;
+         s.replications = 8;
+         return s;
+       },
+       RunLifetimeStudy},
+      {"throughput", true,
+       {"topology.cols", "topology.rows", "topology.spacing", "topology.hop",
+        "node.rate", "run.horizon_s", "run.replications", "run.seed",
+        "cluster"},
+       [] {
+         ScenarioSpec s;
+         s.cols = 10;
+         s.rows = 10;
+         s.spacing_m = 25.0;
+         s.rate_hz = 2.0;
+         s.horizon_s = 30.0;
+         s.replications = 32;
+         return s;
+       },
+       RunThroughputStudy},
+      {"clustered", true,
+       grid({"cluster.protocol", "cluster.head_fraction",
+             "cluster.static_heads", "cluster.round_s", "cluster.aggregation",
+             "topology.sinks"}),
+       GridDefaults, RunClusteredStudy},
+      {"heterogeneous", true,
+       grid({"classes.advanced_fraction", "classes.battery_factor",
+             "classes.placement"}),
+       [] {
+         ScenarioSpec s = GridDefaults();
+         s.rows = 4;
+         s.replications = 16;
+         s.advanced_fraction = 0.2;
+         s.battery_factor = 3.0;
+         return s;
+       },
+       RunHeterogeneousStudy},
+      {"faults", true,
+       {"topology.nodes", "topology.spacing", "topology.hop", "node.rate",
+        "run.horizon_s", "faults.crash_rates", "faults.outages",
+        "faults.jam_windows", "faults.jam_radius", "faults.jam_duration",
+        "faults.jam_p_loss", "faults.sink_outages", "faults.sink_outage_s",
+        "run.replications", "run.seed"},
+       [] {
+         ScenarioSpec s;
+         s.nodes = 144;
+         s.rate_hz = 0.05;
+         s.horizon_s = 2000.0;
+         s.crash_rates = {0.0002, 0.001};
+         s.outages = {100.0, 400.0};
+         s.jam_windows = 2;
+         s.sink_outages = 1;
+         return s;
+       },
+       RunFaultStudy},
+      // The ablation runs every protocol, so it takes no --protocol.
+      {"cluster-ablation", false,
+       grid({"cluster.head_fraction", "cluster.static_heads",
+             "cluster.round_s", "cluster.aggregation", "topology.sinks"}),
+       GridDefaults, RunClusterAblation},
+      // Every knob but the faults study's sweep lists.
+      {"generic", true,
+       {"topology.cols", "topology.rows", "topology.nodes", "topology.spacing",
+        "topology.hop", "topology.sinks", "node.rate", "node.battery_mah",
+        "traffic.kind", "mac.p_loss", "mac.wakeup_interval_s",
+        "mac.max_retries", "mac.max_queue", "routing.rerouting", "cluster",
+        "cluster.protocol", "cluster.head_fraction", "cluster.static_heads",
+        "cluster.round_s", "cluster.aggregation", "classes.advanced_fraction",
+        "classes.battery_factor", "classes.placement", "faults.crash_rate",
+        "faults.outage_s", "faults.jam_windows", "faults.jam_radius",
+        "faults.jam_duration", "faults.jam_p_loss", "faults.sink_outages",
+        "faults.sink_outage_s", "run.horizon_s", "run.stop_at",
+        "run.replications", "run.seed", "verify.oracle", "verify.analytic"},
+       [] {
+         ScenarioSpec s;
+         s.columns = {"generated",      "delivered",     "dropped",
+                      "delivery_ratio", "first_death_s", "conserved"};
+         return s;
+       },
+       RunGenericStudy},
+  };
+  return studies;
+}
+
+const Study* FindStudy(const std::string& name) {
+  for (const Study& study : Studies()) {
+    if (name == study.name) return &study;
+  }
+  return nullptr;
+}
+
+const Study& RequireStudy(const std::string& name) {
+  const Study* study = FindStudy(name);
+  if (study == nullptr) throw util::Error("no netsim study '" + name + "'");
+  return *study;
+}
+
+/// The knob behind `key` when `study` accepts it, else null.
+const Knob* StudyKnob(const Study& study, const std::string& key) {
+  for (const char* k : study.keys) {
+    if (key == k) return &FindKnob(key);
+  }
+  return nullptr;
+}
+
+/// The sorted member names `study` accepts in `section`.
+std::vector<std::string> SectionKeys(const Study& study,
+                                     const std::string& section) {
+  std::vector<std::string> members;
+  for (const std::string key : study.keys) {
+    if (key.rfind(section + ".", 0) == 0) {
+      members.push_back(key.substr(section.size() + 1));
+    }
+  }
+  std::sort(members.begin(), members.end());
+  return members;
+}
+
 }  // namespace
 
 ScenarioSpec ParseScenarioSpec(const std::string& json_text) {
@@ -1090,35 +945,98 @@ ScenarioSpec ParseScenarioSpec(const std::string& json_text) {
   if (!doc.is_object()) {
     SpecFail("expected a JSON object at $, got " + std::string(doc.TypeName()));
   }
-  const ObjView root(doc, "$");
-  const util::JsonValue* study = root.Raw("study");
-  if (study == nullptr) {
-    SpecFail(
-        "missing required key 'study' at $ (one of: clustered, faults, "
-        "generic, heterogeneous, lifetime, throughput)");
+  std::vector<std::string> names;
+  for (const Study& s : Studies()) {
+    if (s.in_files) names.push_back(s.name);
   }
-  if (!study->is_string()) {
+  std::sort(names.begin(), names.end());
+  const util::JsonValue* name = doc.Find("study");
+  if (name == nullptr) {
+    SpecFail("missing required key 'study' at $ (one of: " + Join(names) + ")");
+  }
+  if (!name->is_string()) {
     SpecFail("$.study: expected a string, got " +
-             std::string(study->TypeName()));
+             std::string(name->TypeName()));
   }
-  ScenarioSpec spec;
-  spec.study = study->AsString();
-  if (spec.study == "lifetime") {
-    spec.lifetime = ParseLifetime(root);
-  } else if (spec.study == "throughput") {
-    spec.throughput = ParseThroughput(root);
-  } else if (spec.study == "clustered") {
-    spec.clustered = ParseClustered(root);
-  } else if (spec.study == "heterogeneous") {
-    spec.heterogeneous = ParseHeterogeneous(root);
-  } else if (spec.study == "faults") {
-    spec.faults = ParseFaults(root);
-  } else if (spec.study == "generic") {
-    spec.generic = ParseGeneric(root);
-  } else {
-    SpecFail("$.study: unknown study '" + spec.study +
-             "' (one of: clustered, faults, generic, heterogeneous, "
-             "lifetime, throughput)");
+  const Study* study = FindStudy(name->AsString());
+  if (study == nullptr || !study->in_files) {
+    SpecFail("$.study: unknown study '" + name->AsString() +
+             "' (one of: " + Join(names) + ")");
+  }
+  ScenarioSpec spec = study->defaults();
+  spec.study = study->name;
+  const bool generic = spec.study == "generic";
+
+  std::vector<std::string> sections{"study"};
+  if (generic) sections.insert(sections.end(), {"output", "sweep"});
+  for (const std::string key : study->keys) {
+    const std::string section = key.substr(0, key.find('.'));
+    if (std::find(sections.begin(), sections.end(), section) ==
+        sections.end()) {
+      sections.push_back(section);
+    }
+  }
+  std::sort(sections.begin(), sections.end());
+
+  for (const auto& [section, value] : doc.Members()) {
+    if (std::find(sections.begin(), sections.end(), section) ==
+        sections.end()) {
+      SpecFail("unknown key '" + section + "' at $ (accepted for study '" +
+               spec.study + "': " + Join(sections) + ")");
+    }
+    if (section == "study" || section == "sweep" || section == "output") {
+      continue;
+    }
+    const std::string path = "$." + section;
+    if (!value.is_object()) {
+      SpecFail(path + ": expected an object, got " + value.TypeName());
+    }
+    if (const Knob* presence = StudyKnob(*study, section)) {
+      Apply(*presence, value, "spec: " + path, spec);
+    }
+    if (spec.study == "throughput" && section == "cluster" &&
+        !value.Members().empty()) {
+      SpecFail(path +
+               ": study 'throughput' derives its cluster knobs (round = "
+               "horizon/5, aggregation 4); pass an empty object to enable "
+               "the clustered data path");
+    }
+    for (const auto& [member, v] : value.Members()) {
+      const Knob* knob = StudyKnob(*study, section + "." + member);
+      if (knob == nullptr) {
+        SpecFail("unknown key '" + member + "' at " + path + " (accepted: " +
+                 Join(SectionKeys(*study, section)) + ")");
+      }
+      Apply(*knob, v, "spec: " + path + "." + member, spec);
+    }
+  }
+  if (!generic) return spec;
+
+  const util::JsonValue* topology = doc.Find("topology");
+  if (topology != nullptr && topology->Find("nodes") != nullptr &&
+      (topology->Find("cols") != nullptr ||
+       topology->Find("rows") != nullptr)) {
+    SpecFail(
+        "$.topology: 'nodes' conflicts with 'cols'/'rows' (a 'nodes' "
+        "deployment derives its own near-square grid)");
+  }
+  if (spec.crash_rate_hz > 0.0 && !(spec.outage_s > 0.0)) {
+    SpecFail("$.faults: 'crash_rate' > 0 requires 'outage_s' > 0");
+  }
+  ParseSweep(doc, spec);
+  ParseColumns(doc, spec);
+  if (spec.verify_analytic) {
+    const std::string conflict = AnalyticConflict(spec);
+    if (!conflict.empty()) {
+      SpecFail("$.verify.analytic: conflicts with " + conflict);
+    }
+    for (const SweepAxis& axis : spec.sweep) {
+      if (axis.key == "mac.p_loss" || axis.key == "faults.crash_rate" ||
+          axis.key == "faults.outage_s") {
+        SpecFail("$.verify.analytic: conflicts with sweep axis '" + axis.key +
+                 "'");
+      }
+    }
   }
   return spec;
 }
@@ -1137,17 +1055,37 @@ ScenarioSpec LoadScenarioSpecFile(const std::string& path) {
   }
 }
 
+std::vector<util::FlagSpec> StudyFlags(const std::string& study) {
+  const Study& s = RequireStudy(study);
+  const ScenarioSpec defaults = s.defaults();
+  std::vector<util::FlagSpec> flags;
+  for (const char* key : s.keys) {
+    const Knob& knob = FindKnob(key);
+    if (knob.flag == nullptr) continue;
+    flags.push_back(
+        {knob.flag, knob.hint, DefaultText(knob, defaults), knob.help});
+  }
+  return flags;
+}
+
+ScenarioSpec StudySpecFromArgs(const std::string& study,
+                               const util::CliArgs& args) {
+  const Study& s = RequireStudy(study);
+  ScenarioSpec spec = s.defaults();
+  spec.study = s.name;
+  for (const char* key : s.keys) {
+    const Knob& knob = FindKnob(key);
+    if (knob.flag == nullptr || !args.Has(knob.flag)) continue;
+    const std::string where = std::string("flag --") + knob.flag;
+    const std::optional<util::JsonValue> value =
+        FlagValue(knob, args.GetString(knob.flag, ""), where);
+    if (value) Apply(knob, *value, where, spec);
+  }
+  return spec;
+}
+
 ResultSet RunSpec(const ScenarioContext& ctx, const ScenarioSpec& spec) {
-  if (spec.study == "lifetime") return RunLifetimeStudy(ctx, spec.lifetime);
-  if (spec.study == "throughput") {
-    return RunThroughputStudy(ctx, spec.throughput);
-  }
-  if (spec.study == "clustered") return RunClusteredStudy(ctx, spec.clustered);
-  if (spec.study == "heterogeneous") {
-    return RunHeterogeneousStudy(ctx, spec.heterogeneous);
-  }
-  if (spec.study == "faults") return RunFaultStudy(ctx, spec.faults);
-  return RunGenericStudy(ctx, spec.generic);
+  return RequireStudy(spec.study).run(ctx, spec);
 }
 
 }  // namespace wsn::scenario

@@ -1,22 +1,26 @@
 /// \file
-/// Declarative scenario specs: a validated JSON description of a netsim
+/// Declarative scenario specs: one validated description of a netsim
 /// experiment — topology, node hardware, traffic, MAC, routing mode,
 /// cluster knobs, fault injection, sweep axes, replication effort,
-/// output columns and verification switches — interpreted by the same
-/// study runners the registered scenarios wrap (scenario/studies.hpp).
+/// output columns and verification switches.
 ///
-/// Two front ends, one implementation: `wsnctl run netsim-lifetime`
-/// parses CLI flags into LifetimeStudyParams; `wsnctl run --file
-/// exp.json` parses a spec into the same struct and calls the same
-/// runner.  A committed preset file is therefore byte-identical to its
-/// compiled-in twin (tests/test_scenario.cpp pins this for every file
-/// under presets/).
+/// Every netsim knob is declared once, as a row of the knob table in
+/// spec.cpp: its spec key ("topology.cols"), its flag ("--cols"), its
+/// range rule and the ScenarioSpec field it fills.  Both front ends fill
+/// one ScenarioSpec through that table — `wsnctl run netsim-lifetime
+/// --cols=4` through StudySpecFromArgs, `wsnctl run --file exp.json`
+/// through ParseScenarioSpec — and RunSpec hands it to the study's
+/// runner (scenario/studies.hpp).  A study is a row of the study table:
+/// the keys it accepts, its defaults and its runner.  Its flags and its
+/// spec schema are that one key list, so a committed preset file is
+/// byte-identical to its registered twin (tests/test_scenario.cpp pins
+/// this for every file under presets/).
 ///
-/// The `study` key selects the interpretation:
+/// The `study` key selects the keys and defaults:
 ///
 ///   * "lifetime" / "throughput" / "clustered" / "heterogeneous" /
 ///     "faults" re-express the registered scenarios — only the knobs
-///     those scenarios expose are accepted;
+///     those scenarios expose as flags are accepted;
 ///   * "generic" opens the full knob surface (MAC loss/LPL, rerouting,
 ///     stop conditions, scalar faults, node classes, up to three sweep
 ///     axes, selectable output columns) plus the `verify` switches:
@@ -29,17 +33,16 @@
 /// Validation is strict and named: unknown keys, wrong types,
 /// out-of-range values and conflicting knobs are rejected with the full
 /// JSON path ("spec: unknown key 'colz' at $.topology (accepted: ...)")
-/// before anything runs.  docs/scenarios.md is the schema reference.
+/// or the flag ("flag --cols: must be >= 1 (got 0)") before anything
+/// runs.  docs/scenarios.md is the schema reference.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "netsim/netsim.hpp"
 #include "scenario/scenario.hpp"
-#include "scenario/studies.hpp"
+#include "util/cli.hpp"
 
 namespace wsn::scenario {
 
@@ -50,76 +53,74 @@ struct SweepAxis {
   std::vector<double> values;  ///< >= 1 entries, each range-checked
 };
 
-/// The full knob surface of a `"study": "generic"` spec, with the
-/// defaults the schema documents.  All knobs validated at parse time.
-struct GenericSpec {
-  // topology — either a cols x rows grid or a near-square `nodes` grid.
-  std::size_t cols = 6;
-  std::size_t rows = 6;
-  std::size_t nodes = 0;  ///< > 0: near-square grid of exactly n nodes
+/// A parsed, fully validated netsim experiment.  Member initializers are
+/// the generic study's defaults; each named study starts from its own
+/// (spec.cpp's study table).  Integer knobs are 64-bit so that one field
+/// type serves counts and seeds alike.
+struct ScenarioSpec {
+  std::string study = "generic";  ///< a study-table name, e.g. "lifetime"
+
+  // topology — a cols x rows grid, or a near-square grid of `nodes`.
+  std::uint64_t cols = 6;
+  std::uint64_t rows = 6;
+  std::uint64_t nodes = 0;  ///< > 0: near-square grid of exactly n nodes
   double spacing_m = 15.0;
   double hop_m = 40.0;
-  std::size_t sinks = 1;  ///< 1..4, extra sinks at deployment corners
+  std::uint64_t sinks = 1;  ///< 1..4, extra sinks at deployment corners
 
   // node hardware (Msp430 CPU, 1024-bit samples, 1% listen duty cycle)
   double rate_hz = 1.0;
   double battery_mah = 0.05;
 
-  // traffic
-  bool bursty = false;  ///< MMPP quiet/storm instead of steady Poisson
+  std::string traffic = "steady";  ///< "steady" Poisson or "bursty" MMPP
 
   // mac
   double p_loss = 0.0;
   double wakeup_interval_s = 0.0;
-  std::size_t max_retries = 3;
-  std::size_t max_queue = 1024;
+  std::uint64_t max_retries = 3;
+  std::uint64_t max_queue = 1024;
 
-  // routing (flat mode)
-  bool rerouting = true;
+  bool rerouting = true;  ///< flat routing repairs around dead nodes
 
-  // cluster — enabled by the presence of the `cluster` section.
+  // cluster — `clustered` is the presence of the `cluster` section (the
+  // throughput and generic studies); the clustered studies always use
+  // the knobs.
   bool clustered = false;
-  ClusterKnobs cluster;
+  std::string protocol = "leach";  ///< "leach" or "static"
+  double head_fraction = 0.1;
+  std::uint64_t static_heads = 0;  ///< 0 = head_fraction * nodes
+  double round_s = 25.0;
+  std::uint64_t aggregation = 4;
 
   // classes — two-class deployment when advanced_fraction > 0.
   double advanced_fraction = 0.0;
   double battery_factor = 1.0;
   std::string placement = "hotspot";  ///< "hotspot" or "spread"
 
-  // faults (scalars; 0 disables each class)
+  // faults — scalars (0 disables each class); the faults study sweeps
+  // `crash_rates` x `outages` instead of the two scalars.
   double crash_rate_hz = 0.0;
   double outage_s = 0.0;
-  std::size_t jam_windows = 0;
+  std::vector<double> crash_rates;
+  std::vector<double> outages;
+  std::uint64_t jam_windows = 0;
   double jam_radius_m = 45.0;
   double jam_duration_s = 0.0;  ///< 0 = horizon_s / 10
   double jam_p_loss = 0.5;
-  std::size_t sink_outages = 0;
+  std::uint64_t sink_outages = 0;
   double sink_outage_s = 0.0;  ///< 0 = horizon_s / 10
 
   // run
   double horizon_s = 1000.0;
   std::string stop_at = "horizon";  ///< "horizon" | "first_death" | "partition"
-  std::size_t replications = 4;
+  std::uint64_t replications = 4;
   std::uint64_t seed = 2008;
 
-  // sweep / output / verify
+  // sweep / output / verify (generic study)
   std::vector<SweepAxis> sweep;       ///< <= 3 axes, <= 64 cells total
-  std::vector<std::string> columns;   ///< empty = the default column set
+  std::vector<std::string> columns;   ///< the cells table's columns
   bool verify_oracle = false;
   bool verify_analytic = false;
-};
-
-/// A parsed, fully validated scenario spec.  `study` names which params
-/// struct is live; the others hold their defaults.
-struct ScenarioSpec {
-  std::string study;  ///< "lifetime" | "throughput" | "clustered" |
-                      ///< "heterogeneous" | "faults" | "generic"
-  LifetimeStudyParams lifetime;
-  ThroughputStudyParams throughput;
-  ClusteredStudyParams clustered;
-  HeterogeneousStudyParams heterogeneous;
-  FaultStudyParams faults;
-  GenericSpec generic;
 };
 
 /// Parse and validate a spec document.  Throws util::InvalidArgument
@@ -130,8 +131,19 @@ ScenarioSpec ParseScenarioSpec(const std::string& json_text);
 /// Read `path` and parse it; errors are prefixed with the file path.
 ScenarioSpec LoadScenarioSpecFile(const std::string& path);
 
-/// Run a validated spec: dispatches the named studies onto their shared
-/// runners and interprets generic specs (sweep grid, column selection,
+/// The flags of `study` (a study-table name such as "lifetime" or
+/// "cluster-ablation"), in its key order, each default rendered from the
+/// study's defaults.
+std::vector<util::FlagSpec> StudyFlags(const std::string& study);
+
+/// Fill `study`'s spec from command-line flags.  Throws
+/// util::InvalidArgument naming the flag ("flag --cols: ...") for a value
+/// its knob's rule rejects.
+ScenarioSpec StudySpecFromArgs(const std::string& study,
+                               const util::CliArgs& args);
+
+/// Run a validated spec on its study's runner: the named studies'
+/// tables, or the generic interpreter (sweep grid, column selection,
 /// conservation / oracle / analytic verification).
 ResultSet RunSpec(const ScenarioContext& ctx, const ScenarioSpec& spec);
 

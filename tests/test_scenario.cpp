@@ -271,6 +271,57 @@ TEST(ScenarioRun, RejectsInvalidEffortFlags) {
                util::InvalidArgument);
   EXPECT_THROW(RunAll("table4", {"--seed=-5"}, 1), util::InvalidArgument);
   EXPECT_THROW(RunAll("table4", {"--points=-2"}, 1), util::InvalidArgument);
+
+  // A netsim flag takes the rule of its spec key and names itself when
+  // the value breaks it.  Each row used to run (with tiny effort here):
+  // a non-positive jam or sink-outage length fell back to horizon/10,
+  // `none` ran without clustering, an unparsable boolean read as false,
+  // and a seed past 9e15 was accepted.
+  struct Row {
+    std::string scenario;
+    std::vector<std::string> flags;
+    std::string message;
+  };
+  const std::vector<std::string> faults = {
+      "--nodes=9", "--horizon=40", "--crash-rates=0.001", "--outages=10",
+      "--replications=1"};
+  const std::vector<std::string> grid = {"--cols=2", "--rows=2",
+                                         "--horizon=40", "--replications=1"};
+  const auto with = [](std::vector<std::string> flags, const char* flag) {
+    flags.push_back(flag);
+    return flags;
+  };
+  const Row rows[] = {
+      {"netsim-faults", with(faults, "--jam-duration=-3"),
+       "flag --jam-duration: must be > 0 (got -3)"},
+      {"netsim-faults", with(faults, "--sink-outage=0"),
+       "flag --sink-outage: must be > 0 (got 0)"},
+      {"netsim-clustered", with(grid, "--protocol=none"),
+       "flag --protocol: unknown value 'none' (one of: leach, static)"},
+      {"netsim-lifetime", with(grid, "--steady=maybe"),
+       "flag --steady: expected a boolean, got 'maybe'"},
+      {"netsim-lifetime", with(grid, "--seed=10000000000000000"),
+       "flag --seed: expected an integer, got 1e+16"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.scenario + " " + row.flags.back());
+    try {
+      RunAll(row.scenario, row.flags, 1);
+      ADD_FAILURE() << "flag accepted";
+    } catch (const util::InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), row.message);
+    }
+  }
+
+  // --help renders each default from the study's defaults: the
+  // heterogeneous study runs 16 replications, as its preset does.
+  bool shown = false;
+  for (const util::FlagSpec& flag : Lookup("netsim-heterogeneous").Flags()) {
+    if (flag.name != "replications") continue;
+    EXPECT_EQ(flag.default_value, "16");
+    shown = true;
+  }
+  EXPECT_TRUE(shown);
 }
 
 }  // namespace

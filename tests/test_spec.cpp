@@ -299,6 +299,36 @@ TEST(SpecErrors, AnalyticConflictsWithForbiddenSweepAxes) {
             "'mac.p_loss'");
 }
 
+// ----------------------------------------- flags fill the same spec
+
+TEST(SpecFlags, FlagsAndFileFillOneSpec) {
+  // A number flag parses like strtod (JSON forbids `.5`), a boolean flag
+  // selects the choice it names, and a CSV flag becomes a list.
+  const char* argv[] = {"test", "--cols=4", "--rate=.5", "--steady",
+                        "--seed=77"};
+  const ScenarioSpec flags =
+      StudySpecFromArgs("lifetime", util::CliArgs(5, argv));
+  const ScenarioSpec file = ParseScenarioSpec(
+      R"({"study": "lifetime", "topology": {"cols": 4},
+          "node": {"rate": 0.5}, "traffic": {"kind": "steady"},
+          "run": {"seed": 77}})");
+  for (const ScenarioSpec& spec : {flags, file}) {
+    EXPECT_EQ(spec.study, "lifetime");
+    EXPECT_EQ(spec.cols, 4u);
+    EXPECT_EQ(spec.rows, 5u);
+    EXPECT_EQ(spec.rate_hz, 0.5);
+    EXPECT_EQ(spec.traffic, "steady");
+    EXPECT_EQ(spec.seed, 77u);
+  }
+  // Each study reads only its own keys.
+  const char* more[] = {"test", "--outages=50,80", "--clustered"};
+  const util::CliArgs args(3, more);
+  EXPECT_EQ(StudySpecFromArgs("faults", args).outages,
+            (std::vector<double>{50.0, 80.0}));
+  EXPECT_TRUE(StudySpecFromArgs("throughput", args).clustered);
+  EXPECT_FALSE(StudySpecFromArgs("faults", args).clustered);
+}
+
 // -------------------------------------------------------- file loading
 
 TEST(SpecFiles, MissingFileIsNamed) {
@@ -386,7 +416,7 @@ TEST(SpecInterpreter, DefaultColumnsApplyWhenOutputIsOmitted) {
   const std::vector<std::string> expect = {"generated",      "delivered",
                                            "dropped",        "delivery_ratio",
                                            "first_death_s",  "conserved"};
-  EXPECT_EQ(spec.generic.columns, expect);
+  EXPECT_EQ(spec.columns, expect);
 }
 
 }  // namespace
