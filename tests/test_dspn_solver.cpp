@@ -7,9 +7,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/cpu_petri_net.hpp"
+#include "core/experiment.hpp"
 #include "core/models.hpp"
 #include "petri/ctmc_solver.hpp"
 #include "petri/dspn_solver.hpp"
@@ -234,6 +236,39 @@ TEST(DspnExact, CpuNetBeatsSupplementaryVariablesAtLargePud) {
                             std::abs(em.shares.idle - es.shares.idle);
   EXPECT_LT(exact_err, 0.03);
   EXPECT_GT(markov_err, 10.0 * exact_err);
+}
+
+// The Fig. 3 CPU net in closed form, by a renewal-reward argument.  One
+// cycle is a standby wait (mean 1/lambda), a power-up of length D, busy
+// periods, and idle spells that each end at an arrival or after T.  With
+// rho = lambda/mu and Z = e^{lambda T} + lambda D the long-run shares are
+// standby (1 - rho)/Z, power-up lambda D (1 - rho)/Z, idle
+// (e^{lambda T} - 1)(1 - rho)/Z and active rho.  The exact solver must
+// match it at every paper PUD and PDT point, at three loads.
+TEST(DspnExact, CpuNetMatchesRenewalRewardClosedForm) {
+  const core::DspnExactCpuModel exact;
+  for (const double lambda : {0.5, 1.0, 5.0}) {
+    for (const double pud : {0.001, 0.3, 10.0}) {
+      for (const double pdt : core::PaperPdtGrid()) {
+        SCOPED_TRACE("lambda=" + std::to_string(lambda) +
+                     " pud=" + std::to_string(pud) +
+                     " pdt=" + std::to_string(pdt));
+        core::CpuParams params;
+        params.arrival_rate = lambda;
+        params.service_rate = 10.0;
+        params.power_down_threshold = pdt;
+        params.power_up_delay = pud;
+        const double rho = params.Rho();
+        const double wait = std::exp(lambda * pdt);
+        const double z = wait + lambda * pud;
+        const energy::StateShares shares = exact.Evaluate(params).shares;
+        EXPECT_NEAR(shares.standby, (1.0 - rho) / z, 1e-9);
+        EXPECT_NEAR(shares.powerup, lambda * pud * (1.0 - rho) / z, 1e-9);
+        EXPECT_NEAR(shares.idle, (wait - 1.0) * (1.0 - rho) / z, 1e-9);
+        EXPECT_NEAR(shares.active, rho, 1e-9);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
