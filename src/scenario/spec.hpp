@@ -61,66 +61,66 @@ struct ScenarioSpec {
   std::string study = "generic";  ///< a study-table name, e.g. "lifetime"
 
   // topology — a cols x rows grid, or a near-square grid of `nodes`.
-  std::uint64_t cols = 6;
-  std::uint64_t rows = 6;
+  std::uint64_t cols = 6;   ///< grid columns
+  std::uint64_t rows = 6;   ///< grid rows
   std::uint64_t nodes = 0;  ///< > 0: near-square grid of exactly n nodes
-  double spacing_m = 15.0;
-  double hop_m = 40.0;
+  double spacing_m = 15.0;  ///< grid spacing (m)
+  double hop_m = 40.0;      ///< max radio hop range (m)
   std::uint64_t sinks = 1;  ///< 1..4, extra sinks at deployment corners
 
   // node hardware (Msp430 CPU, 1024-bit samples, 1% listen duty cycle)
-  double rate_hz = 1.0;
-  double battery_mah = 0.05;
+  double rate_hz = 1.0;       ///< per-node report rate (1/s)
+  double battery_mah = 0.05;  ///< per-node battery capacity
 
   std::string traffic = "steady";  ///< "steady" Poisson or "bursty" MMPP
 
   // mac
-  double p_loss = 0.0;
-  double wakeup_interval_s = 0.0;
-  std::uint64_t max_retries = 3;
-  std::uint64_t max_queue = 1024;
+  double p_loss = 0.0;             ///< per-attempt loss probability
+  double wakeup_interval_s = 0.0;  ///< LPL wakeup interval (0 = always on)
+  std::uint64_t max_retries = 3;   ///< retransmissions per packet
+  std::uint64_t max_queue = 1024;  ///< per-node queue capacity
 
   bool rerouting = true;  ///< flat routing repairs around dead nodes
 
   // cluster — `clustered` is the presence of the `cluster` section (the
   // throughput and generic studies); the clustered studies always use
   // the knobs.
-  bool clustered = false;
+  bool clustered = false;          ///< cluster the data path
   std::string protocol = "leach";  ///< "leach" or "static"
-  double head_fraction = 0.1;
+  double head_fraction = 0.1;      ///< desired cluster-head fraction
   std::uint64_t static_heads = 0;  ///< 0 = head_fraction * nodes
-  double round_s = 25.0;
-  std::uint64_t aggregation = 4;
+  double round_s = 25.0;           ///< cluster round length (s)
+  std::uint64_t aggregation = 4;   ///< member samples per upstream packet
 
   // classes — two-class deployment when advanced_fraction > 0.
-  double advanced_fraction = 0.0;
-  double battery_factor = 1.0;
+  double advanced_fraction = 0.0;     ///< fraction of advanced nodes
+  double battery_factor = 1.0;        ///< advanced battery multiplier
   std::string placement = "hotspot";  ///< "hotspot" or "spread"
 
   // faults — scalars (0 disables each class); the faults study sweeps
   // `crash_rates` x `outages` instead of the two scalars.
-  double crash_rate_hz = 0.0;
-  double outage_s = 0.0;
-  std::vector<double> crash_rates;
-  std::vector<double> outages;
-  std::uint64_t jam_windows = 0;
-  double jam_radius_m = 45.0;
-  double jam_duration_s = 0.0;  ///< 0 = horizon_s / 10
-  double jam_p_loss = 0.5;
-  std::uint64_t sink_outages = 0;
-  double sink_outage_s = 0.0;  ///< 0 = horizon_s / 10
+  double crash_rate_hz = 0.0;       ///< per-node crash rate (1/s)
+  double outage_s = 0.0;            ///< mean outage length (s)
+  std::vector<double> crash_rates;  ///< crash-rate sweep axis (1/s)
+  std::vector<double> outages;      ///< outage-length sweep axis (s)
+  std::uint64_t jam_windows = 0;    ///< regional jam windows per run
+  double jam_radius_m = 45.0;       ///< jam disc radius (m)
+  double jam_duration_s = 0.0;      ///< 0 = horizon_s / 10
+  double jam_p_loss = 0.5;          ///< extra loss inside a jam
+  std::uint64_t sink_outages = 0;   ///< sink outage windows per run
+  double sink_outage_s = 0.0;       ///< 0 = horizon_s / 10
 
   // run
-  double horizon_s = 1000.0;
-  std::string stop_at = "horizon";  ///< "horizon" | "first_death" | "partition"
-  std::uint64_t replications = 4;
-  std::uint64_t seed = 2008;
+  double horizon_s = 1000.0;  ///< simulation horizon (s)
+  std::string stop_at = "horizon";  ///< "horizon", "first_death", "partition"
+  std::uint64_t replications = 4;  ///< independent replications
+  std::uint64_t seed = 2008;       ///< master RNG seed
 
   // sweep / output / verify (generic study)
-  std::vector<SweepAxis> sweep;       ///< <= 3 axes, <= 64 cells total
-  std::vector<std::string> columns;   ///< the cells table's columns
-  bool verify_oracle = false;
-  bool verify_analytic = false;
+  std::vector<SweepAxis> sweep;      ///< <= 3 axes, <= 64 cells total
+  std::vector<std::string> columns;  ///< the cells table's columns
+  bool verify_oracle = false;    ///< re-run each replication as oracle twin
+  bool verify_analytic = false;  ///< check first death against the estimator
 };
 
 /// Parse and validate a spec document.  Throws util::InvalidArgument
