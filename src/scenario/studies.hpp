@@ -1,5 +1,5 @@
 /// \file
-/// The netsim study runners and the config builders they share with the
+/// The netsim study runners and the config helpers they share with the
 /// generic spec interpreter.  Every runner reads one validated
 /// ScenarioSpec (scenario/spec.hpp), filled either from a study's flags
 /// or from a spec file through the same knob table, so a committed
