@@ -25,11 +25,16 @@ const Scenario& Lookup(const std::string& name) {
   return *s;
 }
 
-/// Run `name` with `flags` on an executor of `threads` workers and
-/// render all three sinks concatenated.
-std::string RunAll(const std::string& name,
-                   const std::vector<std::string>& flags,
-                   std::size_t threads) {
+/// All three sinks of `results` concatenated.
+std::string RenderAll(const ResultSet& results) {
+  return results.RenderText() + "\n#####\n" + results.RenderCsv() +
+         "\n#####\n" + results.RenderJson();
+}
+
+/// Run `name` with `flags` on an executor of `threads` workers.
+ResultSet RunScenario(const std::string& name,
+                      const std::vector<std::string>& flags,
+                      std::size_t threads) {
   std::vector<const char*> argv = {"test"};
   for (const std::string& f : flags) argv.push_back(f.c_str());
   const util::CliArgs args(static_cast<int>(argv.size()), argv.data());
@@ -37,9 +42,14 @@ std::string RunAll(const std::string& name,
   ScenarioContext ctx;
   ctx.args = &args;
   ctx.executor = &executor;
-  const ResultSet results = Lookup(name).Run(ctx);
-  return results.RenderText() + "\n#####\n" + results.RenderCsv() +
-         "\n#####\n" + results.RenderJson();
+  return Lookup(name).Run(ctx);
+}
+
+/// RunScenario with all three sinks rendered and concatenated.
+std::string RunAll(const std::string& name,
+                   const std::vector<std::string>& flags,
+                   std::size_t threads) {
+  return RenderAll(RunScenario(name, flags, threads));
 }
 
 TEST(ScenarioRegistry, PaperArtifactsAreRegistered) {
@@ -175,6 +185,33 @@ TEST(ScenarioDeterminism, NetsimOutputsPinned) {
         "--outages=150", "--replications=2", "--seed=2008"},
        4341u,
        0x3ad2ab4f4accc054ull},
+      // Two classes, then one (no advanced node).
+      {"netsim-heterogeneous",
+       {"--cols=5", "--rows=4", "--horizon=2000", "--replications=2"},
+       3358u,
+       0x136403afe0aa0b74ull},
+      {"netsim-heterogeneous",
+       {"--cols=5", "--rows=4", "--horizon=2000", "--replications=2",
+        "--advanced-fraction=0"},
+       3360u,
+       0x592a4e63f31b0491ull},
+      // A report rate below 0.1/s, where the service-rate rules of the
+      // studies differ: 10 x rate here, 10 x max(rate, 0.1) for faults.
+      {"netsim-lifetime",
+       {"--rate=0.05", "--cols=6", "--rows=4", "--horizon=3000"},
+       4787u,
+       0x3d0f5cd6aed062eeull},
+      {"cluster-ablation",
+       {"--rate=0.05", "--horizon=3000", "--sinks=2"},
+       4873u,
+       0x0a53b594ff0a9641ull},
+      // No jam window and no sink outage.
+      {"netsim-faults",
+       {"--nodes=49", "--horizon=600", "--crash-rates=0.001",
+        "--outages=100", "--jam-windows=0", "--sink-outages=0", "--rate=0.5",
+        "--replications=2"},
+       4326u,
+       0x66dbe34b18c81901ull},
   };
   for (const OutputPin& pin : pins) {
     SCOPED_TRACE(pin.scenario + " " + pin.flags.front());
@@ -182,6 +219,97 @@ TEST(ScenarioDeterminism, NetsimOutputsPinned) {
     EXPECT_EQ(out.size(), pin.size);
     EXPECT_EQ(Fnv1a64(out), pin.fnv);
   }
+}
+
+// The same pins for two generic specs through ParseScenarioSpec and
+// RunSpec, each reaching most of the knob surface, and for the
+// deterministic parts of two timed scenarios.
+TEST(ScenarioDeterminism, GenericSpecAndTimedOutputsPinned) {
+  const char* argv[] = {"test"};
+  const util::CliArgs args(1, argv);
+  util::ParallelExecutor executor(1);
+  ScenarioContext ctx;
+  ctx.args = &args;
+  ctx.executor = &executor;
+  struct SpecPin {
+    const char* json;
+    std::size_t size;
+    std::uint64_t fnv;
+  };
+  const SpecPin specs[] = {
+      // A `nodes` deployment with two sinks, bursty traffic, a lossy LPL
+      // MAC, hotspot classes, every fault class, static clusters and two
+      // sweep axes (one rate below 0.1/s), against the oracle twin.
+      {R"({"study": "generic",
+           "topology": {"nodes": 30, "spacing": 15, "hop": 40, "sinks": 2},
+           "node": {"rate": 0.5, "battery_mah": 0.02},
+           "traffic": {"kind": "bursty"},
+           "mac": {"p_loss": 0.1, "wakeup_interval_s": 0.05},
+           "cluster": {"protocol": "static", "head_fraction": 0.2,
+                       "round_s": 60},
+           "classes": {"advanced_fraction": 0.3, "battery_factor": 2},
+           "faults": {"crash_rate": 0.002, "outage_s": 40,
+                      "jam_windows": 1, "sink_outages": 1},
+           "sweep": [{"key": "node.rate", "values": [0.05, 0.6]},
+                     {"key": "faults.outage_s", "values": [20, 60]}],
+           "output": {"columns": ["generated", "delivered", "dropped",
+                                  "crashes", "recoveries", "events",
+                                  "in_flight", "delivery_ratio",
+                                  "first_death_s", "partition_s", "healed",
+                                  "conserved"]},
+           "run": {"horizon_s": 400, "replications": 2, "seed": 2008},
+           "verify": {"oracle": true}})",
+       4547u, 0x5d77c5d96f7e5b79ull},
+      // A grid with spread classes and static routes, to the first death,
+      // against the analytic estimator.
+      {R"({"study": "generic",
+           "topology": {"cols": 5, "rows": 4},
+           "node": {"battery_mah": 0.02},
+           "routing": {"rerouting": false},
+           "classes": {"advanced_fraction": 0.25, "battery_factor": 3,
+                       "placement": "spread"},
+           "output": {"columns": ["generated", "delivered", "first_death_s",
+                                  "events"]},
+           "run": {"horizon_s": 3000, "stop_at": "first_death",
+                   "replications": 3},
+           "verify": {"analytic": true}})",
+       2165u, 0x97292efaf6389c0full},
+  };
+  for (const SpecPin& pin : specs) {
+    const std::string out =
+        RenderAll(RunSpec(ctx, ParseScenarioSpec(pin.json)));
+    EXPECT_EQ(out.size(), pin.size);
+    EXPECT_EQ(Fnv1a64(out), pin.fnv);
+  }
+
+  // netsim-scale: config, nodes, deaths, route updates, events and
+  // elections of every row.
+  const util::JsonValue scale = util::ParseJson(
+      RunScenario("netsim-scale", {"--sizes=100,400", "--horizon=600"}, 1)
+          .RenderJson());
+  std::string cells;
+  for (const util::JsonValue& table : scale.Find("tables")->Items()) {
+    if (table.Find("name")->AsString() != "scale") continue;
+    for (const util::JsonValue& row : table.Find("rows")->Items()) {
+      for (const std::size_t column : {0, 1, 2, 3, 4, 10}) {
+        cells += row.Items()[column].AsString() + "|";
+      }
+      cells += "\n";
+    }
+  }
+  EXPECT_EQ(cells.size(), 302u);
+  EXPECT_EQ(Fnv1a64(cells), 0xdab73d148a8e8c79ull);
+
+  // netsim-throughput: the note comparing the serial and executor legs.
+  const util::JsonValue throughput = util::ParseJson(
+      RunScenario("netsim-throughput",
+                  {"--cols=4", "--rows=4", "--horizon=20",
+                   "--replications=4", "--clustered"},
+                  1)
+          .RenderJson());
+  EXPECT_EQ(throughput.Find("notes")->Items()[0].AsString(),
+            "checks: delivery ratio 0.9960 +- 0.0044 (serial) vs 0.9960 +- "
+            "0.0044 (parallel) — identical streams, identical results");
 }
 
 // Preset round-trip pins (ISSUE 9): every committed preset file under
@@ -199,9 +327,7 @@ std::string RunPreset(const std::string& name, std::size_t threads) {
   ctx.executor = &executor;
   const ScenarioSpec spec = LoadScenarioSpecFile(
       std::string(WSN_SOURCE_DIR) + "/presets/" + name + ".json");
-  const ResultSet results = RunSpec(ctx, spec);
-  return results.RenderText() + "\n#####\n" + results.RenderCsv() +
-         "\n#####\n" + results.RenderJson();
+  return RenderAll(RunSpec(ctx, spec));
 }
 
 TEST(ScenarioPresets, LifetimePresetMatchesRegistryTwin) {
