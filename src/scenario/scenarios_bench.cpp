@@ -37,6 +37,7 @@
 #include "petri/simulation.hpp"
 #include "scenario/common.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/spec.hpp"
 #include "util/table.hpp"
 #include "wsn/network.hpp"
 
@@ -191,16 +192,15 @@ ResultSet RunBenchHotpath(const ScenarioContext& ctx) {
   }
 
   // --- netsim replication rate --------------------------------------
-  netsim::NetSimConfig net;
-  net.network.node.cpu.arrival_rate = 2.0;
-  net.network.node.cpu.service_rate = 20.0;
-  net.network.node.sample_bits = 1024;
-  net.network.node.listen_duty_cycle = 0.01;
+  ScenarioSpec deployment;
+  deployment.cols = 8;
+  deployment.rows = 8;
+  deployment.spacing_m = 25.0;
+  deployment.rate_hz = 2.0;
+  deployment.battery_mah = node::NodeConfig{}.battery_mah;
+  deployment.horizon_s = args.GetDouble("net-horizon", 30.0);
+  netsim::NetSimConfig net = BuildNetSimConfig(deployment);
   net.network.node.cpu_power = energy::Pxa271();
-  net.network.sink = {0.0, 0.0};
-  net.network.max_hop_m = 40.0;
-  net.positions = node::MakeGrid(8, 8, 25.0);
-  net.horizon_s = args.GetDouble("net-horizon", 30.0);
 
   netsim::ReplicationConfig rep;
   rep.replications = reps;

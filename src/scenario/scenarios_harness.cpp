@@ -103,19 +103,14 @@ std::vector<std::string> PointCells(const ChaosParams& params,
   grid.rows = 3;
   grid.rate_hz = 1.0 + 0.5 * static_cast<double>(point);
   grid.horizon_s = params.horizon_s;
-  netsim::NetSimConfig cfg = BuildGridConfig(grid);
-  netsim::ReplicationConfig rep;
-  rep.replications = params.replications;
-  rep.seed = seed;
-  rep.keep_reports = true;
-  const core::MarkovCpuModel model;
+  grid.replications = params.replications;
+  grid.seed = seed;
+  ScenarioContext ctx;
+  ctx.executor = &executor;
+  const std::string label = "rate=" + util::FormatFixed(grid.rate_hz, 1);
   const netsim::ReplicationSummary summary =
-      netsim::RunReplications(cfg, model, rep, executor);
-  const std::string label =
-      "rate=" + util::FormatFixed(grid.rate_hz, 1);
-  for (std::size_t r = 0; r < summary.reports.size(); ++r) {
-    RequireConserved(summary.reports[r], "chaos point '" + label + "'", r);
-  }
+      RunCheckedBatch(ctx, BuildNetSimConfig(grid), grid,
+                      "chaos point '" + label + "'", false);
   return {label, MetricCell(summary.first_death_s, 1),
           MetricCell(summary.delivery_ratio, 4),
           MetricCell(summary.delivered, 1), "yes"};

@@ -38,6 +38,8 @@
 #include "obs/session.hpp"
 #include "scenario/common.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/spec.hpp"
+#include "scenario/studies.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 #include "wsn/network.hpp"
@@ -77,16 +79,6 @@ std::vector<std::size_t> ParseSizes(const std::string& csv) {
                   "flag --sizes must be strictly increasing");
   }
   return sizes;
-}
-
-/// Near-square grid deployment trimmed to exactly `n` nodes.
-std::vector<node::Position> ScaleTopology(std::size_t n, double spacing) {
-  const std::size_t cols = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(n))));
-  const std::size_t rows = (n + cols - 1) / cols;
-  std::vector<node::Position> positions = node::MakeGrid(cols, rows, spacing);
-  positions.resize(n);
-  return positions;
 }
 
 struct ScaleRun {
@@ -139,13 +131,9 @@ ScaleRun TimeRun(netsim::NetSimConfig cfg, double cpu_mw, std::uint64_t seed,
 void RequireOracleAgrees(const ScaleRun& run, const ScaleRun& oracle,
                          const std::string& what, std::size_t n) {
   for (std::size_t r = 0; r < run.reports.size(); ++r) {
-    const std::string field =
-        netsim::FirstReportDifference(run.reports[r], oracle.reports[r]);
-    if (!field.empty()) {
-      throw util::Error("netsim-scale: " + what + " diverged at N=" +
-                        std::to_string(n) + ", replication " +
-                        std::to_string(r) + " (" + field + ")");
-    }
+    RequireEqualReports(run.reports[r], oracle.reports[r],
+                        "netsim-scale: " + what + " at N=" + std::to_string(n),
+                        r);
   }
 }
 
@@ -202,16 +190,13 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
 
   const core::MarkovCpuModel model;
   for (const std::size_t n : sizes) {
-    netsim::NetSimConfig cfg;
-    cfg.network.node.cpu.arrival_rate = rate;
-    cfg.network.node.cpu.service_rate = 10.0 * std::max(rate, 0.1);
-    cfg.network.node.cpu_power = energy::Msp430();
-    cfg.network.node.sample_bits = 1024;
-    cfg.network.node.listen_duty_cycle = 0.01;
-    cfg.network.sink = {0.0, 0.0};
-    cfg.network.max_hop_m = hop;
-    cfg.positions = ScaleTopology(n, spacing);
-    cfg.horizon_s = horizon;
+    ScenarioSpec deployment;
+    deployment.nodes = n;
+    deployment.spacing_m = spacing;
+    deployment.hop_m = hop;
+    deployment.rate_hz = rate;
+    deployment.horizon_s = horizon;
+    netsim::NetSimConfig cfg = BuildNetSimConfig(deployment);
 
     const double cpu_mw = netsim::CpuAveragePowerMw(cfg, model);
     const node::NodeConfig& tpl = cfg.network.node;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <type_traits>
@@ -12,6 +13,7 @@
 #include <variant>
 
 #include "core/models.hpp"
+#include "des/bursty_workload.hpp"
 #include "scenario/common.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/studies.hpp"
@@ -520,63 +522,6 @@ std::string AnalyticConflict(const ScenarioSpec& g) {
 
 // ------------------------------------------------- generic interpreter
 
-netsim::NetSimConfig BuildGenericConfig(const ScenarioSpec& g) {
-  netsim::NetSimConfig cfg;
-  cfg.network.node.cpu.arrival_rate = g.rate_hz;
-  cfg.network.node.cpu.service_rate = 10.0 * std::max(g.rate_hz, 0.1);
-  cfg.network.node.cpu_power = energy::Msp430();
-  cfg.network.node.sample_bits = 1024;
-  cfg.network.node.listen_duty_cycle = 0.01;
-  cfg.network.node.battery_mah = g.battery_mah;
-  cfg.network.sink = {0.0, 0.0};
-  cfg.network.max_hop_m = g.hop_m;
-
-  std::size_t cols = g.cols;
-  std::size_t rows = g.rows;
-  if (g.nodes > 0) {
-    cols = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(g.nodes))));
-    rows = (g.nodes + cols - 1) / cols;
-    cfg.positions = NearSquareGrid(g.nodes, g.spacing_m);
-  } else {
-    cfg.positions = node::MakeGrid(cols, rows, g.spacing_m);
-  }
-  cfg.horizon_s = g.horizon_s;
-  PlaceCornerSinks(cfg, cols, rows, g.spacing_m, g.sinks);
-
-  cfg.mac.p_loss = g.p_loss;
-  cfg.mac.wakeup_interval_s = g.wakeup_interval_s;
-  cfg.mac.max_retries = g.max_retries;
-  cfg.mac.max_queue = g.max_queue;
-
-  cfg.rerouting = g.rerouting;
-  cfg.stop_at_first_death = g.stop_at == "first_death";
-  cfg.stop_at_partition = g.stop_at == "partition";
-
-  if (g.clustered) ApplyCluster(cfg, g);
-  if (g.traffic == "bursty") UseBurstyTraffic(cfg);
-
-  if (g.crash_rate_hz > 0.0) {
-    cfg.faults.crash_rate_hz = g.crash_rate_hz;
-    cfg.faults.mean_outage_s = g.outage_s;
-  }
-  if (g.jam_windows > 0) {
-    cfg.faults.jam_windows = g.jam_windows;
-    cfg.faults.jam_radius_m = g.jam_radius_m;
-    cfg.faults.jam_duration_s =
-        g.jam_duration_s > 0.0 ? g.jam_duration_s : g.horizon_s / 10.0;
-    cfg.faults.jam_p_loss = g.jam_p_loss;
-  }
-  if (g.sink_outages > 0) {
-    cfg.faults.sink_outages = g.sink_outages;
-    cfg.faults.sink_outage_s =
-        g.sink_outage_s > 0.0 ? g.sink_outage_s : g.horizon_s / 10.0;
-  }
-
-  if (g.advanced_fraction > 0.0) AssignNodeClasses(cfg, g, nullptr);
-  return cfg;
-}
-
 /// One expanded sweep cell: the base spec with axis values applied.
 struct SpecCell {
   ScenarioSpec spec;
@@ -608,17 +553,13 @@ std::vector<SpecCell> ExpandCells(const ScenarioSpec& g) {
 
 ResultSet RunGenericStudy(const ScenarioContext& ctx, const ScenarioSpec& g) {
   const std::vector<SpecCell> cells = ExpandCells(g);
-  netsim::ReplicationConfig rep;
-  rep.replications = g.replications;
-  rep.seed = g.seed;
-  rep.keep_reports = true;
 
   ResultSet results(
       "declarative generic study: conservation-checked sweep cells");
   results.SetMeta("study", "generic");
   results.SetMeta("cells", std::to_string(cells.size()));
-  results.SetMeta("replications", std::to_string(rep.replications));
-  results.SetMeta("seed", std::to_string(rep.seed));
+  results.SetMeta("replications", std::to_string(g.replications));
+  results.SetMeta("seed", std::to_string(g.seed));
   std::string verify = "conservation";
   if (g.verify_oracle) verify += " + oracle";
   if (g.verify_analytic) verify += " + analytic";
@@ -632,51 +573,31 @@ ResultSet RunGenericStudy(const ScenarioContext& ctx, const ScenarioSpec& g) {
   }
   ResultTable& table = results.AddTable("cells", header);
 
-  const core::MarkovCpuModel model;
   // The whole cell — production run, oracle twin, analytic check and
   // column formatting — is one sweep point, run (or replayed) through
   // the point harness; `cctx` may carry a forked worker's executor.
   const auto run_cell = [&](const ScenarioContext& cctx,
                             const SpecCell& cell) -> std::vector<std::string> {
-    netsim::NetSimConfig cfg = BuildGenericConfig(cell.spec);
-    ApplyObs(cctx, cfg);
-    const netsim::ReplicationSummary summary =
-        RunReplications(cfg, model, rep, cctx.Executor());
-    ContributeObs(cctx, summary);
-
+    const netsim::NetSimConfig cfg = BuildNetSimConfig(cell.spec);
     const std::string where = "spec cell '" + cell.label + "'";
-    for (std::size_t r = 0; r < summary.reports.size(); ++r) {
-      RequireConserved(summary.reports[r], where, r);
-    }
-
-    if (g.verify_oracle) {
-      // Oracle twin on identical streams: full routing recompute (flat)
-      // or all-pairs head assignment (clustered).  Contributes no
-      // observability output — it exists only to be compared against.
-      netsim::NetSimConfig twin = cfg;
-      twin.obs = obs::ObsConfig{};
-      twin.oracle = true;
-      const netsim::ReplicationSummary shadow =
-          RunReplications(twin, model, rep, cctx.Executor());
-      for (std::size_t r = 0; r < summary.reports.size(); ++r) {
-        RequireEqualReports(summary.reports[r], shadow.reports[r], where, r);
-      }
-    }
+    const netsim::ReplicationSummary summary =
+        RunCheckedBatch(cctx, cfg, cell.spec, where, g.verify_oracle);
 
     double analytic_s = 0.0;
     if (g.verify_analytic) {
+      const core::MarkovCpuModel model;
       const node::Network analytic_net(cfg.network, cfg.positions);
       const node::NetworkReport analytic =
           cfg.classes.empty()
               ? analytic_net.Evaluate(model)
               : analytic_net.Evaluate(model, netsim::PerNodeConfigs(cfg));
       analytic_s = analytic.network_lifetime_seconds;
-      if (summary.first_death_s.observed != rep.replications) {
+      if (summary.first_death_s.observed != g.replications) {
         throw util::Error(
             where + ": verify.analytic needs a death in every replication "
             "(observed " +
             std::to_string(summary.first_death_s.observed) + "/" +
-            std::to_string(rep.replications) +
+            std::to_string(g.replications) +
             "; raise run.horizon_s or shrink node.battery_mah)");
       }
       const double mean = summary.first_death_s.ci.mean;
@@ -734,7 +655,7 @@ ResultSet RunGenericStudy(const ScenarioContext& ctx, const ScenarioSpec& g) {
         row.push_back(MetricCell(summary.partition_s, 1));
       } else if (column == "healed") {
         row.push_back(ObservedCell(healed, summary.replications));
-      } else {  // conserved — RequireConserved above hard-fails otherwise
+      } else {  // conserved — RunCheckedBatch hard-fails otherwise
         row.push_back("yes");
       }
     }
@@ -781,21 +702,31 @@ ResultSet RunGenericStudy(const ScenarioContext& ctx, const ScenarioSpec& g) {
 // ------------------------------------------------------------ study table
 
 /// A netsim study: the knobs it accepts — its flags and its spec schema,
-/// in flag order — its defaults and its runner.
+/// in flag order — its defaults, its service floor and its runner.  A
+/// setting the study fixes is the default of a key it does not accept.
 struct Study {
   const char* name;  ///< the spec's `study` value
   bool in_files;     ///< false: flags only (cluster-ablation)
+  /// The node's service rate is 10 x max(report rate, service_floor).
+  double service_floor;
   std::vector<const char*> keys;
   ScenarioSpec (*defaults)();
   ResultSet (*run)(const ScenarioContext&, const ScenarioSpec&);
 };
 
-/// Defaults of the clustered grid studies.
+/// Defaults of the grid studies with a cluster, heterogeneous and
+/// cluster-ablation.
 ScenarioSpec GridDefaults() {
   ScenarioSpec s;
   s.rate_hz = 2.0;
   s.horizon_s = 2000.0;
   s.replications = 8;
+  return s;
+}
+
+ScenarioSpec ClusteredGridDefaults() {
+  ScenarioSpec s = GridDefaults();
+  s.clustered = true;
   return s;
 }
 
@@ -810,7 +741,7 @@ const std::vector<Study>& Studies() {
     return keys;
   };
   static const std::vector<Study> studies = {
-      {"lifetime", true,
+      {"lifetime", true, 0.0,
        {"topology.cols", "topology.rows", "topology.spacing", "topology.hop",
         "node.rate", "node.battery_mah", "run.horizon_s", "run.replications",
         "run.seed", "traffic.kind"},
@@ -821,11 +752,12 @@ const std::vector<Study>& Studies() {
          s.rate_hz = 2.0;
          s.traffic = "bursty";
          s.horizon_s = 4000.0;
+         s.stop_at = "partition";  // measure the connected phase
          s.replications = 8;
          return s;
        },
        RunLifetimeStudy},
-      {"throughput", true,
+      {"throughput", true, 0.0,
        {"topology.cols", "topology.rows", "topology.spacing", "topology.hop",
         "node.rate", "run.horizon_s", "run.replications", "run.seed",
         "cluster"},
@@ -835,29 +767,34 @@ const std::vector<Study>& Studies() {
          s.rows = 10;
          s.spacing_m = 25.0;
          s.rate_hz = 2.0;
+         s.battery_mah = node::NodeConfig{}.battery_mah;
          s.horizon_s = 30.0;
          s.replications = 32;
          return s;
        },
        RunThroughputStudy},
-      {"clustered", true,
+      {"clustered", true, 0.0,
        grid({"cluster.protocol", "cluster.head_fraction",
              "cluster.static_heads", "cluster.round_s", "cluster.aggregation",
              "topology.sinks"}),
-       GridDefaults, RunClusteredStudy},
-      {"heterogeneous", true,
+       ClusteredGridDefaults, RunClusteredStudy},
+      // Static routes up to the first death: the analytic estimator's
+      // regime.
+      {"heterogeneous", true, 0.0,
        grid({"classes.advanced_fraction", "classes.battery_factor",
              "classes.placement"}),
        [] {
          ScenarioSpec s = GridDefaults();
          s.rows = 4;
+         s.rerouting = false;
+         s.stop_at = "first_death";
          s.replications = 16;
          s.advanced_fraction = 0.2;
          s.battery_factor = 3.0;
          return s;
        },
        RunHeterogeneousStudy},
-      {"faults", true,
+      {"faults", true, 0.1,
        {"topology.nodes", "topology.spacing", "topology.hop", "node.rate",
         "run.horizon_s", "faults.crash_rates", "faults.outages",
         "faults.jam_windows", "faults.jam_radius", "faults.jam_duration",
@@ -867,6 +804,7 @@ const std::vector<Study>& Studies() {
          ScenarioSpec s;
          s.nodes = 144;
          s.rate_hz = 0.05;
+         s.battery_mah = node::NodeConfig{}.battery_mah;
          s.horizon_s = 2000.0;
          s.crash_rates = {0.0002, 0.001};
          s.outages = {100.0, 400.0};
@@ -876,12 +814,12 @@ const std::vector<Study>& Studies() {
        },
        RunFaultStudy},
       // The ablation runs every protocol, so it takes no --protocol.
-      {"cluster-ablation", false,
+      {"cluster-ablation", false, 0.0,
        grid({"cluster.head_fraction", "cluster.static_heads",
              "cluster.round_s", "cluster.aggregation", "topology.sinks"}),
-       GridDefaults, RunClusterAblation},
+       ClusteredGridDefaults, RunClusterAblation},
       // Every knob but the faults study's sweep lists.
-      {"generic", true,
+      {"generic", true, 0.1,
        {"topology.cols", "topology.rows", "topology.nodes", "topology.spacing",
         "topology.hop", "topology.sinks", "node.rate", "node.battery_mah",
         "traffic.kind", "mac.p_loss", "mac.wakeup_interval_s",
@@ -923,6 +861,52 @@ const Knob* StudyKnob(const Study& study, const std::string& key) {
     if (key == k) return &FindKnob(key);
   }
   return nullptr;
+}
+
+/// Two named node classes, "advanced" nodes carrying battery_factor
+/// times the standard battery, on round(advanced_fraction * n) nodes:
+/// those with the highest analytic relay load ("hotspot") or strided
+/// through the index order ("spread").
+void AssignNodeClasses(netsim::NetSimConfig& cfg, const ScenarioSpec& spec) {
+  netsim::NodeClass standard;
+  standard.name = "standard";
+  standard.battery_mah = cfg.network.node.battery_mah;
+  standard.battery_volts = cfg.network.node.battery_volts;
+  standard.radio = cfg.network.node.radio;
+  standard.listen_duty_cycle = cfg.network.node.listen_duty_cycle;
+  netsim::NodeClass advanced = standard;
+  advanced.name = "advanced";
+  advanced.battery_mah = standard.battery_mah * spec.battery_factor;
+  cfg.classes = {standard, advanced};
+
+  const std::size_t n = cfg.positions.size();
+  const std::size_t advanced_count = static_cast<std::size_t>(
+      std::lround(spec.advanced_fraction * static_cast<double>(n)));
+  cfg.node_class.assign(n, "standard");
+  if (advanced_count > 0 && spec.placement == "hotspot") {
+    // The big batteries go to the nodes the analytic estimator says
+    // carry the most relay traffic — the hot path near the sink, where
+    // per-node hardware actually moves the first-death time.
+    const core::MarkovCpuModel model;
+    const node::NetworkReport load =
+        node::Network(cfg.network, cfg.positions).Evaluate(model);
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const double la = load.nodes[a].relay_packets_per_second;
+      const double lb = load.nodes[b].relay_packets_per_second;
+      if (la != lb) return la > lb;
+      return a < b;
+    });
+    for (std::size_t j = 0; j < advanced_count; ++j) {
+      cfg.node_class[order[j]] = "advanced";
+    }
+  } else if (advanced_count > 0) {  // spread: strided, blind to load
+    for (std::size_t j = 0; j < advanced_count; ++j) {
+      const std::size_t pick = (j * n + n / 2) / advanced_count;
+      cfg.node_class[std::min(pick, n - 1)] = "advanced";
+    }
+  }
 }
 
 /// The sorted member names `study` accepts in `section`.
@@ -1086,6 +1070,86 @@ ScenarioSpec StudySpecFromArgs(const std::string& study,
 
 ResultSet RunSpec(const ScenarioContext& ctx, const ScenarioSpec& spec) {
   return RequireStudy(spec.study).run(ctx, spec);
+}
+
+netsim::NetSimConfig BuildNetSimConfig(const ScenarioSpec& g) {
+  netsim::NetSimConfig cfg;
+  cfg.network.node.cpu.arrival_rate = g.rate_hz;
+  cfg.network.node.cpu.service_rate =
+      10.0 * std::max(g.rate_hz, RequireStudy(g.study).service_floor);
+  cfg.network.node.cpu_power = energy::Msp430();
+  cfg.network.node.sample_bits = 1024;
+  cfg.network.node.listen_duty_cycle = 0.01;
+  cfg.network.node.battery_mah = g.battery_mah;
+  cfg.network.sink = {0.0, 0.0};
+  cfg.network.max_hop_m = g.hop_m;
+
+  // A `nodes` deployment is a near-square grid trimmed to n nodes.
+  std::size_t cols = g.cols;
+  std::size_t rows = g.rows;
+  if (g.nodes > 0) {
+    cols = static_cast<std::size_t>(
+        std::ceil(std::sqrt(static_cast<double>(g.nodes))));
+    rows = (g.nodes + cols - 1) / cols;
+  }
+  cfg.positions = node::MakeGrid(cols, rows, g.spacing_m);
+  if (g.nodes > 0) cfg.positions.resize(g.nodes);
+  cfg.horizon_s = g.horizon_s;
+
+  // Extra sinks at the deployment's corners: 2 adds the far corner, 3
+  // and 4 the other two (one sink stays at the origin corner).
+  const double x_max = (static_cast<double>(cols) + 1.0) * g.spacing_m;
+  const double y_max = (static_cast<double>(rows) + 1.0) * g.spacing_m;
+  if (g.sinks >= 2) cfg.sinks = {{0.0, 0.0}, {x_max, y_max}};
+  if (g.sinks >= 3) cfg.sinks.push_back({x_max, 0.0});
+  if (g.sinks >= 4) cfg.sinks.push_back({0.0, y_max});
+
+  cfg.mac.p_loss = g.p_loss;
+  cfg.mac.wakeup_interval_s = g.wakeup_interval_s;
+  cfg.mac.max_retries = g.max_retries;
+  cfg.mac.max_queue = g.max_queue;
+
+  cfg.rerouting = g.rerouting;
+  cfg.stop_at_first_death = g.stop_at == "first_death";
+  cfg.stop_at_partition = g.stop_at == "partition";
+
+  if (g.clustered) {
+    cfg.cluster.protocol = netsim::ParseClusterProtocolKind(g.protocol);
+    cfg.cluster.head_fraction = g.head_fraction;
+    cfg.cluster.static_heads = g.static_heads;
+    cfg.cluster.round_s = g.round_s;
+    cfg.cluster.aggregation = g.aggregation;
+  }
+  if (g.traffic == "bursty") {
+    // Event storms: mostly quiet at 20% of the report rate, with bursts
+    // at 10x (long-run mean close to the report rate).
+    const double rate = g.rate_hz;
+    cfg.traffic_factory = [rate](std::size_t) {
+      return std::make_unique<des::MmppWorkload>(
+          std::vector<double>{0.2 * rate, 10.0 * rate},
+          std::vector<std::vector<double>>{{-0.02, 0.02}, {0.2, -0.2}});
+    };
+  }
+
+  if (g.crash_rate_hz > 0.0) {
+    cfg.faults.crash_rate_hz = g.crash_rate_hz;
+    cfg.faults.mean_outage_s = g.outage_s;
+  }
+  if (g.jam_windows > 0) {
+    cfg.faults.jam_windows = g.jam_windows;
+    cfg.faults.jam_radius_m = g.jam_radius_m;
+    cfg.faults.jam_duration_s =
+        g.jam_duration_s > 0.0 ? g.jam_duration_s : g.horizon_s / 10.0;
+    cfg.faults.jam_p_loss = g.jam_p_loss;
+  }
+  if (g.sink_outages > 0) {
+    cfg.faults.sink_outages = g.sink_outages;
+    cfg.faults.sink_outage_s =
+        g.sink_outage_s > 0.0 ? g.sink_outage_s : g.horizon_s / 10.0;
+  }
+
+  if (g.advanced_fraction > 0.0) AssignNodeClasses(cfg, g);
+  return cfg;
 }
 
 }  // namespace wsn::scenario

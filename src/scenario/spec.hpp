@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "netsim/netsim.hpp"
 #include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 
@@ -146,5 +147,13 @@ ScenarioSpec StudySpecFromArgs(const std::string& study,
 /// tables, or the generic interpreter (sweep grid, column selection,
 /// conservation / oracle / analytic verification).
 ResultSet RunSpec(const ScenarioContext& ctx, const ScenarioSpec& spec);
+
+/// The netsim config of a spec, the one builder behind every netsim run
+/// of the scenario layer: the paper's node (Msp430 CPU, 1024-bit
+/// samples, 1% listen duty cycle, a service rate of 10 x max(report
+/// rate, the study's service floor)) on the spec's grid with its corner
+/// sinks, MAC, routing, stop rule, clusters, traffic, faults and node
+/// classes.  A spec built in code keeps the default study, `generic`.
+netsim::NetSimConfig BuildNetSimConfig(const ScenarioSpec& spec);
 
 }  // namespace wsn::scenario

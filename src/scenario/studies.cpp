@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
-#include <memory>
 #include <thread>
 #include <utility>
 
 #include "core/models.hpp"
-#include "des/bursty_workload.hpp"
 #include "scenario/common.hpp"
 #include "scenario/harness.hpp"
 #include "util/error.hpp"
@@ -20,14 +17,6 @@
 namespace wsn::scenario {
 
 namespace {
-
-/// Replication effort of a spec.
-netsim::ReplicationConfig RepConfig(const ScenarioSpec& spec) {
-  netsim::ReplicationConfig rep;
-  rep.replications = spec.replications;
-  rep.seed = spec.seed;
-  return rep;
-}
 
 /// Standard lifetime metric rows (first death, partition, delivery
 /// ratio, samples delivered) labelled with `label`.
@@ -59,106 +48,6 @@ double MeanOverReports(const netsim::ReplicationSummary& summary, Fn&& fn) {
 
 }  // namespace
 
-std::vector<node::Position> NearSquareGrid(std::size_t n, double spacing) {
-  const std::size_t cols = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(n))));
-  const std::size_t rows = (n + cols - 1) / cols;
-  std::vector<node::Position> positions = node::MakeGrid(cols, rows, spacing);
-  positions.resize(n);
-  return positions;
-}
-
-netsim::NetSimConfig BuildGridConfig(const ScenarioSpec& spec) {
-  netsim::NetSimConfig cfg;
-  cfg.network.node.cpu.arrival_rate = spec.rate_hz;
-  cfg.network.node.cpu.service_rate =
-      10.0 * cfg.network.node.cpu.arrival_rate;
-  cfg.network.node.cpu_power = energy::Msp430();
-  cfg.network.node.sample_bits = 1024;
-  cfg.network.node.listen_duty_cycle = 0.01;
-  cfg.network.node.battery_mah = spec.battery_mah;
-  cfg.network.sink = {0.0, 0.0};
-  cfg.network.max_hop_m = spec.hop_m;
-  cfg.positions = node::MakeGrid(spec.cols, spec.rows, spec.spacing_m);
-  cfg.horizon_s = spec.horizon_s;
-  PlaceCornerSinks(cfg, spec.cols, spec.rows, spec.spacing_m, spec.sinks);
-  return cfg;
-}
-
-void PlaceCornerSinks(netsim::NetSimConfig& cfg, std::size_t cols,
-                      std::size_t rows, double spacing, std::size_t sinks) {
-  const double x_max = (static_cast<double>(cols) + 1.0) * spacing;
-  const double y_max = (static_cast<double>(rows) + 1.0) * spacing;
-  if (sinks >= 2) cfg.sinks = {{0.0, 0.0}, {x_max, y_max}};
-  if (sinks >= 3) cfg.sinks.push_back({x_max, 0.0});
-  if (sinks >= 4) cfg.sinks.push_back({0.0, y_max});
-}
-
-void ApplyCluster(netsim::NetSimConfig& cfg, const ScenarioSpec& spec) {
-  cfg.cluster.protocol = netsim::ParseClusterProtocolKind(spec.protocol);
-  cfg.cluster.head_fraction = spec.head_fraction;
-  cfg.cluster.static_heads = spec.static_heads;
-  cfg.cluster.round_s = spec.round_s;
-  cfg.cluster.aggregation = spec.aggregation;
-}
-
-void UseBurstyTraffic(netsim::NetSimConfig& cfg) {
-  const double rate = cfg.network.node.cpu.arrival_rate;
-  cfg.traffic_factory = [rate](std::size_t) {
-    return std::make_unique<des::MmppWorkload>(
-        std::vector<double>{0.2 * rate, 10.0 * rate},
-        std::vector<std::vector<double>>{{-0.02, 0.02}, {0.2, -0.2}});
-  };
-}
-
-std::size_t AssignNodeClasses(netsim::NetSimConfig& cfg,
-                              const ScenarioSpec& spec,
-                              const node::NetworkReport* homogeneous) {
-  netsim::NodeClass standard;
-  standard.name = "standard";
-  standard.battery_mah = cfg.network.node.battery_mah;
-  standard.battery_volts = cfg.network.node.battery_volts;
-  standard.radio = cfg.network.node.radio;
-  standard.listen_duty_cycle = cfg.network.node.listen_duty_cycle;
-  netsim::NodeClass advanced = standard;
-  advanced.name = "advanced";
-  advanced.battery_mah = standard.battery_mah * spec.battery_factor;
-  cfg.classes = {standard, advanced};
-
-  const std::size_t n = cfg.positions.size();
-  const std::size_t advanced_count = static_cast<std::size_t>(
-      std::lround(spec.advanced_fraction * static_cast<double>(n)));
-  cfg.node_class.assign(n, "standard");
-  if (advanced_count > 0 && spec.placement == "hotspot") {
-    // The big batteries go to the nodes the analytic estimator says
-    // carry the most relay traffic — the hot path near the sink, where
-    // per-node hardware actually moves the first-death time.
-    node::NetworkReport evaluated;
-    if (homogeneous == nullptr) {
-      const core::MarkovCpuModel model;
-      evaluated = node::Network(cfg.network, cfg.positions).Evaluate(model);
-      homogeneous = &evaluated;
-    }
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const double la = homogeneous->nodes[a].relay_packets_per_second;
-      const double lb = homogeneous->nodes[b].relay_packets_per_second;
-      if (la != lb) return la > lb;
-      return a < b;
-    });
-    for (std::size_t j = 0; j < advanced_count; ++j) {
-      cfg.node_class[order[j]] = "advanced";
-    }
-  } else if (advanced_count > 0) {  // spread: strided, blind to load
-    for (std::size_t j = 0; j < advanced_count; ++j) {
-      const std::size_t pick = (j * n + n / 2) / advanced_count;
-      cfg.node_class[std::min(pick, n - 1)] = "advanced";
-    }
-  }
-  return advanced_count;
-}
-
 void RequireEqualReports(const netsim::NetSimReport& a,
                          const netsim::NetSimReport& b,
                          const std::string& where, std::size_t rep) {
@@ -168,16 +57,43 @@ void RequireEqualReports(const netsim::NetSimReport& a,
                     std::to_string(rep) + " (" + field + ")");
 }
 
-void RequireConserved(const netsim::NetSimReport& report,
-                      const std::string& where, std::size_t rep) {
-  if (report.Conserved()) return;
-  throw util::Error(
-      where + " violated packet conservation at replication " +
-      std::to_string(rep) + ": generated " +
-      std::to_string(report.packets.generated) + " != delivered " +
-      std::to_string(report.packets.delivered) + " + dropped " +
-      std::to_string(report.packets.TotalDropped()) + " + in flight " +
-      std::to_string(report.in_flight));
+netsim::ReplicationSummary RunCheckedBatch(const ScenarioContext& ctx,
+                                           netsim::NetSimConfig cfg,
+                                           const ScenarioSpec& spec,
+                                           const std::string& label,
+                                           bool oracle) {
+  netsim::ReplicationConfig rep;
+  rep.replications = spec.replications;
+  rep.seed = spec.seed;
+  rep.keep_reports = true;
+  const core::MarkovCpuModel model;
+  ApplyObs(ctx, cfg);
+  netsim::ReplicationSummary summary =
+      RunReplications(cfg, model, rep, ctx.Executor());
+  ContributeObs(ctx, summary);
+  for (std::size_t r = 0; r < summary.reports.size(); ++r) {
+    const netsim::NetSimReport& report = summary.reports[r];
+    if (report.Conserved()) continue;
+    throw util::Error(
+        label + " violated packet conservation at replication " +
+        std::to_string(r) + ": generated " +
+        std::to_string(report.packets.generated) + " != delivered " +
+        std::to_string(report.packets.delivered) + " + dropped " +
+        std::to_string(report.packets.TotalDropped()) + " + in flight " +
+        std::to_string(report.in_flight));
+  }
+  if (!oracle) return summary;
+
+  // The oracle twin runs on identical streams and contributes no
+  // observability output: it exists only to be compared against.
+  cfg.obs = obs::ObsConfig{};
+  cfg.oracle = true;
+  const netsim::ReplicationSummary shadow =
+      RunReplications(cfg, model, rep, ctx.Executor());
+  for (std::size_t r = 0; r < summary.reports.size(); ++r) {
+    RequireEqualReports(summary.reports[r], shadow.reports[r], label, r);
+  }
+  return summary;
 }
 
 // ------------------------------------------------------------------------
@@ -185,27 +101,18 @@ void RequireConserved(const netsim::NetSimReport& report,
 
 ResultSet RunLifetimeStudy(const ScenarioContext& ctx,
                            const ScenarioSpec& spec) {
-  netsim::NetSimConfig cfg = BuildGridConfig(spec);
-  cfg.stop_at_partition = true;  // measure the connected phase
-  cfg.timeline_interval_s = cfg.horizon_s / 20.0;
-  const bool steady = spec.traffic == "steady";
-  if (!steady) UseBurstyTraffic(cfg);
-
-  netsim::ReplicationConfig rep = RepConfig(spec);
-  rep.keep_reports = true;
-  ApplyObs(ctx, cfg);
-
-  const core::MarkovCpuModel model;
+  netsim::NetSimConfig cfg = BuildNetSimConfig(spec);
+  cfg.timeline_interval_s = cfg.horizon_s / 20.0;  // ticks count as events
   const netsim::ReplicationSummary summary =
-      RunReplications(cfg, model, rep, ctx.Executor());
-  ContributeObs(ctx, summary);
+      RunCheckedBatch(ctx, cfg, spec, "netsim-lifetime", false);
 
   ResultSet results("netsim lifetime study: deaths, re-routing, partition");
   results.SetMeta("nodes", std::to_string(cfg.positions.size()));
-  results.SetMeta("traffic", steady ? "steady Poisson" : "bursty MMPP");
-  results.SetMeta("replications", std::to_string(rep.replications));
+  results.SetMeta("traffic", spec.traffic == "steady" ? "steady Poisson"
+                                                      : "bursty MMPP");
+  results.SetMeta("replications", std::to_string(spec.replications));
   results.SetMeta("horizon", util::FormatFixed(cfg.horizon_s, 0) + " s");
-  results.SetMeta("seed", std::to_string(rep.seed));
+  results.SetMeta("seed", std::to_string(spec.seed));
 
   ResultTable& lifetimes = results.AddTable(
       "summary", {"metric", "mean +- 95% CI", "observed in"});
@@ -232,9 +139,12 @@ ResultSet RunLifetimeStudy(const ScenarioContext& ctx,
     const netsim::NodeSimStats& n = rep0.nodes[i];
     if (n.alive && shown >= 5) continue;  // highlight the casualties
     ++shown;
-    nodes.AddRow({std::to_string(i),
-                  "(" + util::FormatFixed(cfg.positions[i].x, 0) + "," +
-                      util::FormatFixed(cfg.positions[i].y, 0) + ")",
+    std::string pos = "(";
+    pos += util::FormatFixed(cfg.positions[i].x, 0);
+    pos += ',';
+    pos += util::FormatFixed(cfg.positions[i].y, 0);
+    pos += ')';
+    nodes.AddRow({std::to_string(i), std::move(pos),
                   std::to_string(n.generated), std::to_string(n.forwarded),
                   std::to_string(n.dropped),
                   util::FormatFixed(n.energy_used_j, 3),
@@ -271,49 +181,43 @@ ResultSet RunLifetimeStudy(const ScenarioContext& ctx,
 
 ResultSet RunThroughputStudy(const ScenarioContext& ctx,
                              const ScenarioSpec& spec) {
-  // The grid on the Pxa271 CPU and the node's default battery.
-  netsim::NetSimConfig cfg = BuildGridConfig(spec);
+  // The grid on the Pxa271 CPU; clustered mode benchmarks the LEACH
+  // data path (elections, aggregation) instead of flat greedy multi-hop.
+  netsim::NetSimConfig cfg = BuildNetSimConfig(spec);
   cfg.network.node.cpu_power = energy::Pxa271();
-  cfg.network.node.battery_mah = node::NodeConfig{}.battery_mah;
-  // Clustered mode benchmarks the LEACH data path (elections,
-  // aggregation) instead of flat greedy multi-hop.
-  if (spec.clustered) {
-    cfg.cluster.protocol = netsim::ClusterProtocolKind::kLeach;
-    cfg.cluster.round_s = cfg.horizon_s / 5.0;
-    cfg.cluster.aggregation = 4;
-  }
-
-  const netsim::ReplicationConfig rep = RepConfig(spec);
-  const core::MarkovCpuModel model;
+  if (spec.clustered) cfg.cluster.round_s = cfg.horizon_s / 5.0;
 
   ResultSet results("netsim replication throughput: serial vs executor");
   results.SetMeta("routing",
                   spec.clustered ? "clustered (leach)" : "flat greedy");
   results.SetMeta("nodes", std::to_string(cfg.positions.size()));
   results.SetMeta("horizon", util::FormatFixed(cfg.horizon_s, 0) + " s");
-  results.SetMeta("replications", std::to_string(rep.replications));
+  results.SetMeta("replications", std::to_string(spec.replications));
   results.SetMeta("hardware-threads",
                   std::to_string(std::thread::hardware_concurrency()));
 
-  const auto timed = [&](util::ParallelExecutor& executor) {
+  const auto timed = [&](const ScenarioContext& leg,
+                         const std::string& label) {
     const auto start = std::chrono::steady_clock::now();
     const netsim::ReplicationSummary summary =
-        RunReplications(cfg, model, rep, executor);
+        RunCheckedBatch(leg, cfg, spec, label, false);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
     return std::make_pair(summary, wall);
   };
 
-  util::ParallelExecutor serial_exec(1);
-  const auto [serial, serial_s] = timed(serial_exec);
   // Observe only the executor leg: contributing both legs would double
   // every counter for what is conceptually one benchmarked workload.
-  ApplyObs(ctx, cfg);
-  const auto [parallel, parallel_s] = timed(ctx.Executor());
-  ContributeObs(ctx, parallel);
+  util::ParallelExecutor serial_exec(1);
+  ScenarioContext serial_ctx;
+  serial_ctx.executor = &serial_exec;
+  const auto [serial, serial_s] =
+      timed(serial_ctx, "netsim-throughput serial leg");
+  const auto [parallel, parallel_s] =
+      timed(ctx, "netsim-throughput executor leg");
 
-  const double reps = static_cast<double>(rep.replications);
+  const double reps = static_cast<double>(spec.replications);
   ResultTable& table = results.AddTable(
       "throughput", {"mode", "threads", "wall (s)", "replications/s",
                      "speedup"});
@@ -341,16 +245,9 @@ ResultSet RunThroughputStudy(const ScenarioContext& ctx,
 
 ResultSet RunClusteredStudy(const ScenarioContext& ctx,
                             const ScenarioSpec& spec) {
-  netsim::NetSimConfig cfg = BuildGridConfig(spec);
-  ApplyCluster(cfg, spec);
-
-  netsim::ReplicationConfig rep = RepConfig(spec);
-  rep.keep_reports = true;  // the rotation/head tables read the reports
-  ApplyObs(ctx, cfg);
-  const core::MarkovCpuModel model;
+  const netsim::NetSimConfig cfg = BuildNetSimConfig(spec);
   const netsim::ReplicationSummary summary =
-      RunReplications(cfg, model, rep, ctx.Executor());
-  ContributeObs(ctx, summary);
+      RunCheckedBatch(ctx, cfg, spec, "netsim-clustered", false);
 
   ResultSet results(
       "clustered collection: rotating heads, aggregation, multi-sink");
@@ -361,8 +258,8 @@ ResultSet RunClusteredStudy(const ScenarioContext& ctx,
                   netsim::ClusterProtocolKindName(cfg.cluster.protocol));
   results.SetMeta("round", util::FormatFixed(cfg.cluster.round_s, 0) + " s");
   results.SetMeta("aggregation", std::to_string(cfg.cluster.aggregation));
-  results.SetMeta("replications", std::to_string(rep.replications));
-  results.SetMeta("seed", std::to_string(rep.seed));
+  results.SetMeta("replications", std::to_string(spec.replications));
+  results.SetMeta("seed", std::to_string(spec.seed));
 
   ResultTable& lifetimes = results.AddTable(
       "summary", {"protocol", "metric", "mean +- 95% CI", "observed in"});
@@ -439,32 +336,23 @@ ResultSet RunClusteredStudy(const ScenarioContext& ctx,
 
 ResultSet RunHeterogeneousStudy(const ScenarioContext& ctx,
                                 const ScenarioSpec& spec) {
-  netsim::NetSimConfig cfg = BuildGridConfig(spec);
-  cfg.rerouting = false;
-  cfg.stop_at_first_death = true;
+  const netsim::NetSimConfig cfg = BuildNetSimConfig(spec);
   const std::size_t n = cfg.positions.size();
-
-  const core::MarkovCpuModel model;
-  const node::Network analytic_net(cfg.network, cfg.positions);
-  const node::NetworkReport analytic_homo = analytic_net.Evaluate(model);
-  const std::size_t advanced_count =
-      AssignNodeClasses(cfg, spec, &analytic_homo);
-
+  const std::size_t advanced_count = static_cast<std::size_t>(
+      std::count(cfg.node_class.begin(), cfg.node_class.end(), "advanced"));
   netsim::NetSimConfig homogeneous = cfg;
   homogeneous.classes.clear();
   homogeneous.node_class.clear();
 
-  const netsim::ReplicationConfig rep = RepConfig(spec);
-  ApplyObs(ctx, cfg);
-  ApplyObs(ctx, homogeneous);
   const netsim::ReplicationSummary hetero =
-      RunReplications(cfg, model, rep, ctx.Executor());
-  const netsim::ReplicationSummary homo =
-      RunReplications(homogeneous, model, rep, ctx.Executor());
-  ContributeObs(ctx, hetero);
-  ContributeObs(ctx, homo);
+      RunCheckedBatch(ctx, cfg, spec, "netsim-heterogeneous", false);
+  const netsim::ReplicationSummary homo = RunCheckedBatch(
+      ctx, homogeneous, spec, "netsim-heterogeneous homogeneous twin", false);
 
   // Analytic cross-check on the identical topology and per-node hardware.
+  const core::MarkovCpuModel model;
+  const node::Network analytic_net(cfg.network, cfg.positions);
+  const node::NetworkReport analytic_homo = analytic_net.Evaluate(model);
   const node::NetworkReport analytic_hetero =
       analytic_net.Evaluate(model, netsim::PerNodeConfigs(cfg));
 
@@ -475,8 +363,8 @@ ResultSet RunHeterogeneousStudy(const ScenarioContext& ctx,
   results.SetMeta("advanced nodes", std::to_string(advanced_count));
   results.SetMeta("placement", spec.placement);
   results.SetMeta("battery factor", util::FormatFixed(spec.battery_factor, 2));
-  results.SetMeta("replications", std::to_string(rep.replications));
-  results.SetMeta("seed", std::to_string(rep.seed));
+  results.SetMeta("replications", std::to_string(spec.replications));
+  results.SetMeta("seed", std::to_string(spec.seed));
 
   ResultTable& table = results.AddTable(
       "first-death",
@@ -527,26 +415,7 @@ ResultSet RunHeterogeneousStudy(const ScenarioContext& ctx,
 // ------------------------------------------------------------------------
 // netsim-faults
 
-namespace {
-
-struct CellOutcome {
-  std::uint64_t crashes = 0;     ///< summed over replications
-  std::uint64_t recoveries = 0;  ///< summed over replications
-  std::uint64_t in_flight = 0;   ///< summed over replications
-  std::size_t partitioned = 0;   ///< reps that partitioned
-  std::size_t healed = 0;        ///< reps whose partition healed
-};
-
-}  // namespace
-
 ResultSet RunFaultStudy(const ScenarioContext& ctx, const ScenarioSpec& spec) {
-  const double jam_duration =
-      spec.jam_duration_s > 0.0 ? spec.jam_duration_s : spec.horizon_s / 10.0;
-  const double sink_outage_s =
-      spec.sink_outage_s > 0.0 ? spec.sink_outage_s : spec.horizon_s / 10.0;
-  netsim::ReplicationConfig rep = RepConfig(spec);
-  rep.keep_reports = true;
-
   ResultSet results(
       "fault injection: node churn, jam windows and sink outages with "
       "differential verification of the incremental repair paths");
@@ -557,8 +426,8 @@ ResultSet RunFaultStudy(const ScenarioContext& ctx, const ScenarioSpec& spec) {
   results.SetMeta("horizon", util::FormatFixed(spec.horizon_s, 0) + " s");
   results.SetMeta("jam-windows", std::to_string(spec.jam_windows));
   results.SetMeta("sink-outages", std::to_string(spec.sink_outages));
-  results.SetMeta("replications", std::to_string(rep.replications));
-  results.SetMeta("seed", std::to_string(rep.seed));
+  results.SetMeta("replications", std::to_string(spec.replications));
+  results.SetMeta("seed", std::to_string(spec.seed));
 
   ResultTable& table = results.AddTable(
       "faults",
@@ -566,83 +435,50 @@ ResultSet RunFaultStudy(const ScenarioContext& ctx, const ScenarioSpec& spec) {
        "delivery ratio", "delivered", "partitioned", "healed", "in flight",
        "conserved"});
 
-  const core::MarkovCpuModel model;
-  // `cctx` rather than the outer ctx: under the point harness each cell
-  // runs in a sub-context whose executor may live inside a forked
-  // worker (scenario/harness.hpp).
-  const auto run_cell = [&](const ScenarioContext& cctx,
-                            netsim::NetSimConfig cfg,
-                            const std::string& label)
-      -> std::pair<netsim::ReplicationSummary, CellOutcome> {
-    ApplyObs(cctx, cfg);
-    netsim::ReplicationSummary summary =
-        RunReplications(cfg, model, rep, cctx.Executor());
-    ContributeObs(cctx, summary);
-
-    // Oracle twin: identical streams, full recompute after every fault
-    // event.  The oracle batch contributes no observability output —
-    // it exists only to be compared against.
-    netsim::NetSimConfig twin = cfg;
-    twin.obs = obs::ObsConfig{};
-    twin.oracle = true;
-    const netsim::ReplicationSummary shadow =
-        RunReplications(twin, model, rep, cctx.Executor());
-
-    CellOutcome out;
-    for (std::size_t r = 0; r < summary.reports.size(); ++r) {
-      const netsim::NetSimReport& report = summary.reports[r];
-      RequireEqualReports(report, shadow.reports[r],
-                          "netsim-faults: " + label, r);
-      RequireConserved(report, "netsim-faults: " + label, r);
-      out.crashes += report.crashes;
-      out.recoveries += report.recoveries;
-      out.in_flight += report.in_flight;
-      const double inf = std::numeric_limits<double>::infinity();
-      if (report.partition_s != inf) ++out.partitioned;
-      if (report.heal_s != inf) ++out.healed;
-    }
-    return {std::move(summary), out};
-  };
-
   for (const double crash_rate : spec.crash_rates) {
     for (const double outage : spec.outages) {
-      netsim::NetSimConfig cfg;
-      cfg.network.node.cpu.arrival_rate = spec.rate_hz;
-      cfg.network.node.cpu.service_rate = 10.0 * std::max(spec.rate_hz, 0.1);
-      cfg.network.node.cpu_power = energy::Msp430();
-      cfg.network.node.sample_bits = 1024;
-      cfg.network.node.listen_duty_cycle = 0.01;
-      cfg.network.sink = {0.0, 0.0};
-      cfg.network.max_hop_m = spec.hop_m;
-      cfg.positions = NearSquareGrid(spec.nodes, spec.spacing_m);
-      cfg.horizon_s = spec.horizon_s;
-      cfg.faults.crash_rate_hz = crash_rate;
-      cfg.faults.mean_outage_s = outage;
-      cfg.faults.jam_windows = spec.jam_windows;
-      cfg.faults.jam_radius_m = spec.jam_radius_m;
-      cfg.faults.jam_duration_s = jam_duration;
-      cfg.faults.jam_p_loss = spec.jam_p_loss;
-      cfg.faults.sink_outages = spec.sink_outages;
-      cfg.faults.sink_outage_s = sink_outage_s;
+      ScenarioSpec flat = spec;
+      flat.crash_rate_hz = crash_rate;
+      flat.outage_s = outage;
+      ScenarioSpec clustered = flat;
+      clustered.clustered = true;
+      clustered.round_s = spec.horizon_s / 10.0;
 
       // One sweep point per (mode, crash rate, outage): each runs (or
       // replays) through the point harness, with the whole production-
-      // vs-oracle differential inside the point.
+      // vs-oracle differential inside the point.  `cctx` rather than the
+      // outer ctx: under the point harness each cell runs in a
+      // sub-context whose executor may live inside a forked worker
+      // (scenario/harness.hpp).
       const auto point_row = [&](const ScenarioContext& cctx,
-                                 netsim::NetSimConfig cell_cfg,
+                                 const ScenarioSpec& cell,
                                  const std::string& label)
           -> std::vector<std::string> {
-        const auto [summary, out] = run_cell(cctx, std::move(cell_cfg), label);
+        const netsim::ReplicationSummary summary =
+            RunCheckedBatch(cctx, BuildNetSimConfig(cell), cell,
+                            "netsim-faults: " + label, true);
+        std::uint64_t crashes = 0;
+        std::uint64_t recoveries = 0;
+        std::uint64_t in_flight = 0;
+        std::size_t partitioned = 0;
+        std::size_t healed = 0;
+        for (const netsim::NetSimReport& report : summary.reports) {
+          crashes += report.crashes;
+          recoveries += report.recoveries;
+          in_flight += report.in_flight;
+          if (std::isfinite(report.partition_s)) ++partitioned;
+          if (std::isfinite(report.heal_s)) ++healed;
+        }
         return {label,
                 util::FormatFixed(crash_rate, 4),
                 util::FormatFixed(outage, 0),
-                std::to_string(out.crashes),
-                std::to_string(out.recoveries),
+                std::to_string(crashes),
+                std::to_string(recoveries),
                 MetricCell(summary.delivery_ratio, 4),
                 MetricCell(summary.delivered, 1),
-                ObservedCell(out.partitioned, summary.replications),
-                ObservedCell(out.healed, summary.replications),
-                std::to_string(out.in_flight),
+                ObservedCell(partitioned, summary.replications),
+                ObservedCell(healed, summary.replications),
+                std::to_string(in_flight),
                 "yes"};
       };
       const std::string suffix = " r=" + util::FormatFixed(crash_rate, 4) +
@@ -651,18 +487,12 @@ ResultSet RunFaultStudy(const ScenarioContext& ctx, const ScenarioSpec& spec) {
       RunPointRow(ctx, table, "faults:flat" + suffix, spec.seed,
                   "flat" + suffix,
                   [&](const ScenarioContext& cctx, const PointEnv&) {
-                    return point_row(cctx, cfg, "flat" + suffix);
+                    return point_row(cctx, flat, "flat" + suffix);
                   });
-
-      netsim::NetSimConfig ccfg = cfg;
-      ccfg.cluster.protocol = netsim::ClusterProtocolKind::kLeach;
-      ccfg.cluster.head_fraction = 0.1;
-      ccfg.cluster.round_s = spec.horizon_s / 10.0;
-      ccfg.cluster.aggregation = 4;
       RunPointRow(ctx, table, "faults:clustered" + suffix, spec.seed,
                   "clustered" + suffix,
                   [&](const ScenarioContext& cctx, const PointEnv&) {
-                    return point_row(cctx, ccfg, "clustered" + suffix);
+                    return point_row(cctx, clustered, "clustered" + suffix);
                   });
     }
   }
@@ -685,29 +515,18 @@ ResultSet RunFaultStudy(const ScenarioContext& ctx, const ScenarioSpec& spec) {
 
 ResultSet RunClusterAblation(const ScenarioContext& ctx,
                              const ScenarioSpec& spec) {
-  netsim::NetSimConfig flat = BuildGridConfig(spec);  // greedy multi-hop
-
-  netsim::NetSimConfig leach = flat;
-  ApplyCluster(leach, spec);
-  leach.cluster.protocol = netsim::ClusterProtocolKind::kLeach;
-
+  const netsim::NetSimConfig leach = BuildNetSimConfig(spec);
+  netsim::NetSimConfig flat = leach;  // greedy multi-hop
+  flat.cluster = netsim::ClusterConfig{};
   netsim::NetSimConfig still = leach;
   still.cluster.protocol = netsim::ClusterProtocolKind::kStatic;
 
-  const netsim::ReplicationConfig rep = RepConfig(spec);
-  const core::MarkovCpuModel model;
-  ApplyObs(ctx, flat);
-  ApplyObs(ctx, still);
-  ApplyObs(ctx, leach);
   const netsim::ReplicationSummary flat_sum =
-      RunReplications(flat, model, rep, ctx.Executor());
+      RunCheckedBatch(ctx, flat, spec, "cluster-ablation flat", false);
   const netsim::ReplicationSummary still_sum =
-      RunReplications(still, model, rep, ctx.Executor());
+      RunCheckedBatch(ctx, still, spec, "cluster-ablation static", false);
   const netsim::ReplicationSummary leach_sum =
-      RunReplications(leach, model, rep, ctx.Executor());
-  ContributeObs(ctx, flat_sum);
-  ContributeObs(ctx, still_sum);
-  ContributeObs(ctx, leach_sum);
+      RunCheckedBatch(ctx, leach, spec, "cluster-ablation leach", false);
 
   ResultSet results(
       "cluster ablation: flat vs static heads vs LEACH-style rotation");
@@ -716,8 +535,8 @@ ResultSet RunClusterAblation(const ScenarioContext& ctx,
   results.SetMeta("head fraction",
                   util::FormatFixed(leach.cluster.head_fraction, 2));
   results.SetMeta("aggregation", std::to_string(leach.cluster.aggregation));
-  results.SetMeta("replications", std::to_string(rep.replications));
-  results.SetMeta("seed", std::to_string(rep.seed));
+  results.SetMeta("replications", std::to_string(spec.replications));
+  results.SetMeta("seed", std::to_string(spec.seed));
 
   ResultTable& table = results.AddTable(
       "summary", {"policy", "metric", "mean +- 95% CI", "observed in"});

@@ -1,58 +1,39 @@
 /// \file
-/// The netsim study runners and the config helpers they share with the
-/// generic spec interpreter.  Every runner reads one validated
+/// The netsim study runners and the checked batch runner they share with
+/// the generic spec interpreter.  Every runner reads one validated
 /// ScenarioSpec (scenario/spec.hpp), filled either from a study's flags
 /// or from a spec file through the same knob table, so a committed
-/// preset is byte-identical to its registered twin.  The study table in
-/// spec.cpp names the runner of each study; callers validate through
-/// that table before calling.
+/// preset is byte-identical to its registered twin.  A runner takes its
+/// config from BuildNetSimConfig, runs its batches through
+/// RunCheckedBatch and renders its tables; the settings a study fixes
+/// are its defaults in the study table in spec.cpp, which also names its
+/// runner.  Callers validate through that table before calling.
 #pragma once
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "netsim/netsim.hpp"
+#include "netsim/replication.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
-#include "wsn/network.hpp"
 
 namespace wsn::scenario {
 
 // ---------------------------------------------------------------- shared
 
-/// Near-square grid deployment trimmed to exactly `n` nodes (the fault
-/// study's and the generic interpreter's `nodes` topology).
-std::vector<node::Position> NearSquareGrid(std::size_t n, double spacing);
-
-/// The grid studies' config: a cols x rows grid (Msp430 CPU, 1024-bit
-/// samples, 1% listen duty cycle, service rate 10 x the report rate)
-/// reporting toward corner sinks, with small batteries so that every run
-/// shows the full lifetime arc within a short horizon.
-netsim::NetSimConfig BuildGridConfig(const ScenarioSpec& spec);
-
-/// Extra sinks at the corners of a cols x rows deployment: `sinks` >= 2
-/// adds the far corner, 3 and 4 the other two (one sink stays at the
-/// origin corner).
-void PlaceCornerSinks(netsim::NetSimConfig& cfg, std::size_t cols,
-                      std::size_t rows, double spacing, std::size_t sinks);
-
-/// Copy the spec's cluster knobs onto `cfg.cluster`.
-void ApplyCluster(netsim::NetSimConfig& cfg, const ScenarioSpec& spec);
-
-/// Event-storm MMPP traffic: mostly quiet at 20% of the nominal report
-/// rate, with bursts at 10x (long-run mean close to the nominal rate).
-void UseBurstyTraffic(netsim::NetSimConfig& cfg);
-
-/// Two named node classes, "advanced" nodes carrying battery_factor
-/// times the standard battery, on round(advanced_fraction * n) nodes:
-/// those with the highest analytic relay load ("hotspot") or strided
-/// through the index order ("spread").  The hotspot ranking reads
-/// `homogeneous`, the analytic report of the deployment before classes,
-/// and evaluates it when null.  Returns the advanced count.
-std::size_t AssignNodeClasses(netsim::NetSimConfig& cfg,
-                              const ScenarioSpec& spec,
-                              const node::NetworkReport* homogeneous);
+/// One replication batch of `cfg` with `spec`'s replications and seed on
+/// ctx's executor, observed through ctx's session (--metrics/--trace).
+/// Every report is kept and checked for packet conservation; with
+/// `oracle`, every replication also runs as its NetSimConfig::oracle twin
+/// (observing nothing) and must match it field for field.  Throws
+/// util::Error "`label` violated packet conservation at replication N:
+/// ..." naming all four counters, or RequireEqualReports' error.
+netsim::ReplicationSummary RunCheckedBatch(const ScenarioContext& ctx,
+                                           netsim::NetSimConfig cfg,
+                                           const ScenarioSpec& spec,
+                                           const std::string& label,
+                                           bool oracle);
 
 /// Field-for-field comparison of one replication against its oracle
 /// twin (netsim::FirstReportDifference: every deterministic output,
@@ -63,12 +44,6 @@ std::size_t AssignNodeClasses(netsim::NetSimConfig& cfg,
 void RequireEqualReports(const netsim::NetSimReport& a,
                          const netsim::NetSimReport& b,
                          const std::string& where, std::size_t rep);
-
-/// Packet-conservation hard check: throws util::Error "`where` violated
-/// packet conservation at replication N: ..." naming all four counters
-/// unless report.Conserved().
-void RequireConserved(const netsim::NetSimReport& report,
-                      const std::string& where, std::size_t rep);
 
 // --------------------------------------------------------------- studies
 
