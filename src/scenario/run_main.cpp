@@ -142,32 +142,12 @@ void InstallHarnessSignalHandlers() {
   ::sigaction(SIGTERM, &sa, nullptr);
 }
 
-/// "3,17,42" -> {3, 17, 42}; throws InvalidArgument on junk.
-std::vector<std::size_t> ParseNodeList(const std::string& csv) {
-  std::vector<std::size_t> nodes;
-  std::istringstream in(csv);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (token.empty()) continue;
-    try {
-      std::size_t consumed = 0;
-      const unsigned long long v = std::stoull(token, &consumed);
-      util::Require(consumed == token.size(), "trailing junk");
-      nodes.push_back(static_cast<std::size_t>(v));
-    } catch (const std::exception&) {
-      throw util::InvalidArgument("--trace-nodes: bad node index '" + token +
-                                  "'");
-    }
-  }
-  return nodes;
-}
-
 obs::SessionOptions ObsOptionsFromArgs(const util::CliArgs& args) {
   obs::SessionOptions options;
   options.metrics_path = args.GetString("metrics", "");
   options.metrics_timings = args.GetBool("metrics-timings");
   options.trace_path = args.GetString("trace", "");
-  options.trace.nodes = ParseNodeList(args.GetString("trace-nodes", ""));
+  options.trace.nodes = args.GetCountList("trace-nodes", {});
   options.trace.from_s = args.GetDouble("trace-from", 0.0);
   options.trace.until_s = args.GetDouble(
       "trace-until", std::numeric_limits<double>::infinity());

@@ -42,30 +42,6 @@
 namespace wsn::scenario {
 namespace {
 
-/// "11,17,23" -> {11, 17, 23}; throws InvalidArgument on junk or empty.
-std::vector<std::uint64_t> ParseSeeds(const std::string& csv) {
-  std::vector<std::uint64_t> seeds;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item =
-        csv.substr(start, comma == std::string::npos ? comma : comma - start);
-    try {
-      std::size_t used = 0;
-      const unsigned long long v = std::stoull(item, &used);
-      util::Require(used == item.size() && !item.empty(), "trailing junk");
-      seeds.push_back(v);
-    } catch (const std::exception&) {
-      throw util::InvalidArgument("--seeds: '" + item +
-                                  "' is not a non-negative integer");
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  util::Require(!seeds.empty(), "--seeds must name at least one seed");
-  return seeds;
-}
-
 /// The chaos schedule: a pure hash of (seed, point, attempt).  Attempts
 /// 0 and 1 may die (p = 1/2 and 1/4); attempt 2 always survives, so
 /// with >= 2 retries every point eventually completes.
@@ -291,8 +267,9 @@ ResultSet RunHarnessChaos(const ScenarioContext& ctx) {
   params.replications = args.GetCount("replications", 2, 1);
   params.horizon_s = args.GetDouble("horizon", 300.0);
   util::Require(params.horizon_s > 0.0, "--horizon must be > 0");
-  const std::vector<std::uint64_t> seeds =
-      ParseSeeds(args.GetString("seeds", "11,17,23"));
+  const std::vector<std::size_t> seeds =
+      args.GetCountList("seeds", {11, 17, 23});
+  util::Require(!seeds.empty(), "flag --seeds must name at least one seed");
 
   namespace fs = std::filesystem;
   const fs::path dir =

@@ -47,40 +47,6 @@
 namespace wsn::scenario {
 namespace {
 
-std::vector<std::size_t> ParseSizes(const std::string& csv) {
-  std::vector<std::size_t> sizes;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string item =
-        csv.substr(start, comma == std::string::npos ? csv.size() - start
-                                                     : comma - start);
-    util::Require(!item.empty(), "flag --sizes: empty size entry");
-    std::size_t parsed = 0;
-    std::size_t consumed = 0;
-    try {
-      parsed = static_cast<std::size_t>(std::stoull(item, &consumed));
-    } catch (const std::exception&) {
-      consumed = 0;
-    }
-    if (consumed != item.size()) {
-      throw util::InvalidArgument("flag --sizes: '" + item +
-                                  "' is not a node count");
-    }
-    util::Require(parsed >= 1 && parsed <= 200000,
-                  "flag --sizes entries must be in 1..200000");
-    sizes.push_back(parsed);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  util::Require(!sizes.empty(), "flag --sizes needs at least one size");
-  for (std::size_t k = 1; k < sizes.size(); ++k) {
-    util::Require(sizes[k] > sizes[k - 1],
-                  "flag --sizes must be strictly increasing");
-  }
-  return sizes;
-}
-
 struct ScaleRun {
   netsim::NetSimReport report;
   double wall_s = 0.0;
@@ -140,11 +106,18 @@ void RequireOracleAgrees(const ScaleRun& run, const ScaleRun& oracle,
 ResultSet RunNetsimScale(const ScenarioContext& ctx) {
   const util::CliArgs& args = ctx.Args();
   const std::vector<std::size_t> sizes =
-      ParseSizes(args.GetString("sizes", "100,1000,5000,10000,100000"));
-  const double spacing = args.GetDouble("spacing", 15.0);
-  const double hop = args.GetDouble("hop", 40.0);
-  const double rate = args.GetDouble("rate", 0.01);
-  const double horizon = args.GetDouble("horizon", 2000.0);
+      args.GetCountList("sizes", {100, 1000, 5000, 10000, 100000});
+  util::Require(!sizes.empty(), "flag --sizes needs at least one size");
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    util::Require(sizes[k] >= 1 && sizes[k] <= 200000,
+                  "flag --sizes entries must be in 1..200000");
+    util::Require(k == 0 || sizes[k] > sizes[k - 1],
+                  "flag --sizes must be strictly increasing");
+  }
+  const double spacing = PositiveFlag(args, "spacing", 15.0);
+  const double hop = PositiveFlag(args, "hop", 40.0);
+  const double rate = PositiveFlag(args, "rate", 0.01);
+  const double horizon = PositiveFlag(args, "horizon", 2000.0);
   const double death_fraction = args.GetDouble("death-fraction", 0.08);
   util::Require(death_fraction > 0.0 && death_fraction <= 0.8,
                 "flag --death-fraction must be in (0, 0.8]");
@@ -152,7 +125,7 @@ ResultSet RunNetsimScale(const ScenarioContext& ctx) {
   const std::size_t replications = args.GetCount("replications", 1, 1);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(args.GetCount("seed", 2008));
-  const double round_s = args.GetDouble("round", horizon / 20.0);
+  const double round_s = PositiveFlag(args, "round", horizon / 20.0);
 
   ResultSet results(
       "netsim at scale: spatial-grid routing repair and head assignment "

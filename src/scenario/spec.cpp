@@ -1068,6 +1068,15 @@ ScenarioSpec StudySpecFromArgs(const std::string& study,
   return spec;
 }
 
+double PositiveFlag(const util::CliArgs& args, const std::string& name,
+                    double fallback) {
+  if (!args.Has(name)) return fallback;
+  const std::string where = "flag --" + name;
+  const double v = FlagNumber(args.GetString(name, ""), where).AsNumber();
+  if (!(v > 0.0)) Fail(where + ": must be > 0 (got " + NumStr(v) + ")");
+  return v;
+}
+
 ResultSet RunSpec(const ScenarioContext& ctx, const ScenarioSpec& spec) {
   return RequireStudy(spec.study).run(ctx, spec);
 }

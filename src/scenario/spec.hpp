@@ -143,6 +143,13 @@ std::vector<util::FlagSpec> StudyFlags(const std::string& study);
 ScenarioSpec StudySpecFromArgs(const std::string& study,
                                const util::CliArgs& args);
 
+/// Flag --name of a scenario outside the knob table, checked by the
+/// table's rule for a positive knob: `fallback` when absent, otherwise a
+/// finite number > 0, or util::InvalidArgument in the table's words
+/// ("flag --rate: must be > 0 (got 0)").
+double PositiveFlag(const util::CliArgs& args, const std::string& name,
+                    double fallback);
+
 /// Run a validated spec on its study's runner: the named studies'
 /// tables, or the generic interpreter (sweep grid, column selection,
 /// conservation / oracle / analytic verification).

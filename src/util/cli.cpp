@@ -10,6 +10,37 @@
 
 namespace wsn::util {
 
+namespace {
+
+/// `text` as the integer value of flag --name; partial parses ("3.9",
+/// "10x") are rejected, not truncated: a typo'd sweep config must fail
+/// loudly rather than alter results.
+long ParseInt(const std::string& name, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  Require(end != text.c_str() && *end == '\0' && !text.empty(),
+          "flag --" + name + " is not an integer: '" + text + "'");
+  Require(errno != ERANGE,
+          "flag --" + name + " is out of range: '" + text + "'");
+  return v;
+}
+
+/// `text` as a count of flag --name, at least `min_value`.
+std::size_t ParseCount(const std::string& name, const std::string& text,
+                       std::size_t min_value) {
+  const long v = ParseInt(name, text);
+  Require(v >= 0, "flag --" + name + " must be non-negative, got " +
+                      std::to_string(v));
+  const auto u = static_cast<std::size_t>(v);
+  Require(u >= min_value, "flag --" + name + " must be at least " +
+                              std::to_string(min_value) + ", got " +
+                              std::to_string(u));
+  return u;
+}
+
+}  // namespace
+
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
@@ -61,17 +92,7 @@ double CliArgs::GetDouble(const std::string& name, double fallback) const {
 
 long CliArgs::GetInt(const std::string& name, long fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(it->second.c_str(), &end, 10);
-  // Partial parses ("3.9", "10x") are rejected, not truncated: a typo'd
-  // sweep config must fail loudly rather than alter results.
-  Require(end != it->second.c_str() && *end == '\0' && !it->second.empty(),
-          "flag --" + name + " is not an integer: '" + it->second + "'");
-  Require(errno != ERANGE,
-          "flag --" + name + " is out of range: '" + it->second + "'");
-  return v;
+  return it == flags_.end() ? fallback : ParseInt(name, it->second);
 }
 
 bool CliArgs::GetBool(const std::string& name, bool fallback) const {
@@ -82,15 +103,24 @@ bool CliArgs::GetBool(const std::string& name, bool fallback) const {
 
 std::size_t CliArgs::GetCount(const std::string& name, std::size_t fallback,
                               std::size_t min_value) const {
-  if (!Has(name)) return fallback;
-  const long v = GetInt(name, 0);
-  Require(v >= 0, "flag --" + name + " must be non-negative, got " +
-                      std::to_string(v));
-  const auto u = static_cast<std::size_t>(v);
-  Require(u >= min_value, "flag --" + name + " must be at least " +
-                              std::to_string(min_value) + ", got " +
-                              std::to_string(u));
-  return u;
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? fallback
+                            : ParseCount(name, it->second, min_value);
+}
+
+std::vector<std::size_t> CliArgs::GetCountList(
+    const std::string& name, std::vector<std::size_t> fallback) const {
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
+  std::vector<std::size_t> counts;
+  for (std::size_t start = 0; !text.empty();) {
+    const std::size_t comma = text.find(',', start);
+    counts.push_back(ParseCount(name, text.substr(start, comma - start), 0));
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  return counts;
 }
 
 std::vector<std::string> CliArgs::FlagNames() const {

@@ -43,6 +43,12 @@ class CliArgs {
   std::size_t GetCount(const std::string& name, std::size_t fallback,
                        std::size_t min_value = 0) const;
 
+  /// A comma-separated list of counts, each entry read as GetCount reads
+  /// one value, so "-1", "3x" and an empty entry fail naming the flag.
+  /// `fallback` when the flag is absent; no entries when it is empty.
+  std::vector<std::size_t> GetCountList(
+      const std::string& name, std::vector<std::size_t> fallback) const;
+
   /// Names of every flag present on the command line (sorted).
   std::vector<std::string> FlagNames() const;
 

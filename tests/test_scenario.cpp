@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "scenario/result.hpp"
+#include "scenario/run_main.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
 #include "util/error.hpp"
@@ -448,6 +449,56 @@ TEST(ScenarioRun, RejectsInvalidEffortFlags) {
     shown = true;
   }
   EXPECT_TRUE(shown);
+}
+
+// Flags outside the knob table name themselves too.  netsim-scale's
+// numbers take the table's rule for a positive knob; the count lists
+// (--sizes, --seeds, the global --trace-nodes) read each entry as a
+// count.  Each row used to run or fail inside the simulator: --rate=0
+// with "lambda must be positive", --seeds=-1 as seed 2^64 - 1, and
+// --trace-nodes=-1 with an empty trace.
+TEST(ScenarioRun, OutOfTableFlagsNameThemselves) {
+  struct Row {
+    std::string scenario;
+    std::vector<std::string> flags;
+    std::string message;
+  };
+  const Row rows[] = {
+      {"netsim-scale", {"--sizes=100", "--rate=0"},
+       "flag --rate: must be > 0 (got 0)"},
+      {"netsim-scale", {"--sizes=100", "--hop=-2"},
+       "flag --hop: must be > 0 (got -2)"},
+      {"netsim-scale", {"--sizes=100", "--spacing=0"},
+       "flag --spacing: must be > 0 (got 0)"},
+      {"netsim-scale", {"--sizes=100", "--horizon=-600"},
+       "flag --horizon: must be > 0 (got -600)"},
+      {"netsim-scale", {"--sizes=100", "--round=0"},
+       "flag --round: must be > 0 (got 0)"},
+      {"netsim-scale", {"--sizes=100,-1"},
+       "flag --sizes must be non-negative, got -1"},
+      {"harness-chaos", {"--seeds=-1", "--points=2"},
+       "flag --seeds must be non-negative, got -1"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.scenario + " " + row.flags.back());
+    try {
+      RunAll(row.scenario, row.flags, 1);
+      ADD_FAILURE() << "flag accepted";
+    } catch (const util::InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), row.message);
+    }
+  }
+
+  const char* argv[] = {"wsnctl",         "run",          "netsim-lifetime",
+                        "--cols=2",       "--rows=2",     "--horizon=40",
+                        "--replications=1", "--trace-nodes=-1"};
+  testing::internal::CaptureStderr();
+  const int rc = WsnctlMain(8, argv);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(err.find("flag --trace-nodes must be non-negative, got -1"),
+            std::string::npos)
+      << err;
 }
 
 }  // namespace

@@ -138,6 +138,29 @@ TEST(CliArgs, GetCountRejectsNegativeAndBelowMinimum) {
   EXPECT_EQ(args.GetCount("absent", 7, 1), 7u);
 }
 
+TEST(CliArgs, GetCountListReadsEachEntryAsACount) {
+  const char* argv[] = {"prog",       "--sizes=100,400", "--neg=3,-1",
+                        "--junk=2,3x", "--gap=1,,2",     "--empty="};
+  CliArgs args(6, argv);
+  EXPECT_EQ(args.GetCountList("sizes", {}),
+            (std::vector<std::size_t>{100, 400}));
+  EXPECT_EQ(args.GetCountList("absent", {11, 17}),
+            (std::vector<std::size_t>{11, 17}));
+  EXPECT_TRUE(args.GetCountList("empty", {5}).empty());
+  // Each bad entry fails as GetCount fails on it, naming the flag.
+  const auto message = [&](const std::string& name) {
+    try {
+      args.GetCountList(name, {});
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("neg"), "flag --neg must be non-negative, got -1");
+  EXPECT_EQ(message("junk"), "flag --junk is not an integer: '3x'");
+  EXPECT_EQ(message("gap"), "flag --gap is not an integer: ''");
+}
+
 TEST(CliArgs, FlagNamesListsParsedFlagsSorted) {
   const char* argv[] = {"prog", "--zeta", "1", "--alpha=2", "pos"};
   CliArgs args(5, argv);
