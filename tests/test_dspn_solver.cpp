@@ -4,6 +4,7 @@
 // bit-exact pins of both exact solvers on that net.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -243,8 +244,31 @@ TEST(DspnExact, CpuNetBeatsSupplementaryVariablesAtLargePud) {
 // periods, and idle spells that each end at an arrival or after T.  With
 // rho = lambda/mu and Z = e^{lambda T} + lambda D the long-run shares are
 // standby (1 - rho)/Z, power-up lambda D (1 - rho)/Z, idle
-// (e^{lambda T} - 1)(1 - rho)/Z and active rho.  The exact solver must
-// match it at every paper PUD and PDT point, at three loads.
+// (e^{lambda T} - 1)(1 - rho)/Z and active rho.
+energy::StateShares RenewalRewardShares(const core::CpuParams& params) {
+  const double lambda = params.arrival_rate;
+  const double rho = params.Rho();
+  const double wait = std::exp(lambda * params.power_down_threshold);
+  const double z = wait + lambda * params.power_up_delay;
+  energy::StateShares shares;
+  shares.standby = (1.0 - rho) / z;
+  shares.powerup = lambda * params.power_up_delay * (1.0 - rho) / z;
+  shares.idle = (wait - 1.0) * (1.0 - rho) / z;
+  shares.active = rho;
+  return shares;
+}
+
+core::CpuParams CpuPoint(double lambda, double pud, double pdt) {
+  core::CpuParams params;
+  params.arrival_rate = lambda;
+  params.service_rate = 10.0;
+  params.power_down_threshold = pdt;
+  params.power_up_delay = pud;
+  return params;
+}
+
+// The exact solver must match the closed form at every paper PUD and PDT
+// point, at three loads.
 TEST(DspnExact, CpuNetMatchesRenewalRewardClosedForm) {
   const core::DspnExactCpuModel exact;
   for (const double lambda : {0.5, 1.0, 5.0}) {
@@ -253,20 +277,49 @@ TEST(DspnExact, CpuNetMatchesRenewalRewardClosedForm) {
         SCOPED_TRACE("lambda=" + std::to_string(lambda) +
                      " pud=" + std::to_string(pud) +
                      " pdt=" + std::to_string(pdt));
-        core::CpuParams params;
-        params.arrival_rate = lambda;
-        params.service_rate = 10.0;
-        params.power_down_threshold = pdt;
-        params.power_up_delay = pud;
-        const double rho = params.Rho();
-        const double wait = std::exp(lambda * pdt);
-        const double z = wait + lambda * pud;
+        const core::CpuParams params = CpuPoint(lambda, pud, pdt);
+        const energy::StateShares want = RenewalRewardShares(params);
         const energy::StateShares shares = exact.Evaluate(params).shares;
-        EXPECT_NEAR(shares.standby, (1.0 - rho) / z, 1e-9);
-        EXPECT_NEAR(shares.powerup, lambda * pud * (1.0 - rho) / z, 1e-9);
-        EXPECT_NEAR(shares.idle, (wait - 1.0) * (1.0 - rho) / z, 1e-9);
-        EXPECT_NEAR(shares.active, rho, 1e-9);
+        EXPECT_NEAR(shares.standby, want.standby, 1e-9);
+        EXPECT_NEAR(shares.powerup, want.powerup, 1e-9);
+        EXPECT_NEAR(shares.idle, want.idle, 1e-9);
+        EXPECT_NEAR(shares.active, want.active, 1e-9);
       }
+    }
+  }
+}
+
+// The k-stage models replace each deterministic delay by k exponential
+// stages, so their error against the closed form falls as about 1/k:
+// doubling k from 20 to 40 must cut the largest share error to at most
+// 0.55 times its value, and at k = 20 it must already be <= 1e-2.
+TEST(DspnExact, StageModelsConvergeToTheClosedForm) {
+  const auto largest_error = [](const core::CpuEnergyModel& model,
+                                const core::CpuParams& params) {
+    const energy::StateShares want = RenewalRewardShares(params);
+    const energy::StateShares got = model.Evaluate(params).shares;
+    return std::max({std::abs(got.standby - want.standby),
+                     std::abs(got.powerup - want.powerup),
+                     std::abs(got.idle - want.idle),
+                     std::abs(got.active - want.active)});
+  };
+  for (const double pud : {0.001, 0.3, 10.0}) {
+    for (const double pdt : {0.1, 0.5, 1.0}) {
+      SCOPED_TRACE("pud=" + std::to_string(pud) +
+                   " pdt=" + std::to_string(pdt));
+      const core::CpuParams params = CpuPoint(1.0, pud, pdt);
+      const double petri_20 =
+          largest_error(core::PetriSolverCpuModel(20), params);
+      const double petri_40 =
+          largest_error(core::PetriSolverCpuModel(40), params);
+      EXPECT_LE(petri_20, 1e-2);
+      EXPECT_LE(petri_40, 0.55 * petri_20);
+      const double stages_20 =
+          largest_error(core::StagesMarkovCpuModel(20), params);
+      const double stages_40 =
+          largest_error(core::StagesMarkovCpuModel(40), params);
+      EXPECT_LE(stages_20, 1e-2);
+      EXPECT_LE(stages_40, 0.55 * stages_20);
     }
   }
 }
