@@ -6,10 +6,12 @@
 /// scenario finishes.
 ///
 /// A scenario participates by calling MakeConfig() into each
-/// NetSimConfig it runs (scenario::ApplyObs) and Contribute()-ing each
-/// ReplicationSummary's merged snapshot/trace (scenario::ContributeObs).
-/// Scenarios that run several configurations contribute several times;
-/// snapshots merge under the usual per-kind rules.
+/// NetSimConfig it runs and Contribute()-ing each ReplicationSummary's
+/// merged snapshot/trace; the netsim studies do both through
+/// scenario::RunCheckedBatch (its ApplyObs/ContributeObs steps), the
+/// timed benchmarks through ApplyObs/ContributeObs or Contribute()
+/// directly.  Scenarios that run several configurations contribute
+/// several times; snapshots merge under the usual per-kind rules.
 #pragma once
 
 #include <string>

@@ -44,7 +44,8 @@ struct ScenarioContext {
   util::ParallelExecutor* executor = nullptr;   ///< fan-out engine (non-owning)
   /// The wsnctl observability session (--metrics/--trace), or null when
   /// neither output was requested.  Scenarios that run the network
-  /// simulator participate through scenario::ApplyObs/ContributeObs.
+  /// simulator participate through scenario::RunCheckedBatch, or through
+  /// ApplyObs/ContributeObs when they time the runs themselves.
   obs::Session* obs = nullptr;
   /// The sweep-point harness (isolation, deadlines/retry, journal,
   /// resume), or null when every harness feature is off.  Studies route

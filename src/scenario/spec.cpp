@@ -714,8 +714,8 @@ struct Study {
   ResultSet (*run)(const ScenarioContext&, const ScenarioSpec&);
 };
 
-/// Defaults of the grid studies with a cluster, heterogeneous and
-/// cluster-ablation.
+/// Defaults shared by the clustered, heterogeneous and cluster-ablation
+/// grids.
 ScenarioSpec GridDefaults() {
   ScenarioSpec s;
   s.rate_hz = 2.0;
@@ -724,6 +724,7 @@ ScenarioSpec GridDefaults() {
   return s;
 }
 
+/// GridDefaults for the two of them that cluster.
 ScenarioSpec ClusteredGridDefaults() {
   ScenarioSpec s = GridDefaults();
   s.clustered = true;

@@ -11,10 +11,13 @@
 /// --cols=4` through StudySpecFromArgs, `wsnctl run --file exp.json`
 /// through ParseScenarioSpec — and RunSpec hands it to the study's
 /// runner (scenario/studies.hpp).  A study is a row of the study table:
-/// the keys it accepts, its defaults and its runner.  Its flags and its
-/// spec schema are that one key list, so a committed preset file is
-/// byte-identical to its registered twin (tests/test_scenario.cpp pins
-/// this for every file under presets/).
+/// the keys it accepts, its defaults (a setting the study fixes is the
+/// default of a key it does not accept), its service floor and its
+/// runner.  Its flags and its spec schema are that one key list, so a
+/// committed preset file is byte-identical to its registered twin
+/// (tests/test_scenario.cpp pins this for every file under presets/).
+/// BuildNetSimConfig turns any spec into the netsim config every study,
+/// the generic interpreter and the code-built deployments run.
 ///
 /// The `study` key selects the keys and defaults:
 ///
@@ -27,8 +30,9 @@
 ///     `oracle` runs every replication twice (production incremental
 ///     paths vs NetSimConfig::oracle) and hard-fails on any field
 ///     divergence; `analytic` cross-checks the simulated first death
-///     against the closed-form estimator.  Packet conservation is
-///     asserted on every generic replication unconditionally.
+///     against the closed-form estimator.
+///
+/// Packet conservation is asserted on every replication of every study.
 ///
 /// Validation is strict and named: unknown keys, wrong types,
 /// out-of-range values and conflicting knobs are rejected with the full
