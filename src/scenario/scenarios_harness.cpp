@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/models.hpp"
 #include "netsim/replication.hpp"
 #include "scenario/common.hpp"
 #include "scenario/harness.hpp"
